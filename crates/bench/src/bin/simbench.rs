@@ -28,11 +28,11 @@ use std::time::Instant;
 
 use congest_graph::{generators, MutableGraph, NodeId};
 use congest_sim::{run_with_backend, Backend, Control, Ctx, Outbox, Program};
-use rand::Rng;
 use even_cycle_congest::engine::store::json_escape;
 use even_cycle_congest::registry::DetectorRegistry;
 use even_cycle_congest::scenario::GraphFamily;
 use even_cycle_congest::{Budget, RunProfile, UpdateSchedule};
+use rand::Rng;
 
 /// The seed every measurement derives from (fixed: the grid must be
 /// comparable across commits).

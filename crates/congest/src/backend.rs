@@ -14,8 +14,9 @@
 //!   stays sequential in sender order, so transcripts are
 //!   byte-identical to the sequential backend at any thread count.
 //! * [`Backend::Auto`] — sequential below a node-count threshold,
-//!   parallel (with [`default_parallel_threads`] workers) at or above
-//!   it. Pool coordination (wakeups, chunk claiming) is per-superstep
+//!   parallel at or above it, with a thread count resolved once, when
+//!   the backend is built or parsed ([`default_parallel_threads`]).
+//!   Pool coordination (wakeups, chunk claiming) is per-superstep
 //!   overhead that only amortizes once the phase does real work;
 //!   `Auto` flips only where parallelism actually pays.
 //!
@@ -39,11 +40,14 @@ pub enum Backend {
         threads: usize,
     },
     /// [`Backend::Sequential`] below `node_threshold` vertices,
-    /// [`Backend::Parallel`] with [`default_parallel_threads`] workers
-    /// at or above it.
+    /// [`Backend::Parallel`] with `threads` workers at or above it.
     Auto {
         /// The node count at which the backend flips to parallel.
         node_threshold: usize,
+        /// Worker-thread count at or above the threshold (clamped to at
+        /// least 1); [`Backend::auto_at`] and [`Backend::parse`] resolve
+        /// it through [`default_parallel_threads`].
+        threads: usize,
     },
 }
 
@@ -62,8 +66,15 @@ impl Backend {
 
     /// The auto backend with the default flip threshold.
     pub fn auto() -> Backend {
+        Backend::auto_at(Backend::DEFAULT_AUTO_NODE_THRESHOLD)
+    }
+
+    /// The auto backend flipping at `node_threshold` nodes to
+    /// [`default_parallel_threads`] workers, resolved now.
+    pub fn auto_at(node_threshold: usize) -> Backend {
         Backend::Auto {
-            node_threshold: Backend::DEFAULT_AUTO_NODE_THRESHOLD,
+            node_threshold,
+            threads: default_parallel_threads(),
         }
     }
 
@@ -80,9 +91,12 @@ impl Backend {
         match *self {
             Backend::Sequential => 1,
             Backend::Parallel { threads } => threads.max(1),
-            Backend::Auto { node_threshold } => {
+            Backend::Auto {
+                node_threshold,
+                threads,
+            } => {
                 if n >= node_threshold.max(1) {
-                    default_parallel_threads()
+                    threads.max(1)
                 } else {
                     1
                 }
@@ -90,33 +104,30 @@ impl Backend {
         }
     }
 
-    /// The most threads this backend can ever use, whatever the
-    /// instance size — what a scheduler must budget for when it runs
-    /// several simulations concurrently.
-    pub fn max_threads(&self) -> usize {
-        match *self {
-            Backend::Sequential => 1,
-            Backend::Parallel { threads } => threads.max(1),
-            Backend::Auto { .. } => default_parallel_threads(),
-        }
-    }
-
-    /// Caps the explicit thread count at `cap` (≥ 1). `Sequential` and
-    /// `Auto` pass through unchanged (`Auto` resolves its threads at
-    /// run time; callers bounding a thread budget use
-    /// [`Backend::max_threads`] for it).
+    /// Caps the thread count of `Parallel` and `Auto` at `cap` (≥ 1);
+    /// `Sequential` passes through unchanged.
     pub fn clamped(self, cap: usize) -> Backend {
+        let cap = cap.max(1);
         match self {
+            Backend::Sequential => Backend::Sequential,
             Backend::Parallel { threads } => Backend::Parallel {
-                threads: threads.clamp(1, cap.max(1)),
+                threads: threads.clamp(1, cap),
             },
-            other => other,
+            Backend::Auto {
+                node_threshold,
+                threads,
+            } => Backend::Auto {
+                node_threshold,
+                threads: threads.clamp(1, cap),
+            },
         }
     }
 
     /// Parses a backend spec: `sequential` (or `seq`), `parallel`
     /// (default threads), `parallel:T`, `auto` (default threshold), or
-    /// `auto:N` (flip at `N` nodes).
+    /// `auto:N` (flip at `N` nodes). `parallel` and both `auto` forms
+    /// resolve their thread count through [`default_parallel_threads`]
+    /// here, once.
     pub fn parse(s: &str) -> Option<Backend> {
         let (name, param) = match s.split_once(':') {
             Some((n, p)) => (n, Some(p)),
@@ -130,20 +141,19 @@ impl Backend {
                 Some(Backend::Parallel { threads })
             }
             ("auto", None) => Some(Backend::auto()),
-            ("auto", Some(n)) => {
-                let node_threshold: usize = n.parse().ok()?;
-                Some(Backend::Auto { node_threshold })
-            }
+            ("auto", Some(n)) => Some(Backend::auto_at(n.parse().ok()?)),
             _ => None,
         }
     }
 
     /// A canonical spelling that [`Backend::parse`] accepts back.
+    /// `Auto` keeps its `auto:N` spelling without the thread count, so
+    /// it parses back to the host's default threads.
     pub fn label(&self) -> String {
         match *self {
             Backend::Sequential => "sequential".to_string(),
             Backend::Parallel { threads } => format!("parallel:{threads}"),
-            Backend::Auto { node_threshold } => format!("auto:{node_threshold}"),
+            Backend::Auto { node_threshold, .. } => format!("auto:{node_threshold}"),
         }
     }
 }
@@ -185,12 +195,10 @@ pub fn sim_threads_env_override() -> Result<Option<usize>, String> {
 /// value warns on stderr instead of being silently coerced), else the
 /// machine's available parallelism (at least 1).
 ///
-/// The environment value is capped at the machine's parallelism: this
-/// is the count [`Backend::Auto`] resolves *at run time* — after the
-/// experiment engine has already budgeted its workers — so an
-/// over-the-machine override here would bypass every scheduler clamp
-/// and oversubscribe (explicit `Parallel { threads }` counts are
-/// clamped by the engine instead, where the whole budget is visible).
+/// The environment value is capped at the machine's parallelism, so a
+/// default never asks for more threads than the host has; the engine
+/// clamps `Parallel` and `Auto` counts further, where the whole budget
+/// is visible.
 pub fn default_parallel_threads() -> usize {
     let available = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -214,14 +222,13 @@ mod tests {
         for b in [
             Backend::Sequential,
             Backend::Parallel { threads: 3 },
-            Backend::Auto {
-                node_threshold: 1000,
-            },
+            Backend::auto_at(1000),
         ] {
             assert_eq!(Backend::parse(&b.label()), Some(b), "{b}");
         }
         assert_eq!(Backend::parse("seq"), Some(Backend::Sequential));
         assert_eq!(Backend::parse("auto"), Some(Backend::auto()));
+        assert_eq!(Backend::auto_at(1000).label(), "auto:1000");
         assert!(matches!(
             Backend::parse("parallel"),
             Some(Backend::Parallel { threads }) if threads >= 1
@@ -235,9 +242,10 @@ mod tests {
     fn effective_threads_respects_the_auto_threshold() {
         let auto = Backend::Auto {
             node_threshold: 100,
+            threads: 3,
         };
         assert_eq!(auto.effective_threads(99), 1);
-        assert!(auto.effective_threads(100) >= 1);
+        assert_eq!(auto.effective_threads(100), 3);
         assert_eq!(Backend::Sequential.effective_threads(1_000_000), 1);
         assert_eq!(
             Backend::Parallel { threads: 4 }.effective_threads(10),
@@ -248,14 +256,19 @@ mod tests {
     }
 
     #[test]
-    fn clamped_bounds_explicit_threads_only() {
+    fn clamped_bounds_parallel_and_auto_threads() {
         assert_eq!(
             Backend::Parallel { threads: 16 }.clamped(4),
             Backend::Parallel { threads: 4 }
         );
         assert_eq!(Backend::Sequential.clamped(4), Backend::Sequential);
-        let auto = Backend::auto();
-        assert_eq!(auto.clamped(4), auto);
+        let auto = |threads| Backend::Auto {
+            node_threshold: 100,
+            threads,
+        };
+        assert_eq!(auto(16).clamped(4), auto(4));
+        assert_eq!(auto(2).clamped(4), auto(2));
+        assert_eq!(auto(16).clamped(0), auto(1));
     }
 
     #[test]

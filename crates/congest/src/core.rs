@@ -649,7 +649,14 @@ mod tests {
 
     #[test]
     fn chunk_geometry_covers_every_node_once() {
-        for (n, threads) in [(0usize, 1usize), (1, 1), (63, 2), (64, 1), (65, 4), (5000, 2)] {
+        for (n, threads) in [
+            (0usize, 1usize),
+            (1, 1),
+            (63, 2),
+            (64, 1),
+            (65, 4),
+            (5000, 2),
+        ] {
             let shift = chunk_shift_for(n, threads);
             let span = 1usize << shift;
             assert!((64..=4096).contains(&span), "span {span} for n={n}");

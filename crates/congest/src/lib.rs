@@ -117,7 +117,14 @@ where
     F: FnMut(NodeId, usize) -> P,
 {
     match backend.effective_threads(graph.node_count()) {
-        0 | 1 => core::run_sequential(graph, seed, bandwidth, cut.as_ref(), factory, max_supersteps),
+        0 | 1 => core::run_sequential(
+            graph,
+            seed,
+            bandwidth,
+            cut.as_ref(),
+            factory,
+            max_supersteps,
+        ),
         threads => pool::run_pooled(
             graph,
             seed,

@@ -248,9 +248,13 @@ mod tests {
             Backend::Sequential,
             Backend::Parallel { threads: 2 },
             Backend::Parallel { threads: 5 },
-            Backend::Auto { node_threshold: 1 },
+            Backend::Auto {
+                node_threshold: 1,
+                threads: 2,
+            },
             Backend::Auto {
                 node_threshold: usize::MAX,
+                threads: 2,
             },
         ] {
             let (report, nodes) = run_with_backend(&g, 9, backend, 1, None, build, 16).unwrap();

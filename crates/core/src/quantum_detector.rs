@@ -44,9 +44,13 @@ pub struct QuantumOutcome {
     pub components: usize,
     /// Number of cluster colors in the decomposition.
     pub colors: u32,
-    /// Classical base-detector runs spent by the simulator (not part of
-    /// the quantum cost model).
+    /// Classical base-detector runs the simulator *models* over all
+    /// components (not part of the quantum cost model).
     pub classical_evals: u64,
+    /// Base-detector runs that actually executed: one per distinct
+    /// seed each component's amplification evaluated. At most
+    /// `classical_evals`.
+    pub simulations: u64,
     /// Whether the component loop was aborted by a
     /// [`Budget`](crate::Budget) round cap (the decision is then
     /// untrusted; components after the abort were never amplified).
@@ -255,6 +259,7 @@ fn run_pipeline<B: PipelineBase>(
         std::collections::BTreeMap::new();
     let mut iterations = 0u64;
     let mut classical_evals = 0u64;
+    let mut simulations = 0u64;
     let mut rejected = false;
     let mut budget_exceeded = false;
     let mut witness: Option<CycleWitness> = None;
@@ -288,6 +293,7 @@ fn run_pipeline<B: PipelineBase>(
         let report = amplifier.amplify(&mc, derive_seed(seed, spec.comp_stream + ci as u64));
         iterations += report.iterations;
         classical_evals += report.classical_evals;
+        simulations += report.simulations;
         let qc = per_color_quantum.entry(comp.color).or_insert(0);
         *qc = (*qc).max(report.quantum_rounds);
         let cc = per_color_classical.entry(comp.color).or_insert(0);
@@ -323,6 +329,7 @@ fn run_pipeline<B: PipelineBase>(
         components: components.len(),
         colors: decomposition.colors,
         classical_evals,
+        simulations,
         budget_exceeded,
     }
 }

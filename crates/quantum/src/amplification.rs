@@ -25,8 +25,12 @@ pub struct AmplificationReport {
     pub classical_rounds_baseline: u64,
     /// Total Grover iterations.
     pub iterations: u64,
-    /// Classical runs of the base algorithm spent by the simulator.
+    /// Classical runs of the base algorithm the simulator *models*
+    /// (see [`SearchReport::classical_evals`]).
     pub classical_evals: u64,
+    /// Runs of the base algorithm that actually executed: one per
+    /// distinct seed evaluated (see [`SearchReport::simulations`]).
+    pub simulations: u64,
     /// Size of the seed space `M ≈ c/ε` searched.
     pub seed_space: usize,
 }
@@ -126,6 +130,10 @@ impl MonteCarloAmplifier {
     }
 
     /// Amplifies `alg`, deriving all randomness from `master_seed`.
+    ///
+    /// Each seed of the space runs `alg` at most once: equal seeds give
+    /// equal outcomes ([`MonteCarloAlgorithm`]'s contract), so the
+    /// search reuses the first answer.
     pub fn amplify<A: MonteCarloAlgorithm>(
         &self,
         alg: &A,
@@ -140,13 +148,11 @@ impl MonteCarloAmplifier {
         let t_setup = alg.round_bound() + self.diameter;
 
         let search = DistributedSearch::new(t_setup, 0, self.delta).with_mode(self.mode);
-        let mut measured_rounds_max: u64 = 0;
         let report: SearchReport = search.run(
             dim,
             |x| {
-                let outcome = alg.run(congest_sim::derive_seed(master_seed, x as u64));
-                measured_rounds_max = measured_rounds_max.max(outcome.rounds);
-                outcome.rejected
+                alg.run(congest_sim::derive_seed(master_seed, x as u64))
+                    .rejected
             },
             congest_sim::derive_seed(master_seed, 0xA3F1),
         );
@@ -161,6 +167,7 @@ impl MonteCarloAmplifier {
             classical_rounds_baseline: classical_reps * (alg.round_bound() + self.diameter).max(1),
             iterations: report.iterations,
             classical_evals: report.classical_evals,
+            simulations: report.simulations,
             seed_space: dim,
         }
     }
@@ -249,6 +256,27 @@ mod tests {
         let amp = MonteCarloAmplifier::new(0.25); // ⌈log₂ 4⌉ = 2 reps
         let bound = amp.round_bound(1.0 / 100.0, 7, 3);
         assert!((bound - 2.0 * 10.0 * 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_seed_runs_once() {
+        let runs = std::cell::Cell::new(0u64);
+        let alg = FnAlgorithm::new(
+            |_| {
+                runs.set(runs.get() + 1);
+                McOutcome {
+                    rejected: false,
+                    rounds: 1,
+                }
+            },
+            1,
+            1.0 / 32.0,
+        );
+        let report = MonteCarloAmplifier::new(0.1).amplify(&alg, 5);
+        assert_eq!(report.seed_space, 96);
+        assert_eq!(report.simulations, 96, "every seed scanned once");
+        assert_eq!(runs.get(), report.simulations);
+        assert!(report.classical_evals > 4 * 96, "4 modelled scans");
     }
 
     #[test]

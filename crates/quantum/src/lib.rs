@@ -29,9 +29,19 @@
 //! always verified classically before being reported, so false positives
 //! are impossible), and (b) the *round accounting* (the quadratic `1/√ε`
 //! vs `1/ε` gap). Reports expose both the quantum cost model (iterations,
-//! charged rounds) and the classical work the simulator spent
-//! (`classical_evals`), so no simulation cost is ever confused with
-//! algorithm cost.
+//! charged rounds) and the classical work of the simulator, so no
+//! simulation cost is ever confused with algorithm cost. That work comes
+//! as two counts:
+//!
+//! * `classical_evals` is *modelled*: every oracle evaluation the
+//!   simulated search performs — each repetition's scan or sample and
+//!   each measurement verification — repeats included;
+//! * `simulations` is what *actually ran*: [`DistributedSearch`]
+//!   memoizes its oracle, a pure function of the seed, so each distinct
+//!   seed runs once per search however often the model evaluates it.
+//!
+//! Neither count changes a result: the memo answers exactly as a fresh
+//! run would, and the Grover randomness never depends on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

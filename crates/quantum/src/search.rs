@@ -1,5 +1,7 @@
 //! Distributed quantum search (Lemma 8, after Le Gall–Magniez [26]).
 
+use std::collections::HashMap;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -16,9 +18,14 @@ pub struct SearchReport {
     pub rounds: u64,
     /// Total Grover iterations across repetitions.
     pub iterations: u64,
-    /// Classical oracle evaluations spent by the simulator (not charged
-    /// as rounds).
+    /// Classical oracle evaluations the simulator *models* (every scan,
+    /// sample and measurement verification of every repetition, repeats
+    /// included); not charged as rounds.
     pub classical_evals: u64,
+    /// Distinct oracle evaluations that actually ran: the search
+    /// memoizes the oracle, so a repeated `x` costs nothing. At most
+    /// `classical_evals`.
+    pub simulations: u64,
     /// Number of independent BBHT repetitions executed.
     pub repetitions: u32,
 }
@@ -78,6 +85,11 @@ impl DistributedSearch {
     /// Repeats BBHT `⌈log₂(1/δ)⌉` times (each repetition has constant
     /// success probability when a marked element exists); any verified
     /// find short-circuits.
+    ///
+    /// The oracle must be a pure function of `x`: each distinct `x` is
+    /// evaluated at most once per call and its answer reused by every
+    /// repetition, sample and verification (see
+    /// [`SearchReport::simulations`]).
     pub fn run<F>(&self, dim: usize, mut oracle: F, seed: u64) -> SearchReport
     where
         F: FnMut(usize) -> bool,
@@ -85,16 +97,19 @@ impl DistributedSearch {
         let reps = (1.0 / self.delta).log2().ceil().max(1.0) as u32;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let grover = GroverSearch::new(self.mode);
+        let mut memo: HashMap<usize, bool> = HashMap::new();
+        let mut memoized = |x: usize| *memo.entry(x).or_insert_with(|| oracle(x));
         let mut report = SearchReport {
             result: None,
             rounds: 0,
             iterations: 0,
             classical_evals: 0,
+            simulations: 0,
             repetitions: 0,
         };
         for _ in 0..reps {
             report.repetitions += 1;
-            let g = grover.search(dim, &mut oracle, &mut rng);
+            let g = grover.search(dim, &mut memoized, &mut rng);
             report.iterations += g.iterations;
             report.classical_evals += g.classical_evals;
             // Each Grover iteration coherently runs Setup (+ uncomputes);
@@ -106,6 +121,7 @@ impl DistributedSearch {
                 break;
             }
         }
+        report.simulations = memo.len() as u64;
         report
     }
 }
@@ -151,5 +167,76 @@ mod tests {
         let a = search.run(256, |x| x % 10 == 0, 9);
         let b = search.run(256, |x| x % 10 == 0, 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn analytic_repetitions_share_one_scan() {
+        // Two repetitions each scan all 64 seeds and verify their
+        // measurements, but every seed runs once.
+        let mut calls = 0u64;
+        let report = DistributedSearch::new(1, 0, 0.25).run(
+            64,
+            |_| {
+                calls += 1;
+                false
+            },
+            5,
+        );
+        assert_eq!(report.repetitions, 2);
+        assert_eq!(calls, 64);
+        assert_eq!(report.simulations, 64);
+        assert!(report.classical_evals >= 128, "{report:?}");
+    }
+
+    #[test]
+    fn sampled_repeats_are_served_from_the_memo() {
+        // 16 draws from 8 seeds must repeat.
+        let mut calls = 0u64;
+        let report = DistributedSearch::new(1, 0, 0.1)
+            .with_mode(GroverMode::Sampled { samples: 16 })
+            .run(
+                8,
+                |_| {
+                    calls += 1;
+                    false
+                },
+                3,
+            );
+        assert_eq!(calls, report.simulations);
+        assert!(report.simulations <= 8);
+        assert!(report.simulations < report.classical_evals, "{report:?}");
+    }
+
+    #[test]
+    fn memoization_leaves_every_modelled_field_unchanged() {
+        // Values recorded from the search before it memoized its oracle.
+        let pinned = [
+            (GroverMode::Exact, 97, Some(199), 175, 21, 270, 1),
+            (GroverMode::Analytic, 1000, Some(5), 125, 14, 267, 1),
+            (
+                GroverMode::Sampled { samples: 16 },
+                1000,
+                None,
+                2745,
+                452,
+                161,
+                4,
+            ),
+        ];
+        for (mode, period, result, rounds, iterations, classical_evals, repetitions) in pinned {
+            let report =
+                DistributedSearch::new(3, 2, 0.1)
+                    .with_mode(mode)
+                    .run(256, |x| x % period == 5, 7);
+            let expected = SearchReport {
+                result,
+                rounds,
+                iterations,
+                classical_evals,
+                simulations: report.simulations,
+                repetitions,
+            };
+            assert_eq!(report, expected, "{mode:?}");
+        }
     }
 }

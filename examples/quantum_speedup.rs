@@ -77,7 +77,7 @@ fn main() {
         outcome.classical_rounds as f64 / outcome.quantum_rounds.max(1) as f64
     );
     println!(
-        "Grover iterations: {}, simulator-side classical runs: {}",
-        outcome.iterations, outcome.classical_evals
+        "Grover iterations: {}, simulator-side classical runs: {} modelled, {} executed",
+        outcome.iterations, outcome.classical_evals, outcome.simulations
     );
 }

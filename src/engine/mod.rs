@@ -9,8 +9,9 @@
 //! (detectors are deterministic in the seed, f64 accumulation happens
 //! in one canonical order on the collecting thread).
 //!
-//! With a store directory configured, every completed unit is appended
-//! to a JSONL [`store`] **content-addressed per unit** — keyed by a
+//! With a store directory configured, every completed unit is appended,
+//! in dispatch order whatever the worker count, to a JSONL [`store`]
+//! **content-addressed per unit** — keyed by a
 //! hash of `(family, n, seed, detector fingerprint, budget)`, not of
 //! the sweep grid. Re-running the same sweep replays the store and
 //! invokes no detector; partially complete stores resume from where
@@ -311,15 +312,15 @@ impl Engine {
         let graphs = GraphCache::new();
         graphs.expect_pending(&pending);
 
-        // Workers append each record as it completes (serialized by the
-        // mutex), so a killed or wall-clock-capped sweep keeps
-        // everything finished so far and the next run resumes from
-        // there.
+        // Workers commit each record as it completes (see
+        // `InOrderStore`), so a killed or wall-clock-capped sweep keeps
+        // every unit up to the first unfinished one and the next run
+        // resumes from there.
         // audit:allow(R2): schedule-cap enforcement — the deadline decides
         // *whether* a unit runs (skipped units resume later), never what any
         // executed unit computes.
         let deadline = self.schedule.wall_clock_cap.map(|cap| Instant::now() + cap);
-        let shared_store = std::sync::Mutex::new(store.take());
+        let shared_store = std::sync::Mutex::new(InOrderStore::new(store.take()));
         let fresh: Vec<Option<UnitRecord>> = pool::run_indexed(todo.len(), workers, |j| {
             let t = &todo[j];
             let (scenario, detectors) = items[t.si];
@@ -329,6 +330,7 @@ impl Engine {
                 // release its graph reference so eviction stays exact.
                 engine_metrics().deadline_skips.inc();
                 graphs.release(&family_keys[t.si], t.n, t.seed);
+                shared_store.lock().unwrap().commit(j, None);
                 return None;
             }
             let record = execute_unit(
@@ -342,14 +344,10 @@ impl Engine {
                 t.seed,
             );
             graphs.release(&family_keys[t.si], t.n, t.seed);
-            if let Some(store) = shared_store.lock().unwrap().as_mut() {
-                store
-                    .append(std::slice::from_ref(&record))
-                    .expect("result store must accept appended records");
-            }
+            shared_store.lock().unwrap().commit(j, Some(&record));
             Some(record)
         });
-        let store = shared_store.into_inner().unwrap();
+        let store = shared_store.into_inner().unwrap().store;
         let executed = fresh.iter().flatten().count();
 
         // Merge replayed and fresh records back into each scenario's
@@ -555,13 +553,14 @@ impl Engine {
         // *whether* a unit runs (skipped units resume later), never what any
         // executed unit computes.
         let deadline = self.schedule.wall_clock_cap.map(|cap| Instant::now() + cap);
-        let shared_store = std::sync::Mutex::new(store.take());
+        let shared_store = std::sync::Mutex::new(InOrderStore::new(store.take()));
         let fresh: Vec<Option<UnitRecord>> = pool::run_indexed(todo.len(), workers, |j| {
             let t = &todo[j];
             let (scenario, detectors) = items[t.si];
             // audit:allow(R2): same cap probe as above — gating only.
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 engine_metrics().deadline_skips.inc();
+                shared_store.lock().unwrap().commit(j, None);
                 return None;
             }
             let g = &snapshots[&(t.si, t.qi, t.ci)];
@@ -575,14 +574,10 @@ impl Engine {
                 scenario.n,
                 scenario.seeds[t.qi],
             );
-            if let Some(store) = shared_store.lock().unwrap().as_mut() {
-                store
-                    .append(std::slice::from_ref(&record))
-                    .expect("result store must accept appended records");
-            }
+            shared_store.lock().unwrap().commit(j, Some(&record));
             Some(record)
         });
-        let store = shared_store.into_inner().unwrap();
+        let store = shared_store.into_inner().unwrap().store;
         let executed = fresh.iter().flatten().count();
 
         let mut by_key: HashMap<&str, &UnitRecord> = HashMap::new();
@@ -709,16 +704,57 @@ impl StreamSuiteOutcome {
     }
 }
 
+/// Appends executed records to the result store in dispatch order,
+/// whatever order the workers finish them in: unit `j`'s record waits
+/// until every unit dispatched before it has been committed or skipped.
+/// The store's bytes are then the same at any worker count.
+struct InOrderStore {
+    store: Option<ResultStore>,
+    /// The next dispatch index to append.
+    next: usize,
+    /// Finished units beyond `next` (`None` for skipped ones).
+    waiting: BTreeMap<usize, Option<UnitRecord>>,
+}
+
+impl InOrderStore {
+    fn new(store: Option<ResultStore>) -> Self {
+        InOrderStore {
+            store,
+            next: 0,
+            waiting: BTreeMap::new(),
+        }
+    }
+
+    /// Hands in unit `j`'s record (`None` when it was skipped) and
+    /// appends every record that is now next in line.
+    fn commit(&mut self, j: usize, record: Option<&UnitRecord>) {
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        self.waiting.insert(j, record.cloned());
+        let mut ready = Vec::new();
+        while let Some(record) = self.waiting.remove(&self.next) {
+            ready.extend(record);
+            self.next += 1;
+        }
+        if !ready.is_empty() {
+            store
+                .append(&ready)
+                .expect("result store must accept appended records");
+        }
+    }
+}
+
 /// Splits the machine's thread budget between pool workers and
 /// intra-run simulation threads (the simulator's own persistent
-/// superstep pool, `congest_sim::pool`): explicit backend thread
-/// counts are clamped to the machine, then the worker count is reduced
-/// until `workers × sim_threads ≤ available` (both stay ≥ 1). The
-/// sim-thread budget is what the backend will actually use on the
-/// sweep's largest
-/// requested size, not its worst case — so an `Auto` backend whose
-/// threshold no grid size reaches (every unit runs sequentially, e.g.
-/// the `paper-exact` defaults) costs the pool nothing. Sizes are the
+/// superstep pool, `congest_sim::pool`): the backend's thread count
+/// (`Parallel` or `Auto`) is clamped to the machine, then the worker
+/// count is reduced until `workers × sim_threads ≤ available` (both
+/// stay ≥ 1). The sim-thread budget is what the backend will actually
+/// use on the sweep's largest requested size, not its worst case — so
+/// an `Auto` backend whose threshold no grid size reaches (every unit
+/// runs sequentially, e.g. the `paper-exact` defaults) costs the pool
+/// nothing. Sizes are the
 /// *requested* n; families that snap sizes move them by at most a few
 /// nodes, which cannot flip a threshold comparison that matters.
 fn split_thread_budget(
@@ -1039,19 +1075,31 @@ mod tests {
 
     #[test]
     fn thread_budget_split_never_oversubscribes() {
-        for (workers, backend, max_size, avail) in [
+        // Auto backends as hosts with 1, 2, 8 and 64 cores resolve
+        // them, so the split is checked independently of this host.
+        let threshold = Backend::DEFAULT_AUTO_NODE_THRESHOLD;
+        let auto = |threads| Backend::Auto {
+            node_threshold: threshold,
+            threads,
+        };
+        let mut cases = vec![
             (8, Backend::Sequential, 64, 4),
             (8, Backend::Parallel { threads: 2 }, 64, 4),
             (8, Backend::Parallel { threads: 16 }, 64, 4),
             (1, Backend::Parallel { threads: 3 }, 64, 8),
-            (3, Backend::auto(), 64, 1),
-            (3, Backend::auto(), 1_000_000, 1),
-        ] {
+        ];
+        for host in [1, 2, 8, 64] {
+            for avail in [1, 2, 4, 8] {
+                cases.push((3, auto(host), 64, avail));
+                cases.push((3, auto(host), 1_000_000, avail));
+            }
+        }
+        for (workers, backend, max_size, avail) in cases {
             let (w, b) = split_thread_budget(workers, backend, max_size, avail);
             assert!(w >= 1);
             assert!(
                 w * b.effective_threads(max_size) <= avail.max(1),
-                "({workers}, {backend}, {max_size}, {avail}) -> ({w}, {b}) oversubscribes"
+                "({workers}, {backend:?}, {max_size}, {avail}) -> ({w}, {b:?}) oversubscribes"
             );
         }
         // Sequential backends leave the worker budget alone.
@@ -1062,14 +1110,13 @@ mod tests {
         // An Auto backend below its threshold runs every unit
         // sequentially, so it must not cost the pool anything (the
         // paper-exact default grid tops out far below the threshold).
-        let small = Backend::DEFAULT_AUTO_NODE_THRESHOLD - 1;
-        assert_eq!(
-            split_thread_budget(6, Backend::auto(), small, 8),
-            (6, Backend::auto())
-        );
-        // At or above the threshold it budgets for the parallel flip.
-        let (w, _) = split_thread_budget(6, Backend::auto(), small + 1, 8);
-        assert!(w * Backend::auto().effective_threads(small + 1) <= 8);
+        for host in [1, 2, 8, 64] {
+            assert_eq!(split_thread_budget(6, auto(host), threshold - 1, 8).0, 6);
+        }
+        // At or above the threshold it budgets for the parallel flip,
+        // with its resolved threads clamped to the machine.
+        assert_eq!(split_thread_budget(6, auto(4), threshold, 8), (2, auto(4)));
+        assert_eq!(split_thread_budget(6, auto(64), threshold, 8), (1, auto(8)));
         // An explicit per-run thread count is clamped to the machine.
         let (w, b) = split_thread_budget(4, Backend::Parallel { threads: 64 }, 64, 4);
         assert_eq!(b, Backend::Parallel { threads: 4 });
@@ -1091,11 +1138,37 @@ mod tests {
         for backend in [
             Backend::Parallel { threads: 2 },
             Backend::Parallel { threads: 4 },
-            Backend::Auto { node_threshold: 1 },
+            Backend::Auto {
+                node_threshold: 1,
+                threads: 2,
+            },
         ] {
             let par = Engine::from_env().run(&scenario(backend), &dets);
             assert_eq!(seq.to_json(), par.to_json(), "{backend}");
         }
+    }
+
+    #[test]
+    fn store_bytes_match_across_worker_counts() {
+        let det = CycleDetector::new(Params::practical(2).with_repetitions(2));
+        let dets: Vec<&dyn Detector> = vec![&det];
+        let base = std::env::temp_dir().join(format!("ec-store-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let store = |workers: usize| {
+            let dir = base.join(workers.to_string());
+            Scenario::new("store order", GraphFamily::planted_cycle(4))
+                .sizes(&[16, 24, 32])
+                .seeds(0..4)
+                .workers(workers)
+                .metric(Metric::Rounds)
+                .store(&dir)
+                .run(&dets);
+            std::fs::read(dir.join("units-v2.jsonl")).expect("store file")
+        };
+        let sequential = store(1);
+        assert_eq!(sequential, store(2));
+        assert_eq!(sequential, store(4));
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! taking the place of a family fingerprint. With a store directory
 //! configured, the unit is appended on first execution and **replayed
 //! without invoking the detector** whenever the same request arrives
-//! again — across connections and across server restarts. The verdict
+//! again — across connections and across server restarts. Concurrent
+//! identical requests are single-flighted per unit key: one executes,
+//! the others wait for it and replay its record. The verdict
 //! line is rendered from the stored record only, so a replayed
 //! duplicate is byte-identical to the original response; whether a
 //! request executed or replayed is visible exclusively in the `stats`
@@ -211,12 +213,15 @@ struct Snapshot {
 const SNAPSHOTS_POISONED: &str = "snapshots mutex poisoned: a handler thread panicked";
 const STORE_POISONED: &str = "store mutex poisoned: a handler thread panicked";
 const ADMISSION_POISONED: &str = "admission counter mutex poisoned: a handler thread panicked";
+const UNIT_SLOTS_POISONED: &str = "unit slot mutex poisoned: a handler thread panicked";
 
 /// The shared server state every connection thread works against.
 #[derive(Debug)]
 struct ServeState {
     snapshots: Mutex<BTreeMap<String, Snapshot>>,
     store: Mutex<Option<ResultStore>>,
+    /// One single-flight slot per unit key with a detect in progress.
+    unit_slots: Mutex<BTreeMap<String, Arc<Mutex<()>>>>,
     registry: DetectorRegistry,
     budget: Budget,
     schedule: Schedule,
@@ -237,6 +242,7 @@ impl ServeState {
         Ok(ServeState {
             snapshots: Mutex::new(BTreeMap::new()),
             store: Mutex::new(store),
+            unit_slots: Mutex::new(BTreeMap::new()),
             registry: config.profile.registry(config.k),
             budget: config.budget.clone(),
             schedule: config.schedule,
@@ -282,6 +288,32 @@ impl ServeState {
         *inflight += 1;
         serve_metrics().inflight.set(*inflight as i64);
         true
+    }
+
+    /// Runs `f` holding the single-flight slot of unit `key`: concurrent
+    /// requests for one unit serialize here, so the first executes and
+    /// the rest find its record in the store. Other keys never wait.
+    fn single_flight<T>(&self, key: &str, f: impl FnOnce() -> T) -> T {
+        let slot = Arc::clone(
+            self.unit_slots
+                .lock()
+                .expect(UNIT_SLOTS_POISONED)
+                .entry(key.to_string())
+                .or_default(),
+        );
+        let result = {
+            let _held = slot.lock().expect(UNIT_SLOTS_POISONED);
+            f()
+        };
+        // The last request out removes the slot: clones are only taken
+        // under the map lock, so a count of 1 there means nobody else
+        // holds or waits on it.
+        let mut slots = self.unit_slots.lock().expect(UNIT_SLOTS_POISONED);
+        drop(slot);
+        if slots.get(key).is_some_and(|s| Arc::strong_count(s) == 1) {
+            slots.remove(key);
+        }
+        result
     }
 
     fn release_slot(&self) {
@@ -461,44 +493,44 @@ impl ServeState {
             &self.budget,
         ));
 
-        let replayed = self
-            .store
-            .lock()
-            .expect(STORE_POISONED)
-            .as_ref()
-            .and_then(|s| s.get(&key))
-            .filter(|r| r.det == entry.id && r.n == n && r.seed == seed)
-            .cloned();
-        let (record, was_replayed) = match replayed {
-            Some(record) => (record, true),
-            None => {
-                if !self.acquire_slot() {
-                    *self.admission_rejected.lock().expect(ADMISSION_POISONED) += 1;
-                    serve_metrics().rejections_total.inc();
-                    return Err(format!(
-                        "admission: all {} detection slot(s) stayed busy past the wall-clock cap; retry later",
-                        self.max_inflight
-                    ));
-                }
-                let record = record_detection(
-                    metric,
-                    &graph,
-                    &self.budget,
-                    entry.detector.as_ref(),
-                    &entry.id,
-                    &key,
-                    n,
-                    seed,
-                );
-                self.release_slot();
-                if let Some(store) = self.store.lock().expect(STORE_POISONED).as_mut() {
-                    store
-                        .append(std::slice::from_ref(&record))
-                        .map_err(|e| format!("result store rejected the record: {e}"))?;
-                }
-                (record, false)
+        let (record, was_replayed) = self.single_flight(&key, || {
+            let replayed = self
+                .store
+                .lock()
+                .expect(STORE_POISONED)
+                .as_ref()
+                .and_then(|s| s.get(&key))
+                .filter(|r| r.det == entry.id && r.n == n && r.seed == seed)
+                .cloned();
+            if let Some(record) = replayed {
+                return Ok((record, true));
             }
-        };
+            if !self.acquire_slot() {
+                *self.admission_rejected.lock().expect(ADMISSION_POISONED) += 1;
+                serve_metrics().rejections_total.inc();
+                return Err(format!(
+                    "admission: all {} detection slot(s) stayed busy past the wall-clock cap; retry later",
+                    self.max_inflight
+                ));
+            }
+            let record = record_detection(
+                metric,
+                &graph,
+                &self.budget,
+                entry.detector.as_ref(),
+                &entry.id,
+                &key,
+                n,
+                seed,
+            );
+            self.release_slot();
+            if let Some(store) = self.store.lock().expect(STORE_POISONED).as_mut() {
+                store
+                    .append(std::slice::from_ref(&record))
+                    .map_err(|e| format!("result store rejected the record: {e}"))?;
+            }
+            Ok((record, false))
+        })?;
 
         {
             let mut snapshots = self.snapshots.lock().expect(SNAPSHOTS_POISONED);

@@ -237,7 +237,10 @@ fn backends_are_transcript_equivalent_across_the_registry() {
                 Backend::Parallel { threads: 2 },
                 Backend::Parallel { threads: 4 },
                 Backend::Parallel { threads: 128 },
-                Backend::Auto { node_threshold: 1 },
+                Backend::Auto {
+                    node_threshold: 1,
+                    threads: 2,
+                },
                 Backend::auto(),
             ] {
                 let budget = Budget::classical().with_backend(backend);
@@ -262,10 +265,10 @@ fn cut_meter_words_agree_on_the_pooled_path() {
     // crossings as the sequential core, whatever the thread count and
     // however the backend was selected. Broadcast gossip on a bisected
     // ER graph keeps every cut edge busy every superstep.
+    use even_cycle_congest::graph::NodeId;
     use even_cycle_congest::sim::{
         run_with_backend, Backend, Control, Ctx, CutMeter, Outbox, Program,
     };
-    use even_cycle_congest::graph::NodeId;
 
     #[derive(Debug)]
     struct Flood {
@@ -296,8 +299,7 @@ fn cut_meter_words_agree_on_the_pooled_path() {
     let side: Vec<bool> = (0..g.node_count()).map(|v| v >= 32).collect();
     let build = |_: NodeId, _: usize| Flood { steps: 4 };
     let cut = || Some(CutMeter::new(&g, side.clone()));
-    let (baseline, _) =
-        run_with_backend(&g, 5, Backend::Sequential, 1, cut(), build, 16).unwrap();
+    let (baseline, _) = run_with_backend(&g, 5, Backend::Sequential, 1, cut(), build, 16).unwrap();
     assert!(
         baseline.cut_words.is_some_and(|w| w > 0),
         "the bisection must be crossed"
@@ -306,7 +308,10 @@ fn cut_meter_words_agree_on_the_pooled_path() {
         Backend::Parallel { threads: 2 },
         Backend::Parallel { threads: 4 },
         Backend::Parallel { threads: 128 },
-        Backend::Auto { node_threshold: 1 },
+        Backend::Auto {
+            node_threshold: 1,
+            threads: 2,
+        },
     ] {
         let (report, _) = run_with_backend(&g, 5, backend, 1, cut(), build, 16).unwrap();
         assert_eq!(

@@ -115,6 +115,98 @@ fn grover_iterations_follow_quadratic_law_in_pipeline_sizes() {
 }
 
 #[test]
+fn fast_ci_quantum_outputs_are_pinned() {
+    // Verdict, rounds and iterations of the four fast-ci k = 2 quantum
+    // entries, recorded before the oracle scan was memoized: the memo
+    // changes how often a seed is simulated, never what any report or
+    // store record holds.
+    use even_cycle_congest::{FamilySpec, Model, RunProfile, Verdict};
+    let pinned = [
+        (
+            "trees",
+            "quantum/C4/amplified-color-bfs-pipeline",
+            "accept",
+            161006,
+            397,
+        ),
+        (
+            "trees",
+            "quantum/C5/amplified-odd-color-bfs-pipeline",
+            "accept",
+            284684,
+            589,
+        ),
+        (
+            "trees",
+            "quantum/F4/amplified-pairwise-sweep-pipeline",
+            "accept",
+            308184,
+            780,
+        ),
+        (
+            "trees",
+            "quantum/F4/quantized-heavy-search-framework",
+            "accept",
+            92250,
+            321,
+        ),
+        (
+            "planted:4",
+            "quantum/C4/amplified-color-bfs-pipeline",
+            "reject C4",
+            16225,
+            38,
+        ),
+        (
+            "planted:4",
+            "quantum/C5/amplified-odd-color-bfs-pipeline",
+            "accept",
+            141830,
+            297,
+        ),
+        (
+            "planted:4",
+            "quantum/F4/amplified-pairwise-sweep-pipeline",
+            "reject C4",
+            196933,
+            500,
+        ),
+        (
+            "planted:4",
+            "quantum/F4/quantized-heavy-search-framework",
+            "accept",
+            89380,
+            321,
+        ),
+    ];
+    let registry = RunProfile::FastCi.registry(2);
+    let budget = RunProfile::FastCi.budget();
+    let quantum = registry
+        .iter()
+        .filter(|e| e.descriptor.model == Model::Quantum)
+        .count();
+    assert_eq!(quantum, 4, "every quantum entry is pinned");
+    for (family, id, verdict, rounds, iterations) in pinned {
+        let g = FamilySpec::parse(family).unwrap().build(24, 0);
+        let entry = registry.iter().find(|e| e.id == id).expect(id);
+        let d = entry.detector.detect(&g, 0, &budget).unwrap();
+        let got = match &d.verdict {
+            Verdict::Accept => "accept".to_string(),
+            Verdict::Reject {
+                cycle_length: Some(l),
+                ..
+            } => format!("reject C{l}"),
+            other => format!("{other:?}"),
+        };
+        assert_eq!(
+            (got.as_str(), d.cost.rounds, d.cost.iterations),
+            (verdict, rounds, iterations),
+            "{id} on {family}"
+        );
+    }
+}
+
+#[test]
 fn exact_grover_agrees_with_analytic_grover_end_to_end() {
     let oracle = |x: usize| x % 32 == 7;
     for seed in 0..10u64 {
