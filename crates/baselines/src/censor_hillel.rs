@@ -11,9 +11,9 @@
 //! enforces the `k ≤ 5` restriction accordingly.
 
 use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{derive_seed, RunReport};
+use congest_sim::{derive_seed, Backend, Executor, RunReport};
 use even_cycle::{
-    extract_even_witness, random_coloring, run_color_bfs_bw, Budget, Descriptor, DetectResult,
+    extract_even_witness, random_coloring, run_color_bfs_backend, Budget, Descriptor, DetectResult,
     Detection, Detector, Model, RunCost, Target, Verdict,
 };
 use rand::{Rng, SeedableRng};
@@ -113,6 +113,8 @@ impl LocalThresholdDetector {
         let attempts = self.attempts_for(n);
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, 0x10CA1));
         let all = vec![true; n];
+        let mut session = Executor::new(Backend::Sequential);
+        session.set_bandwidth(bandwidth);
 
         for attempt in 0..attempts {
             // One uniformly random source; its neighbors form X.
@@ -122,7 +124,8 @@ impl LocalThresholdDetector {
                 x_mask[u.index()] = true;
             }
             let colors = random_coloring(n, 2 * k, derive_seed(seed, 0x5000 + attempt));
-            let result = run_color_bfs_bw(
+            let result = run_color_bfs_backend(
+                &mut session,
                 g,
                 k,
                 &colors,
@@ -130,7 +133,6 @@ impl LocalThresholdDetector {
                 &x_mask,
                 None,
                 self.tau,
-                bandwidth,
                 derive_seed(seed, 0x6000 + attempt),
             );
             total.absorb(&result.report);

@@ -16,9 +16,9 @@
 //! papers.
 
 use congest_graph::{CycleWitness, Graph};
-use congest_sim::{derive_seed, RunReport};
+use congest_sim::{derive_seed, Backend, Executor, RunReport};
 use even_cycle::{
-    extract_even_witness, random_coloring, run_color_bfs_bw, Budget, Descriptor, DetectResult,
+    extract_even_witness, random_coloring, run_color_bfs_backend, Budget, Descriptor, DetectResult,
     Detection, Detector, Model, RunCost, Target, Verdict,
 };
 
@@ -102,12 +102,15 @@ impl EdenModel {
         let all = vec![true; n];
         let mut total = RunReport::empty();
         let mut iterations = 0u64;
+        let mut session = Executor::new(Backend::Sequential);
+        session.set_bandwidth(bandwidth);
         for r in 0..self.repetitions as u64 {
             iterations = r + 1;
             let colors = random_coloring(n, 2 * k, derive_seed(seed, 0xED0 + r));
             let calls: [(&[bool], &[bool]); 2] = [(&light, &light), (&all, &all)];
             for (ci, (h_mask, x_mask)) in calls.into_iter().enumerate() {
-                let result = run_color_bfs_bw(
+                let result = run_color_bfs_backend(
+                    &mut session,
                     g,
                     k,
                     &colors,
@@ -115,7 +118,6 @@ impl EdenModel {
                     x_mask,
                     None,
                     tau,
-                    bandwidth,
                     derive_seed(seed, 0xED00 + r * 2 + ci as u64),
                 );
                 total.absorb(&result.report);

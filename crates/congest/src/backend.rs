@@ -1,9 +1,9 @@
-//! Simulation backends: one knob selecting how the superstep core of
-//! [`crate::Executor`] / [`crate::parallel::ParallelExecutor`] steps
-//! nodes.
+//! Simulation backends: one knob selecting how an [`crate::Executor`]
+//! session steps nodes.
 //!
 //! Every detector in the workspace drives the same superstep core (see
-//! `core.rs`); a [`Backend`] picks the node-stepping strategy:
+//! `core.rs`) through an [`crate::Executor`] built for a [`Backend`],
+//! which picks the node-stepping strategy of each run:
 //!
 //! * [`Backend::Sequential`] — one thread, no pool coordination. The
 //!   right choice for small instances and for sweeps that already

@@ -1,12 +1,7 @@
-//! The shared superstep core behind every executor.
+//! The shared superstep core behind every backend.
 //!
-//! [`crate::Executor`] and [`crate::parallel::ParallelExecutor`] used
-//! to be two parallel implementations of the same synchronous loop,
-//! and they drifted: the parallel path zeroed the full `edge_words`
-//! vector (length `2m`) every superstep where the sequential path only
-//! reset touched edges, reallocated a fresh `Vec<Outbox>` per phase,
-//! and silently dropped [`CutMeter`] support. This module is the one
-//! loop both now drive; the only pluggable piece is the
+//! [`crate::Executor`] is the one simulation session, and this module
+//! is the loop it drives. The only pluggable piece is the
 //! [`PhaseDriver`] deciding how the node-step phase runs (on the
 //! calling thread, or claimed chunk-by-chunk by the persistent worker
 //! pool in [`crate::pool`]).
@@ -20,21 +15,32 @@
 //! definition of the synchronous model, and a skipped chunk is one
 //! with no live node to step and no delivered message to drop.
 //!
-//! Hot-path choices, in one place instead of two:
+//! Hot-path choices:
 //!
 //! * **Chunked struct-of-arrays node state** — per-node state lives in
-//!   [`NodeChunk`]s of a fixed power-of-two span: programs, RNG
-//!   streams, inboxes, and outboxes in parallel arrays, halted flags
-//!   packed into `u64` bitset words. A phase sweep walks contiguous
-//!   memory, a fully-halted 64-node word is skipped in one compare,
-//!   and a chunk whose nodes are all halted with nothing in any inbox
-//!   is skipped outright (`live`/`pending` counters).
-//! * **Touched-edge accounting** — `edge_words` is allocated once and
-//!   only the entries actually written in a superstep are reset, so a
-//!   quiet superstep costs `O(touched)`, not `O(m)`.
-//! * **Buffer reuse** — outboxes, inboxes, and RNG streams live for
-//!   the whole run; delivery drains outboxes in place (retaining their
-//!   capacity) instead of reallocating a `Vec<Outbox>` every phase.
+//!   parallel flat arrays ([`NodeState`]: programs, RNG streams,
+//!   inboxes, outboxes, and halted flags packed into `u64` bitset
+//!   words), which each run splits into [`NodeChunk`] windows of a
+//!   fixed power-of-two span. A phase sweep walks contiguous memory, a
+//!   fully-halted 64-node word is skipped in one compare, and a chunk
+//!   whose nodes are all halted with nothing in any inbox is skipped
+//!   outright (`live`/`pending` counters).
+//! * **Touched-edge accounting** — only the `edge_words` entries
+//!   actually written in a superstep are reset, so a quiet superstep
+//!   costs `O(touched)`, not `O(m)`.
+//! * **Buffer reuse** — a session owns its [`NodeState`] and
+//!   [`Delivery`] buffers and resets them in place at the start of
+//!   every run: programs, RNG streams, inboxes, outboxes, halt words,
+//!   edge counters, the touched list, CSR bases, and outbox capacities
+//!   all keep their allocations from one run to the next, and within a
+//!   run delivery drains outboxes in place. Every inbox and outbox
+//!   starts a run with room for one message per incident edge,
+//!   reserved on the session's thread. Whoever holds the session owns
+//!   the buffers: each detector repetition loop holds one session per
+//!   program type for one call, a one-shot wrapper
+//!   ([`crate::run_with_backend`]) holds one for one run, and the
+//!   buffers are freed when the session is dropped. No buffer outlives
+//!   its session; there is no per-thread or global cache.
 //! * **CSR edge bases** — the dense directed-edge index of
 //!   `(v, i-th neighbor)` is `edge_base[v] + i`; broadcasts charge
 //!   edges without any per-neighbor binary search, and point-to-point
@@ -55,30 +61,32 @@ use crate::message::MessageSize;
 use crate::metrics::{CongestionStats, RunReport};
 use crate::program::{Control, Ctx, Decision, Outbox, Program};
 
-/// One contiguous block of per-node state in struct-of-arrays layout.
-/// `nodes[off]`, `rngs[off]`, `inboxes[off]`, and `outboxes[off]` all
-/// belong to global node `base + off`; `halted` packs the halt flags
-/// 64 per word. The chunk is the unit of work claiming: a phase steps
-/// whole chunks, so a `Mutex` per chunk (uncontended — the claim
-/// cursor hands each chunk to exactly one worker) is the entire
-/// synchronization story, with no `unsafe` anywhere.
-pub(crate) struct NodeChunk<P: Program> {
+/// One contiguous block of per-node state in struct-of-arrays layout:
+/// for one run, a window into each of the session's [`NodeState`]
+/// arrays. `nodes[off]`, `rngs[off]`, `inboxes[off]`, and
+/// `outboxes[off]` all belong to global node `base + off`; `halted`
+/// packs the halt flags 64 per word. The chunk is the unit of work
+/// claiming: a phase steps whole chunks, so a `Mutex` per chunk
+/// (uncontended — the claim cursor hands each chunk to exactly one
+/// worker) is the entire synchronization story, with no `unsafe`
+/// anywhere.
+pub(crate) struct NodeChunk<'s, P: Program> {
     /// Global id of the chunk's first node.
-    pub(crate) base: usize,
-    pub(crate) nodes: Vec<P>,
-    pub(crate) rngs: Vec<ChaCha8Rng>,
+    base: usize,
+    nodes: &'s mut [P],
+    rngs: &'s mut [ChaCha8Rng],
     /// Halt flags, bit `off - 64*w` of word `w`.
-    halted: Vec<u64>,
+    halted: &'s mut [u64],
     /// Nodes in this chunk that have not halted.
-    pub(crate) live: usize,
+    live: usize,
     /// Inboxes in this chunk currently holding messages. Maintained by
     /// delivery (push into an empty inbox) and reset by the phase
     /// sweep (every inbox is drained or dropped); together with `live`
     /// it makes both the chunk-skip test and the global termination
     /// test O(1) per chunk.
-    pub(crate) pending: usize,
-    pub(crate) inboxes: Vec<Vec<(NodeId, P::Msg)>>,
-    pub(crate) outboxes: Vec<Outbox<P::Msg>>,
+    pending: usize,
+    inboxes: &'s mut [Vec<(NodeId, P::Msg)>],
+    outboxes: &'s mut [Outbox<P::Msg>],
 }
 
 #[inline]
@@ -90,17 +98,13 @@ fn word_mask(width: usize) -> u64 {
     }
 }
 
-impl<P: Program> NodeChunk<P> {
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
+impl<P: Program> NodeChunk<'_, P> {
     /// Runs one phase (init at `None`, else one step) over every node
     /// of the chunk. Returns `false` when the chunk was skipped — all
     /// nodes halted and no inbox held messages to drop, so nothing
     /// observable could have happened.
     pub(crate) fn run_phase(&mut self, graph: &Graph, n: usize, superstep: Option<usize>) -> bool {
-        let len = self.len();
+        let len = self.nodes.len();
         let Some(s) = superstep else {
             for off in 0..len {
                 let id = NodeId::new((self.base + off) as u32);
@@ -160,7 +164,9 @@ impl<P: Program> NodeChunk<P> {
 /// Locks a chunk, ignoring poison: a panicked worker already aborts
 /// the run through the pool's unwind guards, and the sequential path
 /// never shares chunks across threads.
-pub(crate) fn lock_chunk<P: Program>(chunk: &Mutex<NodeChunk<P>>) -> MutexGuard<'_, NodeChunk<P>> {
+pub(crate) fn lock_chunk<'c, 's, P: Program>(
+    chunk: &'c Mutex<NodeChunk<'s, P>>,
+) -> MutexGuard<'c, NodeChunk<'s, P>> {
     chunk.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -168,98 +174,147 @@ pub(crate) fn lock_chunk<P: Program>(chunk: &Mutex<NodeChunk<P>>) -> MutexGuard<
 /// the per-chunk claim (one atomic increment + one uncontended lock),
 /// small enough that the claim cursor load-balances ragged supersteps
 /// (BFS frontiers) across workers and the `live`/`pending` skip stays
-/// fine-grained. Chunk geometry is invisible to transcripts.
+/// fine-grained. A span is a multiple of 64, so chunks split the halt
+/// words too. Chunk geometry is invisible to transcripts.
 fn chunk_shift_for(n: usize, threads: usize) -> u32 {
     let workers = threads.max(1);
     let target = (n / (workers * 8)).clamp(64, 4096);
     usize::BITS - 1 - target.leading_zeros()
 }
 
-/// The whole per-run node state: every [`NodeChunk`], plus the
-/// power-of-two geometry that maps a global node id to `(chunk,
-/// offset)` with a shift and a mask.
-pub(crate) struct ChunkTable<P: Program> {
-    chunks: Vec<Mutex<NodeChunk<P>>>,
-    shift: u32,
-    n: usize,
+/// A session's per-node state, one flat array per field, kept from one
+/// run to the next: [`NodeState::reset`] refills it in place and
+/// [`NodeState::chunks`] splits it into one run's [`ChunkTable`].
+pub(crate) struct NodeState<P: Program> {
+    /// The programs in node order; after a run, its final node states.
+    pub(crate) nodes: Vec<P>,
+    rngs: Vec<ChaCha8Rng>,
+    halted: Vec<u64>,
+    inboxes: Vec<Vec<(NodeId, P::Msg)>>,
+    outboxes: Vec<Outbox<P::Msg>>,
 }
 
-impl<P: Program> ChunkTable<P> {
-    /// Builds the chunked state for an `n`-node run: programs from the
+impl<P: Program> NodeState<P> {
+    pub(crate) fn new() -> Self {
+        NodeState {
+            nodes: Vec::new(),
+            rngs: Vec::new(),
+            halted: Vec::new(),
+            inboxes: Vec::new(),
+            outboxes: Vec::new(),
+        }
+    }
+
+    /// Prepares the state for a run on `graph`: programs from the
     /// factory (called in ascending node order, on the caller's
-    /// thread), one seeded RNG stream per node, everything else empty.
-    pub(crate) fn build<F>(graph: &Graph, seed: u64, threads: usize, mut factory: F) -> Self
+    /// thread), one seeded RNG stream per node, every halt flag
+    /// cleared, and every inbox and outbox emptied of whatever a failed
+    /// run left behind — while each vector keeps its allocation.
+    pub(crate) fn reset<F>(&mut self, graph: &Graph, seed: u64, mut factory: F)
     where
         F: FnMut(NodeId, usize) -> P,
     {
         let n = graph.node_count();
+        self.nodes.clear();
+        self.nodes
+            .extend((0..n).map(|v| factory(NodeId::new(v as u32), n)));
+        self.rngs.clear();
+        self.rngs
+            .extend((0..n as u64).map(|v| ChaCha8Rng::seed_from_u64(derive_seed(seed, v))));
+        self.halted.clear();
+        self.halted.resize(n.div_ceil(64), 0);
+        self.inboxes.resize_with(n, Vec::new);
+        self.outboxes.resize_with(n, Outbox::new);
+        // Room for one message per incident edge — a superstep's CONGEST
+        // budget — allocated here, on the session's thread. Buffers kept
+        // for the whole session then never come from a pool worker's
+        // malloc arena, where, mixed with each run's short-lived
+        // allocations, they fragmented the heap and raised peak memory.
+        let queues = self.inboxes.iter_mut().zip(&mut self.outboxes);
+        for ((inbox, out), v) in queues.zip(graph.nodes()) {
+            inbox.clear();
+            inbox.reserve_exact(graph.degree(v));
+            out.broadcast = None;
+            out.messages.clear();
+            out.messages.reserve_exact(graph.degree(v));
+        }
+    }
+
+    /// Splits the freshly reset state into the chunks of one run on
+    /// `threads` threads.
+    pub(crate) fn chunks(&mut self, threads: usize) -> ChunkTable<'_, P> {
+        let n = self.nodes.len();
         let shift = chunk_shift_for(n, threads);
         let span = 1usize << shift;
-        let mut chunks = Vec::with_capacity(n.div_ceil(span));
-        let mut base = 0usize;
-        while base < n {
-            let len = span.min(n - base);
-            let mut nodes = Vec::with_capacity(len);
-            let mut rngs = Vec::with_capacity(len);
-            let mut inboxes = Vec::with_capacity(len);
-            let mut outboxes = Vec::with_capacity(len);
-            for off in 0..len {
-                let v = (base + off) as u64;
-                nodes.push(factory(NodeId::new(v as u32), n));
-                rngs.push(ChaCha8Rng::seed_from_u64(derive_seed(seed, v)));
-                inboxes.push(Vec::new());
-                outboxes.push(Outbox::new());
-            }
-            chunks.push(Mutex::new(NodeChunk {
-                base,
-                nodes,
-                rngs,
-                halted: vec![0u64; len.div_ceil(64)],
-                live: len,
-                pending: 0,
-                inboxes,
-                outboxes,
-            }));
-            base += len;
-        }
+        let chunks = self
+            .nodes
+            .chunks_mut(span)
+            .zip(self.rngs.chunks_mut(span))
+            .zip(self.halted.chunks_mut(span / 64))
+            .zip(self.inboxes.chunks_mut(span))
+            .zip(self.outboxes.chunks_mut(span))
+            .enumerate()
+            .map(|(i, ((((nodes, rngs), halted), inboxes), outboxes))| {
+                Mutex::new(NodeChunk {
+                    base: i << shift,
+                    live: nodes.len(),
+                    pending: 0,
+                    nodes,
+                    rngs,
+                    halted,
+                    inboxes,
+                    outboxes,
+                })
+            })
+            .collect();
         ChunkTable { chunks, shift, n }
     }
 
+    /// The address of every buffer the state keeps between runs.
+    #[cfg(test)]
+    pub(crate) fn buffer_addrs(&self) -> Vec<usize> {
+        let mut addrs = vec![
+            self.nodes.as_ptr() as usize,
+            self.rngs.as_ptr() as usize,
+            self.halted.as_ptr() as usize,
+            self.inboxes.as_ptr() as usize,
+            self.outboxes.as_ptr() as usize,
+        ];
+        addrs.extend(self.inboxes.iter().map(|i| i.as_ptr() as usize));
+        addrs.extend(self.outboxes.iter().map(|o| o.messages.as_ptr() as usize));
+        addrs
+    }
+}
+
+/// One run's node state: every [`NodeChunk`], plus the power-of-two
+/// geometry that maps a global node id to `(chunk, offset)` with a
+/// shift and a mask.
+pub(crate) struct ChunkTable<'s, P: Program> {
+    chunks: Vec<Mutex<NodeChunk<'s, P>>>,
+    shift: u32,
+    n: usize,
+}
+
+impl<'s, P: Program> ChunkTable<'s, P> {
     pub(crate) fn n(&self) -> usize {
         self.n
-    }
-
-    pub(crate) fn shift(&self) -> u32 {
-        self.shift
     }
 
     pub(crate) fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
 
-    pub(crate) fn chunk(&self, i: usize) -> &Mutex<NodeChunk<P>> {
+    pub(crate) fn chunk(&self, i: usize) -> &Mutex<NodeChunk<'s, P>> {
         &self.chunks[i]
     }
 
-    /// Locks every chunk in ascending order, for the single-threaded
-    /// phases (delivery, termination test, decision collection). No
-    /// worker holds a chunk between phases, so this never blocks.
-    pub(crate) fn guards(&self) -> Vec<MutexGuard<'_, NodeChunk<P>>> {
-        self.chunks.iter().map(lock_chunk).collect()
-    }
-
-    /// Consumes the table into the per-node programs, in node order.
-    pub(crate) fn into_nodes(self) -> Vec<P> {
-        let mut nodes = Vec::with_capacity(self.n);
-        for chunk in self.chunks {
-            nodes.extend(
-                chunk
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .nodes,
-            );
-        }
-        nodes
+    /// Locks every chunk in ascending order into `guards` (emptied
+    /// first), for the single-threaded phases (delivery, termination
+    /// test, decision collection). No worker holds a chunk between
+    /// phases, so this never blocks.
+    fn lock_all<'t>(&'t self, guards: &mut Vec<MutexGuard<'t, NodeChunk<'s, P>>>) {
+        guards.clear();
+        guards.extend(self.chunks.iter().map(lock_chunk));
     }
 }
 
@@ -268,16 +323,15 @@ impl<P: Program> ChunkTable<P> {
 /// everything else (delivery, accounting, halting bookkeeping) is
 /// shared and single-threaded.
 pub(crate) trait PhaseDriver<P: Program> {
-    fn run_phase(&self, table: &ChunkTable<P>, graph: &Graph, superstep: Option<usize>);
+    fn run_phase(&self, table: &ChunkTable<'_, P>, graph: &Graph, superstep: Option<usize>);
 }
 
 /// The sequential driver: every chunk on the calling thread, in
-/// order. Imposes no `Send` bound, so it serves `Program`s the pooled
-/// driver cannot.
+/// order, with no pool to coordinate.
 pub(crate) struct SeqDriver;
 
 impl<P: Program> PhaseDriver<P> for SeqDriver {
-    fn run_phase(&self, table: &ChunkTable<P>, graph: &Graph, superstep: Option<usize>) {
+    fn run_phase(&self, table: &ChunkTable<'_, P>, graph: &Graph, superstep: Option<usize>) {
         let n = table.n();
         for i in 0..table.chunk_count() {
             lock_chunk(table.chunk(i)).run_phase(graph, n, superstep);
@@ -322,12 +376,14 @@ struct DeliverOutcome {
     max_load: u64,
     /// Messages delivered this superstep.
     messages: u64,
-    /// Outboxes drained into a buffer retained from an earlier superstep.
+    /// Point-to-point outboxes drained from a buffer that did not grow
+    /// this superstep: sends that allocated nothing.
     reused_buffers: u64,
 }
 
-/// Per-run delivery state: allocated once, reused every superstep.
-struct Delivery {
+/// A session's delivery state: re-sized for the graph at the start of
+/// each run, reused every superstep and every run.
+pub(crate) struct Delivery {
     /// Words charged per directed edge this superstep; only the
     /// `touched` entries are ever non-zero.
     edge_words: Vec<u64>,
@@ -336,17 +392,17 @@ struct Delivery {
     /// CSR base of each node's directed-edge block: the edge to the
     /// `i`-th neighbor of `v` has dense index `edge_base[v] + i`.
     edge_base: Vec<usize>,
-    /// Whether each node's point-to-point outbox already carried an
-    /// allocation before this superstep — i.e. a drain now reuses a
-    /// buffer from an earlier superstep rather than a fresh one.
-    had_capacity: Vec<bool>,
+    /// Capacity of each node's point-to-point outbox at its last drain
+    /// (or at the start of the run): a drain that finds the same
+    /// capacity reused the buffer without allocating.
+    capacity: Vec<usize>,
 }
 
 /// Appends `msg` to the inbox of `to`, keeping the recipient chunk's
 /// `pending` count exact (the first push into an empty inbox marks it).
 #[inline]
 fn push_to<P: Program>(
-    chunks: &mut [MutexGuard<'_, NodeChunk<P>>],
+    chunks: &mut [MutexGuard<'_, NodeChunk<'_, P>>],
     shift: u32,
     mask: usize,
     from: NodeId,
@@ -363,21 +419,55 @@ fn push_to<P: Program>(
 }
 
 impl Delivery {
-    fn new(graph: &Graph) -> Delivery {
-        let n = graph.node_count();
-        let mut edge_base = Vec::with_capacity(n);
+    pub(crate) fn new() -> Delivery {
+        Delivery {
+            edge_words: Vec::new(),
+            touched: Vec::new(),
+            edge_base: Vec::new(),
+            capacity: Vec::new(),
+        }
+    }
+
+    /// Prepares the buffers for a run of `table` on `graph`: clears the
+    /// charges a failed run left behind (a finished one ends on a
+    /// superstep that charged nothing), rebuilds the CSR bases, and
+    /// seeds `capacity` from what each outbox really holds, so a buffer
+    /// kept from an earlier run counts as reused on its first drain.
+    fn reset<P: Program>(&mut self, graph: &Graph, table: &ChunkTable<'_, P>) {
+        self.clear_charges();
+        self.edge_words.resize(graph.directed_edge_count(), 0);
+        self.edge_base.clear();
         let mut acc = 0usize;
         for v in graph.nodes() {
-            edge_base.push(acc);
+            self.edge_base.push(acc);
             acc += graph.degree(v);
         }
         debug_assert_eq!(acc, graph.directed_edge_count());
-        Delivery {
-            edge_words: vec![0; graph.directed_edge_count()],
-            touched: Vec::new(),
-            edge_base,
-            had_capacity: vec![false; n],
+        self.capacity.clear();
+        for chunk in &table.chunks {
+            let chunk = lock_chunk(chunk);
+            self.capacity
+                .extend(chunk.outboxes.iter().map(|o| o.messages.capacity()));
         }
+    }
+
+    /// The address of every buffer delivery keeps between runs.
+    #[cfg(test)]
+    pub(crate) fn buffer_addrs(&self) -> Vec<usize> {
+        vec![
+            self.edge_words.as_ptr() as usize,
+            self.touched.as_ptr() as usize,
+            self.edge_base.as_ptr() as usize,
+            self.capacity.as_ptr() as usize,
+        ]
+    }
+
+    /// Zeroes the edges charged since the last call.
+    fn clear_charges(&mut self) {
+        for &e in &self.touched {
+            self.edge_words[e] = 0;
+        }
+        self.touched.clear();
     }
 
     /// Delivers all pending outboxes in sender order (the determinism
@@ -394,15 +484,12 @@ impl Delivery {
         cut: Option<&CutMeter>,
         cut_words: &mut u64,
         shift: u32,
-        chunks: &mut [MutexGuard<'_, NodeChunk<P>>],
+        chunks: &mut [MutexGuard<'_, NodeChunk<'_, P>>],
         stats: &mut CongestionStats,
     ) -> Result<DeliverOutcome, SimError> {
         let messages_before = stats.total_messages;
         let mut reused_buffers = 0u64;
-        for &e in &self.touched {
-            self.edge_words[e] = 0;
-        }
-        self.touched.clear();
+        self.clear_charges();
 
         // Accounting pass: charge words per directed edge and validate
         // that every recipient is a neighbor.
@@ -462,13 +549,13 @@ impl Delivery {
                         push_to(chunks, shift, mask, from, to, msg.clone());
                     }
                 }
-                if !msgs.is_empty() && self.had_capacity[base + off] {
+                if !msgs.is_empty() && msgs.capacity() == self.capacity[base + off] {
                     reused_buffers += 1;
                 }
                 for (to, msg) in msgs.drain(..) {
                     push_to(chunks, shift, mask, from, to, msg);
                 }
-                self.had_capacity[base + off] = msgs.capacity() > 0;
+                self.capacity[base + off] = msgs.capacity();
                 chunks[ci].outboxes[off].messages = msgs;
             }
         }
@@ -514,16 +601,17 @@ fn observe_delivery(metrics: &SimMetrics, outcome: &DeliverOutcome, superstep: u
     });
 }
 
-/// Runs a program to completion over an already-built chunk table
-/// under the given phase driver; the semantics of
-/// [`crate::Executor::run`], shared by every backend. The caller owns
-/// the table (pooled runs share it with scoped workers) and extracts
-/// the final node states with [`ChunkTable::into_nodes`] afterwards.
+/// Runs a program to completion over the chunk table of a freshly
+/// reset [`NodeState`] under the given phase driver; the semantics of
+/// [`crate::Executor::run`], shared by every backend. Pooled runs share
+/// the table with scoped workers; the final node states stay in the
+/// session's [`NodeState`].
 pub(crate) fn run_loop<P, D>(
     graph: &Graph,
     bandwidth: u64,
     cut: Option<&CutMeter>,
-    table: &ChunkTable<P>,
+    table: &ChunkTable<'_, P>,
+    delivery: &mut Delivery,
     driver: &D,
     max_supersteps: u64,
 ) -> Result<RunReport, SimError>
@@ -538,34 +626,36 @@ where
     // rounds/messages/verdicts never read the clock.
     let started = Instant::now();
     let mut span = telemetry::Span::begin("sim.run").with("n", n);
-    let mut delivery = Delivery::new(graph);
+    delivery.reset(graph, table);
     let mut stats = CongestionStats::default();
     let mut cut_words: u64 = 0;
     let mut rounds: u64 = 0;
     let mut supersteps: u64 = 0;
+    // One guard vector for the whole run, emptied before every node
+    // phase (the driver locks chunks itself).
+    let mut guards = Vec::with_capacity(table.chunk_count());
 
     // Init phase: superstep-0 sends.
     driver.run_phase(table, graph, None);
-    let mut finished = {
-        let mut guards = table.guards();
-        if guards
-            .iter()
-            .any(|c| c.outboxes.iter().any(|o| !o.is_empty()))
-        {
-            let outcome = delivery.deliver(
-                graph,
-                bandwidth,
-                cut,
-                &mut cut_words,
-                table.shift(),
-                &mut guards,
-                &mut stats,
-            )?;
-            rounds += outcome.round_cost;
-            observe_delivery(metrics, &outcome, 0);
-        }
-        guards.iter().all(|c| c.live == 0 && c.pending == 0)
-    };
+    table.lock_all(&mut guards);
+    if guards
+        .iter()
+        .any(|c| c.outboxes.iter().any(|o| !o.is_empty()))
+    {
+        let outcome = delivery.deliver(
+            graph,
+            bandwidth,
+            cut,
+            &mut cut_words,
+            table.shift,
+            &mut guards,
+            &mut stats,
+        )?;
+        rounds += outcome.round_cost;
+        observe_delivery(metrics, &outcome, 0);
+    }
+    let mut finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
+    guards.clear();
 
     while !finished {
         if supersteps >= max_supersteps {
@@ -576,19 +666,20 @@ where
         driver.run_phase(table, graph, Some(supersteps as usize));
         supersteps += 1;
         metrics.supersteps.inc();
-        let mut guards = table.guards();
+        table.lock_all(&mut guards);
         let outcome = delivery.deliver(
             graph,
             bandwidth,
             cut,
             &mut cut_words,
-            table.shift(),
+            table.shift,
             &mut guards,
             &mut stats,
         )?;
         rounds += outcome.round_cost;
         observe_delivery(metrics, &outcome, supersteps);
         finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
+        guards.clear();
     }
 
     if supersteps > 0 {
@@ -602,7 +693,8 @@ where
     span.push("messages", stats.total_messages);
 
     let mut rejecting_nodes: Vec<u32> = Vec::new();
-    for guard in table.guards() {
+    table.lock_all(&mut guards);
+    for guard in &guards {
         for (off, p) in guard.nodes.iter().enumerate() {
             if p.decision() == Decision::Reject {
                 rejecting_nodes.push((guard.base + off) as u32);
@@ -622,25 +714,6 @@ where
         rejecting_nodes,
         cut_words: cut.map(|_| cut_words),
     })
-}
-
-/// Runs a program sequentially on the calling thread: the semantics of
-/// [`crate::Executor::run`], with no `Send` bound on the program.
-pub(crate) fn run_sequential<P, F>(
-    graph: &Graph,
-    seed: u64,
-    bandwidth: u64,
-    cut: Option<&CutMeter>,
-    factory: F,
-    max_supersteps: u64,
-) -> Result<(RunReport, Vec<P>), SimError>
-where
-    P: Program,
-    F: FnMut(NodeId, usize) -> P,
-{
-    let table = ChunkTable::build(graph, seed, 1, factory);
-    let report = run_loop(graph, bandwidth, cut, &table, &SeqDriver, max_supersteps)?;
-    Ok((report, table.into_nodes()))
 }
 
 #[cfg(test)]

@@ -1,15 +1,18 @@
-//! The logical-superstep executor.
+//! The simulation session: one reusable entry point for every run.
 
 use congest_graph::{Graph, NodeId};
 
-use crate::core::run_sequential;
+use crate::backend::Backend;
+use crate::core::{Delivery, NodeState};
 use crate::cut::CutMeter;
 use crate::error::SimError;
 use crate::metrics::RunReport;
+use crate::pool::run_pooled;
 use crate::program::Program;
 
-/// Executes a [`Program`] on every vertex of a network in synchronous
-/// supersteps, charging CONGEST rounds from per-edge word loads.
+/// A reusable simulation session: executes a [`Program`] on every
+/// vertex of a network in synchronous supersteps, charging CONGEST
+/// rounds from per-edge word loads.
 ///
 /// One superstep = one algorithm step at every live node. A superstep in
 /// which the most loaded directed edge carries `w` words costs
@@ -17,26 +20,50 @@ use crate::program::Program;
 /// ([`Executor::set_bandwidth`], default 1 word = one `O(log n)`-bit
 /// message per edge per round, the classical CONGEST budget).
 ///
+/// * **Backend.** The session is built for a [`Backend`], which picks
+///   how each run steps its nodes (on the calling thread, or across a
+///   worker pool that lives for the run). Reports and node states are
+///   byte-identical whatever the backend or thread count.
+/// * **Per-run seed.** Every [`Executor::run`] names its graph and
+///   seed; all node randomness of that run derives from the seed, so a
+///   run's transcript depends on nothing an earlier run of the session
+///   did.
+/// * **Buffer lifetime.** The session keeps its node state (programs,
+///   RNG streams, inboxes, outboxes, halt words) and its delivery
+///   buffers (edge counters, touched list, CSR bases, outbox
+///   capacities) from one run to the next and resets them in place, so
+///   a loop that runs one program type many times allocates them once.
+///   They are freed when the session is dropped: hold a session for as
+///   long as one loop needs it, not longer.
+///
 /// See the crate-level docs for a complete example.
-#[derive(Debug)]
-pub struct Executor<'g, P: Program> {
-    graph: &'g Graph,
-    seed: u64,
+pub struct Executor<P: Program> {
+    backend: Backend,
     bandwidth: u64,
     cut: Option<CutMeter>,
-    nodes: Vec<P>,
+    state: NodeState<P>,
+    delivery: Delivery,
 }
 
-impl<'g, P: Program> Executor<'g, P> {
-    /// Creates an executor on `graph`; all node randomness derives from
-    /// `seed`.
-    pub fn new(graph: &'g Graph, seed: u64) -> Self {
+impl<P: Program> std::fmt::Debug for Executor<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Executor")
+            .field("backend", &self.backend)
+            .field("bandwidth", &self.bandwidth)
+            .field("cut", &self.cut)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<P: Program> Executor<P> {
+    /// Creates an empty session that runs on `backend`.
+    pub fn new(backend: Backend) -> Self {
         Executor {
-            graph,
-            seed,
+            backend,
             bandwidth: 1,
             cut: None,
-            nodes: Vec::new(),
+            state: NodeState::new(),
+            delivery: Delivery::new(),
         }
     }
 
@@ -51,44 +78,77 @@ impl<'g, P: Program> Executor<'g, P> {
         self
     }
 
-    /// Installs a [`CutMeter`]; the run report will include the words that
-    /// crossed it.
+    /// Installs a [`CutMeter`]; every later run report includes the
+    /// words that crossed it. The meter must match the graph of each
+    /// such run.
     pub fn set_cut(&mut self, cut: CutMeter) -> &mut Self {
         self.cut = Some(cut);
         self
     }
 
     /// The per-node program states after the last [`Executor::run`]
-    /// (empty before the first run). Indexed by node id.
+    /// (empty before the first; where a failed run stopped). Indexed by
+    /// node id.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        &self.state.nodes
     }
 
-    /// Runs the program to completion (all nodes halted).
+    /// Consumes the session into the node states of its last run.
+    pub fn into_nodes(self) -> Vec<P> {
+        self.state.nodes
+    }
+}
+
+impl<P> Executor<P>
+where
+    P: Program + Send,
+    P::Msg: Send,
+{
+    /// Runs the program on `graph` to completion (all nodes halted),
+    /// with all node randomness derived from `seed`.
     ///
     /// `factory(v, n)` builds the program instance for vertex `v`;
     /// capture per-node inputs (set memberships, colorings, …) in the
-    /// closure.
+    /// closure. It is called in ascending node order on the calling
+    /// thread.
     ///
     /// # Errors
     ///
     /// [`SimError::NotANeighbor`] if a node sends to a non-neighbor;
     /// [`SimError::StepLimitExceeded`] if any node is still running after
-    /// `max_supersteps`.
-    pub fn run<F>(&mut self, factory: F, max_supersteps: u64) -> Result<RunReport, SimError>
+    /// `max_supersteps`. The session stays usable after either.
+    pub fn run<F>(
+        &mut self,
+        graph: &Graph,
+        seed: u64,
+        factory: F,
+        max_supersteps: u64,
+    ) -> Result<RunReport, SimError>
     where
         F: FnMut(NodeId, usize) -> P,
     {
-        let (report, nodes) = run_sequential(
-            self.graph,
-            self.seed,
+        let threads = self.backend.effective_threads(graph.node_count());
+        self.state.reset(graph, seed, factory);
+        let table = self.state.chunks(threads);
+        run_pooled(
+            graph,
             self.bandwidth,
             self.cut.as_ref(),
-            factory,
+            &table,
+            &mut self.delivery,
+            threads,
             max_supersteps,
-        )?;
-        self.nodes = nodes;
-        Ok(report)
+        )
+    }
+}
+
+#[cfg(test)]
+impl<P: Program> Executor<P> {
+    /// The address of every buffer the session keeps between runs.
+    fn buffer_addrs(&self) -> Vec<usize> {
+        let mut addrs = self.state.buffer_addrs();
+        addrs.extend(self.delivery.buffer_addrs());
+        addrs
     }
 }
 
@@ -97,6 +157,7 @@ mod tests {
     use super::*;
     use crate::program::{Control, Ctx, Decision, Outbox};
     use congest_graph::generators;
+    use rand::Rng;
 
     /// Every node broadcasts its id once, then halts after hearing all
     /// neighbors.
@@ -124,8 +185,10 @@ mod tests {
     #[test]
     fn hello_exchanges_with_all_neighbors() {
         let g = generators::cycle(5);
-        let mut exec = Executor::new(&g, 1);
-        let report = exec.run(|_, _| HelloOnce { heard: vec![] }, 10).unwrap();
+        let mut exec = Executor::new(Backend::Sequential);
+        let report = exec
+            .run(&g, 1, |_, _| HelloOnce { heard: vec![] }, 10)
+            .unwrap();
         assert_eq!(report.supersteps, 1);
         assert_eq!(report.rounds, 2, "init round + one silent step round");
         assert_eq!(report.congestion.max_words_per_edge_step, 1);
@@ -169,15 +232,15 @@ mod tests {
     #[test]
     fn round_cost_scales_with_message_size() {
         let g = generators::path(3);
-        let mut exec = Executor::new(&g, 0);
-        let report = exec.run(|_, _| BigSend { size: 10 }, 10).unwrap();
+        let mut exec = Executor::new(Backend::Sequential);
+        let report = exec.run(&g, 0, |_, _| BigSend { size: 10 }, 10).unwrap();
         // init superstep costs ceil(10/1) = 10 rounds, final silent step 1.
         assert_eq!(report.rounds, 11);
         assert_eq!(report.congestion.max_words_per_edge_step, 10);
 
-        let mut exec = Executor::new(&g, 0);
+        let mut exec = Executor::new(Backend::Sequential);
         exec.set_bandwidth(4);
-        let report = exec.run(|_, _| BigSend { size: 10 }, 10).unwrap();
+        let report = exec.run(&g, 0, |_, _| BigSend { size: 10 }, 10).unwrap();
         assert_eq!(report.rounds, 3 + 1, "ceil(10/4) + silent step");
     }
 
@@ -205,8 +268,8 @@ mod tests {
     #[test]
     fn sending_to_non_neighbor_errors() {
         let g = generators::path(3); // edges 0-1, 1-2
-        let mut exec = Executor::new(&g, 0);
-        let err = exec.run(|_, _| BadSender, 10).unwrap_err();
+        let mut exec = Executor::new(Backend::Sequential);
+        let err = exec.run(&g, 0, |_, _| BadSender, 10).unwrap_err();
         assert_eq!(
             err,
             SimError::NotANeighbor {
@@ -236,8 +299,8 @@ mod tests {
     #[test]
     fn step_limit_trips() {
         let g = generators::path(2);
-        let mut exec = Executor::new(&g, 0);
-        let err = exec.run(|_, _| Forever, 5).unwrap_err();
+        let mut exec = Executor::new(Backend::Sequential);
+        let err = exec.run(&g, 0, |_, _| Forever, 5).unwrap_err();
         assert_eq!(err, SimError::StepLimitExceeded { limit: 5 });
     }
 
@@ -270,16 +333,16 @@ mod tests {
     #[test]
     fn decisions_aggregate() {
         let g = generators::path(4);
-        let mut exec = Executor::new(&g, 0);
-        let report = exec.run(|v, _| OddRejects { me: v.raw() }, 10).unwrap();
+        let mut exec = Executor::new(Backend::Sequential);
+        let report = exec
+            .run(&g, 0, |v, _| OddRejects { me: v.raw() }, 10)
+            .unwrap();
         assert!(report.rejected());
         assert_eq!(report.rejecting_nodes, vec![1, 3]);
     }
 
     #[test]
     fn determinism_across_runs() {
-        use rand::Rng;
-
         /// Broadcasts a random coin for three steps.
         struct Coins {
             log: Vec<u32>,
@@ -308,8 +371,9 @@ mod tests {
 
         let g = generators::erdos_renyi(20, 0.2, 3);
         let run = |seed: u64| {
-            let mut exec = Executor::new(&g, seed);
-            exec.run(|_, _| Coins { log: vec![] }, 20).unwrap();
+            let mut exec = Executor::new(Backend::Sequential);
+            exec.run(&g, seed, |_, _| Coins { log: vec![] }, 20)
+                .unwrap();
             exec.nodes()
                 .iter()
                 .map(|p| p.log.clone())
@@ -322,11 +386,205 @@ mod tests {
     #[test]
     fn cut_meter_counts() {
         let g = generators::path(4); // 0-1-2-3, cut between 1 and 2
-        let mut exec = Executor::new(&g, 0);
+        let mut exec = Executor::new(Backend::Sequential);
         exec.set_cut(CutMeter::new(&g, vec![false, false, true, true]));
-        let report = exec.run(|_, _| HelloOnce { heard: vec![] }, 10).unwrap();
+        let report = exec
+            .run(&g, 0, |_, _| HelloOnce { heard: vec![] }, 10)
+            .unwrap();
         // Each endpoint of edge 1-2 broadcast 1 word across the cut.
         assert_eq!(report.cut_words, Some(2));
         assert_eq!(report.cut_bits(2), Some(4));
+    }
+
+    /// Gossips random tokens for `steps` supersteps, by broadcast and
+    /// by point-to-point sends, and logs what it hears; at superstep
+    /// `fail_at`, node 0 also sends to a non-neighbor.
+    #[derive(Debug)]
+    struct Mixed {
+        steps: usize,
+        fail_at: Option<usize>,
+        log: Vec<(u32, u32)>,
+    }
+
+    fn mixed(steps: usize) -> impl Fn(NodeId, usize) -> Mixed + Copy {
+        move |_, _| Mixed {
+            steps,
+            fail_at: None,
+            log: Vec::new(),
+        }
+    }
+
+    impl Program for Mixed {
+        type Msg = u32;
+        fn init(&mut self, ctx: &mut Ctx, out: &mut Outbox<u32>) {
+            out.broadcast(ctx.rng.gen_range(0..1_000_000));
+        }
+        fn step(
+            &mut self,
+            ctx: &mut Ctx,
+            s: usize,
+            inbox: &[(NodeId, u32)],
+            out: &mut Outbox<u32>,
+        ) -> Control {
+            self.log
+                .extend(inbox.iter().map(|&(from, m)| (from.raw(), m)));
+            if s + 1 >= self.steps {
+                return Control::Halt;
+            }
+            if let Some(&to) = ctx.neighbors.get(s % ctx.degree().max(1)) {
+                out.send(to, ctx.rng.gen_range(0..1_000_000));
+            }
+            if s % 2 == 1 {
+                out.broadcast(ctx.rng.gen_range(0..1_000_000));
+            }
+            if self.fail_at == Some(s) && ctx.node.index() == 0 {
+                let stranger = (1..ctx.n as u32)
+                    .map(NodeId::new)
+                    .find(|u| !ctx.neighbors.contains(u));
+                out.send(stranger.expect("node 0 has a non-neighbor"), 0);
+            }
+            Control::Continue
+        }
+    }
+
+    fn logs(exec: &Executor<Mixed>) -> Vec<Vec<(u32, u32)>> {
+        exec.nodes().iter().map(|p| p.log.clone()).collect()
+    }
+
+    /// One `Mixed` run in a fresh session: what a reused session must
+    /// reproduce exactly.
+    fn fresh(backend: Backend, g: &Graph, seed: u64) -> (RunReport, Vec<Vec<(u32, u32)>>) {
+        let mut exec = Executor::new(backend);
+        let report = exec.run(g, seed, mixed(5), 16).unwrap();
+        (report, logs(&exec))
+    }
+
+    const SESSIONS: [Backend; 2] = [Backend::Sequential, Backend::Parallel { threads: 2 }];
+
+    #[test]
+    fn a_good_run_after_a_failed_one_matches_a_fresh_session() {
+        // Each failure strikes after some edges were charged; the next
+        // runs, on a smaller graph and on the same one, see none of it.
+        let g = generators::erdos_renyi(60, 0.1, 4);
+        let small = generators::cycle(12);
+        let faulty = |_: NodeId, _: usize| Mixed {
+            steps: 5,
+            fail_at: Some(2),
+            log: Vec::new(),
+        };
+        for backend in SESSIONS {
+            let want_small = fresh(backend, &small, 9);
+            let want = fresh(backend, &g, 9);
+            let recovers = |exec: &mut Executor<Mixed>, failure: &str| {
+                let report = exec.run(&small, 9, mixed(5), 16).unwrap();
+                assert_eq!(
+                    (report, logs(exec)),
+                    want_small,
+                    "{backend}: after {failure}"
+                );
+                let report = exec.run(&g, 9, mixed(5), 16).unwrap();
+                assert_eq!((report, logs(exec)), want, "{backend}: after {failure}");
+            };
+            let mut exec = Executor::new(backend);
+            let err = exec.run(&g, 3, faulty, 16).unwrap_err();
+            assert!(
+                matches!(err, SimError::NotANeighbor { from, .. } if from.index() == 0),
+                "{backend}: {err:?}"
+            );
+            recovers(&mut exec, "NotANeighbor");
+            let err = exec.run(&g, 3, mixed(50), 3).unwrap_err();
+            assert_eq!(err, SimError::StepLimitExceeded { limit: 3 });
+            recovers(&mut exec, "the step limit");
+        }
+    }
+
+    #[test]
+    fn runs_alternating_graph_size_and_seed_match_fresh_sessions() {
+        let big = generators::erdos_renyi(1_000, 0.005, 1);
+        let small = generators::erdos_renyi(32, 0.15, 2);
+        for backend in SESSIONS {
+            let mut exec = Executor::new(backend);
+            for (g, seed) in [(&big, 1u64), (&small, 2), (&big, 3), (&small, 2)] {
+                let report = exec.run(g, seed, mixed(5), 16).unwrap();
+                assert_eq!(
+                    (report, logs(&exec)),
+                    fresh(backend, g, seed),
+                    "{backend}, n = {}, seed {seed}",
+                    g.node_count()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_run_allocates_no_new_buffer() {
+        // Mixed routes by graph and superstep only, so the second run
+        // needs exactly the capacities the first one left behind.
+        let g = generators::erdos_renyi(300, 0.02, 5);
+        for backend in SESSIONS {
+            let mut exec = Executor::new(backend);
+            exec.run(&g, 1, mixed(5), 16).unwrap();
+            let first = exec.buffer_addrs();
+            exec.run(&g, 2, mixed(5), 16).unwrap();
+            assert_eq!(exec.buffer_addrs(), first, "{backend}");
+        }
+    }
+
+    #[test]
+    fn every_backend_matches_the_sequential_transcript() {
+        for seed in 0..4u64 {
+            let g = generators::erdos_renyi(60, 0.1, seed);
+            let want = fresh(Backend::Sequential, &g, seed);
+            for backend in [
+                Backend::Parallel { threads: 1 },
+                Backend::Parallel { threads: 4 },
+                Backend::Auto {
+                    node_threshold: 1,
+                    threads: 2,
+                },
+                Backend::Auto {
+                    node_threshold: usize::MAX,
+                    threads: 2,
+                },
+            ] {
+                assert_eq!(fresh(backend, &g, seed), want, "seed {seed}, {backend}");
+                let (report, nodes) =
+                    crate::run_with_backend(&g, seed, backend, 1, None, mixed(5), 16).unwrap();
+                let transcript = nodes.iter().map(|p| p.log.clone()).collect();
+                assert_eq!(
+                    (report, transcript),
+                    want,
+                    "one-shot, seed {seed}, {backend}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cut_meter_matches_across_backends() {
+        // Delivery is sequential on every backend, so the words that
+        // cross the cut agree at every thread count.
+        for seed in 0..3u64 {
+            let g = generators::erdos_renyi(40, 0.15, seed);
+            let side: Vec<bool> = (0..g.node_count()).map(|v| v >= 20).collect();
+            let mut seq = Executor::new(Backend::Sequential);
+            seq.set_cut(CutMeter::new(&g, side.clone()));
+            let sr = seq.run(&g, seed, mixed(4), 16).unwrap();
+            assert!(sr.cut_words.is_some_and(|w| w > 0), "cut must be crossed");
+            for threads in [1usize, 2, 4] {
+                let mut par = Executor::new(Backend::Parallel { threads });
+                par.set_cut(CutMeter::new(&g, side.clone()));
+                let pr = par.run(&g, seed, mixed(4), 16).unwrap();
+                assert_eq!(sr, pr, "seed {seed}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_step_limit() {
+        let g = generators::path(4);
+        let mut exec = Executor::new(Backend::parallel());
+        let err = exec.run(&g, 0, |_, _| Forever, 3).unwrap_err();
+        assert_eq!(err, SimError::StepLimitExceeded { limit: 3 });
     }
 }

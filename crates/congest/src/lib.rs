@@ -20,6 +20,10 @@
 //!   [`strict`](strict::StrictExecutor) executor actually chops messages
 //!   into `B`-word chunks and iterates rounds, and tests assert both give
 //!   identical totals and decisions.
+//! * **One way to run a simulation**: an [`Executor`] is a reusable
+//!   session on a [`Backend`] (sequential, or a worker pool per run);
+//!   each run names its graph and seed, and the session keeps its
+//!   buffers between runs. [`run_with_backend`] is the one-shot form.
 //! * **Everything is replayable**: all randomness derives from a master
 //!   seed via per-node independent streams.
 //! * **Cut metering** ([`CutMeter`]) counts the bits crossing a vertex
@@ -30,7 +34,7 @@
 //!
 //! ```
 //! use congest_graph::{generators, NodeId};
-//! use congest_sim::{Control, Ctx, Executor, Outbox, Program};
+//! use congest_sim::{Backend, Control, Ctx, Executor, Outbox, Program};
 //!
 //! /// Flood the maximum id for a fixed number of steps.
 //! struct MaxFlood { best: u32, rounds: usize }
@@ -58,8 +62,8 @@
 //! }
 //!
 //! let g = generators::cycle(8);
-//! let mut exec = Executor::new(&g, 99);
-//! let report = exec.run(|_, _| MaxFlood { best: 0, rounds: 8 }, 16)?;
+//! let mut exec = Executor::new(Backend::Sequential);
+//! let report = exec.run(&g, 99, |_, _| MaxFlood { best: 0, rounds: 8 }, 16)?;
 //! assert!(exec.nodes().iter().all(|p| p.best == 7));
 //! assert!(report.rounds >= 4);
 //! # Ok::<(), congest_sim::SimError>(())
@@ -75,7 +79,6 @@ mod error;
 mod executor;
 mod message;
 mod metrics;
-pub mod parallel;
 mod pool;
 mod program;
 pub mod strict;
@@ -92,12 +95,11 @@ pub use program::{Control, Ctx, Decision, Outbox, Program};
 
 use congest_graph::{Graph, NodeId};
 
-/// Runs a program under the given [`Backend`], returning the report
-/// and the final per-node states. This is the one entry point every
-/// detector hot loop routes through: the [`Executor`] /
-/// [`parallel::ParallelExecutor`] pair share a single superstep core,
-/// so the report and node states are byte-identical whatever the
-/// backend or thread count.
+/// Runs a program once under the given [`Backend`], returning the
+/// report and the final per-node states: a one-shot wrapper over a
+/// temporary [`Executor`] session, whose buffers are freed on return.
+/// Loops that run one program type many times should hold an
+/// [`Executor`] instead, so its buffers are reused.
 ///
 /// # Errors
 ///
@@ -116,25 +118,13 @@ where
     P::Msg: Send,
     F: FnMut(NodeId, usize) -> P,
 {
-    match backend.effective_threads(graph.node_count()) {
-        0 | 1 => core::run_sequential(
-            graph,
-            seed,
-            bandwidth,
-            cut.as_ref(),
-            factory,
-            max_supersteps,
-        ),
-        threads => pool::run_pooled(
-            graph,
-            seed,
-            bandwidth,
-            cut.as_ref(),
-            threads,
-            factory,
-            max_supersteps,
-        ),
+    let mut session = Executor::new(backend);
+    session.set_bandwidth(bandwidth);
+    if let Some(cut) = cut {
+        session.set_cut(cut);
     }
+    let report = session.run(graph, seed, factory, max_supersteps)?;
+    Ok((report, session.into_nodes()))
 }
 
 /// Derives a stream-specific 64-bit seed from a master seed and a stream

@@ -31,10 +31,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use congest_graph::{Graph, NodeId};
+use congest_graph::Graph;
 use congest_telemetry as telemetry;
 
-use crate::core::{lock_chunk, run_loop, ChunkTable, PhaseDriver, SeqDriver};
+use crate::core::{lock_chunk, run_loop, ChunkTable, Delivery, PhaseDriver, SeqDriver};
 use crate::cut::CutMeter;
 use crate::error::SimError;
 use crate::metrics::RunReport;
@@ -153,7 +153,7 @@ impl Drop for ShutdownOnDrop<'_> {
 /// participating caller.
 fn claim_chunks<P: Program>(
     ctrl: &PhaseCtrl,
-    table: &ChunkTable<P>,
+    table: &ChunkTable<'_, P>,
     graph: &Graph,
     superstep: Option<usize>,
 ) {
@@ -179,7 +179,7 @@ fn claim_chunks<P: Program>(
 /// The loop each persistent worker runs for the lifetime of a run:
 /// park on the condvar, wake on an epoch bump, claim chunks until the
 /// cursor runs dry, report done, park again.
-fn worker_loop<P>(ctrl: &PhaseCtrl, table: &ChunkTable<P>, graph: &Graph)
+fn worker_loop<P>(ctrl: &PhaseCtrl, table: &ChunkTable<'_, P>, graph: &Graph)
 where
     P: Program + Send,
     P::Msg: Send,
@@ -225,7 +225,7 @@ struct SuperstepPool<'e> {
 }
 
 impl<P: Program> PhaseDriver<P> for SuperstepPool<'_> {
-    fn run_phase(&self, table: &ChunkTable<P>, graph: &Graph, superstep: Option<usize>) {
+    fn run_phase(&self, table: &ChunkTable<'_, P>, graph: &Graph, superstep: Option<usize>) {
         let metrics = pool_metrics();
         {
             let mut st = self.ctrl.lock();
@@ -251,36 +251,41 @@ impl<P: Program> PhaseDriver<P> for SuperstepPool<'_> {
     }
 }
 
-/// Runs a program under the persistent pool with `threads` total
-/// workers (the calling thread is one of them): the semantics of
+/// Runs a program over a session's freshly reset `table` under the
+/// persistent pool with `threads` total workers (the calling thread is
+/// one of them, and the only one at `threads = 1`): the semantics of
 /// [`crate::Executor::run`] with byte-identical transcripts. Workers
 /// live for the whole run, parked between supersteps.
-pub(crate) fn run_pooled<P, F>(
+pub(crate) fn run_pooled<P>(
     graph: &Graph,
-    seed: u64,
     bandwidth: u64,
     cut: Option<&CutMeter>,
+    table: &ChunkTable<'_, P>,
+    delivery: &mut Delivery,
     threads: usize,
-    factory: F,
     max_supersteps: u64,
-) -> Result<(RunReport, Vec<P>), SimError>
+) -> Result<RunReport, SimError>
 where
     P: Program + Send,
     P::Msg: Send,
-    F: FnMut(NodeId, usize) -> P,
 {
-    let table = ChunkTable::build(graph, seed, threads, factory);
     // More workers than chunks would only park and wake for nothing.
     let spawned = threads.saturating_sub(1).min(table.chunk_count());
     if spawned == 0 {
-        let report = run_loop(graph, bandwidth, cut, &table, &SeqDriver, max_supersteps)?;
-        return Ok((report, table.into_nodes()));
+        return run_loop(
+            graph,
+            bandwidth,
+            cut,
+            table,
+            delivery,
+            &SeqDriver,
+            max_supersteps,
+        );
     }
     let ctrl = PhaseCtrl::new();
-    let report = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..spawned {
             let ctrl = &ctrl;
-            let table = &table;
             scope.spawn(move || worker_loop(ctrl, table, graph));
         }
         pool_metrics().spawns.add(spawned as u64);
@@ -289,16 +294,24 @@ where
             ctrl: &ctrl,
             spawned,
         };
-        run_loop(graph, bandwidth, cut, &table, &pool, max_supersteps)
-    })?;
-    Ok((report, table.into_nodes()))
+        run_loop(
+            graph,
+            bandwidth,
+            cut,
+            table,
+            delivery,
+            &pool,
+            max_supersteps,
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{Control, Ctx, Outbox};
-    use congest_graph::generators;
+    use crate::{Backend, Executor};
+    use congest_graph::{generators, NodeId};
 
     /// Halts node `v` after `v % 5` steps, so chunks go quiet at
     /// different times and the skip path is exercised.
@@ -340,12 +353,14 @@ mod tests {
     #[test]
     fn pooled_matches_sequential_with_staggered_halts() {
         let g = generators::random_regular_ish(600, 4, 7);
-        let (sr, sn) = crate::core::run_sequential(&g, 7, 1, None, build, 32).unwrap();
+        let mut seq = Executor::new(Backend::Sequential);
+        let sr = seq.run(&g, 7, build, 32).unwrap();
         for threads in [2usize, 3, 8, 1024] {
-            let (pr, pn) = run_pooled(&g, 7, 1, None, threads, build, 32).unwrap();
+            let mut par = Executor::new(Backend::Parallel { threads });
+            let pr = par.run(&g, 7, build, 32).unwrap();
             assert_eq!(sr, pr, "{threads} threads");
-            let sh: Vec<u64> = sn.iter().map(|p| p.heard).collect();
-            let ph: Vec<u64> = pn.iter().map(|p| p.heard).collect();
+            let sh: Vec<u64> = seq.nodes().iter().map(|p| p.heard).collect();
+            let ph: Vec<u64> = par.nodes().iter().map(|p| p.heard).collect();
             assert_eq!(sh, ph, "{threads} threads: transcripts must match");
         }
     }
@@ -372,7 +387,8 @@ mod tests {
         }
         let g = generators::cycle(200);
         let caught = std::panic::catch_unwind(|| {
-            let _ = run_pooled(&g, 1, 1, None, 2, |_, _| PanicAt, 8);
+            let mut par = Executor::new(Backend::Parallel { threads: 2 });
+            let _ = par.run(&g, 1, |_, _| PanicAt, 8);
         });
         assert!(caught.is_err(), "the panic must propagate to the caller");
     }

@@ -235,7 +235,7 @@ impl<'g, P: Program> StrictExecutor<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Executor;
+    use crate::{Backend, Executor};
     use congest_graph::generators;
     use rand::Rng;
 
@@ -274,10 +274,12 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::erdos_renyi(24, 0.15, seed);
             for bandwidth in [1u64, 3] {
-                let mut logical = Executor::new(&g, seed);
+                let mut logical = Executor::new(Backend::Sequential);
                 logical.set_bandwidth(bandwidth);
                 let lr = logical
                     .run(
+                        &g,
+                        seed,
                         |_, _| RandomTraffic {
                             steps: 4,
                             received_words: 0,

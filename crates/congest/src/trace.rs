@@ -7,8 +7,11 @@
 //! needs: per-edge load over time, a node's conversation history, and
 //! wire-dump rendering.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use congest_graph::{Graph, NodeId};
 
+use crate::backend::Backend;
 use crate::error::SimError;
 use crate::message::MessageSize;
 use crate::metrics::RunReport;
@@ -93,7 +96,7 @@ impl Trace {
 struct Traced<P> {
     inner: P,
     node: NodeId,
-    log: std::rc::Rc<std::cell::RefCell<Vec<TraceEvent>>>,
+    log: Arc<Mutex<Vec<TraceEvent>>>,
     neighbors: Vec<NodeId>,
 }
 
@@ -125,7 +128,7 @@ impl<P: Program> Program for Traced<P> {
 
 impl<P: Program> Traced<P> {
     fn record(&self, out: &crate::Outbox<P::Msg>, superstep: u64) {
-        let mut log = self.log.borrow_mut();
+        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(msg) = &out.broadcast {
             for &to in &self.neighbors {
                 log.push(TraceEvent {
@@ -163,24 +166,25 @@ pub fn run_traced<P, F>(
     max_supersteps: u64,
 ) -> Result<(RunReport, Trace), SimError>
 where
-    P: Program,
+    P: Program + Send,
+    P::Msg: Send,
     F: FnMut(NodeId, usize) -> P,
 {
-    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let log = Arc::new(Mutex::new(Vec::new()));
     let mut factory = factory;
-    let mut exec = Executor::new(graph, seed);
+    let mut exec = Executor::new(Backend::Sequential);
     let report = exec.run(
+        graph,
+        seed,
         |v, n| Traced {
             inner: factory(v, n),
             node: v,
-            log: std::rc::Rc::clone(&log),
+            log: Arc::clone(&log),
             neighbors: Vec::new(),
         },
         max_supersteps,
     )?;
-    let mut events = std::rc::Rc::try_unwrap(log)
-        .map(|c| c.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+    let mut events = std::mem::take(&mut *log.lock().unwrap_or_else(PoisonError::into_inner));
     events.sort_by_key(|e| (e.superstep, e.from, e.to));
     Ok((report, Trace { events }))
 }

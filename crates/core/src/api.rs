@@ -31,12 +31,12 @@ use congest_sim::{Backend, CutMeter, Program, RunReport, SimError};
 
 use crate::theory::Table1Row;
 
-/// Runs a CONGEST node program under a [`Backend`] — the single entry
-/// point every detector hot loop in the workspace (and the baselines)
-/// routes through, so one knob switches all of them between the
-/// sequential and parallel superstep cores. Returns the run report and
-/// the final per-node states; both are byte-identical whatever the
-/// backend or thread count.
+/// Runs a CONGEST node program once under a [`Backend`]: a one-shot
+/// wrapper over a temporary [`congest_sim::Executor`] session (see
+/// [`congest_sim::run_with_backend`]). Returns the run report and the
+/// final per-node states; both are byte-identical whatever the backend
+/// or thread count. Repetition loops hold an [`congest_sim::Executor`]
+/// instead, so one session's buffers serve every run of the loop.
 ///
 /// # Errors
 ///

@@ -37,6 +37,10 @@ impl MessageSize for CbMsg {
     }
 }
 
+/// The per-neighbor table entry of a neighbor outside the host subgraph
+/// `H`; every other entry is the neighbor's color, which is below `2k`.
+pub(crate) const NOT_IN_H: u8 = u8::MAX;
+
 /// Evidence recorded by a rejecting node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RejectEvidence {
@@ -60,10 +64,9 @@ pub struct ColorBfs {
     /// Algorithm 1; probability `1/τ` in Algorithm 2).
     active_source: bool,
     tau: u64,
-    /// Colors of neighbors, aligned with the sorted neighbor list.
-    nbr_color: Vec<u8>,
-    /// `H`-membership of neighbors, aligned likewise.
-    nbr_in_h: Vec<bool>,
+    /// Per neighbor (aligned with the sorted neighbor list): its color,
+    /// or [`NOT_IN_H`] when it is outside `H`.
+    nbr: Vec<u8>,
     /// The set `I_v` this node collected (kept for diagnostics).
     collected: Vec<u32>,
     /// Whether `|I_v| > τ` forced a discard (diagnostics for the
@@ -84,18 +87,20 @@ impl ColorBfs {
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2` or `color ≥ 2k`.
+    /// Panics if `k < 2`, `color ≥ 2k`, or `color` is 255.
     pub fn new(k: usize, color: u8, in_h: bool, in_x: bool, active: bool, tau: u64) -> Self {
         assert!(k >= 2, "color-BFS requires k ≥ 2");
-        assert!((color as usize) < 2 * k, "color out of range");
+        assert!(
+            (color as usize) < 2 * k && color != NOT_IN_H,
+            "color out of range"
+        );
         ColorBfs {
             k,
             color,
             in_h,
             active_source: in_x && in_h && color == 0 && active,
             tau,
-            nbr_color: Vec::new(),
-            nbr_in_h: Vec::new(),
+            nbr: Vec::new(),
             collected: Vec::new(),
             overflowed: false,
             reject: None,
@@ -123,7 +128,7 @@ impl ColorBfs {
                     .neighbors
                     .binary_search(from)
                     .expect("sender must be a neighbor");
-                if self.nbr_in_h[pos] && self.nbr_color[pos] == expected {
+                if self.nbr[pos] == expected {
                     ids.extend_from_slice(payload);
                 }
             }
@@ -139,7 +144,7 @@ impl ColorBfs {
             return;
         }
         for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
-            if self.nbr_in_h[pos] && self.nbr_color[pos] == next {
+            if self.nbr[pos] == next {
                 out.send(nbr, CbMsg::Ids(ids.to_vec()));
             }
         }
@@ -180,17 +185,15 @@ impl Program for ColorBfs {
     ) -> Control {
         let k = self.k;
         if superstep == 0 {
-            // Record neighbor colors and H-membership from the Hellos.
-            self.nbr_color = vec![0; ctx.neighbors.len()];
-            self.nbr_in_h = vec![false; ctx.neighbors.len()];
+            // Record the colors of the H-neighbors from the Hellos.
+            self.nbr = vec![NOT_IN_H; ctx.neighbors.len()];
             for (from, msg) in inbox {
-                if let CbMsg::Hello { color, in_h } = msg {
+                if let CbMsg::Hello { color, in_h: true } = msg {
                     let pos = ctx
                         .neighbors
                         .binary_search(from)
                         .expect("sender must be a neighbor");
-                    self.nbr_color[pos] = *color;
-                    self.nbr_in_h[pos] = *in_h;
+                    self.nbr[pos] = *color;
                 }
             }
             if !self.in_h {
@@ -201,7 +204,7 @@ impl Program for ColorBfs {
             if self.active_source {
                 let me = ctx.node.raw();
                 for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
-                    if self.nbr_in_h[pos] {
+                    if self.nbr[pos] != NOT_IN_H {
                         out.send(nbr, CbMsg::Ids(vec![me]));
                     }
                 }
@@ -268,7 +271,7 @@ impl Program for ColorBfs {
 mod tests {
     use super::*;
     use congest_graph::generators;
-    use congest_sim::Executor;
+    use congest_sim::{Backend, Executor};
 
     /// Runs color-BFS on `g` with the given per-node colors, all nodes in
     /// H and X, all active, threshold `tau`.
@@ -278,14 +281,16 @@ mod tests {
         k: usize,
         tau: u64,
     ) -> (congest_sim::RunReport, Vec<ColorBfs>) {
-        let mut exec = Executor::new(g, 7);
+        let mut exec = Executor::new(Backend::Sequential);
         let report = exec
             .run(
+                g,
+                7,
                 |v, _| ColorBfs::new(k, colors[v.index()], true, true, true, tau),
                 (k + 3) as u64,
             )
             .expect("simulation error");
-        (report, exec.nodes().to_vec())
+        (report, exec.into_nodes())
     }
 
     #[test]
@@ -358,9 +363,11 @@ mod tests {
         // C4 where node 1 is outside H: the up-branch is severed.
         let g = generators::cycle(4);
         let colors = [0u8, 1, 2, 3];
-        let mut exec = Executor::new(&g, 7);
+        let mut exec = Executor::new(Backend::Sequential);
         let report = exec
             .run(
+                &g,
+                7,
                 |v, _| {
                     let in_h = v.raw() != 1;
                     ColorBfs::new(2, colors[v.index()], in_h, in_h, true, 100)
@@ -377,8 +384,10 @@ mod tests {
         let g = generators::cycle(4);
         let colors = [0u8, 1, 2, 3];
         let run_with_x = |x_mask: [bool; 4]| {
-            let mut exec = Executor::new(&g, 7);
+            let mut exec = Executor::new(Backend::Sequential);
             exec.run(
+                &g,
+                7,
                 |v, _| ColorBfs::new(2, colors[v.index()], true, x_mask[v.index()], true, 100),
                 8,
             )
@@ -393,9 +402,11 @@ mod tests {
     fn inactive_sources_do_not_launch() {
         let g = generators::cycle(4);
         let colors = [0u8, 1, 2, 3];
-        let mut exec = Executor::new(&g, 7);
+        let mut exec = Executor::new(Backend::Sequential);
         let report = exec
             .run(
+                &g,
+                7,
                 |v, _| ColorBfs::new(2, colors[v.index()], true, true, false, 100),
                 8,
             )

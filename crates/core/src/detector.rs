@@ -2,8 +2,11 @@
 //! `O(log²(1/ε)·2^{3k}·k^{2k+3}·n^{1-1/k})` rounds (Theorem 1).
 
 use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{derive_seed, Backend, Control, Ctx, Decision, Outbox, Program, RunReport};
-use rand::Rng;
+use congest_sim::{
+    derive_seed, Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport,
+};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 use crate::api::run_program;
 use crate::color_bfs::ColorBfs;
@@ -216,6 +219,8 @@ impl CycleDetector {
         let mut phase_found: Option<Phase> = None;
         let mut iterations = 0u64;
         let mut budget_exceeded = false;
+        let mut session = Executor::new(options.backend);
+        session.set_bandwidth(options.bandwidth);
 
         'outer: for r in 0..self.params.repetitions as u64 {
             iterations = r + 1;
@@ -231,6 +236,7 @@ impl CycleDetector {
             ];
             for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
                 let result = run_color_bfs_backend(
+                    &mut session,
                     g,
                     k,
                     &colors,
@@ -238,8 +244,6 @@ impl CycleDetector {
                     x_mask,
                     None,
                     inst.tau,
-                    options.bandwidth,
-                    options.backend,
                     derive_seed(seed, 0xF000 + r * 3 + idx as u64),
                 );
                 total.absorb(&result.report);
@@ -307,8 +311,7 @@ impl crate::Detector for CycleDetector {
 
 /// A uniformly random coloring with `colors` colors.
 pub fn random_coloring(n: usize, colors: usize, seed: u64) -> Vec<u8> {
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(0..colors as u8)).collect()
 }
 
@@ -344,7 +347,7 @@ pub fn run_color_bfs(
 
 /// [`run_color_bfs`] with an explicit per-edge bandwidth in words per
 /// round (the `B` of CONGEST(B·log n); supersteps are charged
-/// `⌈load/B⌉` rounds).
+/// `⌈load/B⌉` rounds), in a one-call sequential session.
 #[allow(clippy::too_many_arguments)]
 pub fn run_color_bfs_bw(
     g: &Graph,
@@ -357,7 +360,10 @@ pub fn run_color_bfs_bw(
     bandwidth: u64,
     seed: u64,
 ) -> ColorBfsResult {
+    let mut session = Executor::new(Backend::Sequential);
+    session.set_bandwidth(bandwidth);
     run_color_bfs_backend(
+        &mut session,
         g,
         k,
         colors,
@@ -365,17 +371,17 @@ pub fn run_color_bfs_bw(
         x_mask,
         activation,
         tau,
-        bandwidth,
-        Backend::Sequential,
         seed,
     )
 }
 
-/// [`run_color_bfs_bw`] on an explicit simulation [`Backend`] — the
-/// form the detector hot loops call. The result is byte-identical
-/// whatever the backend.
+/// [`run_color_bfs_bw`] in a caller-held simulation session, on the
+/// session's backend and bandwidth — the form the detector repetition
+/// loops call, so one session's buffers serve every call of a loop.
+/// The result is byte-identical whatever the backend.
 #[allow(clippy::too_many_arguments)]
 pub fn run_color_bfs_backend(
+    session: &mut Executor<ColorBfs>,
     g: &Graph,
     k: usize,
     colors: &[u8],
@@ -383,39 +389,34 @@ pub fn run_color_bfs_backend(
     x_mask: &[bool],
     activation: Option<f64>,
     tau: u64,
-    bandwidth: u64,
-    backend: Backend,
     seed: u64,
 ) -> ColorBfsResult {
     // Activation coins are per-node, derived from the seed (equivalent to
-    // the local coin of Algorithm 2, Instruction 1, but replayable).
-    let active: Vec<bool> = match activation {
-        None => vec![true; g.node_count()],
-        Some(q) => {
-            use rand::SeedableRng;
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(derive_seed(seed, 0xAC7));
-            (0..g.node_count()).map(|_| rng.gen_bool(q)).collect()
-        }
-    };
-    let (report, nodes) = run_program(
-        g,
-        seed,
-        backend,
-        bandwidth,
-        None,
-        |v, _| {
-            ColorBfs::new(
-                k,
-                colors[v.index()],
-                h_mask[v.index()],
-                x_mask[v.index()],
-                active[v.index()],
-                tau,
-            )
-        },
-        (k + 3) as u64,
-    )
-    .expect("color-BFS cannot violate the model");
+    // the local coin of Algorithm 2, Instruction 1, but replayable). The
+    // factory runs in ascending node order, so node v draws coin v.
+    let mut coins = activation.map(|q| (q, ChaCha8Rng::seed_from_u64(derive_seed(seed, 0xAC7))));
+    let report = session
+        .run(
+            g,
+            seed,
+            |v, _| {
+                let active = match &mut coins {
+                    Some((q, rng)) => rng.gen_bool(*q),
+                    None => true,
+                };
+                ColorBfs::new(
+                    k,
+                    colors[v.index()],
+                    h_mask[v.index()],
+                    x_mask[v.index()],
+                    active,
+                    tau,
+                )
+            },
+            (k + 3) as u64,
+        )
+        .expect("color-BFS cannot violate the model");
+    let nodes = session.nodes();
     let rejection = report.rejecting_nodes.first().map(|&v| {
         let node = NodeId::new(v);
         let origin = nodes[v as usize]

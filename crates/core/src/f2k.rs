@@ -12,11 +12,12 @@
 
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
-    derive_seed, Backend, Control, Ctx, Decision, MessageSize, Outbox, Program, RunReport,
+    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
 };
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-use crate::api::run_program;
+use crate::color_bfs::NOT_IN_H;
 use crate::detector::random_coloring;
 use crate::witness::find_colored_path;
 
@@ -54,8 +55,9 @@ struct PairColorBfs {
     in_h: bool,
     active_source: bool,
     tau: u64,
-    nbr_color: Vec<u8>,
-    nbr_in_h: Vec<bool>,
+    /// Per neighbor (aligned with the sorted neighbor list): its color,
+    /// or [`NOT_IN_H`] when it is outside the host subgraph.
+    nbr: Vec<u8>,
     /// For color ℓ-1: the collected up-chain set, kept for the odd check.
     my_ids: Vec<u32>,
     evidence: Option<PairEvidence>,
@@ -80,7 +82,7 @@ impl PairColorBfs {
                     .neighbors
                     .binary_search(from)
                     .expect("sender is a neighbor");
-                if self.nbr_in_h[pos] && self.nbr_color[pos] == expected {
+                if self.nbr[pos] == expected {
                     ids.extend_from_slice(payload);
                 }
             }
@@ -95,7 +97,7 @@ impl PairColorBfs {
             return;
         }
         for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
-            if self.nbr_in_h[pos] && self.nbr_color[pos] == next {
+            if self.nbr[pos] == next {
                 out.send(nbr, PairMsg::Ids(ids.to_vec()));
             }
         }
@@ -121,16 +123,14 @@ impl Program for PairColorBfs {
     ) -> Control {
         let l = self.l;
         if superstep == 0 {
-            self.nbr_color = vec![0; ctx.neighbors.len()];
-            self.nbr_in_h = vec![false; ctx.neighbors.len()];
+            self.nbr = vec![NOT_IN_H; ctx.neighbors.len()];
             for (from, msg) in inbox {
-                if let PairMsg::Hello { color, in_h } = msg {
+                if let PairMsg::Hello { color, in_h: true } = msg {
                     let pos = ctx
                         .neighbors
                         .binary_search(from)
                         .expect("sender is a neighbor");
-                    self.nbr_color[pos] = *color;
-                    self.nbr_in_h[pos] = *in_h;
+                    self.nbr[pos] = *color;
                 }
             }
             if !self.in_h {
@@ -139,7 +139,7 @@ impl Program for PairColorBfs {
             if self.active_source {
                 let me = ctx.node.raw();
                 for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
-                    if self.nbr_in_h[pos] {
+                    if self.nbr[pos] != NOT_IN_H {
                         out.send(nbr, PairMsg::Ids(vec![me]));
                     }
                 }
@@ -411,6 +411,8 @@ impl F2kDetector {
         let n = g.node_count();
         let mut total = RunReport::empty();
         let mut iterations = 0u64;
+        let mut session = Executor::new(backend);
+        session.set_bandwidth(bandwidth);
         let exceeded = |total: &RunReport| {
             crate::detector::report_caps_exceeded(total, round_cap, message_cap)
         };
@@ -422,8 +424,7 @@ impl F2kDetector {
             let tau = ((2.0 * n as f64 * p).ceil() as u64).max(1);
             let pair_seed = derive_seed(seed, 0x2000 + l as u64);
             let s_mask: Vec<bool> = {
-                use rand::SeedableRng;
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(pair_seed);
+                let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
                 (0..n).map(|_| rng.gen_bool(p)).collect()
             };
             let w_mask: Vec<bool> = g
@@ -450,7 +451,14 @@ impl F2kDetector {
                         (None, tau)
                     };
                     let (report, rejection) = run_pair_call(
-                        g, l, &colors, h_mask, x_mask, activation, call_tau, bandwidth, backend,
+                        &mut session,
+                        g,
+                        l,
+                        &colors,
+                        h_mask,
+                        x_mask,
+                        activation,
+                        call_tau,
                         call_seed,
                     );
                     total.absorb(&report);
@@ -518,9 +526,11 @@ impl F2kDetector {
     }
 }
 
-/// Runs one pair call and returns the report plus the first rejection.
+/// Runs one pair call in the caller's session and returns the report
+/// plus the first rejection.
 #[allow(clippy::too_many_arguments)]
 fn run_pair_call(
+    session: &mut Executor<PairColorBfs>,
     g: &Graph,
     l: usize,
     colors: &[u8],
@@ -528,43 +538,39 @@ fn run_pair_call(
     x_mask: &[bool],
     activation: Option<f64>,
     tau: u64,
-    bandwidth: u64,
-    backend: Backend,
     seed: u64,
 ) -> (RunReport, Option<(NodeId, PairEvidence)>) {
-    let active: Vec<bool> = match activation {
-        None => vec![true; g.node_count()],
-        Some(q) => {
-            use rand::SeedableRng;
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(derive_seed(seed, 0xAC7));
-            (0..g.node_count()).map(|_| rng.gen_bool(q)).collect()
-        }
-    };
-    let (report, nodes) = run_program(
-        g,
-        seed,
-        backend,
-        bandwidth,
-        None,
-        |v, _| PairColorBfs {
-            l,
-            color: colors[v.index()],
-            in_h: h_mask[v.index()],
-            active_source: x_mask[v.index()]
-                && h_mask[v.index()]
-                && colors[v.index()] == 0
-                && active[v.index()],
-            tau,
-            nbr_color: Vec::new(),
-            nbr_in_h: Vec::new(),
-            my_ids: Vec::new(),
-            evidence: None,
-        },
-        (l + 4) as u64,
-    )
-    .expect("pair color-BFS cannot violate the model");
+    // The factory runs in ascending node order, so node v draws
+    // activation coin v.
+    let mut coins = activation.map(|q| (q, ChaCha8Rng::seed_from_u64(derive_seed(seed, 0xAC7))));
+    let report = session
+        .run(
+            g,
+            seed,
+            |v, _| {
+                let active = match &mut coins {
+                    Some((q, rng)) => rng.gen_bool(*q),
+                    None => true,
+                };
+                PairColorBfs {
+                    l,
+                    color: colors[v.index()],
+                    in_h: h_mask[v.index()],
+                    active_source: x_mask[v.index()]
+                        && h_mask[v.index()]
+                        && colors[v.index()] == 0
+                        && active,
+                    tau,
+                    nbr: Vec::new(),
+                    my_ids: Vec::new(),
+                    evidence: None,
+                }
+            },
+            (l + 4) as u64,
+        )
+        .expect("pair color-BFS cannot violate the model");
     let rejection = report.rejecting_nodes.first().map(|&v| {
-        let evidence = nodes[v as usize].evidence.expect("evidence");
+        let evidence = session.nodes()[v as usize].evidence.expect("evidence");
         (NodeId::new(v), evidence)
     });
     (report, rejection)

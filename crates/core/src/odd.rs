@@ -4,10 +4,12 @@
 
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_quantum::{McOutcome, MonteCarloAlgorithm};
-use congest_sim::{derive_seed, Backend, Control, Ctx, Decision, MessageSize, Outbox, Program};
-use rand::Rng;
+use congest_sim::{
+    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program,
+};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-use crate::api::run_program;
 use crate::detector::random_coloring;
 use crate::witness::{extract_odd_witness, DetectionOutcome, SetsSummary};
 
@@ -271,38 +273,39 @@ impl OddCycleDetector {
         let mut iterations = 0u64;
         let mut budget_exceeded = false;
         let all = vec![true; n];
+        let mut session = Executor::new(backend);
+        session.set_bandwidth(bandwidth);
 
         for r in 0..self.repetitions as u64 {
             iterations = r + 1;
             let colors = random_coloring(n, colors_count, derive_seed(seed, 0x0DD + r));
             let call_seed = derive_seed(seed, 0xE000 + r);
-            let active: Vec<bool> = {
-                use rand::SeedableRng;
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(derive_seed(call_seed, 0xAC7));
-                (0..n).map(|_| rng.gen_bool(activation)).collect()
-            };
-            let (report, nodes) = run_program(
-                g,
-                call_seed,
-                backend,
-                bandwidth,
-                None,
-                |v, _| OddColorBfs {
-                    k,
-                    color: colors[v.index()],
-                    active_source: colors[v.index()] == 0 && active[v.index()],
-                    tau: 4,
-                    nbr_color: Vec::new(),
-                    low_ids: Vec::new(),
-                    reject: None,
-                },
-                (k + 4) as u64,
-            )
-            .expect("odd color-BFS cannot violate the model");
+            // The factory runs in ascending node order, so node v draws
+            // activation coin v.
+            let mut coins = ChaCha8Rng::seed_from_u64(derive_seed(call_seed, 0xAC7));
+            let report = session
+                .run(
+                    g,
+                    call_seed,
+                    |v, _| {
+                        let active = coins.gen_bool(activation);
+                        OddColorBfs {
+                            k,
+                            color: colors[v.index()],
+                            active_source: colors[v.index()] == 0 && active,
+                            tau: 4,
+                            nbr_color: Vec::new(),
+                            low_ids: Vec::new(),
+                            reject: None,
+                        }
+                    },
+                    (k + 4) as u64,
+                )
+                .expect("odd color-BFS cannot violate the model");
             total.absorb(&report);
             if let Some(&v) = report.rejecting_nodes.first() {
                 decision = Decision::Reject;
-                let origin = nodes[v as usize].reject.expect("evidence");
+                let origin = session.nodes()[v as usize].reject.expect("evidence");
                 let w =
                     extract_odd_witness(g, &all, &colors, k, NodeId::new(origin), NodeId::new(v))
                         .expect("rejection must be certifiable");

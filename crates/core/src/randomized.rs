@@ -12,7 +12,7 @@
 
 use congest_graph::{CycleWitness, Graph};
 use congest_quantum::{McOutcome, MonteCarloAlgorithm};
-use congest_sim::{derive_seed, Decision};
+use congest_sim::{derive_seed, Decision, Executor};
 
 use crate::detector::{random_coloring, run_color_bfs_backend, CycleDetector, RunOptions};
 use crate::params::Params;
@@ -79,6 +79,8 @@ impl LowProbDetector {
         let mut phase_found: Option<Phase> = None;
         let mut iterations = 0u64;
         let mut budget_exceeded = false;
+        let mut session = Executor::new(options.backend);
+        session.set_bandwidth(options.bandwidth);
 
         'outer: for r in 0..self.params.repetitions as u64 {
             iterations = r + 1;
@@ -93,6 +95,7 @@ impl LowProbDetector {
             ];
             for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
                 let result = run_color_bfs_backend(
+                    &mut session,
                     g,
                     k,
                     &colors,
@@ -100,8 +103,6 @@ impl LowProbDetector {
                     x_mask,
                     Some(activation),
                     RANDOMIZED_THRESHOLD,
-                    options.bandwidth,
-                    options.backend,
                     derive_seed(seed, 0xF000 + r * 3 + idx as u64),
                 );
                 total.absorb(&result.report);

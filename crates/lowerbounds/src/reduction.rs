@@ -9,8 +9,8 @@
 //! left-hand side empirically.
 
 use congest_graph::CycleWitness;
-use congest_sim::{derive_seed, Executor};
-use even_cycle::{random_coloring, CycleDetector, Params};
+use congest_sim::{derive_seed, Backend, Executor};
+use even_cycle::{random_coloring, run_color_bfs_backend, CycleDetector, Params};
 
 use crate::gadgets::BuiltGadget;
 
@@ -73,6 +73,8 @@ pub fn measure_even_detection(
     let mut cut_words = 0u64;
     let mut rejected = false;
     let mut witness = None;
+    let mut session = Executor::new(Backend::Sequential);
+    session.set_cut(gadget.cut_meter());
 
     'outer: for r in 0..iterations as u64 {
         let colors = random_coloring(n, 2 * k, derive_seed(seed, 0xC0 + r));
@@ -82,39 +84,22 @@ pub fn measure_even_detection(
             (&not_s, &memberships.w_mask),
         ];
         for (idx, (h_mask, x_mask)) in phases.into_iter().enumerate() {
-            let mut exec = Executor::new(g, derive_seed(seed, 0xF000 + r * 3 + idx as u64));
-            exec.set_cut(gadget.cut_meter());
-            let report = exec
-                .run(
-                    |v, _| {
-                        even_cycle::color_bfs::ColorBfs::new(
-                            k,
-                            colors[v.index()],
-                            h_mask[v.index()],
-                            x_mask[v.index()],
-                            true,
-                            inst.tau,
-                        )
-                    },
-                    (k + 3) as u64,
-                )
-                .expect("color-BFS cannot violate the model");
-            rounds += report.rounds;
-            cut_words += report.cut_words.unwrap_or(0);
-            if let Some(&v) = report.rejecting_nodes.first() {
+            let result = run_color_bfs_backend(
+                &mut session,
+                g,
+                k,
+                &colors,
+                h_mask,
+                x_mask,
+                None,
+                inst.tau,
+                derive_seed(seed, 0xF000 + r * 3 + idx as u64),
+            );
+            rounds += result.report.rounds;
+            cut_words += result.report.cut_words.unwrap_or(0);
+            if let Some((v, origin)) = result.rejection {
                 rejected = true;
-                let origin = exec.nodes()[v as usize]
-                    .evidence()
-                    .expect("rejecting node has evidence")
-                    .origin;
-                witness = even_cycle::extract_even_witness(
-                    g,
-                    h_mask,
-                    &colors,
-                    k,
-                    congest_graph::NodeId::new(origin),
-                    congest_graph::NodeId::new(v),
-                );
+                witness = even_cycle::extract_even_witness(g, h_mask, &colors, k, origin, v);
                 break 'outer;
             }
         }

@@ -26,7 +26,11 @@
 //! | `{"op":"shutdown"}` | acknowledges, then stops accepting connections |
 //!
 //! Errors come back as `{"ok":false,"op":…,"error":"…"}` on the same
-//! line; the connection stays usable.
+//! line; the connection stays usable. The one exception is a request
+//! line longer than [`MAX_REQUEST_LINE`] bytes: it is answered with a
+//! `request line too long` error and the connection is closed, so a
+//! client that never sends a newline cannot make the server buffer
+//! without bound.
 //!
 //! # Determinism and deduplication
 //!
@@ -59,7 +63,7 @@
 //! hold a worker forever.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -744,7 +748,7 @@ impl Server {
     /// Propagates accept-loop I/O errors.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
-        let mut handles = Vec::new();
+        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             let (stream, _) = self.listener.accept()?;
             if self.state.shutdown.load(Ordering::SeqCst) {
@@ -752,6 +756,10 @@ impl Server {
                 // shutdown: drop it and stop accepting.
                 break;
             }
+            // Only live connections are joined at shutdown; dropping
+            // the handles of finished ones keeps this list bounded by
+            // the open connections, not by every connection ever made.
+            handles.retain(|handle| !handle.is_finished());
             let state = Arc::clone(&self.state);
             handles.push(std::thread::spawn(move || {
                 handle_connection(stream, &state, addr);
@@ -763,6 +771,11 @@ impl Server {
         Ok(())
     }
 }
+
+/// The longest request line a connection reads, in bytes before its
+/// `\n`. A longer line is answered with a `request line too long`
+/// error and the connection is closed.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Serves one connection: read request lines, write response lines,
 /// until EOF or a shutdown request (which also nudges the accept loop
@@ -779,13 +792,34 @@ fn handle_connection(stream: TcpStream, state: &ServeState, addr: std::net::Sock
             return;
         }
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read at most one byte past the cap: enough to tell a line
+        // that fits from one that does not.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_LINE {
+            let _ = writer
+                .write_all(format!("{}\n", err_line("?", "request line too long")).as_bytes());
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown) = state.handle(&line);
+        let (response, shutdown) = state.handle(line);
         if writer
             .write_all(format!("{response}\n").as_bytes())
             .and_then(|()| writer.flush())

@@ -342,3 +342,63 @@ fn bandwidth_budget_is_honored_by_classical_entries() {
         );
     }
 }
+
+#[test]
+fn fast_ci_classical_costs_are_pinned() {
+    // Verdict and every `RunCost` field of the fast-ci k = 2 classical
+    // entries, recorded before the detector loops reused one simulation
+    // session per call: buffer reuse changes where a run's state lives,
+    // never what it charges. Fields: rounds, supersteps, messages,
+    // words, max_congestion, iterations.
+    use even_cycle_congest::{FamilySpec, Model, RunCost, RunProfile, Verdict};
+    #[rustfmt::skip]
+    const PINNED: [(&str, &str, &str, [u64; 6]); 12] = [
+        ("trees",     "classical/C4/global-threshold-color-bfs",    "accept",    [84, 57, 1364, 1366, 2, 8]),
+        ("trees",     "classical/C5/constant-round-odd-color-bfs",  "accept",    [200, 160, 1854, 1854, 1, 40]),
+        ("trees",     "classical/F4/pairwise-color-bfs-sweep",      "accept",    [32, 24, 421, 421, 1, 4]),
+        ("trees",     "classical/C4/deterministic-gather",          "accept",    [118, 16, 502, 2116, 12, 1]),
+        ("trees",     "classical/C5/deterministic-gather",          "accept",    [118, 16, 502, 2116, 12, 1]),
+        ("trees",     "classical/C4/local-threshold-sampling",      "accept",    [19, 14, 237, 237, 1, 5]),
+        ("planted:4", "classical/C4/global-threshold-color-bfs",    "reject C4", [6, 4, 121, 121, 1, 1]),
+        ("planted:4", "classical/C5/constant-round-odd-color-bfs",  "accept",    [200, 160, 2178, 2178, 1, 40]),
+        ("planted:4", "classical/F4/pairwise-color-bfs-sweep",      "accept",    [33, 24, 494, 496, 2, 4]),
+        ("planted:4", "classical/C4/deterministic-gather",          "reject C4", [120, 9, 330, 2916, 20, 1]),
+        ("planted:4", "classical/C5/deterministic-gather",          "accept",    [120, 9, 330, 2916, 20, 1]),
+        ("planted:4", "classical/C4/local-threshold-sampling",      "accept",    [19, 14, 283, 283, 1, 5]),
+    ];
+    let registry = RunProfile::FastCi.registry(2);
+    let budget = RunProfile::FastCi.budget();
+    let classical = registry
+        .iter()
+        .filter(|e| e.descriptor.model == Model::Classical)
+        .count();
+    assert_eq!(
+        2 * classical,
+        PINNED.len(),
+        "every classical entry is pinned"
+    );
+    for (family, id, verdict, [rounds, supersteps, messages, words, max_congestion, iterations]) in
+        PINNED
+    {
+        let g = FamilySpec::parse(family).unwrap().build(24, 0);
+        let entry = registry.iter().find(|e| e.id == id).expect(id);
+        let d = entry.detector.detect(&g, 0, &budget).unwrap();
+        let got = match &d.verdict {
+            Verdict::Accept => "accept".to_string(),
+            Verdict::Reject {
+                cycle_length: Some(l),
+                ..
+            } => format!("reject C{l}"),
+            other => format!("{other:?}"),
+        };
+        let want = RunCost {
+            rounds,
+            supersteps,
+            messages,
+            words,
+            max_congestion,
+            iterations,
+        };
+        assert_eq!((got.as_str(), d.cost), (verdict, want), "{id} on {family}");
+    }
+}

@@ -5,7 +5,7 @@ use even_cycle_congest::cycle::{
     random_coloring, CycleDetector, OddCycleDetector, Params, RunOptions,
 };
 use even_cycle_congest::graph::{analysis, generators, CycleWitness, Graph};
-use even_cycle_congest::sim::{strict::StrictExecutor, Executor};
+use even_cycle_congest::sim::{strict::StrictExecutor, Backend, Executor};
 
 /// Colors a known cycle consecutively; everything else gets the last
 /// color.
@@ -114,8 +114,8 @@ fn strict_and_logical_executors_agree_on_color_bfs() {
         let build = |v: even_cycle_congest::graph::NodeId, _n: usize| {
             ColorBfs::new(2, colors[v.index()], true, true, true, 50)
         };
-        let mut logical = Executor::new(&g, seed);
-        let lr = logical.run(build, 8).unwrap();
+        let mut logical = Executor::new(Backend::Sequential);
+        let lr = logical.run(&g, seed, build, 8).unwrap();
         let mut strict = StrictExecutor::new(&g, seed);
         let sr = strict.run(build, 8).unwrap();
         assert_eq!(lr.rounds, sr.rounds, "seed {seed}");

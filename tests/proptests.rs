@@ -173,7 +173,7 @@ fn density_dichotomy_on_random_layered_instances() {
 #[test]
 fn executor_round_accounting_is_bandwidth_consistent() {
     use even_cycle_congest::graph::NodeId;
-    use even_cycle_congest::sim::{Control, Ctx, Executor, Outbox, Program};
+    use even_cycle_congest::sim::{Backend, Control, Ctx, Executor, Outbox, Program};
 
     /// Every node sends its whole neighbor list to each neighbor.
     struct Chatty;
@@ -196,13 +196,15 @@ fn executor_round_accounting_is_bandwidth_consistent() {
         }
     }
 
+    // One session across every case: the graph size changes from run
+    // to run, and the reset buffers must not leak into the accounting.
+    let mut exec = Executor::new(Backend::Sequential);
     for case in 0..CASES {
         let n = 6 + (case as usize) % 18;
         let p = 0.1 + 0.0125 * (case % 24) as f64;
         let seed = case.wrapping_mul(77) + 5;
         let g = generators::erdos_renyi(n, p, seed);
-        let mut exec = Executor::new(&g, seed);
-        let report = exec.run(|_, _| Chatty, 4).unwrap();
+        let report = exec.run(&g, seed, |_, _| Chatty, 4).unwrap();
         // Max per-edge load is the max degree among senders; rounds for
         // the init superstep equal that load (bandwidth 1).
         let expect = g.nodes().map(|v| g.degree(v)).max().unwrap_or(0) as u64;

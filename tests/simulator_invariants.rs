@@ -5,10 +5,9 @@
 use even_cycle_congest::cycle::color_bfs::ColorBfs;
 use even_cycle_congest::cycle::{random_coloring, Params};
 use even_cycle_congest::graph::{generators, CycleWitness, Graph, NodeId};
-use even_cycle_congest::sim::parallel::ParallelExecutor;
 use even_cycle_congest::sim::trace::run_traced;
 use even_cycle_congest::sim::wire::{assert_accounting_consistent, WireEncode};
-use even_cycle_congest::sim::Executor;
+use even_cycle_congest::sim::{Backend, Executor};
 
 fn planted_instance(seed: u64) -> (Graph, CycleWitness, Vec<u8>) {
     let host = generators::erdos_renyi(48, 0.06, seed);
@@ -27,11 +26,10 @@ fn parallel_executor_runs_color_bfs_identically() {
         let tau = Params::practical(2).instantiate(g.node_count()).tau;
         let build = |v: NodeId, _| ColorBfs::new(2, colors[v.index()], true, true, true, tau);
 
-        let mut seq = Executor::new(&g, seed);
-        let sr = seq.run(build, 8).unwrap();
-        let mut par = ParallelExecutor::new(&g, seed);
-        par.set_threads(3);
-        let pr = par.run(build, 8).unwrap();
+        let mut seq = Executor::new(Backend::Sequential);
+        let sr = seq.run(&g, seed, build, 8).unwrap();
+        let mut par = Executor::new(Backend::Parallel { threads: 3 });
+        let pr = par.run(&g, seed, build, 8).unwrap();
 
         assert_eq!(sr.decision, pr.decision, "seed {seed}");
         assert_eq!(sr.rounds, pr.rounds);
@@ -57,16 +55,15 @@ fn parallel_cut_meter_matches_sequential_on_color_bfs() {
         let build = |v: NodeId, _| ColorBfs::new(2, colors[v.index()], true, true, true, tau);
         let side: Vec<bool> = (0..g.node_count()).map(|v| v % 2 == 0).collect();
 
-        let mut seq = Executor::new(&g, seed);
+        let mut seq = Executor::new(Backend::Sequential);
         seq.set_cut(CutMeter::new(&g, side.clone()));
-        let sr = seq.run(build, 8).unwrap();
+        let sr = seq.run(&g, seed, build, 8).unwrap();
         assert!(sr.cut_words.is_some_and(|w| w > 0), "cut must be crossed");
 
         for threads in [2usize, 4] {
-            let mut par = ParallelExecutor::new(&g, seed);
-            par.set_threads(threads);
+            let mut par = Executor::new(Backend::Parallel { threads });
             par.set_cut(CutMeter::new(&g, side.clone()));
-            let pr = par.run(build, 8).unwrap();
+            let pr = par.run(&g, seed, build, 8).unwrap();
             assert_eq!(
                 sr.cut_words, pr.cut_words,
                 "cut words diverged (seed {seed}, {threads} threads)"

@@ -140,3 +140,42 @@ fn serve_reports_errors_inline_and_keeps_the_connection() {
     drop((s, r));
     server_thread.join().unwrap().unwrap();
 }
+
+#[test]
+fn serve_cuts_off_a_request_line_that_never_ends() {
+    let config = ServeConfig::new(RunProfile::FastCi, 2);
+    let server = Server::bind(("127.0.0.1", 0), &config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = std::thread::spawn(move || server.run());
+
+    // 1 MiB without a newline: the server reads past its 64 KiB cap
+    // only far enough to tell, answers once, and hangs up. The write
+    // may fail part-way once it has, which is the point.
+    let (mut s, mut r) = connect(addr);
+    // Without the cap the server would wait for the newline forever.
+    s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout set");
+    let _ = s.write_all(&vec![b'x'; 1 << 20]);
+    let mut line = String::new();
+    r.read_line(&mut line).expect("error line read");
+    assert_eq!(
+        line,
+        "{\"ok\":false,\"op\":\"?\",\"error\":\"request line too long\"}\n"
+    );
+    line.clear();
+    assert_eq!(
+        r.read_line(&mut line).unwrap_or(0),
+        0,
+        "then the server closes"
+    );
+    drop((s, r));
+
+    // The server itself is unharmed: a new connection still answers.
+    let (mut s, mut r) = connect(addr);
+    let resp = roundtrip(&mut s, &mut r, "{\"op\":\"ping\"}");
+    assert_eq!(resp, "{\"ok\":true,\"op\":\"ping\"}");
+    let bye = roundtrip(&mut s, &mut r, "{\"op\":\"shutdown\"}");
+    assert_eq!(bye, "{\"ok\":true,\"op\":\"shutdown\"}");
+    drop((s, r));
+    server_thread.join().unwrap().unwrap();
+}
