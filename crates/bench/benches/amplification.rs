@@ -1,20 +1,13 @@
 //! Bench for E7: Theorem 3 amplification across success probabilities
 //! (the quadratic `1/√ε` law's cost in simulation).
 
-use congest_quantum::{FnAlgorithm, GroverMode, McOutcome, MonteCarloAmplifier, StateVector};
+use congest_quantum::{FnAlgorithm, GroverMode, MonteCarloAmplifier, StateVector};
 use even_cycle_bench::timing::bench_case;
 
 fn main() {
     for exp in [8u32, 10, 12] {
         let inv_eps = 1u64 << exp;
-        let alg = FnAlgorithm::new(
-            move |seed| McOutcome {
-                rejected: seed % inv_eps == 1,
-                rounds: 1,
-            },
-            1,
-            1.0 / inv_eps as f64,
-        );
+        let alg = FnAlgorithm::new(move |seed| seed % inv_eps == 1, 1, 1.0 / inv_eps as f64);
         bench_case("amplification/analytic", &inv_eps.to_string(), 20, || {
             MonteCarloAmplifier::new(0.1).amplify(&alg, 3)
         });

@@ -8,8 +8,12 @@
 //! the constant threshold 4. The driver passes the activation flags and
 //! the threshold; the forwarding logic is identical.
 
+use std::ops::ControlFlow;
+
 use congest_graph::NodeId;
-use congest_sim::{Control, Ctx, Decision, MessageSize, Outbox, Program};
+use congest_sim::{derive_seed, Control, Ctx, Decision, MessageSize, Outbox, Program, RunReport};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Messages of the color-BFS protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +44,87 @@ impl MessageSize for CbMsg {
 /// The per-neighbor table entry of a neighbor outside the host subgraph
 /// `H`; every other entry is the neighbor's color, which is below `2k`.
 pub(crate) const NOT_IN_H: u8 = u8::MAX;
+
+/// Whether a node starts a search (Instruction 15): it is in `X` and in
+/// `H`, colored 0, and its activation coin came up (always, in
+/// Algorithm 1). Only such a node ever sends an identifier.
+pub(crate) fn is_source(in_x: bool, in_h: bool, color: u8, active: bool) -> bool {
+    in_x && in_h && color == 0 && active
+}
+
+/// The activation coins of one randomized call (Algorithm 2,
+/// Instruction 1): node `v` takes the `v`-th coin of a stream seeded
+/// from the call seed, each up with probability `q`. Equivalent to a
+/// local coin per node, but replayable, so the costed run and the
+/// verdict-only evaluation read the same coins.
+pub(crate) struct ActivationCoins {
+    q: f64,
+    rng: ChaCha8Rng,
+}
+
+impl ActivationCoins {
+    /// The coin stream of the call with seed `call_seed`.
+    pub(crate) fn new(q: f64, call_seed: u64) -> Self {
+        ActivationCoins {
+            q,
+            rng: ChaCha8Rng::seed_from_u64(derive_seed(call_seed, 0xAC7)),
+        }
+    }
+
+    /// The next node's coin.
+    pub(crate) fn flip(&mut self) -> bool {
+        self.rng.gen_bool(self.q)
+    }
+}
+
+/// Draws the coins of one call into `coins`, one per node in node order
+/// (all up when `activation` is `None`), and reports whether any node is
+/// an active source ([`is_source`]).
+///
+/// A verdict-only evaluation simulates a call only when this is true:
+/// without an active source no identifier is ever sent, so every node
+/// collects empty sets and none can reject.
+pub(crate) fn draw_call_coins(
+    coins: &mut Vec<bool>,
+    activation: Option<f64>,
+    call_seed: u64,
+    colors: &[u8],
+    h_mask: &[bool],
+    x_mask: &[bool],
+) -> bool {
+    let n = colors.len();
+    coins.clear();
+    match activation {
+        Some(q) => {
+            let mut stream = ActivationCoins::new(q, call_seed);
+            coins.extend((0..n).map(|_| stream.flip()));
+        }
+        None => coins.resize(n, true),
+    }
+    (0..n).any(|v| is_source(x_mask[v], h_mask[v], colors[v], coins[v]))
+}
+
+/// One call of a verdict-only evaluation: draws the call's coins
+/// ([`draw_call_coins`]) and, only if some node is an active source,
+/// simulates the call with exactly those coins through `simulate`.
+/// Breaks when the simulated call rejects.
+pub(crate) fn call_verdict(
+    coins: &mut Vec<bool>,
+    activation: Option<f64>,
+    call_seed: u64,
+    colors: &[u8],
+    h_mask: &[bool],
+    x_mask: &[bool],
+    simulate: impl FnOnce(&[bool]) -> RunReport,
+) -> ControlFlow<()> {
+    if draw_call_coins(coins, activation, call_seed, colors, h_mask, x_mask)
+        && !simulate(coins).rejecting_nodes.is_empty()
+    {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(())
+    }
+}
 
 /// Evidence recorded by a rejecting node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +183,7 @@ impl ColorBfs {
             k,
             color,
             in_h,
-            active_source: in_x && in_h && color == 0 && active,
+            active_source: is_source(in_x, in_h, color, active),
             tau,
             nbr: Vec::new(),
             collected: Vec::new(),

@@ -1,6 +1,8 @@
 //! Algorithm 1: deciding `C_{2k}`-freeness with one-sided error `ε` in
 //! `O(log²(1/ε)·2^{3k}·k^{2k+3}·n^{1-1/k})` rounds (Theorem 1).
 
+use std::ops::ControlFlow;
+
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
     derive_seed, Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport,
@@ -9,8 +11,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::api::run_program;
-use crate::color_bfs::ColorBfs;
+use crate::color_bfs::{ActivationCoins, ColorBfs};
 use crate::params::{Instance, Params};
+use crate::randomized::RANDOMIZED_THRESHOLD;
 use crate::witness::{extract_even_witness, DetectionOutcome, Phase, SetsSummary};
 
 /// Test and experiment hooks for [`CycleDetector::run_with`].
@@ -83,6 +86,72 @@ pub struct Memberships {
     pub w_mask: Vec<bool>,
     /// Round cost of constructing them (the one-round `S`-flag exchange).
     pub setup_report: RunReport,
+}
+
+/// One `color-BFS` call of a run of Algorithm 1 or of the Lemma 12
+/// detector, as [`Memberships::walk_calls`] hands it out.
+pub(crate) struct ColorBfsCall<'a> {
+    /// The coloring iteration (0-based).
+    pub(crate) repetition: u64,
+    /// Which of the three calls of the iteration this is.
+    pub(crate) phase: Phase,
+    /// The iteration's coloring.
+    pub(crate) colors: &'a [u8],
+    /// The host subgraph `H`.
+    pub(crate) h_mask: &'a [bool],
+    /// The launch set `X`.
+    pub(crate) x_mask: &'a [bool],
+    /// The call's simulation seed; its activation coins derive from it.
+    pub(crate) seed: u64,
+}
+
+impl Memberships {
+    /// Walks the `color-BFS` calls of one run in order (Instructions
+    /// 7–11): per coloring iteration, the light, selected and heavy
+    /// calls, each with its own call seed; stops when `visit` breaks.
+    ///
+    /// The costed run and the verdict-only evaluation
+    /// ([`crate::LowProbDetector::rejects`]) both walk the calls through
+    /// here, so they see the same colorings, masks and call seeds.
+    pub(crate) fn walk_calls(
+        &self,
+        k: usize,
+        repetitions: usize,
+        seed: u64,
+        forced_coloring: Option<&[u8]>,
+        mut visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let n = self.u_mask.len();
+        let all_mask = vec![true; n];
+        let not_s_mask: Vec<bool> = self.s_mask.iter().map(|&b| !b).collect();
+        for r in 0..repetitions as u64 {
+            let drawn;
+            let colors = match forced_coloring {
+                Some(c) => c,
+                None => {
+                    drawn = random_coloring(n, 2 * k, derive_seed(seed, 0xC0 + r));
+                    &drawn
+                }
+            };
+            // The three color-BFS calls (Instructions 9–11).
+            let phases: [(Phase, &[bool], &[bool]); 3] = [
+                (Phase::Light, &self.u_mask, &self.u_mask),
+                (Phase::Selected, &all_mask, &self.s_mask),
+                (Phase::Heavy, &not_s_mask, &self.w_mask),
+            ];
+            for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
+                visit(&ColorBfsCall {
+                    repetition: r,
+                    phase,
+                    colors,
+                    h_mask,
+                    x_mask,
+                    seed: derive_seed(seed, 0xF000 + r * 3 + idx as u64),
+                })?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// The one-round setup protocol: every node flips its selection coin,
@@ -200,8 +269,27 @@ impl CycleDetector {
 
     /// Runs Algorithm 1 with experiment hooks.
     pub fn run_with(&self, g: &Graph, seed: u64, options: &RunOptions) -> DetectionOutcome {
+        self.run_calls(g, seed, options, false)
+    }
+
+    /// The costed repetition loop of Algorithm 1 or, with `randomized`,
+    /// of the Lemma 12 detector (each source activates with probability
+    /// `1/τ`, threshold [`RANDOMIZED_THRESHOLD`]): simulates every call
+    /// and charges what it measured.
+    pub(crate) fn run_calls(
+        &self,
+        g: &Graph,
+        seed: u64,
+        options: &RunOptions,
+        randomized: bool,
+    ) -> DetectionOutcome {
         let k = self.params.k;
         let (inst, sets) = self.build_memberships(g, seed, options);
+        let (activation, threshold) = if randomized {
+            (Some(1.0 / inst.tau as f64), RANDOMIZED_THRESHOLD)
+        } else {
+            (None, inst.tau)
+        };
         let mut total = sets.setup_report.clone();
         let sets_summary = SetsSummary {
             u_size: sets.u_mask.iter().filter(|&&b| b).count(),
@@ -211,9 +299,6 @@ impl CycleDetector {
             selection_probability: inst.selection_probability,
         };
 
-        let all_mask = vec![true; g.node_count()];
-        let not_s_mask: Vec<bool> = sets.s_mask.iter().map(|&b| !b).collect();
-
         let mut decision = Decision::Accept;
         let mut witness: Option<CycleWitness> = None;
         let mut phase_found: Option<Phase> = None;
@@ -222,48 +307,38 @@ impl CycleDetector {
         let mut session = Executor::new(options.backend);
         session.set_bandwidth(options.bandwidth);
 
-        'outer: for r in 0..self.params.repetitions as u64 {
-            iterations = r + 1;
-            let colors = match &options.forced_coloring {
-                Some(c) => c.clone(),
-                None => random_coloring(g.node_count(), 2 * k, derive_seed(seed, 0xC0 + r)),
-            };
-            // The three color-BFS calls (Instructions 9–11).
-            let phases: [(Phase, &[bool], &[bool]); 3] = [
-                (Phase::Light, &sets.u_mask, &sets.u_mask),
-                (Phase::Selected, &all_mask, &sets.s_mask),
-                (Phase::Heavy, &not_s_mask, &sets.w_mask),
-            ];
-            for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
-                let result = run_color_bfs_backend(
-                    &mut session,
-                    g,
-                    k,
-                    &colors,
-                    h_mask,
-                    x_mask,
-                    None,
-                    inst.tau,
-                    derive_seed(seed, 0xF000 + r * 3 + idx as u64),
-                );
-                total.absorb(&result.report);
-                if let Some((v, origin)) = result.rejection {
-                    decision = Decision::Reject;
-                    phase_found = Some(phase);
-                    let w = extract_even_witness(g, h_mask, &colors, k, origin, v)
-                        .expect("rejection must be certifiable");
-                    assert!(w.is_valid(g), "internal error: invalid witness");
-                    witness = Some(w);
-                    if !options.continue_after_reject {
-                        break 'outer;
-                    }
-                }
-                if options.caps_exceeded(&total) {
-                    budget_exceeded = true;
-                    break 'outer;
+        let forced = options.forced_coloring.as_deref();
+        let _ = sets.walk_calls(k, self.params.repetitions, seed, forced, |call| {
+            iterations = call.repetition + 1;
+            let result = run_color_bfs_backend(
+                &mut session,
+                g,
+                k,
+                call.colors,
+                call.h_mask,
+                call.x_mask,
+                activation,
+                threshold,
+                call.seed,
+            );
+            total.absorb(&result.report);
+            if let Some((v, origin)) = result.rejection {
+                decision = Decision::Reject;
+                phase_found = Some(call.phase);
+                let w = extract_even_witness(g, call.h_mask, call.colors, k, origin, v)
+                    .expect("rejection must be certifiable");
+                assert!(w.is_valid(g), "internal error: invalid witness");
+                witness = Some(w);
+                if !options.continue_after_reject {
+                    return ControlFlow::Break(());
                 }
             }
-        }
+            if options.caps_exceeded(&total) {
+                budget_exceeded = true;
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
 
         DetectionOutcome {
             decision,
@@ -391,31 +466,11 @@ pub fn run_color_bfs_backend(
     tau: u64,
     seed: u64,
 ) -> ColorBfsResult {
-    // Activation coins are per-node, derived from the seed (equivalent to
-    // the local coin of Algorithm 2, Instruction 1, but replayable). The
-    // factory runs in ascending node order, so node v draws coin v.
-    let mut coins = activation.map(|q| (q, ChaCha8Rng::seed_from_u64(derive_seed(seed, 0xAC7))));
-    let report = session
-        .run(
-            g,
-            seed,
-            |v, _| {
-                let active = match &mut coins {
-                    Some((q, rng)) => rng.gen_bool(*q),
-                    None => true,
-                };
-                ColorBfs::new(
-                    k,
-                    colors[v.index()],
-                    h_mask[v.index()],
-                    x_mask[v.index()],
-                    active,
-                    tau,
-                )
-            },
-            (k + 3) as u64,
-        )
-        .expect("color-BFS cannot violate the model");
+    // The factory runs in ascending node order, so node v draws coin v.
+    let mut coins = activation.map(|q| ActivationCoins::new(q, seed));
+    let report = simulate_color_bfs(session, g, k, colors, h_mask, x_mask, tau, seed, |_| {
+        coins.as_mut().is_none_or(ActivationCoins::flip)
+    });
     let nodes = session.nodes();
     let rejection = report.rejecting_nodes.first().map(|&v| {
         let node = NodeId::new(v);
@@ -433,6 +488,35 @@ pub fn run_color_bfs_backend(
         any_overflow,
         max_collected,
     }
+}
+
+/// Simulates one `color-BFS` call in `session`; `active(v)` is node
+/// `v`'s activation coin, asked in ascending node order. The one
+/// simulation step of both the costed run and the verdict-only
+/// evaluation.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_color_bfs(
+    session: &mut Executor<ColorBfs>,
+    g: &Graph,
+    k: usize,
+    colors: &[u8],
+    h_mask: &[bool],
+    x_mask: &[bool],
+    tau: u64,
+    seed: u64,
+    mut active: impl FnMut(usize) -> bool,
+) -> RunReport {
+    session
+        .run(
+            g,
+            seed,
+            |v, _| {
+                let v = v.index();
+                ColorBfs::new(k, colors[v], h_mask[v], x_mask[v], active(v), tau)
+            },
+            (k + 3) as u64,
+        )
+        .expect("color-BFS cannot violate the model")
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! neighbors colored `ℓ-1`, which reject on a match with their own
 //! collected set.
 
+use std::ops::ControlFlow;
+
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
     derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
@@ -17,7 +19,7 @@ use congest_sim::{
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::color_bfs::NOT_IN_H;
+use crate::color_bfs::{call_verdict, is_source, ActivationCoins, NOT_IN_H};
 use crate::detector::random_coloring;
 use crate::witness::find_colored_path;
 
@@ -220,6 +222,28 @@ impl Program for PairColorBfs {
     }
 }
 
+/// One `color-BFS` call of an [`F2kDetector`] run, as
+/// [`F2kDetector::walk_calls`] hands it out.
+struct PairCall<'a> {
+    /// The pair `ℓ` (detecting `C_{2ℓ-1}` and `C_{2ℓ}`).
+    l: usize,
+    /// Colorings drawn so far in the run, this call's included.
+    iteration: u64,
+    /// The repetition's `2ℓ`-coloring.
+    colors: &'a [u8],
+    /// The host subgraph `H`.
+    h_mask: &'a [bool],
+    /// The launch set `X`.
+    x_mask: &'a [bool],
+    /// The activation probability of a source (`1/τ` in randomized
+    /// mode; `None` activates every source).
+    activation: Option<f64>,
+    /// The forwarding threshold.
+    tau: u64,
+    /// The call's simulation seed; its activation coins derive from it.
+    seed: u64,
+}
+
 /// The outcome of an [`F2kDetector`] run.
 #[derive(Debug, Clone)]
 pub struct F2kOutcome {
@@ -355,11 +379,7 @@ impl F2kDetector {
             self.randomized,
             "amplification needs the randomized (constant-congestion) variant"
         );
-        F2kMc {
-            det: self,
-            g,
-            bandwidth: 1,
-        }
+        F2kMc { det: self, g }
     }
 
     /// Overrides the per-pair repetition count.
@@ -408,14 +428,58 @@ impl F2kDetector {
         round_cap: Option<u64>,
         message_cap: Option<u64>,
     ) -> F2kOutcome {
-        let n = g.node_count();
         let mut total = RunReport::empty();
         let mut iterations = 0u64;
+        let mut found: Option<(CycleWitness, usize, usize)> = None;
+        let mut budget_exceeded = false;
         let mut session = Executor::new(backend);
         session.set_bandwidth(bandwidth);
-        let exceeded = |total: &RunReport| {
-            crate::detector::report_caps_exceeded(total, round_cap, message_cap)
+        let _ = self.walk_calls(g, seed, |call| {
+            iterations = call.iteration;
+            let mut coins = call.activation.map(|q| ActivationCoins::new(q, call.seed));
+            let report = simulate_pair_call(&mut session, g, call, |_| {
+                coins.as_mut().is_none_or(ActivationCoins::flip)
+            });
+            total.absorb(&report);
+            if let Some(&v) = report.rejecting_nodes.first() {
+                let evidence = session.nodes()[v as usize].evidence.expect("evidence");
+                found = Some(certify_pair(g, call, NodeId::new(v), evidence));
+                return ControlFlow::Break(());
+            }
+            if crate::detector::report_caps_exceeded(&total, round_cap, message_cap) {
+                budget_exceeded = true;
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        let (witness, cycle_length, pair) = match found {
+            Some((witness, len, l)) => (Some(witness), Some(len), Some(l)),
+            None => (None, None, None),
         };
+        F2kOutcome {
+            rejected: witness.is_some(),
+            cycle_length,
+            witness,
+            pair,
+            iterations,
+            report: total,
+            budget_exceeded,
+        }
+    }
+
+    /// Walks the `color-BFS` calls of one run in order: per pair
+    /// `ℓ = 2, …, k` its sets, then per repetition a fresh coloring and
+    /// two calls; stops when `visit` breaks. The costed run and
+    /// [`F2kDetector::rejects`] both walk the calls through here, so they
+    /// see the same colorings, masks, thresholds and call seeds.
+    fn walk_calls(
+        &self,
+        g: &Graph,
+        seed: u64,
+        mut visit: impl FnMut(&PairCall<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let n = g.node_count();
+        let mut iteration = 0u64;
         for l in 2..=self.k {
             // Pair parameters (§3.5): p = ε̂·2ℓ²/n^{1/ℓ}, τ = 2np,
             // U = degree ≤ n^{1/ℓ}, W = N(S) ∖ S.
@@ -436,144 +500,138 @@ impl F2kDetector {
                 .map(|v| (g.degree(v) as f64) <= deg_threshold)
                 .collect();
             let all = vec![true; n];
+            let (activation, call_tau) = if self.randomized {
+                (Some(1.0 / tau as f64), 4)
+            } else {
+                (None, tau)
+            };
 
             for r in 0..self.repetitions_per_pair as u64 {
-                iterations += 1;
+                iteration += 1;
                 let colors = random_coloring(n, 2 * l, derive_seed(pair_seed, 0xC0 + r));
                 // Two calls: light (G[U], X = U) and merged heavy
                 // (G, X = W).
                 let calls: [(&[bool], &[bool]); 2] = [(&u_mask, &u_mask), (&all, &w_mask)];
                 for (ci, (h_mask, x_mask)) in calls.into_iter().enumerate() {
-                    let call_seed = derive_seed(pair_seed, 0xF00 + r * 2 + ci as u64);
-                    let (activation, call_tau) = if self.randomized {
-                        (Some(1.0 / tau as f64), 4)
-                    } else {
-                        (None, tau)
-                    };
-                    let (report, rejection) = run_pair_call(
-                        &mut session,
-                        g,
+                    visit(&PairCall {
                         l,
-                        &colors,
+                        iteration,
+                        colors: &colors,
                         h_mask,
                         x_mask,
                         activation,
-                        call_tau,
-                        call_seed,
-                    );
-                    total.absorb(&report);
-                    if let Some((v, evidence)) = rejection {
-                        let (witness, len) = match evidence {
-                            PairEvidence::Even { origin } => {
-                                let w = crate::witness::extract_even_witness(
-                                    g,
-                                    h_mask,
-                                    &colors,
-                                    l,
-                                    NodeId::new(origin),
-                                    v,
-                                )
-                                .expect("even rejection certifiable");
-                                (w, 2 * l)
-                            }
-                            PairEvidence::Odd { origin } => {
-                                let w = extract_pair_odd_witness(
-                                    g,
-                                    h_mask,
-                                    &colors,
-                                    l,
-                                    NodeId::new(origin),
-                                    v,
-                                )
-                                .expect("odd rejection certifiable");
-                                (w, 2 * l - 1)
-                            }
-                        };
-                        assert!(witness.is_valid(g));
-                        return F2kOutcome {
-                            rejected: true,
-                            cycle_length: Some(len),
-                            witness: Some(witness),
-                            pair: Some(l),
-                            iterations,
-                            report: total,
-                            budget_exceeded: false,
-                        };
-                    }
-                    if exceeded(&total) {
-                        return F2kOutcome {
-                            rejected: false,
-                            cycle_length: None,
-                            witness: None,
-                            pair: None,
-                            iterations,
-                            report: total,
-                            budget_exceeded: true,
-                        };
-                    }
+                        tau: call_tau,
+                        seed: derive_seed(pair_seed, 0xF00 + r * 2 + ci as u64),
+                    })?;
                 }
             }
         }
-        F2kOutcome {
-            rejected: false,
-            cycle_length: None,
-            witness: None,
-            pair: None,
-            iterations,
-            report: total,
-            budget_exceeded: false,
-        }
+        ControlFlow::Continue(())
+    }
+
+    /// Whether [`F2kDetector::run`] with `seed` rejects, simulating only
+    /// the calls that can reject — the verdict-only oracle Theorem 3
+    /// amplifies in randomized mode (see
+    /// [`congest_quantum::MonteCarloAlgorithm`]).
+    ///
+    /// It walks the same calls as the costed run. Each call first draws
+    /// its activation coins from the call's coin stream and is simulated,
+    /// with exactly those coins, only if some node is an active source.
+    /// A call without one cannot reject: only an active source sends an
+    /// identifier, every later message forwards identifiers a node
+    /// received, and a node rejects only when one identifier reaches it
+    /// twice — along both branches at color `ℓ` (a `C_{2ℓ}`), or back
+    /// from color `ℓ+1` at color `ℓ-1` (a `C_{2ℓ-1}`). Such a call
+    /// delivers its Hello round and nothing else. The walk stops at the
+    /// first rejecting call, as the costed run does. The bandwidth only
+    /// scales round charges, so it plays no part; `backend` only picks
+    /// how simulated calls step.
+    pub fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
+        let mut session = Executor::new(backend);
+        let mut coins = Vec::new();
+        self.walk_calls(g, seed, |call| {
+            let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
+            call_verdict(
+                &mut coins,
+                call.activation,
+                call.seed,
+                colors,
+                h,
+                x,
+                |coins| simulate_pair_call(&mut session, g, call, |v| coins[v]),
+            )
+        })
+        .is_break()
     }
 }
 
-/// Runs one pair call in the caller's session and returns the report
-/// plus the first rejection.
-#[allow(clippy::too_many_arguments)]
-fn run_pair_call(
+/// Simulates one pair call in `session`; `active(v)` is node `v`'s
+/// activation coin, asked in ascending node order. The one simulation
+/// step of both the costed run and the verdict-only evaluation.
+fn simulate_pair_call(
     session: &mut Executor<PairColorBfs>,
     g: &Graph,
-    l: usize,
-    colors: &[u8],
-    h_mask: &[bool],
-    x_mask: &[bool],
-    activation: Option<f64>,
-    tau: u64,
-    seed: u64,
-) -> (RunReport, Option<(NodeId, PairEvidence)>) {
-    // The factory runs in ascending node order, so node v draws
-    // activation coin v.
-    let mut coins = activation.map(|q| (q, ChaCha8Rng::seed_from_u64(derive_seed(seed, 0xAC7))));
-    let report = session
+    call: &PairCall<'_>,
+    mut active: impl FnMut(usize) -> bool,
+) -> RunReport {
+    session
         .run(
             g,
-            seed,
+            call.seed,
             |v, _| {
-                let active = match &mut coins {
-                    Some((q, rng)) => rng.gen_bool(*q),
-                    None => true,
-                };
+                let v = v.index();
                 PairColorBfs {
-                    l,
-                    color: colors[v.index()],
-                    in_h: h_mask[v.index()],
-                    active_source: x_mask[v.index()]
-                        && h_mask[v.index()]
-                        && colors[v.index()] == 0
-                        && active,
-                    tau,
+                    l: call.l,
+                    color: call.colors[v],
+                    in_h: call.h_mask[v],
+                    active_source: is_source(
+                        call.x_mask[v],
+                        call.h_mask[v],
+                        call.colors[v],
+                        active(v),
+                    ),
+                    tau: call.tau,
                     nbr: Vec::new(),
                     my_ids: Vec::new(),
                     evidence: None,
                 }
             },
-            (l + 4) as u64,
+            (call.l + 4) as u64,
         )
-        .expect("pair color-BFS cannot violate the model");
-    let rejection = report.rejecting_nodes.first().map(|&v| {
-        let evidence = session.nodes()[v as usize].evidence.expect("evidence");
-        (NodeId::new(v), evidence)
-    });
-    (report, rejection)
+        .expect("pair color-BFS cannot violate the model")
+}
+
+/// The certified witness of a rejection at `v` in `call`: `(witness,
+/// cycle length, pair ℓ)`.
+fn certify_pair(
+    g: &Graph,
+    call: &PairCall<'_>,
+    v: NodeId,
+    evidence: PairEvidence,
+) -> (CycleWitness, usize, usize) {
+    let l = call.l;
+    let (witness, len) = match evidence {
+        PairEvidence::Even { origin } => {
+            let w = crate::witness::extract_even_witness(
+                g,
+                call.h_mask,
+                call.colors,
+                l,
+                NodeId::new(origin),
+                v,
+            )
+            .expect("even rejection certifiable");
+            (w, 2 * l)
+        }
+        PairEvidence::Odd { origin } => {
+            let w =
+                extract_pair_odd_witness(g, call.h_mask, call.colors, l, NodeId::new(origin), v)
+                    .expect("odd rejection certifiable");
+            (w, 2 * l - 1)
+        }
+    };
+    assert!(witness.is_valid(g));
+    (witness, len, l)
 }
 
 /// Witness extraction for the odd member of a pair: `v` colored `ℓ-1`,
@@ -600,30 +658,17 @@ fn extract_pair_odd_witness(
 }
 
 /// The randomized [`F2kDetector`] as a
-/// [`congest_quantum::MonteCarloAlgorithm`].
+/// [`congest_quantum::MonteCarloAlgorithm`]. Its oracle is
+/// [`F2kDetector::rejects`]; its round bound holds at any bandwidth.
 #[derive(Debug, Clone)]
 pub struct F2kMc<'a> {
     det: &'a F2kDetector,
     g: &'a Graph,
-    bandwidth: u64,
-}
-
-impl F2kMc<'_> {
-    /// Sets the per-edge bandwidth charged to the base runs.
-    pub fn with_bandwidth(mut self, bandwidth: u64) -> Self {
-        assert!(bandwidth > 0, "bandwidth must be positive");
-        self.bandwidth = bandwidth;
-        self
-    }
 }
 
 impl congest_quantum::MonteCarloAlgorithm for F2kMc<'_> {
-    fn run(&self, seed: u64) -> congest_quantum::McOutcome {
-        let o = self.det.run_with_bandwidth(self.g, seed, self.bandwidth);
-        congest_quantum::McOutcome {
-            rejected: o.rejected,
-            rounds: o.report.rounds,
-        }
+    fn rejects(&self, seed: u64) -> bool {
+        self.det.rejects(self.g, seed, Backend::Sequential)
     }
 
     fn round_bound(&self) -> u64 {
@@ -710,6 +755,48 @@ mod tests {
     }
 
     #[test]
+    fn a_call_without_an_active_source_only_says_hello() {
+        use crate::color_bfs::draw_call_coins;
+        // The lemma behind the verdict-only oracle, on the calls of real
+        // runs: a costed call whose coins activate no source delivers
+        // its Hello round and nothing else, and no node rejects.
+        let det = F2kDetector::new(2).with_repetitions(12).randomized();
+        let (mut silent, mut sourced) = (0, 0);
+        let host = generators::random_tree(32, 5);
+        for g in [
+            generators::complete_bipartite(6, 6),
+            generators::plant_cycle(&host, 4, 5).0,
+        ] {
+            let mut session = Executor::new(Backend::Sequential);
+            let mut coins = Vec::new();
+            for seed in 0..10 {
+                let _ = det.walk_calls(&g, seed, |call| {
+                    let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
+                    if draw_call_coins(&mut coins, call.activation, call.seed, colors, h, x) {
+                        sourced += 1;
+                        return ControlFlow::Continue(());
+                    }
+                    silent += 1;
+                    let mut costed = call.activation.map(|q| ActivationCoins::new(q, call.seed));
+                    let report = simulate_pair_call(&mut session, &g, call, |_| {
+                        costed.as_mut().is_none_or(ActivationCoins::flip)
+                    });
+                    assert_eq!(
+                        report.congestion.total_messages,
+                        g.directed_edge_count() as u64
+                    );
+                    assert!(report.rejecting_nodes.is_empty());
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        assert!(
+            silent > 0 && sourced > 0,
+            "{silent} silent, {sourced} sourced"
+        );
+    }
+
+    #[test]
     fn monte_carlo_wrapper_requires_randomized() {
         let g = generators::cycle(8);
         let det = F2kDetector::new(2).randomized();
@@ -717,7 +804,13 @@ mod tests {
         use congest_quantum::MonteCarloAlgorithm;
         assert!(mc.success_probability() > 0.0);
         assert!(mc.round_bound() > 0);
-        assert_eq!(mc.run(5), mc.run(5));
+        for seed in 0..5 {
+            assert_eq!(
+                mc.rejects(seed),
+                det.run(&g, seed).rejected(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! probability `Ω(1/n)` in constant rounds, quantum-amplifiable to
 //! `Õ(√n)` (tight by the paper's `Ω̃(√n)` lower bound).
 
-use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_quantum::{McOutcome, MonteCarloAlgorithm};
-use congest_sim::{
-    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program,
-};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use std::ops::ControlFlow;
 
+use congest_graph::{CycleWitness, Graph, NodeId};
+use congest_quantum::MonteCarloAlgorithm;
+use congest_sim::{
+    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
+};
+
+use crate::color_bfs::{call_verdict, is_source, ActivationCoins};
 use crate::detector::random_coloring;
 use crate::witness::{extract_odd_witness, DetectionOutcome, SetsSummary};
 
@@ -265,9 +266,8 @@ impl OddCycleDetector {
     ) -> DetectionOutcome {
         let k = self.k;
         let n = g.node_count();
-        let colors_count = 2 * k + 1;
         let activation = 1.0 / n as f64;
-        let mut total = congest_sim::RunReport::empty();
+        let mut total = RunReport::empty();
         let mut decision = Decision::Accept;
         let mut witness: Option<CycleWitness> = None;
         let mut iterations = 0u64;
@@ -276,47 +276,28 @@ impl OddCycleDetector {
         let mut session = Executor::new(backend);
         session.set_bandwidth(bandwidth);
 
-        for r in 0..self.repetitions as u64 {
+        let _ = self.walk_calls(n, seed, |r, colors, call_seed| {
             iterations = r + 1;
-            let colors = random_coloring(n, colors_count, derive_seed(seed, 0x0DD + r));
-            let call_seed = derive_seed(seed, 0xE000 + r);
             // The factory runs in ascending node order, so node v draws
             // activation coin v.
-            let mut coins = ChaCha8Rng::seed_from_u64(derive_seed(call_seed, 0xAC7));
-            let report = session
-                .run(
-                    g,
-                    call_seed,
-                    |v, _| {
-                        let active = coins.gen_bool(activation);
-                        OddColorBfs {
-                            k,
-                            color: colors[v.index()],
-                            active_source: colors[v.index()] == 0 && active,
-                            tau: 4,
-                            nbr_color: Vec::new(),
-                            low_ids: Vec::new(),
-                            reject: None,
-                        }
-                    },
-                    (k + 4) as u64,
-                )
-                .expect("odd color-BFS cannot violate the model");
+            let mut coins = ActivationCoins::new(activation, call_seed);
+            let report = simulate_odd_call(&mut session, g, k, colors, call_seed, |_| coins.flip());
             total.absorb(&report);
             if let Some(&v) = report.rejecting_nodes.first() {
                 decision = Decision::Reject;
                 let origin = session.nodes()[v as usize].reject.expect("evidence");
                 let w =
-                    extract_odd_witness(g, &all, &colors, k, NodeId::new(origin), NodeId::new(v))
+                    extract_odd_witness(g, &all, colors, k, NodeId::new(origin), NodeId::new(v))
                         .expect("rejection must be certifiable");
                 witness = Some(w);
-                break;
+                return ControlFlow::Break(());
             }
             if crate::detector::report_caps_exceeded(&total, round_cap, message_cap) {
                 budget_exceeded = true;
-                break;
+                return ControlFlow::Break(());
             }
-        }
+            ControlFlow::Continue(())
+        });
 
         DetectionOutcome {
             decision,
@@ -333,6 +314,61 @@ impl OddCycleDetector {
             },
             budget_exceeded,
         }
+    }
+
+    /// Walks the calls of one run in order, one per repetition:
+    /// `visit(repetition, coloring, call seed)`; stops when `visit`
+    /// breaks. The costed run and [`OddCycleDetector::rejects`] both walk
+    /// the calls through here, so they see the same colorings and call
+    /// seeds.
+    fn walk_calls(
+        &self,
+        n: usize,
+        seed: u64,
+        mut visit: impl FnMut(u64, &[u8], u64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        for r in 0..self.repetitions as u64 {
+            let colors = random_coloring(n, 2 * self.k + 1, derive_seed(seed, 0x0DD + r));
+            visit(r, &colors, derive_seed(seed, 0xE000 + r))?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Whether [`OddCycleDetector::run`] with `seed` rejects, simulating
+    /// only the calls that can reject — the verdict-only oracle Theorem 3
+    /// amplifies (see [`congest_quantum::MonteCarloAlgorithm`]).
+    ///
+    /// It walks the same calls as the costed run. Each call first draws
+    /// its activation coins (probability `1/n` each) from the call's coin
+    /// stream and is simulated, with exactly those coins, only if some
+    /// node colored 0 drew an active coin. A call without such a source
+    /// cannot reject: only a source sends an identifier, every later
+    /// message forwards identifiers a node received, and the node
+    /// colored `k` rejects only when one identifier reaches it along both
+    /// the length-`k` and the length-`(k+1)` branch. Such a call delivers
+    /// its Hello round and nothing else. The walk stops at the first
+    /// rejecting call, as the costed run does. The bandwidth only scales
+    /// round charges, so it plays no part; `backend` only picks how
+    /// simulated calls step.
+    pub fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
+        let k = self.k;
+        let n = g.node_count();
+        let activation = Some(1.0 / n as f64);
+        let all = vec![true; n];
+        let mut session = Executor::new(backend);
+        let mut coins = Vec::new();
+        self.walk_calls(n, seed, |_, colors, call_seed| {
+            call_verdict(
+                &mut coins,
+                activation,
+                call_seed,
+                colors,
+                &all,
+                &all,
+                |coins| simulate_odd_call(&mut session, g, k, colors, call_seed, |v| coins[v]),
+            )
+        })
+        .is_break()
     }
 
     /// An upper bound on the rounds of one run.
@@ -354,11 +390,7 @@ impl OddCycleDetector {
 
     /// Wraps the detector as a Monte-Carlo algorithm over a fixed graph.
     pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph) -> OddMc<'a> {
-        OddMc {
-            det: self,
-            g,
-            bandwidth: 1,
-        }
+        OddMc { det: self, g }
     }
 }
 
@@ -394,30 +426,18 @@ impl crate::Detector for OddCycleDetector {
     }
 }
 
-/// [`OddCycleDetector`] as a [`MonteCarloAlgorithm`].
+/// [`OddCycleDetector`] as a [`MonteCarloAlgorithm`]. Its oracle is
+/// [`OddCycleDetector::rejects`]; its round bound holds at any
+/// bandwidth.
 #[derive(Debug, Clone)]
 pub struct OddMc<'a> {
     det: &'a OddCycleDetector,
     g: &'a Graph,
-    bandwidth: u64,
-}
-
-impl OddMc<'_> {
-    /// Sets the per-edge bandwidth charged to the base runs.
-    pub fn with_bandwidth(mut self, bandwidth: u64) -> Self {
-        assert!(bandwidth > 0, "bandwidth must be positive");
-        self.bandwidth = bandwidth;
-        self
-    }
 }
 
 impl MonteCarloAlgorithm for OddMc<'_> {
-    fn run(&self, seed: u64) -> McOutcome {
-        let o = self.det.run_with_bandwidth(self.g, seed, self.bandwidth);
-        McOutcome {
-            rejected: o.rejected(),
-            rounds: o.report.rounds,
-        }
+    fn rejects(&self, seed: u64) -> bool {
+        self.det.rejects(self.g, seed, Backend::Sequential)
     }
 
     fn round_bound(&self) -> u64 {
@@ -427,6 +447,39 @@ impl MonteCarloAlgorithm for OddMc<'_> {
     fn success_probability(&self) -> f64 {
         self.det.success_probability(self.g.node_count())
     }
+}
+
+/// Simulates one odd `color-BFS` call in `session`; `active(v)` is node
+/// `v`'s activation coin, asked in ascending node order. The one
+/// simulation step of both the costed run and the verdict-only
+/// evaluation.
+fn simulate_odd_call(
+    session: &mut Executor<OddColorBfs>,
+    g: &Graph,
+    k: usize,
+    colors: &[u8],
+    call_seed: u64,
+    mut active: impl FnMut(usize) -> bool,
+) -> RunReport {
+    session
+        .run(
+            g,
+            call_seed,
+            |v, _| {
+                let color = colors[v.index()];
+                OddColorBfs {
+                    k,
+                    color,
+                    active_source: is_source(true, true, color, active(v.index())),
+                    tau: 4,
+                    nbr_color: Vec::new(),
+                    low_ids: Vec::new(),
+                    reject: None,
+                }
+            },
+            (k + 4) as u64,
+        )
+        .expect("odd color-BFS cannot violate the model")
 }
 
 #[cfg(test)]
@@ -498,12 +551,58 @@ mod tests {
     }
 
     #[test]
+    fn a_call_without_an_active_source_only_says_hello() {
+        use crate::color_bfs::draw_call_coins;
+        // The lemma behind the verdict-only oracle, on the calls of real
+        // runs: a costed call whose coins activate no source delivers
+        // its Hello round and nothing else, and no node rejects.
+        let det = OddCycleDetector::new(2, 20);
+        let (mut silent, mut sourced) = (0, 0);
+        for g in [generators::cycle(5), generators::complete(6)] {
+            let n = g.node_count();
+            let q = 1.0 / n as f64;
+            let all = vec![true; n];
+            let mut session = Executor::new(Backend::Sequential);
+            let mut coins = Vec::new();
+            for seed in 0..10 {
+                let _ = det.walk_calls(n, seed, |_, colors, call_seed| {
+                    if draw_call_coins(&mut coins, Some(q), call_seed, colors, &all, &all) {
+                        sourced += 1;
+                        return ControlFlow::Continue(());
+                    }
+                    silent += 1;
+                    let mut costed = ActivationCoins::new(q, call_seed);
+                    let report = simulate_odd_call(&mut session, &g, 2, colors, call_seed, |_| {
+                        costed.flip()
+                    });
+                    assert_eq!(
+                        report.congestion.total_messages,
+                        g.directed_edge_count() as u64
+                    );
+                    assert!(report.rejecting_nodes.is_empty());
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        assert!(
+            silent > 0 && sourced > 0,
+            "{silent} silent, {sourced} sourced"
+        );
+    }
+
+    #[test]
     fn monte_carlo_wrapper() {
         let g = generators::cycle(5);
         let det = OddCycleDetector::new(2, 50);
         let mc = det.as_monte_carlo(&g);
         assert!(mc.success_probability() > 0.0);
         assert!(mc.round_bound() > 0);
-        assert_eq!(mc.run(3), mc.run(3));
+        for seed in 0..20 {
+            assert_eq!(
+                mc.rejects(seed),
+                det.run(&g, seed).rejected(),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use congest_graph::{CycleWitness, Graph};
 use congest_quantum::decomposition::{decompose, reduced_components};
-use congest_quantum::{GroverMode, McOutcome, MonteCarloAlgorithm, MonteCarloAmplifier};
+use congest_quantum::{GroverMode, MonteCarloAlgorithm, MonteCarloAmplifier};
 use congest_sim::{derive_seed, Backend};
 
 use crate::params::Params;
@@ -47,9 +47,10 @@ pub struct QuantumOutcome {
     /// Classical base-detector runs the simulator *models* over all
     /// components (not part of the quantum cost model).
     pub classical_evals: u64,
-    /// Base-detector runs that actually executed: one per distinct
-    /// seed each component's amplification evaluated. At most
-    /// `classical_evals`.
+    /// Base-detector verdicts that were actually evaluated: one per
+    /// distinct seed each component's amplification asked for (each a
+    /// verdict-only evaluation, which simulates only the calls that can
+    /// reject). At most `classical_evals`.
     pub simulations: u64,
     /// Whether the component loop was aborted by a
     /// [`Budget`](crate::Budget) round cap (the decision is then
@@ -95,9 +96,10 @@ impl QuantumOutcome {
 /// A constant-congestion classical base detector the quantum pipeline
 /// can amplify over a decomposition component.
 trait PipelineBase {
-    /// One run on `g`: `(rejected, rounds)` at the given bandwidth and
-    /// simulation backend.
-    fn run_once(&self, g: &Graph, seed: u64, bandwidth: u64, backend: Backend) -> (bool, u64);
+    /// Whether the run on `g` with `seed` rejects: the verdict-only
+    /// oracle, a pure function of the seed. Its rounds are charged from
+    /// [`PipelineBase::round_bound`], so the bandwidth plays no part.
+    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool;
 
     /// Re-runs the witness seed and extracts the certified cycle.
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness>;
@@ -111,14 +113,8 @@ trait PipelineBase {
 }
 
 impl PipelineBase for LowProbDetector {
-    fn run_once(&self, g: &Graph, seed: u64, bandwidth: u64, backend: Backend) -> (bool, u64) {
-        let opts = crate::RunOptions {
-            bandwidth,
-            backend,
-            ..Default::default()
-        };
-        let o = self.run_with(g, seed, &opts);
-        (o.rejected(), o.report.rounds)
+    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
+        LowProbDetector::rejects(self, g, seed, backend)
     }
 
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
@@ -139,9 +135,8 @@ impl PipelineBase for LowProbDetector {
 }
 
 impl PipelineBase for crate::OddCycleDetector {
-    fn run_once(&self, g: &Graph, seed: u64, bandwidth: u64, backend: Backend) -> (bool, u64) {
-        let o = self.run_on_backend(g, seed, bandwidth, backend);
-        (o.rejected(), o.report.rounds)
+    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
+        crate::OddCycleDetector::rejects(self, g, seed, backend)
     }
 
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
@@ -159,9 +154,8 @@ impl PipelineBase for crate::OddCycleDetector {
 }
 
 impl PipelineBase for crate::F2kDetector {
-    fn run_once(&self, g: &Graph, seed: u64, bandwidth: u64, backend: Backend) -> (bool, u64) {
-        let o = self.run_on_backend(g, seed, bandwidth, backend);
-        (o.rejected, o.report.rounds)
+    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
+        crate::F2kDetector::rejects(self, g, seed, backend)
     }
 
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
@@ -178,7 +172,8 @@ impl PipelineBase for crate::F2kDetector {
 }
 
 /// A [`PipelineBase`] restricted to one decomposition component, as the
-/// [`MonteCarloAlgorithm`] Theorem 3 amplifies.
+/// [`MonteCarloAlgorithm`] Theorem 3 amplifies. The bandwidth only sizes
+/// the round bound charged per `Setup`.
 struct ComponentMc<'a, B: PipelineBase> {
     base: &'a B,
     g: &'a Graph,
@@ -188,11 +183,8 @@ struct ComponentMc<'a, B: PipelineBase> {
 }
 
 impl<B: PipelineBase> MonteCarloAlgorithm for ComponentMc<'_, B> {
-    fn run(&self, seed: u64) -> McOutcome {
-        let (rejected, rounds) = self
-            .base
-            .run_once(self.g, seed, self.bandwidth, self.backend);
-        McOutcome { rejected, rounds }
+    fn rejects(&self, seed: u64) -> bool {
+        self.base.rejects(self.g, seed, self.backend)
     }
 
     fn round_bound(&self) -> u64 {
@@ -225,8 +217,9 @@ struct PipelineSpec {
     /// Declared success-probability override (shrinks the seed space;
     /// one-sidedness unaffected).
     declared_success: Option<f64>,
-    /// Per-edge bandwidth charged to the classical base runs and the
-    /// decomposition (see
+    /// Per-edge bandwidth of the decomposition and of the round bound
+    /// charged per amplified base run, where that bound depends on it
+    /// (see
     /// [`Decomposition::round_cost_at`](congest_quantum::decomposition::Decomposition::round_cost_at)).
     bandwidth: u64,
     /// Simulation backend driving the classical base runs (see
@@ -249,8 +242,9 @@ fn run_pipeline<B: PipelineBase>(
 ) -> QuantumOutcome {
     let decomposition = decompose(g, spec.separation, derive_seed(seed, spec.dec_stream));
     let components = reduced_components(g, &decomposition, spec.radius);
-    // Budget::bandwidth applies to the whole pipeline: the amplified
-    // base runs (inside ComponentMc) and the decomposition construction.
+    // Budget::bandwidth applies to the whole pipeline: the decomposition
+    // construction and the round bound charged per amplified Setup
+    // (inside ComponentMc), where the base's bound depends on it.
     let decomposition_rounds = decomposition.round_cost_at(spec.bandwidth);
 
     let mut per_color_quantum: std::collections::BTreeMap<u32, u64> =
@@ -408,9 +402,9 @@ impl QuantumCycleDetector {
         self.run_with_bandwidth(g, seed, 1)
     }
 
-    /// [`QuantumCycleDetector::run`] with the whole pipeline — the
-    /// amplified base runs and the decomposition — charged at per-edge
-    /// bandwidth `B`.
+    /// [`QuantumCycleDetector::run`] with the whole pipeline — the round
+    /// bound of the amplified base runs and the decomposition — charged
+    /// at per-edge bandwidth `B`.
     pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> QuantumOutcome {
         self.run_capped(g, seed, bandwidth, Backend::Sequential, None)
     }

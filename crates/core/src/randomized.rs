@@ -10,13 +10,14 @@
 //! Theorem 3 amplifies back quadratically faster than classical
 //! repetition.
 
-use congest_graph::{CycleWitness, Graph};
-use congest_quantum::{McOutcome, MonteCarloAlgorithm};
-use congest_sim::{derive_seed, Decision, Executor};
+use congest_graph::Graph;
+use congest_quantum::MonteCarloAlgorithm;
+use congest_sim::{Backend, Executor};
 
-use crate::detector::{random_coloring, run_color_bfs_backend, CycleDetector, RunOptions};
+use crate::color_bfs::call_verdict;
+use crate::detector::{simulate_color_bfs, CycleDetector, RunOptions};
 use crate::params::Params;
-use crate::witness::{extract_even_witness, DetectionOutcome, Phase, SetsSummary};
+use crate::witness::DetectionOutcome;
 
 /// The constant threshold of `randomized-color-BFS` (Algorithm 2,
 /// Instruction 5).
@@ -55,83 +56,56 @@ impl LowProbDetector {
         self.run_with(g, seed, &RunOptions::default())
     }
 
-    /// Runs with experiment hooks (see [`RunOptions`]).
+    /// Runs with experiment hooks (see [`RunOptions`]). Algorithm 1's
+    /// set construction (Instructions 1–5) is unchanged; only the
+    /// `color-BFS` calls are randomized.
     pub fn run_with(&self, g: &Graph, seed: u64, options: &RunOptions) -> DetectionOutcome {
+        CycleDetector::new(self.params.clone()).run_calls(g, seed, options, true)
+    }
+
+    /// Whether [`LowProbDetector::run`] with `seed` rejects, simulating
+    /// only the calls that can reject — the verdict-only oracle Theorem 3
+    /// amplifies (see [`congest_quantum::MonteCarloAlgorithm`]).
+    ///
+    /// It runs the same set-up and walks the same calls as the costed
+    /// run. Each call first draws its activation coins from the call's
+    /// coin stream and is simulated, with exactly those coins, only if
+    /// some node is an active source. A call without one cannot reject:
+    /// only an active source sends an identifier (Instruction 15), every
+    /// later message forwards identifiers a node received, and a node
+    /// rejects only when one identifier reaches it along both branches
+    /// (Instructions 24–28). Such a call delivers its Hello round and
+    /// nothing else. The walk stops at the first rejecting call, as the
+    /// costed run does. The bandwidth only scales round charges, so it
+    /// plays no part; `backend` only picks how simulated calls step.
+    pub fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
         let k = self.params.k;
-        // Reuse Algorithm 1's set construction (Instructions 1–5 are
-        // unchanged).
         let scaffold = CycleDetector::new(self.params.clone());
-        let (inst, sets) = scaffold.build_memberships(g, seed, options);
-        let mut total = sets.setup_report.clone();
-        let sets_summary = SetsSummary {
-            u_size: sets.u_mask.iter().filter(|&&b| b).count(),
-            s_size: sets.s_mask.iter().filter(|&&b| b).count(),
-            w_size: sets.w_mask.iter().filter(|&&b| b).count(),
-            tau: inst.tau,
-            selection_probability: inst.selection_probability,
+        let options = RunOptions {
+            backend,
+            ..Default::default()
         };
-        let activation = 1.0 / inst.tau as f64;
-        let all_mask = vec![true; g.node_count()];
-        let not_s_mask: Vec<bool> = sets.s_mask.iter().map(|&b| !b).collect();
-
-        let mut decision = Decision::Accept;
-        let mut witness: Option<CycleWitness> = None;
-        let mut phase_found: Option<Phase> = None;
-        let mut iterations = 0u64;
-        let mut budget_exceeded = false;
-        let mut session = Executor::new(options.backend);
-        session.set_bandwidth(options.bandwidth);
-
-        'outer: for r in 0..self.params.repetitions as u64 {
-            iterations = r + 1;
-            let colors = match &options.forced_coloring {
-                Some(c) => c.clone(),
-                None => random_coloring(g.node_count(), 2 * k, derive_seed(seed, 0xC0 + r)),
-            };
-            let phases: [(Phase, &[bool], &[bool]); 3] = [
-                (Phase::Light, &sets.u_mask, &sets.u_mask),
-                (Phase::Selected, &all_mask, &sets.s_mask),
-                (Phase::Heavy, &not_s_mask, &sets.w_mask),
-            ];
-            for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
-                let result = run_color_bfs_backend(
+        let (inst, sets) = scaffold.build_memberships(g, seed, &options);
+        let activation = Some(1.0 / inst.tau as f64);
+        let mut session = Executor::new(backend);
+        let mut coins = Vec::new();
+        sets.walk_calls(k, self.params.repetitions, seed, None, |call| {
+            let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
+            call_verdict(&mut coins, activation, call.seed, colors, h, x, |coins| {
+                simulate_color_bfs(
                     &mut session,
                     g,
                     k,
-                    &colors,
-                    h_mask,
-                    x_mask,
-                    Some(activation),
+                    colors,
+                    h,
+                    x,
                     RANDOMIZED_THRESHOLD,
-                    derive_seed(seed, 0xF000 + r * 3 + idx as u64),
-                );
-                total.absorb(&result.report);
-                if let Some((v, origin)) = result.rejection {
-                    decision = Decision::Reject;
-                    phase_found = Some(phase);
-                    let w = extract_even_witness(g, h_mask, &colors, k, origin, v)
-                        .expect("rejection must be certifiable");
-                    witness = Some(w);
-                    if !options.continue_after_reject {
-                        break 'outer;
-                    }
-                }
-                if options.caps_exceeded(&total) {
-                    budget_exceeded = true;
-                    break 'outer;
-                }
-            }
-        }
-
-        DetectionOutcome {
-            decision,
-            witness,
-            phase: phase_found,
-            iterations,
-            report: total,
-            sets: sets_summary,
-            budget_exceeded,
-        }
+                    call.seed,
+                    |v| coins[v],
+                )
+            })
+        })
+        .is_break()
     }
 
     /// An upper bound on the rounds of one run: setup + `K` iterations of
@@ -205,7 +179,8 @@ impl crate::Detector for LowProbDetector {
 }
 
 /// [`LowProbDetector`] viewed as a seedable Monte-Carlo algorithm on a
-/// fixed graph (the object Theorem 3 amplifies).
+/// fixed graph (the object Theorem 3 amplifies). Its oracle is
+/// [`LowProbDetector::rejects`].
 #[derive(Debug, Clone)]
 pub struct LowProbMc<'a> {
     det: &'a LowProbDetector,
@@ -214,7 +189,8 @@ pub struct LowProbMc<'a> {
 }
 
 impl LowProbMc<'_> {
-    /// Sets the per-edge bandwidth charged to the base runs.
+    /// Sets the per-edge bandwidth of the round bound charged per
+    /// `Setup`.
     pub fn with_bandwidth(mut self, bandwidth: u64) -> Self {
         assert!(bandwidth > 0, "bandwidth must be positive");
         self.bandwidth = bandwidth;
@@ -223,16 +199,8 @@ impl LowProbMc<'_> {
 }
 
 impl MonteCarloAlgorithm for LowProbMc<'_> {
-    fn run(&self, seed: u64) -> McOutcome {
-        let opts = RunOptions {
-            bandwidth: self.bandwidth,
-            ..Default::default()
-        };
-        let outcome = self.det.run_with(self.g, seed, &opts);
-        McOutcome {
-            rejected: outcome.rejected(),
-            rounds: outcome.report.rounds,
-        }
+    fn rejects(&self, seed: u64) -> bool {
+        self.det.rejects(self.g, seed, Backend::Sequential)
     }
 
     fn round_bound(&self) -> u64 {
@@ -302,14 +270,73 @@ mod tests {
     }
 
     #[test]
+    fn a_call_without_an_active_source_only_says_hello() {
+        // The lemma behind the verdict-only oracle, on the calls of real
+        // runs: a costed call whose coins activate no source delivers
+        // its Hello round and nothing else, and no node rejects.
+        use crate::color_bfs::draw_call_coins;
+        use crate::detector::run_color_bfs_backend;
+        use std::ops::ControlFlow;
+        let det = LowProbDetector::new(Params::practical(2).with_repetitions(8));
+        let scaffold = CycleDetector::new(det.params().clone());
+        let (mut silent, mut sourced) = (0, 0);
+        let host = generators::random_tree(32, 5);
+        for g in [
+            generators::complete_bipartite(6, 6),
+            generators::plant_cycle(&host, 4, 5).0,
+        ] {
+            let mut session = Executor::new(Backend::Sequential);
+            let mut coins = Vec::new();
+            for seed in 0..10 {
+                let (inst, sets) = scaffold.build_memberships(&g, seed, &RunOptions::default());
+                let q = Some(1.0 / inst.tau as f64);
+                let _ = sets.walk_calls(2, 8, seed, None, |call| {
+                    let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
+                    if draw_call_coins(&mut coins, q, call.seed, colors, h, x) {
+                        sourced += 1;
+                        return ControlFlow::Continue(());
+                    }
+                    silent += 1;
+                    let result = run_color_bfs_backend(
+                        &mut session,
+                        &g,
+                        2,
+                        colors,
+                        h,
+                        x,
+                        q,
+                        RANDOMIZED_THRESHOLD,
+                        call.seed,
+                    );
+                    let report = &result.report;
+                    assert_eq!(
+                        report.congestion.total_messages,
+                        g.directed_edge_count() as u64
+                    );
+                    assert!(report.rejecting_nodes.is_empty());
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        assert!(
+            silent > 0 && sourced > 0,
+            "{silent} silent, {sourced} sourced"
+        );
+    }
+
+    #[test]
     fn monte_carlo_wrapper_consistency() {
         let host = generators::random_tree(40, 2);
         let (g, _) = generators::plant_cycle(&host, 4, 2);
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(10));
         let mc = det.as_monte_carlo(&g);
-        let a = mc.run(7);
-        let b = mc.run(7);
-        assert_eq!(a, b, "deterministic by seed");
+        for seed in 0..20 {
+            assert_eq!(
+                mc.rejects(seed),
+                det.run(&g, seed).rejected(),
+                "seed {seed}"
+            );
+        }
         assert!(mc.round_bound() > 0);
         assert!(mc.success_probability() > 0.0 && mc.success_probability() < 1.0);
     }

@@ -28,8 +28,8 @@ pub struct AmplificationReport {
     /// Classical runs of the base algorithm the simulator *models*
     /// (see [`SearchReport::classical_evals`]).
     pub classical_evals: u64,
-    /// Runs of the base algorithm that actually executed: one per
-    /// distinct seed evaluated (see [`SearchReport::simulations`]).
+    /// Verdicts of the base algorithm that were actually evaluated: one
+    /// per distinct seed (see [`SearchReport::simulations`]).
     pub simulations: u64,
     /// Size of the seed space `M ≈ c/ε` searched.
     pub seed_space: usize,
@@ -43,7 +43,8 @@ pub struct AmplificationReport {
 /// `polylog(1/δ) · (D + T(n, D)) / √ε`:
 ///
 /// * `Setup` = "run `A` with a random seed, broadcast whether any node
-///   rejected to the leader" — `T + O(D)` rounds;
+///   rejected to the leader" — charged `T + D` rounds, with `T` the
+///   algorithm's [`round_bound`](MonteCarloAlgorithm::round_bound);
 /// * `Checking` = trivial (the leader inspects the bit) — 0 rounds;
 /// * Grover search over the seed space amplifies the probability of
 ///   sampling a rejecting seed quadratically faster than classical
@@ -54,18 +55,14 @@ pub struct AmplificationReport {
 /// probability 1.
 ///
 /// ```
-/// use congest_quantum::{FnAlgorithm, McOutcome, MonteCarloAlgorithm, MonteCarloAmplifier};
-/// // A fake detector that rejects on 1/64 of its seeds in 5 rounds.
-/// let alg = FnAlgorithm::new(
-///     |seed| McOutcome { rejected: seed % 64 == 3, rounds: 5 },
-///     5,
-///     1.0 / 64.0,
-/// );
+/// use congest_quantum::{FnAlgorithm, MonteCarloAlgorithm, MonteCarloAmplifier};
+/// // A fake detector that rejects on 1/64 of its seeds, within 5 rounds.
+/// let alg = FnAlgorithm::new(|seed| seed % 64 == 3, 5, 1.0 / 64.0);
 /// let amp = MonteCarloAmplifier::new(0.01).with_diameter(4);
 /// let report = amp.amplify(&alg, 7);
 /// assert!(report.rejected);
 /// let w = report.witness_seed.unwrap();
-/// assert!(alg.run(w).rejected, "witness seed reproduces the rejection");
+/// assert!(alg.rejects(w), "witness seed reproduces the rejection");
 /// ```
 #[derive(Debug, Clone)]
 pub struct MonteCarloAmplifier {
@@ -131,9 +128,10 @@ impl MonteCarloAmplifier {
 
     /// Amplifies `alg`, deriving all randomness from `master_seed`.
     ///
-    /// Each seed of the space runs `alg` at most once: equal seeds give
-    /// equal outcomes ([`MonteCarloAlgorithm`]'s contract), so the
-    /// search reuses the first answer.
+    /// Each seed of the space asks `alg` for its verdict at most once:
+    /// equal seeds give equal verdicts ([`MonteCarloAlgorithm`]'s
+    /// contract), so the search reuses the first answer. Every `Setup` is
+    /// charged `alg.round_bound()` plus the diameter.
     pub fn amplify<A: MonteCarloAlgorithm>(
         &self,
         alg: &A,
@@ -150,10 +148,7 @@ impl MonteCarloAmplifier {
         let search = DistributedSearch::new(t_setup, 0, self.delta).with_mode(self.mode);
         let report: SearchReport = search.run(
             dim,
-            |x| {
-                alg.run(congest_sim::derive_seed(master_seed, x as u64))
-                    .rejected
-            },
+            |x| alg.rejects(congest_sim::derive_seed(master_seed, x as u64)),
             congest_sim::derive_seed(master_seed, 0xA3F1),
         );
 
@@ -176,17 +171,10 @@ impl MonteCarloAmplifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcalg::{FnAlgorithm, McOutcome};
+    use crate::mcalg::FnAlgorithm;
 
-    fn fake_alg(period: u64, rounds: u64) -> FnAlgorithm<impl Fn(u64) -> McOutcome> {
-        FnAlgorithm::new(
-            move |seed| McOutcome {
-                rejected: seed % period == 1,
-                rounds,
-            },
-            rounds,
-            1.0 / period as f64,
-        )
+    fn fake_alg(period: u64, rounds: u64) -> FnAlgorithm<impl Fn(u64) -> bool> {
+        FnAlgorithm::new(move |seed| seed % period == 1, rounds, 1.0 / period as f64)
     }
 
     #[test]
@@ -195,20 +183,13 @@ mod tests {
         let amp = MonteCarloAmplifier::new(0.05);
         let report = amp.amplify(&alg, 11);
         assert!(report.rejected);
-        assert!(alg.run(report.witness_seed.unwrap()).rejected);
+        assert!(alg.rejects(report.witness_seed.unwrap()));
         assert_eq!(report.seed_space, 3 * 128);
     }
 
     #[test]
     fn one_sidedness_on_always_accepting_algorithm() {
-        let alg = FnAlgorithm::new(
-            |_| McOutcome {
-                rejected: false,
-                rounds: 2,
-            },
-            2,
-            1.0 / 32.0,
-        );
+        let alg = FnAlgorithm::new(|_| false, 2, 1.0 / 32.0);
         for master in 0..10 {
             let report = MonteCarloAmplifier::new(0.1).amplify(&alg, master);
             assert!(!report.rejected, "must accept with probability 1");
@@ -264,10 +245,7 @@ mod tests {
         let alg = FnAlgorithm::new(
             |_| {
                 runs.set(runs.get() + 1);
-                McOutcome {
-                    rejected: false,
-                    rounds: 1,
-                }
+                false
             },
             1,
             1.0 / 32.0,

@@ -38,10 +38,20 @@
 //!   each measurement verification — repeats included;
 //! * `simulations` is what *actually ran*: [`DistributedSearch`]
 //!   memoizes its oracle, a pure function of the seed, so each distinct
-//!   seed runs once per search however often the model evaluates it.
+//!   seed is evaluated once per search however often the model
+//!   evaluates it.
 //!
 //! Neither count changes a result: the memo answers exactly as a fresh
 //! run would, and the Grover randomness never depends on it.
+//!
+//! The oracle is verdict-only. [`MonteCarloAlgorithm::rejects`] answers
+//! one bit per seed (did some node reject?) and is a pure function of
+//! the seed; every `Setup` is charged the algorithm's
+//! [`round_bound`](MonteCarloAlgorithm::round_bound), never rounds
+//! measured in a run. So an oracle evaluation may leave out any part of
+//! a run that cannot change the bit: the randomized color-BFS bases
+//! skip every call in which no node is an active source, since such a
+//! call sends no identifier and no node can reject.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +67,6 @@ mod statevector;
 pub use amplification::{AmplificationReport, MonteCarloAmplifier};
 pub use complex::Complex;
 pub use grover::{optimal_iterations, success_probability, GroverMode, GroverReport, GroverSearch};
-pub use mcalg::{FnAlgorithm, McOutcome, MonteCarloAlgorithm, WithSuccess};
+pub use mcalg::{FnAlgorithm, MonteCarloAlgorithm, WithSuccess};
 pub use search::{DistributedSearch, SearchReport};
 pub use statevector::StateVector;

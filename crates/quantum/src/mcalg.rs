@@ -1,15 +1,6 @@
 //! The interface between classical Monte-Carlo distributed algorithms and
 //! the quantum amplification machinery.
 
-/// The outcome of one seeded run of a Monte-Carlo distributed algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct McOutcome {
-    /// Whether at least one node rejected.
-    pub rejected: bool,
-    /// CONGEST rounds this run took.
-    pub rounds: u64,
-}
-
 /// A distributed Monte-Carlo algorithm with one-sided *success*
 /// probability, in the sense of Theorem 3:
 ///
@@ -18,15 +9,22 @@ pub struct McOutcome {
 /// * otherwise, a run rejects with probability at least
 ///   [`success_probability`](MonteCarloAlgorithm::success_probability).
 ///
-/// All randomness must come from the seed: equal seeds must give equal
-/// outcomes, which is what lets the amplifier treat seeds as the Grover
-/// search space.
+/// The oracle is verdict-only. Theorem 3's `Setup` reports only
+/// *whether* some node rejected, and the amplifier charges every `Setup`
+/// the bound [`round_bound`](MonteCarloAlgorithm::round_bound), never the
+/// rounds a run happened to take. So [`rejects`](MonteCarloAlgorithm::rejects)
+/// answers that one bit, and an implementation may skip any simulation
+/// that cannot change it.
+///
+/// All randomness must come from the seed: `rejects` is a pure function
+/// of it, which is what lets the amplifier treat seeds as the Grover
+/// search space and evaluate each seed once.
 pub trait MonteCarloAlgorithm {
-    /// Runs the algorithm with the given seed.
-    fn run(&self, seed: u64) -> McOutcome;
+    /// Whether the run with the given seed rejects (some node rejected).
+    fn rejects(&self, seed: u64) -> bool;
 
     /// An upper bound on the rounds of a single run — the `T(n, D)` of
-    /// Theorem 3.
+    /// Theorem 3, charged per `Setup`.
     fn round_bound(&self) -> u64;
 
     /// The one-sided success probability `ε`: a lower bound on the
@@ -34,13 +32,13 @@ pub trait MonteCarloAlgorithm {
     fn success_probability(&self) -> f64;
 }
 
-/// A [`MonteCarloAlgorithm`] built from a closure — convenient for tests
-/// and for wrapping ad-hoc detectors.
+/// A [`MonteCarloAlgorithm`] built from a verdict closure — convenient
+/// for tests and for wrapping ad-hoc detectors.
 ///
 /// ```
-/// use congest_quantum::{FnAlgorithm, McOutcome, MonteCarloAlgorithm};
-/// let alg = FnAlgorithm::new(|seed| McOutcome { rejected: seed % 8 == 0, rounds: 3 }, 3, 1.0 / 8.0);
-/// assert!(alg.run(16).rejected);
+/// use congest_quantum::{FnAlgorithm, MonteCarloAlgorithm};
+/// let alg = FnAlgorithm::new(|seed| seed % 8 == 0, 3, 1.0 / 8.0);
+/// assert!(alg.rejects(16));
 /// assert_eq!(alg.round_bound(), 3);
 /// ```
 pub struct FnAlgorithm<F> {
@@ -49,8 +47,9 @@ pub struct FnAlgorithm<F> {
     success: f64,
 }
 
-impl<F: Fn(u64) -> McOutcome> FnAlgorithm<F> {
-    /// Wraps `f` with the stated round bound and success probability.
+impl<F: Fn(u64) -> bool> FnAlgorithm<F> {
+    /// Wraps the verdict `f` with the stated round bound and success
+    /// probability.
     pub fn new(f: F, round_bound: u64, success: f64) -> Self {
         FnAlgorithm {
             f,
@@ -60,8 +59,8 @@ impl<F: Fn(u64) -> McOutcome> FnAlgorithm<F> {
     }
 }
 
-impl<F: Fn(u64) -> McOutcome> MonteCarloAlgorithm for FnAlgorithm<F> {
-    fn run(&self, seed: u64) -> McOutcome {
+impl<F: Fn(u64) -> bool> MonteCarloAlgorithm for FnAlgorithm<F> {
+    fn rejects(&self, seed: u64) -> bool {
         (self.f)(seed)
     }
 
@@ -110,8 +109,8 @@ impl<A: MonteCarloAlgorithm> WithSuccess<A> {
 }
 
 impl<A: MonteCarloAlgorithm> MonteCarloAlgorithm for WithSuccess<A> {
-    fn run(&self, seed: u64) -> McOutcome {
-        self.inner.run(seed)
+    fn rejects(&self, seed: u64) -> bool {
+        self.inner.rejects(seed)
     }
 
     fn round_bound(&self) -> u64 {
@@ -129,18 +128,18 @@ mod tests {
 
     #[test]
     fn fn_algorithm_roundtrip() {
-        let alg = FnAlgorithm::new(
-            |seed| McOutcome {
-                rejected: seed == 7,
-                rounds: 11,
-            },
-            11,
-            0.25,
-        );
-        assert!(alg.run(7).rejected);
-        assert!(!alg.run(8).rejected);
-        assert_eq!(alg.run(0).rounds, 11);
+        let alg = FnAlgorithm::new(|seed| seed == 7, 11, 0.25);
+        assert!(alg.rejects(7));
+        assert!(!alg.rejects(8));
         assert_eq!(alg.round_bound(), 11);
         assert!((alg.success_probability() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn with_success_overrides_only_epsilon() {
+        let wrapped = WithSuccess::new(FnAlgorithm::new(|seed| seed == 3, 5, 0.5), 0.125);
+        assert!(wrapped.rejects(3) && !wrapped.rejects(4));
+        assert_eq!(wrapped.round_bound(), 5);
+        assert!((wrapped.success_probability() - 0.125).abs() < 1e-12);
     }
 }

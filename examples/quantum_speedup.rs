@@ -12,7 +12,7 @@
 
 use even_cycle_congest::cycle::{Params, QuantumCycleDetector};
 use even_cycle_congest::graph::generators;
-use even_cycle_congest::quantum::{FnAlgorithm, McOutcome, MonteCarloAmplifier};
+use even_cycle_congest::quantum::{FnAlgorithm, MonteCarloAmplifier};
 
 fn main() {
     println!("== Theorem 3: amplification cost vs success probability ==");
@@ -22,14 +22,7 @@ fn main() {
     );
     for exp in [6u32, 8, 10, 12, 14] {
         let inv_eps = 1u64 << exp;
-        let alg = FnAlgorithm::new(
-            move |seed| McOutcome {
-                rejected: seed % inv_eps == 1,
-                rounds: 1,
-            },
-            1,
-            1.0 / inv_eps as f64,
-        );
+        let alg = FnAlgorithm::new(move |seed| seed % inv_eps == 1, 1, 1.0 / inv_eps as f64);
         // Oversample the seed space so "no marked seed landed in the
         // space" (probability e^{-c}) is negligible for the demo.
         let amp = MonteCarloAmplifier::new(0.1).with_seed_space_factor(8.0);

@@ -35,7 +35,7 @@ fn amplifier_finds_low_prob_detection_on_real_graph() {
     let det = LowProbDetector::new(Params::practical(2).with_repetitions(40));
     let mc = det.as_monte_carlo(&g);
     // Empirical sanity: some seeds do reject.
-    let marked = (0..200).filter(|&s| mc.run(s).rejected).count();
+    let marked = (0..200).filter(|&s| mc.rejects(s)).count();
     assert!(marked > 0, "no rejecting seeds at all");
     let amp = MonteCarloAmplifier::new(0.05).with_mode(GroverMode::Sampled { samples: 96 });
     let report = amp.amplify(&mc, 3);
