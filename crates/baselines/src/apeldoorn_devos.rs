@@ -63,12 +63,12 @@ impl ApeldoornDeVosModel {
         let eps = self.effective_success(n);
         // A synthetic subroutine whose rejection rate equals the model's
         // ε: marked seeds are those hashing below ε.
-        let alg = SyntheticSubroutine {
+        let mut alg = SyntheticSubroutine {
             eps,
             rounds: base_rounds,
         };
         let amp = MonteCarloAmplifier::new(0.05).with_mode(GroverMode::Sampled { samples: 64 });
-        amp.amplify(&alg, seed).quantum_rounds
+        amp.amplify(&mut alg, seed).quantum_rounds
     }
 }
 
@@ -81,7 +81,7 @@ struct SyntheticSubroutine {
 }
 
 impl MonteCarloAlgorithm for SyntheticSubroutine {
-    fn rejects(&self, seed: u64) -> bool {
+    fn rejects(&mut self, seed: u64) -> bool {
         // SplitMix-style hash to a uniform [0,1) value.
         let h = congest_sim::derive_seed(seed, 0x51);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -172,23 +172,24 @@ impl Detector for ApeldoornDeVosDetector {
         let k = self.model.k;
         let reps = budget.repetitions.unwrap_or(self.repetitions);
         let base = F2kDetector::new(k).with_repetitions(reps).randomized();
-        // The verdict-only oracle; its round bound holds at any
-        // bandwidth.
-        let mc = base.as_monte_carlo(g);
+        // One verdict-only evaluator for every seed, stepping its
+        // simulated calls on the budget's backend; its round bound holds
+        // at any bandwidth.
+        let mc = base.as_monte_carlo(g, budget.backend);
         // Declaring [33]'s (smaller) effective ε only enlarges the seed
         // space, so one-sidedness and completeness are unaffected while
         // the amplification cost follows their balance.
         let declared = self.model.effective_success(n).min(1.0);
-        let wrapped = WithSuccess::new(mc, declared);
+        let mut wrapped = WithSuccess::new(mc, declared);
         let diameter = congest_graph::analysis::diameter(g).unwrap_or(0) as u64;
         let amp = MonteCarloAmplifier::new(self.delta)
             .with_diameter(diameter)
             .with_mode(self.mode);
-        let report = amp.amplify(&wrapped, seed);
+        let report = amp.amplify(&mut wrapped, seed);
 
         let verdict = if report.rejected {
             let ws = report.witness_seed.expect("rejected implies witness seed");
-            let o = base.run_with_bandwidth(g, ws, budget.bandwidth);
+            let o = base.run_on_backend(g, ws, budget.bandwidth, budget.backend);
             let witness = o.witness.expect("witness seed reproduces the rejection");
             assert!(witness.is_valid(g), "witness must validate");
             Verdict::Reject {
@@ -254,7 +255,7 @@ mod tests {
 
     #[test]
     fn synthetic_subroutine_rate() {
-        let alg = SyntheticSubroutine {
+        let mut alg = SyntheticSubroutine {
             eps: 0.125,
             rounds: 1,
         };

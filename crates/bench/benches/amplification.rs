@@ -7,14 +7,14 @@ use even_cycle_bench::timing::bench_case;
 fn main() {
     for exp in [8u32, 10, 12] {
         let inv_eps = 1u64 << exp;
-        let alg = FnAlgorithm::new(move |seed| seed % inv_eps == 1, 1, 1.0 / inv_eps as f64);
+        let mut alg = FnAlgorithm::new(move |seed| seed % inv_eps == 1, 1, 1.0 / inv_eps as f64);
         bench_case("amplification/analytic", &inv_eps.to_string(), 20, || {
-            MonteCarloAmplifier::new(0.1).amplify(&alg, 3)
+            MonteCarloAmplifier::new(0.1).amplify(&mut alg, 3)
         });
         bench_case("amplification/sampled", &inv_eps.to_string(), 20, || {
             MonteCarloAmplifier::new(0.1)
                 .with_mode(GroverMode::Sampled { samples: 32 })
-                .amplify(&alg, 3)
+                .amplify(&mut alg, 3)
         });
     }
     for dim in [1usize << 8, 1 << 12, 1 << 16] {

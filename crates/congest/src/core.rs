@@ -51,14 +51,13 @@ use std::time::Instant;
 
 use congest_graph::{Graph, NodeId};
 use congest_telemetry as telemetry;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::cut::CutMeter;
-use crate::derive_seed;
 use crate::error::SimError;
 use crate::message::MessageSize;
 use crate::metrics::{CongestionStats, RunReport};
+use crate::node_rng;
 use crate::program::{Control, Ctx, Decision, Outbox, Program};
 
 /// One contiguous block of per-node state in struct-of-arrays layout:
@@ -219,8 +218,7 @@ impl<P: Program> NodeState<P> {
         self.nodes
             .extend((0..n).map(|v| factory(NodeId::new(v as u32), n)));
         self.rngs.clear();
-        self.rngs
-            .extend((0..n as u64).map(|v| ChaCha8Rng::seed_from_u64(derive_seed(seed, v))));
+        self.rngs.extend(graph.nodes().map(|v| node_rng(seed, v)));
         self.halted.clear();
         self.halted.resize(n.div_ceil(64), 0);
         self.inboxes.resize_with(n, Vec::new);

@@ -94,6 +94,8 @@ pub use metrics::{CongestionStats, RunReport};
 pub use program::{Control, Ctx, Decision, Outbox, Program};
 
 use congest_graph::{Graph, NodeId};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Runs a program once under the given [`Backend`], returning the
 /// report and the final per-node states: a one-shot wrapper over a
@@ -125,6 +127,15 @@ where
     }
     let report = session.run(graph, seed, factory, max_supersteps)?;
     Ok((report, session.into_nodes()))
+}
+
+/// The private random stream node `v` reads through [`Ctx::rng`] in a
+/// run with seed `seed`. Every executor seeds node streams here, so
+/// code that needs only a node's first draws (say, a coin its program
+/// flips in [`Program::init`]) can replay them without running the
+/// program.
+pub fn node_rng(seed: u64, v: NodeId) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(derive_seed(seed, u64::from(v.raw())))
 }
 
 /// Derives a stream-specific 64-bit seed from a master seed and a stream

@@ -14,13 +14,12 @@
 //! pins down the meaning of the logical executor's cheaper accounting.
 
 use congest_graph::{Graph, NodeId};
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::derive_seed;
 use crate::error::SimError;
 use crate::message::MessageSize;
 use crate::metrics::{CongestionStats, RunReport};
+use crate::node_rng;
 use crate::program::{Control, Ctx, Decision, Outbox, Program};
 
 /// A CONGEST executor that literally iterates bandwidth-limited rounds.
@@ -73,9 +72,8 @@ impl<'g, P: Program> StrictExecutor<'g, P> {
     {
         let n = self.graph.node_count();
         self.nodes = (0..n as u32).map(|v| factory(NodeId::new(v), n)).collect();
-        let mut rngs: Vec<ChaCha8Rng> = (0..n as u64)
-            .map(|v| ChaCha8Rng::seed_from_u64(derive_seed(self.seed, v)))
-            .collect();
+        let mut rngs: Vec<ChaCha8Rng> =
+            self.graph.nodes().map(|v| node_rng(self.seed, v)).collect();
 
         let mut halted = vec![false; n];
         let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();

@@ -8,12 +8,15 @@
 //! the constant threshold 4. The driver passes the activation flags and
 //! the threshold; the forwarding logic is identical.
 
+use std::cell::OnceCell;
 use std::ops::ControlFlow;
 
 use congest_graph::NodeId;
 use congest_sim::{derive_seed, Control, Ctx, Decision, MessageSize, Outbox, Program, RunReport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use crate::detector::random_coloring;
 
 /// Messages of the color-BFS protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,52 +80,118 @@ impl ActivationCoins {
     }
 }
 
-/// Draws the coins of one call into `coins`, one per node in node order
-/// (all up when `activation` is `None`), and reports whether any node is
-/// an active source ([`is_source`]).
+/// The coloring of one repetition, drawn from the repetition's own
+/// stream ([`random_coloring`]) on first use. A verdict-only evaluation
+/// reads it only for a call in which some node of `X ∩ H` has its coin
+/// up, so most colorings are never drawn; since no other value comes
+/// from that stream, leaving it undrawn changes nothing that is read.
+pub(crate) struct Coloring<'a> {
+    forced: Option<&'a [u8]>,
+    n: usize,
+    palette: usize,
+    seed: u64,
+    drawn: OnceCell<Vec<u8>>,
+}
+
+impl<'a> Coloring<'a> {
+    /// The undrawn coloring of `n` nodes with `palette` colors from the
+    /// stream seeded by `seed`.
+    pub(crate) fn new(n: usize, palette: usize, seed: u64) -> Self {
+        Coloring {
+            forced: None,
+            n,
+            palette,
+            seed,
+            drawn: OnceCell::new(),
+        }
+    }
+
+    /// A fixed coloring, read as is (the `forced_coloring` test hook).
+    pub(crate) fn forced(colors: &'a [u8]) -> Self {
+        Coloring {
+            forced: Some(colors),
+            ..Coloring::new(colors.len(), 0, 0)
+        }
+    }
+
+    /// The colors, drawn now if this is the first read.
+    pub(crate) fn get(&self) -> &[u8] {
+        match self.forced {
+            Some(colors) => colors,
+            None => self
+                .drawn
+                .get_or_init(|| random_coloring(self.n, self.palette, self.seed)),
+        }
+    }
+}
+
+/// Whether some node of a call is an active source ([`is_source`]),
+/// drawing only what the answer reads:
 ///
-/// A verdict-only evaluation simulates a call only when this is true:
-/// without an active source no identifier is ever sent, so every node
-/// collects empty sets and none can reject.
-pub(crate) fn draw_call_coins(
+/// * a call whose launch set `X ∩ H` is empty draws nothing;
+/// * otherwise its coins go into `coins` in node order, up to the last
+///   node of `X ∩ H` (later coins cannot make a source, so they stay
+///   undrawn; every coin is the same single draw of the call's stream,
+///   so the coins drawn are exactly the costed run's first coins);
+/// * the repetition's coloring is read only if some node of `X ∩ H`
+///   has its coin up.
+///
+/// `activation` `None` puts every coin up (Algorithm 1).
+pub(crate) fn has_active_source(
     coins: &mut Vec<bool>,
     activation: Option<f64>,
     call_seed: u64,
-    colors: &[u8],
+    coloring: &Coloring<'_>,
     h_mask: &[bool],
     x_mask: &[bool],
 ) -> bool {
-    let n = colors.len();
     coins.clear();
+    let launches = |v: usize| x_mask[v] && h_mask[v];
+    let Some(last) = (0..x_mask.len()).rposition(launches) else {
+        return false;
+    };
     match activation {
         Some(q) => {
             let mut stream = ActivationCoins::new(q, call_seed);
-            coins.extend((0..n).map(|_| stream.flip()));
+            coins.extend((0..=last).map(|_| stream.flip()));
         }
-        None => coins.resize(n, true),
+        None => coins.resize(last + 1, true),
     }
-    (0..n).any(|v| is_source(x_mask[v], h_mask[v], colors[v], coins[v]))
+    if !(0..=last).any(|v| launches(v) && coins[v]) {
+        return false;
+    }
+    let colors = coloring.get();
+    (0..=last).any(|v| is_source(x_mask[v], h_mask[v], colors[v], coins[v]))
 }
 
-/// One call of a verdict-only evaluation: draws the call's coins
-/// ([`draw_call_coins`]) and, only if some node is an active source,
-/// simulates the call with exactly those coins through `simulate`.
-/// Breaks when the simulated call rejects.
+/// One call of a verdict-only evaluation: simulates the call, through
+/// `simulate(colors, coins)`, only if it [`has_active_source`], with
+/// exactly the coins drawn (the undrawn ones, past the last node of
+/// `X ∩ H`, read as down: none of those nodes can launch). Breaks when
+/// the simulated call rejects.
+///
+/// A call without an active source cannot reject: only an active
+/// source sends an identifier, every later message forwards
+/// identifiers a node received, and a node rejects only when one
+/// identifier reaches it twice. Such a call delivers its Hello round
+/// and nothing else.
 pub(crate) fn call_verdict(
     coins: &mut Vec<bool>,
     activation: Option<f64>,
     call_seed: u64,
-    colors: &[u8],
+    coloring: &Coloring<'_>,
     h_mask: &[bool],
     x_mask: &[bool],
-    simulate: impl FnOnce(&[bool]) -> RunReport,
+    simulate: impl FnOnce(&[u8], &[bool]) -> RunReport,
 ) -> ControlFlow<()> {
-    if draw_call_coins(coins, activation, call_seed, colors, h_mask, x_mask)
-        && !simulate(coins).rejecting_nodes.is_empty()
-    {
-        ControlFlow::Break(())
-    } else {
+    if !has_active_source(coins, activation, call_seed, coloring, h_mask, x_mask) {
+        return ControlFlow::Continue(());
+    }
+    coins.resize(x_mask.len(), false);
+    if simulate(coloring.get(), coins).rejecting_nodes.is_empty() {
         ControlFlow::Continue(())
+    } else {
+        ControlFlow::Break(())
     }
 }
 

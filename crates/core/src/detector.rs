@@ -5,13 +5,13 @@ use std::ops::ControlFlow;
 
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
-    derive_seed, Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport,
+    derive_seed, node_rng, Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::api::run_program;
-use crate::color_bfs::{ActivationCoins, ColorBfs};
+use crate::color_bfs::{ActivationCoins, ColorBfs, Coloring};
 use crate::params::{Instance, Params};
 use crate::randomized::RANDOMIZED_THRESHOLD;
 use crate::witness::{extract_even_witness, DetectionOutcome, Phase, SetsSummary};
@@ -89,14 +89,14 @@ pub struct Memberships {
 }
 
 /// One `color-BFS` call of a run of Algorithm 1 or of the Lemma 12
-/// detector, as [`Memberships::walk_calls`] hands it out.
+/// detector, as [`CallSets::walk_calls`] hands it out.
 pub(crate) struct ColorBfsCall<'a> {
     /// The coloring iteration (0-based).
     pub(crate) repetition: u64,
     /// Which of the three calls of the iteration this is.
     pub(crate) phase: Phase,
-    /// The iteration's coloring.
-    pub(crate) colors: &'a [u8],
+    /// The iteration's coloring, drawn on first read.
+    pub(crate) coloring: &'a Coloring<'a>,
     /// The host subgraph `H`.
     pub(crate) h_mask: &'a [bool],
     /// The launch set `X`.
@@ -105,14 +105,37 @@ pub(crate) struct ColorBfsCall<'a> {
     pub(crate) seed: u64,
 }
 
-impl Memberships {
+impl ColorBfsCall<'_> {
+    /// The iteration's coloring (drawn now if this is its first read).
+    pub(crate) fn colors(&self) -> &[u8] {
+        self.coloring.get()
+    }
+}
+
+/// The host subgraphs and launch sets of the three `color-BFS` calls of
+/// an iteration (Instructions 9–11).
+pub(crate) struct CallSets<'a> {
+    /// `U`: the host and the launch set of the light call.
+    pub(crate) u: &'a [bool],
+    /// `V`: the host of the selected call.
+    pub(crate) all: &'a [bool],
+    /// `S`: the launch set of the selected call.
+    pub(crate) s: &'a [bool],
+    /// `V ∖ S`: the host of the heavy call.
+    pub(crate) not_s: &'a [bool],
+    /// `W`: the launch set of the heavy call.
+    pub(crate) w: &'a [bool],
+}
+
+impl CallSets<'_> {
     /// Walks the `color-BFS` calls of one run in order (Instructions
     /// 7–11): per coloring iteration, the light, selected and heavy
     /// calls, each with its own call seed; stops when `visit` breaks.
+    /// Each iteration's coloring is drawn when a call first reads it.
     ///
     /// The costed run and the verdict-only evaluation
-    /// ([`crate::LowProbDetector::rejects`]) both walk the calls through
-    /// here, so they see the same colorings, masks and call seeds.
+    /// ([`crate::LowProbMc`]) both walk the calls through here, so they
+    /// see the same colorings, masks and call seeds.
     pub(crate) fn walk_calls(
         &self,
         k: usize,
@@ -121,29 +144,23 @@ impl Memberships {
         forced_coloring: Option<&[u8]>,
         mut visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let n = self.u_mask.len();
-        let all_mask = vec![true; n];
-        let not_s_mask: Vec<bool> = self.s_mask.iter().map(|&b| !b).collect();
+        let n = self.u.len();
         for r in 0..repetitions as u64 {
-            let drawn;
-            let colors = match forced_coloring {
-                Some(c) => c,
-                None => {
-                    drawn = random_coloring(n, 2 * k, derive_seed(seed, 0xC0 + r));
-                    &drawn
-                }
+            let coloring = match forced_coloring {
+                Some(colors) => Coloring::forced(colors),
+                None => Coloring::new(n, 2 * k, derive_seed(seed, 0xC0 + r)),
             };
             // The three color-BFS calls (Instructions 9–11).
-            let phases: [(Phase, &[bool], &[bool]); 3] = [
-                (Phase::Light, &self.u_mask, &self.u_mask),
-                (Phase::Selected, &all_mask, &self.s_mask),
-                (Phase::Heavy, &not_s_mask, &self.w_mask),
+            let phases = [
+                (Phase::Light, self.u, self.u),
+                (Phase::Selected, self.all, self.s),
+                (Phase::Heavy, self.not_s, self.w),
             ];
             for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
                 visit(&ColorBfsCall {
                     repetition: r,
                     phase,
-                    colors,
+                    coloring: &coloring,
                     h_mask,
                     x_mask,
                     seed: derive_seed(seed, 0xF000 + r * 3 + idx as u64),
@@ -152,6 +169,72 @@ impl Memberships {
         }
         ControlFlow::Continue(())
     }
+}
+
+impl Memberships {
+    /// Walks the calls of one run over these sets
+    /// ([`CallSets::walk_calls`]).
+    pub(crate) fn walk_calls(
+        &self,
+        k: usize,
+        repetitions: usize,
+        seed: u64,
+        forced_coloring: Option<&[u8]>,
+        visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let all = vec![true; self.u_mask.len()];
+        let not_s: Vec<bool> = self.s_mask.iter().map(|&b| !b).collect();
+        let sets = CallSets {
+            u: &self.u_mask,
+            all: &all,
+            s: &self.s_mask,
+            not_s: &not_s,
+            w: &self.w_mask,
+        };
+        sets.walk_calls(k, repetitions, seed, forced_coloring, visit)
+    }
+}
+
+/// The seed stream of the set-up round (Instructions 3–5).
+const SETUP_STREAM: u64 = 0x5E7;
+
+/// `U = {u : deg(u) ≤ n^{1/k}}` (Instruction 1), which no seed changes.
+pub(crate) fn light_mask(g: &Graph, inst: &Instance) -> Vec<bool> {
+    g.nodes()
+        .map(|v| (g.degree(v) as f64) <= inst.degree_threshold)
+        .collect()
+}
+
+/// Instructions 3–5 without simulating the set-up round: writes into
+/// `s_mask` and `w_mask` the `S` and `W` that
+/// [`CycleDetector::build_memberships`] simulates for `seed`. Node `v`
+/// reads its selection coin from the stream its set-up program reads
+/// ([`congest_sim::node_rng`]), and `W` follows from `S` by the rule the
+/// program applies to the flags it receives. A verdict-only evaluation
+/// needs only the sets; a costed run simulates the round to charge it.
+pub(crate) fn draw_selection(
+    g: &Graph,
+    inst: &Instance,
+    seed: u64,
+    s_mask: &mut Vec<bool>,
+    w_mask: &mut Vec<bool>,
+) {
+    let setup_seed = derive_seed(seed, SETUP_STREAM);
+    let p = inst.selection_probability;
+    s_mask.clear();
+    s_mask.extend(
+        g.nodes()
+            .map(|v| SetupProgram::selected(&mut node_rng(setup_seed, v), p)),
+    );
+    w_mask.clear();
+    w_mask.extend(g.nodes().map(|v| {
+        let selected_neighbors = g.neighbors(v).iter().filter(|u| s_mask[u.index()]);
+        SetupProgram::joins_w(
+            s_mask[v.index()],
+            selected_neighbors.count(),
+            inst.k_squared,
+        )
+    }));
 }
 
 /// The one-round setup protocol: every node flips its selection coin,
@@ -166,13 +249,27 @@ struct SetupProgram {
     in_w: bool,
 }
 
+impl SetupProgram {
+    /// Instruction 3: whether a node joins `S`, from the first draw of
+    /// its random stream (`p ≥ 1` draws nothing).
+    fn selected(rng: &mut ChaCha8Rng, p: f64) -> bool {
+        rng.gen_bool(p)
+    }
+
+    /// Instruction 5: whether a node joins
+    /// `W = {u ∉ S : |N(u) ∩ S| ≥ k²}`.
+    fn joins_w(in_s: bool, selected_neighbors: usize, k_squared: usize) -> bool {
+        !in_s && selected_neighbors >= k_squared
+    }
+}
+
 impl Program for SetupProgram {
     type Msg = bool;
 
     fn init(&mut self, ctx: &mut Ctx, out: &mut Outbox<bool>) {
         self.in_s = match self.forced {
             Some(v) => v,
-            None => ctx.rng.gen_bool(self.selection_probability),
+            None => SetupProgram::selected(ctx.rng, self.selection_probability),
         };
         out.broadcast(self.in_s);
     }
@@ -185,7 +282,7 @@ impl Program for SetupProgram {
         _out: &mut Outbox<bool>,
     ) -> Control {
         let selected_neighbors = inbox.iter().filter(|(_, s)| *s).count();
-        self.in_w = !self.in_s && selected_neighbors >= self.k_squared;
+        self.in_w = SetupProgram::joins_w(self.in_s, selected_neighbors, self.k_squared);
         Control::Halt
     }
 }
@@ -230,17 +327,13 @@ impl CycleDetector {
         seed: u64,
         options: &RunOptions,
     ) -> (Instance, Memberships) {
-        let n = g.node_count();
-        let inst = self.params.instantiate(n);
-        let u_mask: Vec<bool> = g
-            .nodes()
-            .map(|v| (g.degree(v) as f64) <= inst.degree_threshold)
-            .collect();
+        let inst = self.params.instantiate(g.node_count());
+        let u_mask = light_mask(g, &inst);
 
         let forced = options.forced_selection.clone();
         let (setup_report, nodes) = run_program(
             g,
-            derive_seed(seed, 0x5E7),
+            derive_seed(seed, SETUP_STREAM),
             options.backend,
             options.bandwidth,
             None,
@@ -314,7 +407,7 @@ impl CycleDetector {
                 &mut session,
                 g,
                 k,
-                call.colors,
+                call.colors(),
                 call.h_mask,
                 call.x_mask,
                 activation,
@@ -325,7 +418,7 @@ impl CycleDetector {
             if let Some((v, origin)) = result.rejection {
                 decision = Decision::Reject;
                 phase_found = Some(call.phase);
-                let w = extract_even_witness(g, call.h_mask, call.colors, k, origin, v)
+                let w = extract_even_witness(g, call.h_mask, call.colors(), k, origin, v)
                     .expect("rejection must be certifiable");
                 assert!(w.is_valid(g), "internal error: invalid witness");
                 witness = Some(w);
@@ -699,6 +792,33 @@ mod tests {
                     .filter(|w| m.s_mask[w.index()])
                     .count();
                 assert!(s_nbrs >= inst.k_squared, "W needs k² selected neighbors");
+            }
+        }
+    }
+
+    #[test]
+    fn the_set_up_shortcut_reads_the_same_coins() {
+        // A verdict-only evaluation computes S and W without simulating
+        // the set-up round: they must be the sets the round builds, at
+        // practical parameters (p = 1 on the corpus: S = V, W = ∅) and
+        // at a scale where the coins matter.
+        let (mut s_mask, mut w_mask) = (Vec::new(), Vec::new());
+        for scale in [1.0, 0.1] {
+            let det = CycleDetector::new(Params::practical(2).with_probability_scale(scale));
+            let (mut proper_s, mut nonempty_w) = (0, 0);
+            for (label, g) in crate::test_corpus::corpus() {
+                for seed in 0..200 {
+                    let (inst, sets) = det.build_memberships(&g, seed, &RunOptions::default());
+                    draw_selection(&g, &inst, seed, &mut s_mask, &mut w_mask);
+                    let at = format!("scale {scale}, {label}, seed {seed}");
+                    assert_eq!(s_mask, sets.s_mask, "S at {at}");
+                    assert_eq!(w_mask, sets.w_mask, "W at {at}");
+                    proper_s += usize::from(s_mask.contains(&false));
+                    nonempty_w += usize::from(w_mask.contains(&true));
+                }
+            }
+            if scale < 1.0 {
+                assert!(proper_s > 0 && nonempty_w > 0, "{proper_s}, {nonempty_w}");
             }
         }
     }

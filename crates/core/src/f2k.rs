@@ -19,8 +19,7 @@ use congest_sim::{
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::color_bfs::{call_verdict, is_source, ActivationCoins, NOT_IN_H};
-use crate::detector::random_coloring;
+use crate::color_bfs::{call_verdict, is_source, ActivationCoins, Coloring, NOT_IN_H};
 use crate::witness::find_colored_path;
 
 /// Messages of the pair protocol.
@@ -229,8 +228,8 @@ struct PairCall<'a> {
     l: usize,
     /// Colorings drawn so far in the run, this call's included.
     iteration: u64,
-    /// The repetition's `2ℓ`-coloring.
-    colors: &'a [u8],
+    /// The repetition's `2ℓ`-coloring, drawn on first read.
+    coloring: &'a Coloring<'a>,
     /// The host subgraph `H`.
     h_mask: &'a [bool],
     /// The launch set `X`.
@@ -242,6 +241,60 @@ struct PairCall<'a> {
     tau: u64,
     /// The call's simulation seed; its activation coins derive from it.
     seed: u64,
+}
+
+impl PairCall<'_> {
+    /// The repetition's coloring (drawn now if this is its first read).
+    fn colors(&self) -> &[u8] {
+        self.coloring.get()
+    }
+}
+
+/// The parameters and light set of one pair `ℓ` (§3.5) on one graph,
+/// which no seed changes.
+#[derive(Debug)]
+struct Pair {
+    l: usize,
+    /// The selection probability `p = ε̂·2ℓ²/n^{1/ℓ}` (at most 1).
+    p: f64,
+    /// The threshold `τ = 2np`.
+    tau: u64,
+    /// `U`: the nodes of degree at most `n^{1/ℓ}`.
+    u_mask: Vec<bool>,
+}
+
+/// The sets the runs of an [`F2kDetector`] on one graph walk: each
+/// pair's seed-independent part, computed once, and the `S` and `W`
+/// of the pair being walked, refilled in place.
+#[derive(Debug)]
+struct PairSets {
+    pairs: Vec<Pair>,
+    /// Every node: the host of the heavy call.
+    all: Vec<bool>,
+    s_mask: Vec<bool>,
+    w_mask: Vec<bool>,
+}
+
+impl PairSets {
+    fn new(det: &F2kDetector, g: &Graph) -> Self {
+        let n = g.node_count();
+        let pairs = (2..=det.k)
+            .map(|l| {
+                let (deg_threshold, p, tau) = det.pair_parameters(n, l);
+                let u_mask = g
+                    .nodes()
+                    .map(|v| (g.degree(v) as f64) <= deg_threshold)
+                    .collect();
+                Pair { l, p, tau, u_mask }
+            })
+            .collect();
+        PairSets {
+            pairs,
+            all: vec![true; n],
+            s_mask: Vec::new(),
+            w_mask: Vec::new(),
+        }
+    }
 }
 
 /// The outcome of an [`F2kDetector`] run.
@@ -341,10 +394,17 @@ impl F2kDetector {
     /// The largest pair threshold `τ_k = 2np_k` at size `n` (the binding
     /// one: `τ_ℓ` grows with `ℓ`).
     pub fn max_tau(&self, n: usize) -> u64 {
-        let l = self.k;
+        self.pair_parameters(n, self.k).2
+    }
+
+    /// The parameters of pair `ℓ` at size `n` (§3.5): the degree
+    /// threshold `n^{1/ℓ}`, `p = ε̂·2ℓ²/n^{1/ℓ}` (at most 1) and
+    /// `τ = 2np`.
+    fn pair_parameters(&self, n: usize, l: usize) -> (f64, f64, u64) {
         let deg_threshold = (n as f64).powf(1.0 / l as f64);
         let p = (self.eps_hat * 2.0 * (l * l) as f64 / deg_threshold).min(1.0);
-        ((2.0 * n as f64 * p).ceil() as u64).max(1)
+        let tau = ((2.0 * n as f64 * p).ceil() as u64).max(1);
+        (deg_threshold, p, tau)
     }
 
     /// One-sided success probability of a randomized run (`1/(3τ_k)`,
@@ -367,19 +427,27 @@ impl F2kDetector {
     }
 
     /// Wraps the (randomized) detector as a Monte-Carlo algorithm over a
-    /// fixed graph, for quantum amplification.
+    /// fixed graph, for quantum amplification: one verdict-only
+    /// evaluator, whose simulated calls step on `backend`, for every
+    /// seed of an amplification.
     ///
     /// # Panics
     ///
     /// Panics if the detector is not in randomized mode (the full
     /// threshold variant has `Θ(n^{1-1/k})` rounds and nothing to
     /// amplify).
-    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph) -> F2kMc<'a> {
+    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> F2kMc<'a> {
         assert!(
             self.randomized,
             "amplification needs the randomized (constant-congestion) variant"
         );
-        F2kMc { det: self, g }
+        F2kMc {
+            det: self,
+            g,
+            sets: PairSets::new(self, g),
+            coins: Vec::new(),
+            session: Executor::new(backend),
+        }
     }
 
     /// Overrides the per-pair repetition count.
@@ -434,7 +502,8 @@ impl F2kDetector {
         let mut budget_exceeded = false;
         let mut session = Executor::new(backend);
         session.set_bandwidth(bandwidth);
-        let _ = self.walk_calls(g, seed, |call| {
+        let mut sets = PairSets::new(self, g);
+        let _ = self.walk_calls(g, seed, &mut sets, |call| {
             iterations = call.iteration;
             let mut coins = call.activation.map(|q| ActivationCoins::new(q, call.seed));
             let report = simulate_pair_call(&mut session, g, call, |_| {
@@ -468,55 +537,55 @@ impl F2kDetector {
     }
 
     /// Walks the `color-BFS` calls of one run in order: per pair
-    /// `ℓ = 2, …, k` its sets, then per repetition a fresh coloring and
-    /// two calls; stops when `visit` breaks. The costed run and
-    /// [`F2kDetector::rejects`] both walk the calls through here, so they
-    /// see the same colorings, masks, thresholds and call seeds.
+    /// `ℓ = 2, …, k` its `S` and `W`, then per repetition a coloring,
+    /// drawn when first read, and two calls; stops when `visit` breaks.
+    /// The costed run and [`F2kMc`] both walk the calls through here, so
+    /// they see the same colorings, masks, thresholds and call seeds.
     fn walk_calls(
         &self,
         g: &Graph,
         seed: u64,
+        sets: &mut PairSets,
         mut visit: impl FnMut(&PairCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let n = g.node_count();
+        let PairSets {
+            pairs,
+            all,
+            s_mask,
+            w_mask,
+        } = sets;
         let mut iteration = 0u64;
-        for l in 2..=self.k {
-            // Pair parameters (§3.5): p = ε̂·2ℓ²/n^{1/ℓ}, τ = 2np,
-            // U = degree ≤ n^{1/ℓ}, W = N(S) ∖ S.
-            let deg_threshold = (n as f64).powf(1.0 / l as f64);
-            let p = (self.eps_hat * 2.0 * (l * l) as f64 / deg_threshold).min(1.0);
-            let tau = ((2.0 * n as f64 * p).ceil() as u64).max(1);
+        for pair in pairs.iter() {
+            // Pair sets (§3.5): S with probability p, W = N(S) ∖ S.
+            let l = pair.l;
             let pair_seed = derive_seed(seed, 0x2000 + l as u64);
-            let s_mask: Vec<bool> = {
-                let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
-                (0..n).map(|_| rng.gen_bool(p)).collect()
-            };
-            let w_mask: Vec<bool> = g
-                .nodes()
-                .map(|v| !s_mask[v.index()] && g.neighbors(v).iter().any(|u| s_mask[u.index()]))
-                .collect();
-            let u_mask: Vec<bool> = g
-                .nodes()
-                .map(|v| (g.degree(v) as f64) <= deg_threshold)
-                .collect();
-            let all = vec![true; n];
+            let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
+            s_mask.clear();
+            s_mask.extend((0..n).map(|_| rng.gen_bool(pair.p)));
+            w_mask.clear();
+            w_mask.extend(
+                g.nodes().map(|v| {
+                    !s_mask[v.index()] && g.neighbors(v).iter().any(|u| s_mask[u.index()])
+                }),
+            );
             let (activation, call_tau) = if self.randomized {
-                (Some(1.0 / tau as f64), 4)
+                (Some(1.0 / pair.tau as f64), 4)
             } else {
-                (None, tau)
+                (None, pair.tau)
             };
 
             for r in 0..self.repetitions_per_pair as u64 {
                 iteration += 1;
-                let colors = random_coloring(n, 2 * l, derive_seed(pair_seed, 0xC0 + r));
+                let coloring = Coloring::new(n, 2 * l, derive_seed(pair_seed, 0xC0 + r));
                 // Two calls: light (G[U], X = U) and merged heavy
                 // (G, X = W).
-                let calls: [(&[bool], &[bool]); 2] = [(&u_mask, &u_mask), (&all, &w_mask)];
+                let calls: [(&[bool], &[bool]); 2] = [(&pair.u_mask, &pair.u_mask), (all, w_mask)];
                 for (ci, (h_mask, x_mask)) in calls.into_iter().enumerate() {
                     visit(&PairCall {
                         l,
                         iteration,
-                        colors: &colors,
+                        coloring: &coloring,
                         h_mask,
                         x_mask,
                         activation,
@@ -527,41 +596,6 @@ impl F2kDetector {
             }
         }
         ControlFlow::Continue(())
-    }
-
-    /// Whether [`F2kDetector::run`] with `seed` rejects, simulating only
-    /// the calls that can reject — the verdict-only oracle Theorem 3
-    /// amplifies in randomized mode (see
-    /// [`congest_quantum::MonteCarloAlgorithm`]).
-    ///
-    /// It walks the same calls as the costed run. Each call first draws
-    /// its activation coins from the call's coin stream and is simulated,
-    /// with exactly those coins, only if some node is an active source.
-    /// A call without one cannot reject: only an active source sends an
-    /// identifier, every later message forwards identifiers a node
-    /// received, and a node rejects only when one identifier reaches it
-    /// twice — along both branches at color `ℓ` (a `C_{2ℓ}`), or back
-    /// from color `ℓ+1` at color `ℓ-1` (a `C_{2ℓ-1}`). Such a call
-    /// delivers its Hello round and nothing else. The walk stops at the
-    /// first rejecting call, as the costed run does. The bandwidth only
-    /// scales round charges, so it plays no part; `backend` only picks
-    /// how simulated calls step.
-    pub fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
-        let mut session = Executor::new(backend);
-        let mut coins = Vec::new();
-        self.walk_calls(g, seed, |call| {
-            let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
-            call_verdict(
-                &mut coins,
-                call.activation,
-                call.seed,
-                colors,
-                h,
-                x,
-                |coins| simulate_pair_call(&mut session, g, call, |v| coins[v]),
-            )
-        })
-        .is_break()
     }
 }
 
@@ -574,6 +608,7 @@ fn simulate_pair_call(
     call: &PairCall<'_>,
     mut active: impl FnMut(usize) -> bool,
 ) -> RunReport {
+    let colors = call.colors();
     session
         .run(
             g,
@@ -582,14 +617,9 @@ fn simulate_pair_call(
                 let v = v.index();
                 PairColorBfs {
                     l: call.l,
-                    color: call.colors[v],
+                    color: colors[v],
                     in_h: call.h_mask[v],
-                    active_source: is_source(
-                        call.x_mask[v],
-                        call.h_mask[v],
-                        call.colors[v],
-                        active(v),
-                    ),
+                    active_source: is_source(call.x_mask[v], call.h_mask[v], colors[v], active(v)),
                     tau: call.tau,
                     nbr: Vec::new(),
                     my_ids: Vec::new(),
@@ -615,7 +645,7 @@ fn certify_pair(
             let w = crate::witness::extract_even_witness(
                 g,
                 call.h_mask,
-                call.colors,
+                call.colors(),
                 l,
                 NodeId::new(origin),
                 v,
@@ -625,7 +655,7 @@ fn certify_pair(
         }
         PairEvidence::Odd { origin } => {
             let w =
-                extract_pair_odd_witness(g, call.h_mask, call.colors, l, NodeId::new(origin), v)
+                extract_pair_odd_witness(g, call.h_mask, call.colors(), l, NodeId::new(origin), v)
                     .expect("odd rejection certifiable");
             (w, 2 * l - 1)
         }
@@ -658,17 +688,47 @@ fn extract_pair_odd_witness(
 }
 
 /// The randomized [`F2kDetector`] as a
-/// [`congest_quantum::MonteCarloAlgorithm`]. Its oracle is
-/// [`F2kDetector::rejects`]; its round bound holds at any bandwidth.
-#[derive(Debug, Clone)]
+/// [`congest_quantum::MonteCarloAlgorithm`], answered by a verdict-only
+/// evaluator that simulates only the calls that can reject.
+///
+/// An evaluation of a seed walks the same calls as [`F2kDetector::run`]
+/// with that seed and stops at the first rejecting call, as the run
+/// does. Each call is simulated, with exactly the run's coins, only if
+/// some node is an active source; a call with an empty `X ∩ H` draws no
+/// coin, and a repetition's coloring is drawn only when some node of
+/// `X ∩ H` has its coin up. A call without an active source cannot
+/// reject: only an active source sends an identifier, and a node
+/// rejects only when one identifier reaches it twice — along both
+/// branches at color `ℓ` (a `C_{2ℓ}`), or back from color `ℓ+1` at color
+/// `ℓ-1` (a `C_{2ℓ-1}`). The evaluator keeps its simulation session, its
+/// coin scratch and its sets from one seed to the next; each pair's `U`
+/// is computed once. Its round bound holds at any bandwidth.
+#[derive(Debug)]
 pub struct F2kMc<'a> {
     det: &'a F2kDetector,
     g: &'a Graph,
+    sets: PairSets,
+    coins: Vec<bool>,
+    session: Executor<PairColorBfs>,
 }
 
 impl congest_quantum::MonteCarloAlgorithm for F2kMc<'_> {
-    fn rejects(&self, seed: u64) -> bool {
-        self.det.rejects(self.g, seed, Backend::Sequential)
+    fn rejects(&mut self, seed: u64) -> bool {
+        let (g, session, coins) = (self.g, &mut self.session, &mut self.coins);
+        self.det
+            .walk_calls(g, seed, &mut self.sets, |call| {
+                let (h, x) = (call.h_mask, call.x_mask);
+                call_verdict(
+                    coins,
+                    call.activation,
+                    call.seed,
+                    call.coloring,
+                    h,
+                    x,
+                    |_, coins| simulate_pair_call(session, g, call, |v| coins[v]),
+                )
+            })
+            .is_break()
     }
 
     fn round_bound(&self) -> u64 {
@@ -756,7 +816,7 @@ mod tests {
 
     #[test]
     fn a_call_without_an_active_source_only_says_hello() {
-        use crate::color_bfs::draw_call_coins;
+        use crate::color_bfs::has_active_source;
         // The lemma behind the verdict-only oracle, on the calls of real
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
@@ -769,10 +829,11 @@ mod tests {
         ] {
             let mut session = Executor::new(Backend::Sequential);
             let mut coins = Vec::new();
+            let mut sets = PairSets::new(&det, &g);
             for seed in 0..10 {
-                let _ = det.walk_calls(&g, seed, |call| {
-                    let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
-                    if draw_call_coins(&mut coins, call.activation, call.seed, colors, h, x) {
+                let _ = det.walk_calls(&g, seed, &mut sets, |call| {
+                    let (q, h, x) = (call.activation, call.h_mask, call.x_mask);
+                    if has_active_source(&mut coins, q, call.seed, call.coloring, h, x) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }
@@ -800,7 +861,7 @@ mod tests {
     fn monte_carlo_wrapper_requires_randomized() {
         let g = generators::cycle(8);
         let det = F2kDetector::new(2).randomized();
-        let mc = det.as_monte_carlo(&g);
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
         use congest_quantum::MonteCarloAlgorithm;
         assert!(mc.success_probability() > 0.0);
         assert!(mc.round_bound() > 0);
@@ -818,7 +879,7 @@ mod tests {
     fn monte_carlo_wrapper_rejects_full_threshold_mode() {
         let g = generators::cycle(8);
         let det = F2kDetector::new(2);
-        let _ = det.as_monte_carlo(&g);
+        let _ = det.as_monte_carlo(&g, Backend::Sequential);
     }
 
     #[test]

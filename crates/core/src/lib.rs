@@ -44,6 +44,10 @@ pub mod sparsify;
 pub mod theory;
 mod witness;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_corpus;
+
 pub use api::{
     run_program, Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target,
     Verdict,
@@ -54,7 +58,7 @@ pub use detector::{
     CycleDetector, Memberships, RunOptions,
 };
 pub use f2k::{F2kDetector, F2kMc, F2kOutcome};
-pub use odd::OddCycleDetector;
+pub use odd::{OddCycleDetector, OddMc};
 pub use params::{Instance, Params};
 pub use quantum_detector::{
     QuantumCycleDetector, QuantumF2kDetector, QuantumOddCycleDetector, QuantumOutcome,

@@ -10,8 +10,7 @@ use congest_sim::{
     derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
 };
 
-use crate::color_bfs::{call_verdict, is_source, ActivationCoins};
-use crate::detector::random_coloring;
+use crate::color_bfs::{call_verdict, is_source, ActivationCoins, Coloring};
 use crate::witness::{extract_odd_witness, DetectionOutcome, SetsSummary};
 
 /// Messages of the odd-cycle protocol (same wire format as
@@ -276,8 +275,9 @@ impl OddCycleDetector {
         let mut session = Executor::new(backend);
         session.set_bandwidth(bandwidth);
 
-        let _ = self.walk_calls(n, seed, |r, colors, call_seed| {
+        let _ = self.walk_calls(n, seed, |r, coloring, call_seed| {
             iterations = r + 1;
+            let colors = coloring.get();
             // The factory runs in ascending node order, so node v draws
             // activation coin v.
             let mut coins = ActivationCoins::new(activation, call_seed);
@@ -317,58 +317,21 @@ impl OddCycleDetector {
     }
 
     /// Walks the calls of one run in order, one per repetition:
-    /// `visit(repetition, coloring, call seed)`; stops when `visit`
-    /// breaks. The costed run and [`OddCycleDetector::rejects`] both walk
-    /// the calls through here, so they see the same colorings and call
-    /// seeds.
+    /// `visit(repetition, coloring, call seed)`, the coloring drawn when
+    /// first read; stops when `visit` breaks. The costed run and
+    /// [`OddMc`] both walk the calls through here, so they see the same
+    /// colorings and call seeds.
     fn walk_calls(
         &self,
         n: usize,
         seed: u64,
-        mut visit: impl FnMut(u64, &[u8], u64) -> ControlFlow<()>,
+        mut visit: impl FnMut(u64, &Coloring<'_>, u64) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         for r in 0..self.repetitions as u64 {
-            let colors = random_coloring(n, 2 * self.k + 1, derive_seed(seed, 0x0DD + r));
-            visit(r, &colors, derive_seed(seed, 0xE000 + r))?;
+            let coloring = Coloring::new(n, 2 * self.k + 1, derive_seed(seed, 0x0DD + r));
+            visit(r, &coloring, derive_seed(seed, 0xE000 + r))?;
         }
         ControlFlow::Continue(())
-    }
-
-    /// Whether [`OddCycleDetector::run`] with `seed` rejects, simulating
-    /// only the calls that can reject — the verdict-only oracle Theorem 3
-    /// amplifies (see [`congest_quantum::MonteCarloAlgorithm`]).
-    ///
-    /// It walks the same calls as the costed run. Each call first draws
-    /// its activation coins (probability `1/n` each) from the call's coin
-    /// stream and is simulated, with exactly those coins, only if some
-    /// node colored 0 drew an active coin. A call without such a source
-    /// cannot reject: only a source sends an identifier, every later
-    /// message forwards identifiers a node received, and the node
-    /// colored `k` rejects only when one identifier reaches it along both
-    /// the length-`k` and the length-`(k+1)` branch. Such a call delivers
-    /// its Hello round and nothing else. The walk stops at the first
-    /// rejecting call, as the costed run does. The bandwidth only scales
-    /// round charges, so it plays no part; `backend` only picks how
-    /// simulated calls step.
-    pub fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
-        let k = self.k;
-        let n = g.node_count();
-        let activation = Some(1.0 / n as f64);
-        let all = vec![true; n];
-        let mut session = Executor::new(backend);
-        let mut coins = Vec::new();
-        self.walk_calls(n, seed, |_, colors, call_seed| {
-            call_verdict(
-                &mut coins,
-                activation,
-                call_seed,
-                colors,
-                &all,
-                &all,
-                |coins| simulate_odd_call(&mut session, g, k, colors, call_seed, |v| coins[v]),
-            )
-        })
-        .is_break()
     }
 
     /// An upper bound on the rounds of one run.
@@ -388,9 +351,17 @@ impl OddCycleDetector {
         (per_rep * self.repetitions as f64).min(0.5)
     }
 
-    /// Wraps the detector as a Monte-Carlo algorithm over a fixed graph.
-    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph) -> OddMc<'a> {
-        OddMc { det: self, g }
+    /// Wraps the detector as a Monte-Carlo algorithm over a fixed graph:
+    /// one verdict-only evaluator, whose simulated calls step on
+    /// `backend`, for every seed of an amplification.
+    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> OddMc<'a> {
+        OddMc {
+            det: self,
+            g,
+            all: vec![true; g.node_count()],
+            coins: Vec::new(),
+            session: Executor::new(backend),
+        }
     }
 }
 
@@ -426,18 +397,51 @@ impl crate::Detector for OddCycleDetector {
     }
 }
 
-/// [`OddCycleDetector`] as a [`MonteCarloAlgorithm`]. Its oracle is
-/// [`OddCycleDetector::rejects`]; its round bound holds at any
-/// bandwidth.
-#[derive(Debug, Clone)]
+/// [`OddCycleDetector`] as a [`MonteCarloAlgorithm`], answered by a
+/// verdict-only evaluator that simulates only the calls that can
+/// reject.
+///
+/// An evaluation of a seed walks the same calls as
+/// [`OddCycleDetector::run`] with that seed and stops at the first
+/// rejecting call, as the run does. Each call is simulated, with
+/// exactly the run's coins (probability `1/n` each), only if some node
+/// colored 0 drew an active coin; the repetition's coloring is drawn
+/// only when some coin is up. A call without such a source cannot
+/// reject: only a source sends an identifier, and the node colored `k`
+/// rejects only when one identifier reaches it along both the
+/// length-`k` and the length-`(k+1)` branch. The evaluator keeps its
+/// simulation session and coin scratch from one seed to the next. Its
+/// round bound holds at any bandwidth.
+#[derive(Debug)]
 pub struct OddMc<'a> {
     det: &'a OddCycleDetector,
     g: &'a Graph,
+    /// Every node: the host subgraph and the launch set of each call.
+    all: Vec<bool>,
+    coins: Vec<bool>,
+    session: Executor<OddColorBfs>,
 }
 
 impl MonteCarloAlgorithm for OddMc<'_> {
-    fn rejects(&self, seed: u64) -> bool {
-        self.det.rejects(self.g, seed, Backend::Sequential)
+    fn rejects(&mut self, seed: u64) -> bool {
+        let (g, k, all) = (self.g, self.det.k, &self.all);
+        let activation = Some(1.0 / g.node_count() as f64);
+        let (session, coins) = (&mut self.session, &mut self.coins);
+        self.det
+            .walk_calls(g.node_count(), seed, |_, coloring, call_seed| {
+                call_verdict(
+                    coins,
+                    activation,
+                    call_seed,
+                    coloring,
+                    all,
+                    all,
+                    |colors, coins| {
+                        simulate_odd_call(session, g, k, colors, call_seed, |v| coins[v])
+                    },
+                )
+            })
+            .is_break()
     }
 
     fn round_bound(&self) -> u64 {
@@ -552,7 +556,7 @@ mod tests {
 
     #[test]
     fn a_call_without_an_active_source_only_says_hello() {
-        use crate::color_bfs::draw_call_coins;
+        use crate::color_bfs::has_active_source;
         // The lemma behind the verdict-only oracle, on the calls of real
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
@@ -565,13 +569,14 @@ mod tests {
             let mut session = Executor::new(Backend::Sequential);
             let mut coins = Vec::new();
             for seed in 0..10 {
-                let _ = det.walk_calls(n, seed, |_, colors, call_seed| {
-                    if draw_call_coins(&mut coins, Some(q), call_seed, colors, &all, &all) {
+                let _ = det.walk_calls(n, seed, |_, coloring, call_seed| {
+                    if has_active_source(&mut coins, Some(q), call_seed, coloring, &all, &all) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }
                     silent += 1;
                     let mut costed = ActivationCoins::new(q, call_seed);
+                    let colors = coloring.get();
                     let report = simulate_odd_call(&mut session, &g, 2, colors, call_seed, |_| {
                         costed.flip()
                     });
@@ -594,7 +599,7 @@ mod tests {
     fn monte_carlo_wrapper() {
         let g = generators::cycle(5);
         let det = OddCycleDetector::new(2, 50);
-        let mc = det.as_monte_carlo(&g);
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
         assert!(mc.success_probability() > 0.0);
         assert!(mc.round_bound() > 0);
         for seed in 0..20 {

@@ -13,7 +13,7 @@
 
 use congest_graph::{CycleWitness, Graph};
 use congest_quantum::decomposition::{decompose, reduced_components};
-use congest_quantum::{GroverMode, MonteCarloAlgorithm, MonteCarloAmplifier};
+use congest_quantum::{GroverMode, MonteCarloAlgorithm, MonteCarloAmplifier, WithSuccess};
 use congest_sim::{derive_seed, Backend};
 
 use crate::params::Params;
@@ -96,25 +96,26 @@ impl QuantumOutcome {
 /// A constant-congestion classical base detector the quantum pipeline
 /// can amplify over a decomposition component.
 trait PipelineBase {
-    /// Whether the run on `g` with `seed` rejects: the verdict-only
-    /// oracle, a pure function of the seed. Its rounds are charged from
-    /// [`PipelineBase::round_bound`], so the bandwidth plays no part.
-    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool;
+    /// The base's verdict-only evaluator on one component.
+    type Mc<'a>: MonteCarloAlgorithm
+    where
+        Self: 'a;
+
+    /// The evaluator that answers every seed of the amplification on
+    /// `g`: its simulated calls step on `backend`, and `bandwidth` sizes
+    /// the round bound it declares per `Setup` (where that bound
+    /// depends on it). It declares the base's own success probability.
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, bandwidth: u64, backend: Backend) -> Self::Mc<'a>;
 
     /// Re-runs the witness seed and extracts the certified cycle.
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness>;
-
-    /// Round upper bound of one run at the given bandwidth.
-    fn round_bound(&self, g: &Graph, bandwidth: u64) -> u64;
-
-    /// The declared one-sided success probability on an `n`-vertex
-    /// component.
-    fn default_success(&self, n: usize) -> f64;
 }
 
 impl PipelineBase for LowProbDetector {
-    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
-        LowProbDetector::rejects(self, g, seed, backend)
+    type Mc<'a> = crate::LowProbMc<'a>;
+
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, bandwidth: u64, backend: Backend) -> Self::Mc<'a> {
+        self.as_monte_carlo(g, backend).with_bandwidth(bandwidth)
     }
 
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
@@ -124,75 +125,31 @@ impl PipelineBase for LowProbDetector {
         };
         self.run_with(g, seed, &opts).witness
     }
-
-    fn round_bound(&self, g: &Graph, bandwidth: u64) -> u64 {
-        self.round_bound_bw(g.node_count(), bandwidth)
-    }
-
-    fn default_success(&self, n: usize) -> f64 {
-        self.success_probability(n)
-    }
 }
 
 impl PipelineBase for crate::OddCycleDetector {
-    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
-        crate::OddCycleDetector::rejects(self, g, seed, backend)
+    type Mc<'a> = crate::OddMc<'a>;
+
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, _bandwidth: u64, backend: Backend) -> Self::Mc<'a> {
+        // Constant threshold 4; the B = 1 bound stays valid for B ≥ 1.
+        self.as_monte_carlo(g, backend)
     }
 
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
         self.run_on_backend(g, seed, 1, backend).witness
-    }
-
-    fn round_bound(&self, _g: &Graph, _bandwidth: u64) -> u64 {
-        // Constant threshold 4; the B = 1 bound stays valid for B ≥ 1.
-        self.round_bound()
-    }
-
-    fn default_success(&self, n: usize) -> f64 {
-        self.success_probability(n)
     }
 }
 
 impl PipelineBase for crate::F2kDetector {
-    fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
-        crate::F2kDetector::rejects(self, g, seed, backend)
+    type Mc<'a> = crate::F2kMc<'a>;
+
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, _bandwidth: u64, backend: Backend) -> Self::Mc<'a> {
+        // Constant threshold 4; the B = 1 bound stays valid for B ≥ 1.
+        self.as_monte_carlo(g, backend)
     }
 
     fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
         self.run_on_backend(g, seed, 1, backend).witness
-    }
-
-    fn round_bound(&self, _g: &Graph, _bandwidth: u64) -> u64 {
-        self.round_bound()
-    }
-
-    fn default_success(&self, n: usize) -> f64 {
-        self.success_probability(n)
-    }
-}
-
-/// A [`PipelineBase`] restricted to one decomposition component, as the
-/// [`MonteCarloAlgorithm`] Theorem 3 amplifies. The bandwidth only sizes
-/// the round bound charged per `Setup`.
-struct ComponentMc<'a, B: PipelineBase> {
-    base: &'a B,
-    g: &'a Graph,
-    declared: f64,
-    bandwidth: u64,
-    backend: Backend,
-}
-
-impl<B: PipelineBase> MonteCarloAlgorithm for ComponentMc<'_, B> {
-    fn rejects(&self, seed: u64) -> bool {
-        self.base.rejects(self.g, seed, self.backend)
-    }
-
-    fn round_bound(&self) -> u64 {
-        self.base.round_bound(self.g, self.bandwidth)
-    }
-
-    fn success_probability(&self) -> f64 {
-        self.declared
     }
 }
 
@@ -244,7 +201,8 @@ fn run_pipeline<B: PipelineBase>(
     let components = reduced_components(g, &decomposition, spec.radius);
     // Budget::bandwidth applies to the whole pipeline: the decomposition
     // construction and the round bound charged per amplified Setup
-    // (inside ComponentMc), where the base's bound depends on it.
+    // (declared by the base's evaluator), where the base's bound
+    // depends on it.
     let decomposition_rounds = decomposition.round_cost_at(spec.bandwidth);
 
     let mut per_color_quantum: std::collections::BTreeMap<u32, u64> =
@@ -269,22 +227,18 @@ fn run_pipeline<B: PipelineBase>(
             budget_exceeded = true;
             break;
         }
+        // One evaluator answers every seed of this amplification.
+        let mc = base.monte_carlo(&comp.graph, spec.bandwidth, spec.backend);
         let declared = spec
             .declared_success
-            .unwrap_or_else(|| base.default_success(comp.graph.node_count()));
-        let mc = ComponentMc {
-            base,
-            g: &comp.graph,
-            declared,
-            bandwidth: spec.bandwidth,
-            backend: spec.backend,
-        };
+            .unwrap_or_else(|| mc.success_probability());
+        let mut mc = WithSuccess::new(mc, declared);
         let diameter = congest_graph::analysis::diameter(&comp.graph)
             .expect("components are connected") as u64;
         let amplifier = MonteCarloAmplifier::new(spec.delta)
             .with_diameter(diameter)
             .with_mode(spec.mode);
-        let report = amplifier.amplify(&mc, derive_seed(seed, spec.comp_stream + ci as u64));
+        let report = amplifier.amplify(&mut mc, derive_seed(seed, spec.comp_stream + ci as u64));
         iterations += report.iterations;
         classical_evals += report.classical_evals;
         simulations += report.simulations;

@@ -14,9 +14,11 @@ use congest_graph::Graph;
 use congest_quantum::MonteCarloAlgorithm;
 use congest_sim::{Backend, Executor};
 
-use crate::color_bfs::call_verdict;
-use crate::detector::{simulate_color_bfs, CycleDetector, RunOptions};
-use crate::params::Params;
+use crate::color_bfs::{call_verdict, ColorBfs};
+use crate::detector::{
+    draw_selection, light_mask, simulate_color_bfs, CallSets, CycleDetector, RunOptions,
+};
+use crate::params::{Instance, Params};
 use crate::witness::DetectionOutcome;
 
 /// The constant threshold of `randomized-color-BFS` (Algorithm 2,
@@ -63,51 +65,6 @@ impl LowProbDetector {
         CycleDetector::new(self.params.clone()).run_calls(g, seed, options, true)
     }
 
-    /// Whether [`LowProbDetector::run`] with `seed` rejects, simulating
-    /// only the calls that can reject — the verdict-only oracle Theorem 3
-    /// amplifies (see [`congest_quantum::MonteCarloAlgorithm`]).
-    ///
-    /// It runs the same set-up and walks the same calls as the costed
-    /// run. Each call first draws its activation coins from the call's
-    /// coin stream and is simulated, with exactly those coins, only if
-    /// some node is an active source. A call without one cannot reject:
-    /// only an active source sends an identifier (Instruction 15), every
-    /// later message forwards identifiers a node received, and a node
-    /// rejects only when one identifier reaches it along both branches
-    /// (Instructions 24–28). Such a call delivers its Hello round and
-    /// nothing else. The walk stops at the first rejecting call, as the
-    /// costed run does. The bandwidth only scales round charges, so it
-    /// plays no part; `backend` only picks how simulated calls step.
-    pub fn rejects(&self, g: &Graph, seed: u64, backend: Backend) -> bool {
-        let k = self.params.k;
-        let scaffold = CycleDetector::new(self.params.clone());
-        let options = RunOptions {
-            backend,
-            ..Default::default()
-        };
-        let (inst, sets) = scaffold.build_memberships(g, seed, &options);
-        let activation = Some(1.0 / inst.tau as f64);
-        let mut session = Executor::new(backend);
-        let mut coins = Vec::new();
-        sets.walk_calls(k, self.params.repetitions, seed, None, |call| {
-            let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
-            call_verdict(&mut coins, activation, call.seed, colors, h, x, |coins| {
-                simulate_color_bfs(
-                    &mut session,
-                    g,
-                    k,
-                    colors,
-                    h,
-                    x,
-                    RANDOMIZED_THRESHOLD,
-                    call.seed,
-                    |v| coins[v],
-                )
-            })
-        })
-        .is_break()
-    }
-
     /// An upper bound on the rounds of one run: setup + `K` iterations of
     /// three `(k+2)`-superstep calls, each superstep carrying at most
     /// [`RANDOMIZED_THRESHOLD`] words per edge.
@@ -131,12 +88,27 @@ impl LowProbDetector {
     }
 
     /// Wraps the detector as a [`MonteCarloAlgorithm`] over a fixed
-    /// graph, for quantum amplification.
-    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph) -> LowProbMc<'a> {
+    /// graph, for quantum amplification: one verdict-only evaluator,
+    /// whose simulated calls step on `backend`, for every seed of an
+    /// amplification.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is empty.
+    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> LowProbMc<'a> {
+        let inst = self.params.instantiate(g.node_count());
         LowProbMc {
             det: self,
             g,
             bandwidth: 1,
+            u_mask: light_mask(g, &inst),
+            all: vec![true; g.node_count()],
+            inst,
+            s_mask: Vec::new(),
+            not_s: Vec::new(),
+            w_mask: Vec::new(),
+            coins: Vec::new(),
+            session: Executor::new(backend),
         }
     }
 }
@@ -179,13 +151,46 @@ impl crate::Detector for LowProbDetector {
 }
 
 /// [`LowProbDetector`] viewed as a seedable Monte-Carlo algorithm on a
-/// fixed graph (the object Theorem 3 amplifies). Its oracle is
-/// [`LowProbDetector::rejects`].
-#[derive(Debug, Clone)]
+/// fixed graph (the object Theorem 3 amplifies), answered by a
+/// verdict-only evaluator that simulates only the calls that can
+/// reject.
+///
+/// An evaluation of a seed finds the same sets and walks the same calls
+/// as [`LowProbDetector::run`] with that seed, stopping at the first
+/// rejecting call as the run does, and draws only what its verdict
+/// reads:
+///
+/// * it computes `S` and `W` from the set-up round's own coins instead
+///   of simulating the round;
+/// * each call is simulated, with exactly the run's coins, only if some
+///   node is an active source; a call with an empty `X ∩ H` draws no
+///   coin, and an iteration's coloring is drawn only when some node of
+///   `X ∩ H` has its coin up.
+///
+/// A call without an active source cannot reject: only an active source
+/// sends an identifier (Instruction 15), every later message forwards
+/// identifiers a node received, and a node rejects only when one
+/// identifier reaches it along both branches (Instructions 24–28).
+///
+/// The evaluator keeps its buffers (the simulation session, the coin
+/// scratch, the sets) from one seed to the next; the seed-independent
+/// `U` is computed once. The bandwidth only scales the round bound
+/// charged per `Setup`, so no evaluation reads it.
+#[derive(Debug)]
 pub struct LowProbMc<'a> {
     det: &'a LowProbDetector,
     g: &'a Graph,
     bandwidth: u64,
+    inst: Instance,
+    /// `U` and `V`, which no seed changes.
+    u_mask: Vec<bool>,
+    all: Vec<bool>,
+    /// `S`, `V ∖ S` and `W` of the seed evaluated last.
+    s_mask: Vec<bool>,
+    not_s: Vec<bool>,
+    w_mask: Vec<bool>,
+    coins: Vec<bool>,
+    session: Executor<ColorBfs>,
 }
 
 impl LowProbMc<'_> {
@@ -199,8 +204,45 @@ impl LowProbMc<'_> {
 }
 
 impl MonteCarloAlgorithm for LowProbMc<'_> {
-    fn rejects(&self, seed: u64) -> bool {
-        self.det.rejects(self.g, seed, Backend::Sequential)
+    fn rejects(&mut self, seed: u64) -> bool {
+        let (g, k) = (self.g, self.det.params.k);
+        draw_selection(g, &self.inst, seed, &mut self.s_mask, &mut self.w_mask);
+        self.not_s.clear();
+        self.not_s.extend(self.s_mask.iter().map(|&b| !b));
+        let sets = CallSets {
+            u: &self.u_mask,
+            all: &self.all,
+            s: &self.s_mask,
+            not_s: &self.not_s,
+            w: &self.w_mask,
+        };
+        let activation = Some(1.0 / self.inst.tau as f64);
+        let (session, coins) = (&mut self.session, &mut self.coins);
+        sets.walk_calls(k, self.det.params.repetitions, seed, None, |call| {
+            let (h, x) = (call.h_mask, call.x_mask);
+            call_verdict(
+                coins,
+                activation,
+                call.seed,
+                call.coloring,
+                h,
+                x,
+                |colors, coins| {
+                    simulate_color_bfs(
+                        session,
+                        g,
+                        k,
+                        colors,
+                        h,
+                        x,
+                        RANDOMIZED_THRESHOLD,
+                        call.seed,
+                        |v| coins[v],
+                    )
+                },
+            )
+        })
+        .is_break()
     }
 
     fn round_bound(&self) -> u64 {
@@ -274,7 +316,7 @@ mod tests {
         // The lemma behind the verdict-only oracle, on the calls of real
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
-        use crate::color_bfs::draw_call_coins;
+        use crate::color_bfs::has_active_source;
         use crate::detector::run_color_bfs_backend;
         use std::ops::ControlFlow;
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(8));
@@ -291,8 +333,8 @@ mod tests {
                 let (inst, sets) = scaffold.build_memberships(&g, seed, &RunOptions::default());
                 let q = Some(1.0 / inst.tau as f64);
                 let _ = sets.walk_calls(2, 8, seed, None, |call| {
-                    let (colors, h, x) = (call.colors, call.h_mask, call.x_mask);
-                    if draw_call_coins(&mut coins, q, call.seed, colors, h, x) {
+                    let (h, x) = (call.h_mask, call.x_mask);
+                    if has_active_source(&mut coins, q, call.seed, call.coloring, h, x) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }
@@ -301,7 +343,7 @@ mod tests {
                         &mut session,
                         &g,
                         2,
-                        colors,
+                        call.colors(),
                         h,
                         x,
                         q,
@@ -329,7 +371,7 @@ mod tests {
         let host = generators::random_tree(40, 2);
         let (g, _) = generators::plant_cycle(&host, 4, 2);
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(10));
-        let mc = det.as_monte_carlo(&g);
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
         for seed in 0..20 {
             assert_eq!(
                 mc.rejects(seed),

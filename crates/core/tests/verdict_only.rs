@@ -1,55 +1,35 @@
-//! The verdict-only oracles of the three randomized bases — the Lemma 12
-//! detector (Algorithm 2), the §3.4 odd-cycle detector and the
+//! The verdict-only evaluators of the three randomized bases — the
+//! Lemma 12 detector (Algorithm 2), the §3.4 odd-cycle detector and the
 //! randomized §3.5 `F_{2k}` detector — against their costed runs, on
-//! their fast-ci configurations: the same verdict on every seed, and
+//! their fast-ci configurations: the same verdict on every seed, asked
+//! in order of one evaluator per graph as the amplifier asks it, and
 //! costed rounds within the round bound the amplifier charges per
 //! `Setup` instead of simulating it.
 
-use congest_graph::{generators, FamilySpec, Graph};
+mod common;
+
+use common::corpus;
 use congest_quantum::MonteCarloAlgorithm;
-use even_cycle::{Backend, F2kDetector, LowProbDetector, OddCycleDetector, Params, RunOptions};
+use even_cycle::{
+    Backend, F2kDetector, LowProbDetector, OddCycleDetector, Params, Phase, RunOptions,
+};
 
-/// The families of `suites/smoke.suite`.
-const SMOKE_FAMILIES: [&str; 14] = [
-    "trees",
-    "cycle",
-    "torus",
-    "polarity",
-    "planted:4",
-    "multi:2:4",
-    "noisy:4:0.02",
-    "planted-polarity:4",
-    "er:3",
-    "bipartite:0.1",
-    "regular:2",
-    "funnel:4:2",
-    "pa:2",
-    "ws:4:0.1",
-];
-
-/// The smoke families at n = 24 and 32, plus three instances rich in
-/// targets: `K_{6,6}` (C4s), a C5 farm, and a tree with a planted C4.
-fn corpus() -> Vec<(String, Graph)> {
-    let mut graphs = Vec::new();
-    for family in SMOKE_FAMILIES {
-        for n in [24, 32] {
-            let g = FamilySpec::parse(family).unwrap().build(n, 0);
-            graphs.push((format!("{family} n={n}"), g));
-        }
-    }
-    graphs.push(("K6,6".to_string(), generators::complete_bipartite(6, 6)));
-    let mut farm = generators::cycle(5);
-    for _ in 1..6 {
-        farm = generators::disjoint_union(&farm, &generators::cycle(5));
-    }
-    graphs.push(("C5 farm".to_string(), farm));
-    let (planted, _) = generators::plant_cycle(&generators::random_tree(32, 5), 4, 5);
-    graphs.push(("tree + C4".to_string(), planted));
-    graphs
-}
+/// Seeds asked of each evaluator, in order.
+const SEEDS: u64 = 200;
 
 fn low_prob() -> LowProbDetector {
     LowProbDetector::new(Params::practical(2).with_repetitions(8))
+}
+
+/// The Lemma 12 base with its selection probability scaled down. At
+/// practical parameters `p = 1` for every `n ≤ 309`, so `S = V` and
+/// `W = ∅` on the whole corpus; at this scale `p` is 0.3–0.5 there.
+fn scaled_low_prob() -> LowProbDetector {
+    LowProbDetector::new(
+        Params::practical(2)
+            .with_repetitions(8)
+            .with_probability_scale(0.1),
+    )
 }
 
 fn odd() -> OddCycleDetector {
@@ -60,53 +40,94 @@ fn f2k() -> F2kDetector {
     F2kDetector::new(2).with_repetitions(12).randomized()
 }
 
-/// Asserts that `verdict` answers like the costed run on the whole
-/// corpus over seeds 0..200, and that the costed run rejects at least 20
-/// times (so the comparison is not vacuous).
-fn assert_same_verdicts(
-    base: &str,
-    verdict: impl Fn(&Graph, u64) -> bool,
-    costed: impl Fn(&Graph, u64) -> bool,
-) {
-    let mut rejections = 0;
-    for (label, g) in corpus() {
-        for seed in 0..200 {
-            let want = costed(&g, seed);
-            assert_eq!(verdict(&g, seed), want, "{base} on {label}, seed {seed}");
-            rejections += usize::from(want);
-        }
-    }
-    assert!(rejections >= 20, "{base}: {rejections} rejections");
+/// Asserts that `mc`, asked seeds 0..200 in order, answers each as the
+/// costed run does, and returns how many reject. One evaluator answers
+/// every seed, as in an amplification, so state that leaks from one
+/// evaluation into the next through a reused session or scratch buffer
+/// shows up as a wrong verdict.
+fn same_verdicts(
+    at: &str,
+    mc: &mut impl MonteCarloAlgorithm,
+    mut costed: impl FnMut(u64) -> bool,
+) -> usize {
+    (0..SEEDS)
+        .filter(|&seed| {
+            let want = costed(seed);
+            assert_eq!(mc.rejects(seed), want, "{at}, seed {seed}");
+            want
+        })
+        .count()
 }
 
 #[test]
 fn low_prob_verdicts_match_costed_runs() {
     let det = low_prob();
-    assert_same_verdicts(
-        "Lemma 12",
-        |g, seed| det.rejects(g, seed, Backend::Sequential),
-        |g, seed| det.run(g, seed).rejected(),
-    );
+    let mut rejections = 0;
+    for (label, g) in corpus() {
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let at = format!("Lemma 12 on {label}");
+        rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+    }
+    assert!(rejections >= 20, "Lemma 12: {rejections} rejections");
+}
+
+#[test]
+fn scaled_low_prob_verdicts_match_costed_runs() {
+    // The set-up shortcut and the selected and heavy calls at work on
+    // proper sets: S ≠ V, W ≠ ∅, and some heavy calls that reject.
+    let det = scaled_low_prob();
+    let (mut rejections, mut proper_s, mut nonempty_w, mut heavy) = (0, 0, 0, 0);
+    for (label, g) in corpus() {
+        let n = g.node_count();
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let at = format!("scaled Lemma 12 on {label}");
+        rejections += same_verdicts(&at, &mut mc, |seed| {
+            let outcome = det.run(&g, seed);
+            // The walk stops at the first rejecting call, so the first
+            // iteration's selected call is walked unless its light call
+            // rejected, and its heavy call unless either did.
+            let stop = match outcome.iterations {
+                1 => outcome.phase,
+                _ => None,
+            };
+            if stop != Some(Phase::Light) && outcome.sets.s_size < n {
+                proper_s += 1;
+            }
+            if stop.is_none_or(|p| p == Phase::Heavy) && outcome.sets.w_size > 0 {
+                nonempty_w += 1;
+            }
+            heavy += usize::from(outcome.phase == Some(Phase::Heavy));
+            outcome.rejected()
+        });
+    }
+    assert!(proper_s > 0, "no selected call walked with S ≠ V");
+    assert!(nonempty_w > 0, "no heavy call walked with W ≠ ∅");
+    assert!(heavy > 0, "no heavy call rejected");
+    assert!(rejections >= 20, "scaled Lemma 12: {rejections} rejections");
 }
 
 #[test]
 fn odd_verdicts_match_costed_runs() {
     let det = odd();
-    assert_same_verdicts(
-        "odd",
-        |g, seed| det.rejects(g, seed, Backend::Sequential),
-        |g, seed| det.run(g, seed).rejected(),
-    );
+    let mut rejections = 0;
+    for (label, g) in corpus() {
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let at = format!("odd on {label}");
+        rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+    }
+    assert!(rejections >= 20, "odd: {rejections} rejections");
 }
 
 #[test]
 fn f2k_verdicts_match_costed_runs() {
     let det = f2k();
-    assert_same_verdicts(
-        "F2k",
-        |g, seed| det.rejects(g, seed, Backend::Sequential),
-        |g, seed| det.run(g, seed).rejected(),
-    );
+    let mut rejections = 0;
+    for (label, g) in corpus() {
+        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let at = format!("F2k on {label}");
+        rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+    }
+    assert!(rejections >= 20, "F2k: {rejections} rejections");
 }
 
 #[test]
@@ -115,14 +136,15 @@ fn costed_runs_stay_within_the_charged_round_bound() {
     // simulates no run in full, so the bound must cover every costed
     // run. The Lemma 12 detector runs every repetition.
     let (low, odd, f2k) = (low_prob(), odd(), f2k());
+    let seq = Backend::Sequential;
     for (label, g) in corpus() {
         for bandwidth in [1, 2, 4] {
             let low_bound = low
-                .as_monte_carlo(&g)
+                .as_monte_carlo(&g, seq)
                 .with_bandwidth(bandwidth)
                 .round_bound();
-            let odd_bound = odd.as_monte_carlo(&g).round_bound();
-            let f2k_bound = f2k.as_monte_carlo(&g).round_bound();
+            let odd_bound = odd.as_monte_carlo(&g, seq).round_bound();
+            let f2k_bound = f2k.as_monte_carlo(&g, seq).round_bound();
             let every_repetition = RunOptions {
                 bandwidth,
                 continue_after_reject: true,

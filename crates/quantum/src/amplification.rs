@@ -57,9 +57,9 @@ pub struct AmplificationReport {
 /// ```
 /// use congest_quantum::{FnAlgorithm, MonteCarloAlgorithm, MonteCarloAmplifier};
 /// // A fake detector that rejects on 1/64 of its seeds, within 5 rounds.
-/// let alg = FnAlgorithm::new(|seed| seed % 64 == 3, 5, 1.0 / 64.0);
+/// let mut alg = FnAlgorithm::new(|seed| seed % 64 == 3, 5, 1.0 / 64.0);
 /// let amp = MonteCarloAmplifier::new(0.01).with_diameter(4);
-/// let report = amp.amplify(&alg, 7);
+/// let report = amp.amplify(&mut alg, 7);
 /// assert!(report.rejected);
 /// let w = report.witness_seed.unwrap();
 /// assert!(alg.rejects(w), "witness seed reproduces the rejection");
@@ -130,11 +130,13 @@ impl MonteCarloAmplifier {
     ///
     /// Each seed of the space asks `alg` for its verdict at most once:
     /// equal seeds give equal verdicts ([`MonteCarloAlgorithm`]'s
-    /// contract), so the search reuses the first answer. Every `Setup` is
-    /// charged `alg.round_bound()` plus the diameter.
+    /// contract), so the search reuses the first answer. One `alg`
+    /// answers every seed, so it may keep its buffers from one
+    /// evaluation to the next. Every `Setup` is charged
+    /// `alg.round_bound()` plus the diameter.
     pub fn amplify<A: MonteCarloAlgorithm>(
         &self,
-        alg: &A,
+        alg: &mut A,
         master_seed: u64,
     ) -> AmplificationReport {
         let epsilon = alg.success_probability();
@@ -159,7 +161,7 @@ impl MonteCarloAmplifier {
                 .result
                 .map(|x| congest_sim::derive_seed(master_seed, x as u64)),
             quantum_rounds: report.rounds,
-            classical_rounds_baseline: classical_reps * (alg.round_bound() + self.diameter).max(1),
+            classical_rounds_baseline: classical_reps * t_setup.max(1),
             iterations: report.iterations,
             classical_evals: report.classical_evals,
             simulations: report.simulations,
@@ -173,15 +175,15 @@ mod tests {
     use super::*;
     use crate::mcalg::FnAlgorithm;
 
-    fn fake_alg(period: u64, rounds: u64) -> FnAlgorithm<impl Fn(u64) -> bool> {
+    fn fake_alg(period: u64, rounds: u64) -> FnAlgorithm<impl FnMut(u64) -> bool> {
         FnAlgorithm::new(move |seed| seed % period == 1, rounds, 1.0 / period as f64)
     }
 
     #[test]
     fn amplification_finds_rare_rejection() {
-        let alg = fake_alg(128, 4);
+        let mut alg = fake_alg(128, 4);
         let amp = MonteCarloAmplifier::new(0.05);
-        let report = amp.amplify(&alg, 11);
+        let report = amp.amplify(&mut alg, 11);
         assert!(report.rejected);
         assert!(alg.rejects(report.witness_seed.unwrap()));
         assert_eq!(report.seed_space, 3 * 128);
@@ -189,9 +191,9 @@ mod tests {
 
     #[test]
     fn one_sidedness_on_always_accepting_algorithm() {
-        let alg = FnAlgorithm::new(|_| false, 2, 1.0 / 32.0);
+        let mut alg = FnAlgorithm::new(|_| false, 2, 1.0 / 32.0);
         for master in 0..10 {
-            let report = MonteCarloAmplifier::new(0.1).amplify(&alg, master);
+            let report = MonteCarloAmplifier::new(0.1).amplify(&mut alg, master);
             assert!(!report.rejected, "must accept with probability 1");
             assert!(report.witness_seed.is_none());
         }
@@ -201,13 +203,13 @@ mod tests {
     fn quadratic_speedup_vs_classical() {
         // ε = 1/1024: classical needs ~3·1024 runs, quantum ~√(3·1024)
         // iterations (times the same per-run cost).
-        let alg = fake_alg(1024, 1);
+        let mut alg = fake_alg(1024, 1);
         let amp = MonteCarloAmplifier::new(0.1);
         let mut q_total = 0u64;
         let mut c_total = 0u64;
         let trials = 10;
         for master in 0..trials {
-            let r = amp.amplify(&alg, master);
+            let r = amp.amplify(&mut alg, master);
             assert!(r.rejected);
             q_total += r.quantum_rounds;
             c_total += r.classical_rounds_baseline;
@@ -222,11 +224,11 @@ mod tests {
 
     #[test]
     fn diameter_term_charged() {
-        let alg = fake_alg(16, 10);
-        let without = MonteCarloAmplifier::new(0.1).amplify(&alg, 3);
+        let mut alg = fake_alg(16, 10);
+        let without = MonteCarloAmplifier::new(0.1).amplify(&mut alg, 3);
         let with = MonteCarloAmplifier::new(0.1)
             .with_diameter(100)
-            .amplify(&alg, 3);
+            .amplify(&mut alg, 3);
         // Same seeds => same iteration structure; rounds scale by
         // (10+100)/10.
         assert!(with.quantum_rounds > without.quantum_rounds * 5);
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn each_seed_runs_once() {
         let runs = std::cell::Cell::new(0u64);
-        let alg = FnAlgorithm::new(
+        let mut alg = FnAlgorithm::new(
             |_| {
                 runs.set(runs.get() + 1);
                 false
@@ -250,7 +252,7 @@ mod tests {
             1,
             1.0 / 32.0,
         );
-        let report = MonteCarloAmplifier::new(0.1).amplify(&alg, 5);
+        let report = MonteCarloAmplifier::new(0.1).amplify(&mut alg, 5);
         assert_eq!(report.seed_space, 96);
         assert_eq!(report.simulations, 96, "every seed scanned once");
         assert_eq!(runs.get(), report.simulations);
@@ -259,10 +261,10 @@ mod tests {
 
     #[test]
     fn deterministic_given_master_seed() {
-        let alg = fake_alg(64, 2);
+        let mut alg = fake_alg(64, 2);
         let amp = MonteCarloAmplifier::new(0.1);
-        let a = amp.amplify(&alg, 42);
-        let b = amp.amplify(&alg, 42);
+        let a = amp.amplify(&mut alg, 42);
+        let b = amp.amplify(&mut alg, 42);
         assert_eq!(a, b);
     }
 }

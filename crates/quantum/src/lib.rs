@@ -45,13 +45,19 @@
 //! run would, and the Grover randomness never depends on it.
 //!
 //! The oracle is verdict-only. [`MonteCarloAlgorithm::rejects`] answers
-//! one bit per seed (did some node reject?) and is a pure function of
-//! the seed; every `Setup` is charged the algorithm's
+//! one bit per seed (did some node reject?), and that bit is a pure
+//! function of the seed; every `Setup` is charged the algorithm's
 //! [`round_bound`](MonteCarloAlgorithm::round_bound), never rounds
 //! measured in a run. So an oracle evaluation may leave out any part of
-//! a run that cannot change the bit: the randomized color-BFS bases
-//! skip every call in which no node is an active source, since such a
-//! call sends no identifier and no node can reject.
+//! a run that cannot change the bit, and may leave undrawn any random
+//! value it does not read: the randomized color-BFS bases skip every
+//! call in which no node is an active source, since such a call sends
+//! no identifier and no node can reject, and they draw a repetition's
+//! coloring only when some call of it has a source candidate.
+//! `rejects` takes `&mut self` so that one evaluator answers every
+//! seed of an amplification and keeps its buffers (simulation
+//! sessions, coin scratch) between seeds; those buffers hold nothing a
+//! later answer reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,14 +14,18 @@
 /// the bound [`round_bound`](MonteCarloAlgorithm::round_bound), never the
 /// rounds a run happened to take. So [`rejects`](MonteCarloAlgorithm::rejects)
 /// answers that one bit, and an implementation may skip any simulation
-/// that cannot change it.
+/// that cannot change it, and leave undrawn any random value it does
+/// not read.
 ///
-/// All randomness must come from the seed: `rejects` is a pure function
-/// of it, which is what lets the amplifier treat seeds as the Grover
-/// search space and evaluate each seed once.
+/// All randomness must come from the seed: the answer of `rejects` is a
+/// pure function of it, which is what lets the amplifier treat seeds as
+/// the Grover search space and evaluate each seed once. `rejects` takes
+/// `&mut self` only so that one evaluator can keep reusable buffers
+/// (simulation sessions, scratch vectors) across the seeds of an
+/// amplification; nothing it keeps may change a later answer.
 pub trait MonteCarloAlgorithm {
     /// Whether the run with the given seed rejects (some node rejected).
-    fn rejects(&self, seed: u64) -> bool;
+    fn rejects(&mut self, seed: u64) -> bool;
 
     /// An upper bound on the rounds of a single run — the `T(n, D)` of
     /// Theorem 3, charged per `Setup`.
@@ -37,7 +41,7 @@ pub trait MonteCarloAlgorithm {
 ///
 /// ```
 /// use congest_quantum::{FnAlgorithm, MonteCarloAlgorithm};
-/// let alg = FnAlgorithm::new(|seed| seed % 8 == 0, 3, 1.0 / 8.0);
+/// let mut alg = FnAlgorithm::new(|seed| seed % 8 == 0, 3, 1.0 / 8.0);
 /// assert!(alg.rejects(16));
 /// assert_eq!(alg.round_bound(), 3);
 /// ```
@@ -47,7 +51,7 @@ pub struct FnAlgorithm<F> {
     success: f64,
 }
 
-impl<F: Fn(u64) -> bool> FnAlgorithm<F> {
+impl<F: FnMut(u64) -> bool> FnAlgorithm<F> {
     /// Wraps the verdict `f` with the stated round bound and success
     /// probability.
     pub fn new(f: F, round_bound: u64, success: f64) -> Self {
@@ -59,8 +63,8 @@ impl<F: Fn(u64) -> bool> FnAlgorithm<F> {
     }
 }
 
-impl<F: Fn(u64) -> bool> MonteCarloAlgorithm for FnAlgorithm<F> {
-    fn rejects(&self, seed: u64) -> bool {
+impl<F: FnMut(u64) -> bool> MonteCarloAlgorithm for FnAlgorithm<F> {
+    fn rejects(&mut self, seed: u64) -> bool {
         (self.f)(seed)
     }
 
@@ -109,7 +113,7 @@ impl<A: MonteCarloAlgorithm> WithSuccess<A> {
 }
 
 impl<A: MonteCarloAlgorithm> MonteCarloAlgorithm for WithSuccess<A> {
-    fn rejects(&self, seed: u64) -> bool {
+    fn rejects(&mut self, seed: u64) -> bool {
         self.inner.rejects(seed)
     }
 
@@ -128,7 +132,7 @@ mod tests {
 
     #[test]
     fn fn_algorithm_roundtrip() {
-        let alg = FnAlgorithm::new(|seed| seed == 7, 11, 0.25);
+        let mut alg = FnAlgorithm::new(|seed| seed == 7, 11, 0.25);
         assert!(alg.rejects(7));
         assert!(!alg.rejects(8));
         assert_eq!(alg.round_bound(), 11);
@@ -137,7 +141,7 @@ mod tests {
 
     #[test]
     fn with_success_overrides_only_epsilon() {
-        let wrapped = WithSuccess::new(FnAlgorithm::new(|seed| seed == 3, 5, 0.5), 0.125);
+        let mut wrapped = WithSuccess::new(FnAlgorithm::new(|seed| seed == 3, 5, 0.5), 0.125);
         assert!(wrapped.rejects(3) && !wrapped.rejects(4));
         assert_eq!(wrapped.round_bound(), 5);
         assert!((wrapped.success_probability() - 0.125).abs() < 1e-12);

@@ -22,7 +22,7 @@ fn main() {
     );
     for exp in [6u32, 8, 10, 12, 14] {
         let inv_eps = 1u64 << exp;
-        let alg = FnAlgorithm::new(move |seed| seed % inv_eps == 1, 1, 1.0 / inv_eps as f64);
+        let mut alg = FnAlgorithm::new(move |seed| seed % inv_eps == 1, 1, 1.0 / inv_eps as f64);
         // Oversample the seed space so "no marked seed landed in the
         // space" (probability e^{-c}) is negligible for the demo.
         let amp = MonteCarloAmplifier::new(0.1).with_seed_space_factor(8.0);
@@ -31,7 +31,8 @@ fn main() {
         let mut found = 0u64;
         let trials = 5;
         for master in 0..trials {
-            let r = amp.amplify(&alg, master);
+            // One evaluator answers every seed of every amplification.
+            let r = amp.amplify(&mut alg, master);
             if r.rejected {
                 found += 1;
             }

@@ -212,26 +212,21 @@ fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
 /// Parses one flat JSON object (string/number/bool/null values only —
 /// the shape this store writes, and the shape the [`serve`](crate::serve)
 /// protocol accepts). Returns `None` on any malformed line, which
-/// callers treat as "not resumable" (or, for serve, a protocol error).
+/// callers treat as "not resumable" (or, for serve, a protocol error):
+/// members must be separated by single commas, and nothing but
+/// whitespace may follow the closing brace.
 pub(crate) fn parse_flat(line: &str) -> Option<HashMap<String, Field>> {
     let mut chars = line.trim().chars().peekable();
     if chars.next()? != '{' {
         return None;
     }
     let mut map = HashMap::new();
+    skip_ws(&mut chars);
+    if chars.peek() == Some(&'}') {
+        chars.next();
+        return chars.next().is_none().then_some(map);
+    }
     loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                return Some(map);
-            }
-            ',' => {
-                chars.next();
-                skip_ws(&mut chars);
-            }
-            _ => {}
-        }
         // Key.
         if chars.next()? != '"' {
             return None;
@@ -288,6 +283,14 @@ pub(crate) fn parse_flat(line: &str) -> Option<HashMap<String, Field>> {
             }
         };
         map.insert(key, value);
+        // A comma and the next member, or the closing brace and the end
+        // of the line (the line is trimmed, so nothing may follow).
+        skip_ws(&mut chars);
+        match chars.next()? {
+            ',' => skip_ws(&mut chars),
+            '}' => return chars.next().is_none().then_some(map),
+            _ => return None,
+        }
     }
 }
 
@@ -680,6 +683,59 @@ mod tests {
         assert!(matches!(map.get("x"), Some(Field::Null)));
         // Whitespace never glues two values together.
         assert!(parse_flat("{\"a\":1 2}").is_none());
+    }
+
+    #[test]
+    fn parse_flat_rejects_malformed_input() {
+        // Store lines can be torn by a crash and serve requests come
+        // from outside the program: every malformed line is `None`,
+        // never a panic and never a partial object.
+        const MALFORMED: &[&str] = &[
+            "",
+            "{",
+            "}",
+            "[]",
+            "null",
+            "{\"a\":1}{\"b\":2}",
+            "{\"a\":1}garbage",
+            "{\"a\":1} x",
+            "{\"a\":1}}",
+            "{\"a\":1 \"b\":2}",
+            "{\"a\":1 2}",
+            "{,\"a\":1}",
+            "{ , \"a\":1}",
+            "{,}",
+            "{\"a\":1,}",
+            "{\"a\":1,,\"b\":2}",
+            "{\"a\" 1}",
+            "{\"a\":}",
+            "{\"a\":,\"b\":2}",
+            "{a:1}",
+            "{\"a\":tru}",
+            "{\"a\":nul}",
+            "{\"a\":falsy}",
+            "{\"a\":\"x}",
+            "{\"a\":\"\\q\"}",
+            "{\"a\":\"\\u12\"}",
+        ];
+        let record = sample("00ff").to_line();
+        let request = r#"{"op":"detect","name":"g","detector":"color-bfs","seed":0}"#;
+        assert!(parse_flat(&record).is_some() && parse_flat(request).is_some());
+        let prefixes = [record.as_str(), request]
+            .into_iter()
+            .flat_map(|line| line.char_indices().map(move |(i, _)| &line[..i]));
+        for line in MALFORMED.iter().copied().chain(prefixes) {
+            assert!(parse_flat(line).is_none(), "parsed {line:?}");
+        }
+        // Whitespace around the object and between tokens still parses.
+        for line in [
+            "  {\"a\":1}  ",
+            "{ }",
+            "{}",
+            "{ \"a\" : 1 , \"b\" : \"x\" }",
+        ] {
+            assert!(parse_flat(line).is_some(), "rejected {line:?}");
+        }
     }
 
     #[test]

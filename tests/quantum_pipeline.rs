@@ -1,7 +1,7 @@
 //! Integration of the quantum stack: Grover simulation ↔ amplification ↔
 //! decomposition ↔ the full Lemma 13 pipeline.
 
-use even_cycle_congest::cycle::{LowProbDetector, Params, QuantumCycleDetector};
+use even_cycle_congest::cycle::{Backend, LowProbDetector, Params, QuantumCycleDetector};
 use even_cycle_congest::graph::{generators, NodeId};
 use even_cycle_congest::quantum::decomposition::{decompose, reduced_components};
 use even_cycle_congest::quantum::{
@@ -33,12 +33,12 @@ fn amplifier_finds_low_prob_detection_on_real_graph() {
     // analytic Grover over the true seed space.
     let g = generators::complete_bipartite(6, 6); // dense in C4s
     let det = LowProbDetector::new(Params::practical(2).with_repetitions(40));
-    let mc = det.as_monte_carlo(&g);
+    let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
     // Empirical sanity: some seeds do reject.
     let marked = (0..200).filter(|&s| mc.rejects(s)).count();
     assert!(marked > 0, "no rejecting seeds at all");
     let amp = MonteCarloAmplifier::new(0.05).with_mode(GroverMode::Sampled { samples: 96 });
-    let report = amp.amplify(&mc, 3);
+    let report = amp.amplify(&mut mc, 3);
     if report.rejected {
         let ws = report.witness_seed.unwrap();
         let rerun = det.run(&g, ws);
