@@ -9,8 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod timing;
-
 use congest_graph::{generators, Graph};
 use congest_quantum::GroverMode;
 use even_cycle::{

@@ -1,22 +1,59 @@
-//! Procedure `color-BFS(k, H, c, X, τ)` (Algorithm 1, lines 14–29) and its
-//! congestion-reduced variant `randomized-color-BFS` (Algorithm 2), as one
-//! CONGEST node program.
+//! Procedure `color-BFS` with threshold (Algorithm 1, lines 14–29): the
+//! one CONGEST node program every detector of this crate runs, and the
+//! call, verdict-only evaluation and costed loop built around it.
 //!
-//! The two procedures differ only in their inputs: Algorithm 1 activates
-//! every `x ∈ X` with `c(x) = 0` and uses the global threshold `τ`;
-//! Algorithm 2 activates each such node with probability `1/τ` and uses
-//! the constant threshold 4. The driver passes the activation flags and
-//! the threshold; the forwarding logic is identical.
+//! A call looks for a cycle `(u_0, u_1, …)` with `c(u_i) = i` under a
+//! coloring with `P` colors. Each source (a node of `X ∩ H` colored 0)
+//! sends its identifier both ways round the colors: up through
+//! `1, 2, …` and down through `P-1, P-2, …`. The two branches meet at
+//! the meeting color `m`. The detectors differ only in their
+//! [`Palette`]: `P`, `m`, and whether color `m+1` also hands its set to
+//! color `m-1`.
+//!
+//! | detector | `P` | `m` | hand-off | rejecting color: cycle |
+//! |---|---|---|---|---|
+//! | Algorithms 1 and 2 | `2k` | `k` | no | `k`: `C_{2k}` |
+//! | §3.4, `k ≥ 1` | `2k+1` | `k` | no | `k`: `C_{2k+1}` |
+//! | §3.5, pair `ℓ` | `2ℓ` | `ℓ` | yes | `ℓ`: `C_{2ℓ}`; `ℓ-1`: `C_{2ℓ-1}` |
+//!
+//! The roles, by color `c`:
+//!
+//! * `0` launches its identifier at step 0 (Instruction 15);
+//! * `0 < c < m` acts at step `c`: it collects the identifiers its
+//!   neighbors colored `c-1` sent, and forwards them to its neighbors
+//!   colored `c+1` unless it holds more than `τ` (Instructions 16–22);
+//! * `c > m` acts at step `P-c`: it collects from `(c+1) mod P` and
+//!   forwards to `c-1`, under the same threshold;
+//! * `m` compares the up branch, read at step `m`, with the down
+//!   branch, read at step `P-m` (the same step when `P = 2m`), and
+//!   rejects on a common identifier (Instructions 24–28);
+//! * with the hand-off, `m+1` also forwards to `m-1`, which rejects at
+//!   step `m` when an identifier it forwarded comes back. A set over
+//!   the threshold was not forwarded, so it counts as empty.
+//!
+//! A rejection at `v` certifies a cycle of length `c(v) + P - m`
+//! through its origin: an up branch colored `1, …, c(v)-1` and a down
+//! branch colored `P-1, …, m+1`.
+//!
+//! Algorithm 1 launches every source and uses the global threshold
+//! `τ`. Algorithm 2, and the bases the quantum pipelines amplify,
+//! activate each source with a small probability and use the constant
+//! threshold 4. The driver passes the activation flags and the
+//! threshold; the forwarding logic is identical.
 
 use std::cell::OnceCell;
 use std::ops::ControlFlow;
 
-use congest_graph::NodeId;
-use congest_sim::{derive_seed, Control, Ctx, Decision, MessageSize, Outbox, Program, RunReport};
+use congest_graph::{CycleWitness, Graph, NodeId};
+use congest_sim::{
+    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::detector::random_coloring;
+use crate::detector::{random_coloring, RunOptions};
+use crate::randomized::RANDOMIZED_THRESHOLD;
+use crate::witness::{extract_witness, DetectionOutcome, Phase, SetsSummary};
 
 /// Messages of the color-BFS protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +62,7 @@ pub enum CbMsg {
     /// (the receiver needs both to route identifiers by color within
     /// `H`). Two small fields — one `O(log n)`-bit word.
     Hello {
-        /// The sender's color in `{0, …, 2k-1}`.
+        /// The sender's color, below the palette size.
         color: u8,
         /// Whether the sender belongs to the host subgraph `H`.
         in_h: bool,
@@ -45,13 +82,76 @@ impl MessageSize for CbMsg {
 }
 
 /// The per-neighbor table entry of a neighbor outside the host subgraph
-/// `H`; every other entry is the neighbor's color, which is below `2k`.
-pub(crate) const NOT_IN_H: u8 = u8::MAX;
+/// `H`; every other entry is the neighbor's color, which is below the
+/// palette size.
+const NOT_IN_H: u8 = u8::MAX;
+
+/// The shape of a color-BFS call (see the [module docs](self)): the
+/// palette size `P`, the meeting color `m`, and whether color `m+1`
+/// also hands its set to color `m-1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Palette {
+    size: u8,
+    meet: u8,
+    hand_off: bool,
+}
+
+impl Palette {
+    /// `(2k, k)`, no hand-off: Algorithms 1 and 2, detecting `C_{2k}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < 2` or `2k ≥ 255`.
+    pub fn even(k: usize) -> Palette {
+        assert!(k >= 2, "color-BFS requires k ≥ 2");
+        Palette::new(2 * k, k, false)
+    }
+
+    /// `(2k+1, k)`, no hand-off: §3.4, detecting `C_{2k+1}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < 1` or `2k+1 ≥ 255`.
+    pub fn odd(k: usize) -> Palette {
+        assert!(k >= 1, "odd cycles start at C3 (k = 1)");
+        Palette::new(2 * k + 1, k, false)
+    }
+
+    /// `(2ℓ, ℓ)` with the hand-off: §3.5's pair `ℓ`, detecting
+    /// `C_{2ℓ-1}` and `C_{2ℓ}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ℓ < 2` or `2ℓ ≥ 255`.
+    pub fn pair(l: usize) -> Palette {
+        assert!(l >= 2, "pairs start at ℓ = 2");
+        Palette::new(2 * l, l, true)
+    }
+
+    fn new(size: usize, meet: usize, hand_off: bool) -> Palette {
+        assert!(size < usize::from(NOT_IN_H), "palette too large");
+        Palette {
+            size: size as u8,
+            meet: meet as u8,
+            hand_off,
+        }
+    }
+
+    /// The number of colors `P`.
+    pub(crate) fn size(self) -> u8 {
+        self.size
+    }
+
+    /// The meeting color `m`.
+    pub(crate) fn meet(self) -> u8 {
+        self.meet
+    }
+}
 
 /// Whether a node starts a search (Instruction 15): it is in `X` and in
 /// `H`, colored 0, and its activation coin came up (always, in
 /// Algorithm 1). Only such a node ever sends an identifier.
-pub(crate) fn is_source(in_x: bool, in_h: bool, color: u8, active: bool) -> bool {
+fn is_source(in_x: bool, in_h: bool, color: u8, active: bool) -> bool {
     in_x && in_h && color == 0 && active
 }
 
@@ -60,14 +160,14 @@ pub(crate) fn is_source(in_x: bool, in_h: bool, color: u8, active: bool) -> bool
 /// from the call seed, each up with probability `q`. Equivalent to a
 /// local coin per node, but replayable, so the costed run and the
 /// verdict-only evaluation read the same coins.
-pub(crate) struct ActivationCoins {
+struct ActivationCoins {
     q: f64,
     rng: ChaCha8Rng,
 }
 
 impl ActivationCoins {
     /// The coin stream of the call with seed `call_seed`.
-    pub(crate) fn new(q: f64, call_seed: u64) -> Self {
+    fn new(q: f64, call_seed: u64) -> Self {
         ActivationCoins {
             q,
             rng: ChaCha8Rng::seed_from_u64(derive_seed(call_seed, 0xAC7)),
@@ -75,7 +175,7 @@ impl ActivationCoins {
     }
 
     /// The next node's coin.
-    pub(crate) fn flip(&mut self) -> bool {
+    fn flip(&mut self) -> bool {
         self.rng.gen_bool(self.q)
     }
 }
@@ -94,23 +194,26 @@ pub(crate) struct Coloring<'a> {
 }
 
 impl<'a> Coloring<'a> {
-    /// The undrawn coloring of `n` nodes with `palette` colors from the
-    /// stream seeded by `seed`.
-    pub(crate) fn new(n: usize, palette: usize, seed: u64) -> Self {
+    /// The undrawn coloring of `n` nodes with the colors of `palette`
+    /// from the stream seeded by `seed`.
+    pub(crate) fn new(n: usize, palette: Palette, seed: u64) -> Self {
         Coloring {
             forced: None,
             n,
-            palette,
+            palette: usize::from(palette.size),
             seed,
             drawn: OnceCell::new(),
         }
     }
 
-    /// A fixed coloring, read as is (the `forced_coloring` test hook).
+    /// A fixed coloring, read as is.
     pub(crate) fn forced(colors: &'a [u8]) -> Self {
         Coloring {
             forced: Some(colors),
-            ..Coloring::new(colors.len(), 0, 0)
+            n: colors.len(),
+            palette: 0,
+            seed: 0,
+            drawn: OnceCell::new(),
         }
     }
 
@@ -125,6 +228,105 @@ impl<'a> Coloring<'a> {
     }
 }
 
+/// How the sources of a call launch and how many identifiers a node
+/// forwards.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Launch {
+    /// Each source's activation probability; `None` launches every
+    /// source (Algorithm 1).
+    pub(crate) activation: Option<f64>,
+    /// The forwarding threshold `τ`.
+    pub(crate) tau: u64,
+}
+
+impl Launch {
+    /// Algorithm 1's launch with threshold `τ` or, with `randomized`,
+    /// Algorithm 2's: activation `1/τ` and threshold
+    /// [`RANDOMIZED_THRESHOLD`].
+    pub(crate) fn new(tau: u64, randomized: bool) -> Launch {
+        if randomized {
+            Launch {
+                activation: Some(1.0 / tau as f64),
+                tau: RANDOMIZED_THRESHOLD,
+            }
+        } else {
+            Launch {
+                activation: None,
+                tau,
+            }
+        }
+    }
+}
+
+/// One `color-BFS` call of a detector run, as the detector's walk hands
+/// it out. A costed run ([`CostedRun`]) and a verdict-only evaluation
+/// ([`VerdictSession`]) of the same seed walk the same calls, so they
+/// see the same colorings, masks, thresholds and call seeds.
+pub(crate) struct ColorBfsCall<'a> {
+    /// The detector's palette.
+    pub(crate) palette: Palette,
+    /// How the call's sources launch, and its threshold.
+    pub(crate) launch: Launch,
+    /// Colorings drawn so far in the run, this call's included.
+    pub(crate) iteration: u64,
+    /// Which of Algorithm 1's three calls this is (`None` in the other
+    /// detectors).
+    pub(crate) phase: Option<Phase>,
+    /// The repetition's coloring, drawn on first read.
+    pub(crate) coloring: &'a Coloring<'a>,
+    /// The host subgraph `H`.
+    pub(crate) h_mask: &'a [bool],
+    /// The launch set `X`.
+    pub(crate) x_mask: &'a [bool],
+    /// The call's simulation seed; its activation coins derive from it.
+    pub(crate) seed: u64,
+}
+
+impl ColorBfsCall<'_> {
+    /// The repetition's coloring (drawn now if this is its first read).
+    pub(crate) fn colors(&self) -> &[u8] {
+        self.coloring.get()
+    }
+
+    /// Simulates the call in `session`; `active(v)` is node `v`'s
+    /// activation coin, asked in ascending node order. The one
+    /// simulation step of both the costed run and the verdict-only
+    /// evaluation.
+    fn simulate_with(
+        &self,
+        session: &mut Executor<ColorBfs>,
+        g: &Graph,
+        mut active: impl FnMut(usize) -> bool,
+    ) -> RunReport {
+        let colors = self.colors();
+        let (palette, tau) = (self.palette, self.launch.tau);
+        let last_step = usize::from(palette.size - palette.meet);
+        session
+            .run(
+                g,
+                self.seed,
+                |v, _| {
+                    let v = v.index();
+                    let (in_h, in_x) = (self.h_mask[v], self.x_mask[v]);
+                    ColorBfs::with_palette(palette, colors[v], in_h, in_x, active(v), tau)
+                },
+                (last_step + 3) as u64,
+            )
+            .expect("color-BFS cannot violate the model")
+    }
+
+    /// Simulates the call with its own coins: node `v` takes coin `v`
+    /// of the call's stream ([`ActivationCoins`]), or is active when
+    /// every source launches.
+    pub(crate) fn simulate(&self, session: &mut Executor<ColorBfs>, g: &Graph) -> RunReport {
+        let activation = self.launch.activation;
+        let mut coins = activation.map(|q| ActivationCoins::new(q, self.seed));
+        self.simulate_with(session, g, |_| {
+            coins.as_mut().is_none_or(ActivationCoins::flip)
+        })
+    }
+}
+
 /// Whether some node of a call is an active source ([`is_source`]),
 /// drawing only what the answer reads:
 ///
@@ -135,24 +337,16 @@ impl<'a> Coloring<'a> {
 ///   so the coins drawn are exactly the costed run's first coins);
 /// * the repetition's coloring is read only if some node of `X ∩ H`
 ///   has its coin up.
-///
-/// `activation` `None` puts every coin up (Algorithm 1).
-pub(crate) fn has_active_source(
-    coins: &mut Vec<bool>,
-    activation: Option<f64>,
-    call_seed: u64,
-    coloring: &Coloring<'_>,
-    h_mask: &[bool],
-    x_mask: &[bool],
-) -> bool {
+pub(crate) fn has_active_source(coins: &mut Vec<bool>, call: &ColorBfsCall<'_>) -> bool {
+    let (h_mask, x_mask) = (call.h_mask, call.x_mask);
     coins.clear();
     let launches = |v: usize| x_mask[v] && h_mask[v];
     let Some(last) = (0..x_mask.len()).rposition(launches) else {
         return false;
     };
-    match activation {
+    match call.launch.activation {
         Some(q) => {
-            let mut stream = ActivationCoins::new(q, call_seed);
+            let mut stream = ActivationCoins::new(q, call.seed);
             coins.extend((0..=last).map(|_| stream.flip()));
         }
         None => coins.resize(last + 1, true),
@@ -160,38 +354,143 @@ pub(crate) fn has_active_source(
     if !(0..=last).any(|v| launches(v) && coins[v]) {
         return false;
     }
-    let colors = coloring.get();
+    let colors = call.colors();
     (0..=last).any(|v| is_source(x_mask[v], h_mask[v], colors[v], coins[v]))
 }
 
-/// One call of a verdict-only evaluation: simulates the call, through
-/// `simulate(colors, coins)`, only if it [`has_active_source`], with
-/// exactly the coins drawn (the undrawn ones, past the last node of
-/// `X ∩ H`, read as down: none of those nodes can launch). Breaks when
-/// the simulated call rejects.
-///
-/// A call without an active source cannot reject: only an active
-/// source sends an identifier, every later message forwards
-/// identifiers a node received, and a node rejects only when one
-/// identifier reaches it twice. Such a call delivers its Hello round
-/// and nothing else.
-pub(crate) fn call_verdict(
-    coins: &mut Vec<bool>,
-    activation: Option<f64>,
-    call_seed: u64,
-    coloring: &Coloring<'_>,
-    h_mask: &[bool],
-    x_mask: &[bool],
-    simulate: impl FnOnce(&[u8], &[bool]) -> RunReport,
-) -> ControlFlow<()> {
-    if !has_active_source(coins, activation, call_seed, coloring, h_mask, x_mask) {
-        return ControlFlow::Continue(());
+/// The simulation session and coin scratch of a verdict-only evaluator,
+/// kept from one call and one seed to the next.
+#[derive(Debug)]
+pub(crate) struct VerdictSession {
+    session: Executor<ColorBfs>,
+    coins: Vec<bool>,
+}
+
+impl VerdictSession {
+    /// An evaluator whose simulated calls step on `backend`.
+    pub(crate) fn new(backend: Backend) -> Self {
+        VerdictSession {
+            session: Executor::new(backend),
+            coins: Vec::new(),
+        }
     }
-    coins.resize(x_mask.len(), false);
-    if simulate(coloring.get(), coins).rejecting_nodes.is_empty() {
+
+    /// One call of a verdict-only evaluation: simulates the call only
+    /// if it [`has_active_source`], with exactly the coins drawn (the
+    /// undrawn ones, past the last node of `X ∩ H`, read as down: none
+    /// of those nodes can launch). Breaks when the simulated call
+    /// rejects.
+    ///
+    /// A call without an active source cannot reject: only an active
+    /// source sends an identifier, every later message forwards
+    /// identifiers a node received, and a node rejects only when one
+    /// identifier reaches it twice. Such a call delivers its Hello
+    /// round and nothing else.
+    pub(crate) fn call_verdict(&mut self, g: &Graph, call: &ColorBfsCall<'_>) -> ControlFlow<()> {
+        let coins = &mut self.coins;
+        if !has_active_source(coins, call) {
+            return ControlFlow::Continue(());
+        }
+        coins.resize(call.x_mask.len(), false);
+        let report = call.simulate_with(&mut self.session, g, |v| coins[v]);
+        if report.rejecting_nodes.is_empty() {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    }
+}
+
+/// A rejection a costed run certified.
+#[derive(Debug)]
+pub(crate) struct Rejection {
+    /// The validated cycle.
+    pub(crate) witness: CycleWitness,
+    /// The rejecting call's phase (Algorithm 1 only).
+    pub(crate) phase: Option<Phase>,
+    /// The rejecting call's meeting color: the pair `ℓ` in §3.5.
+    pub(crate) meet: u8,
+}
+
+/// The costed loop every detector drives with its own walk: each call
+/// is simulated with its own coins and charged what it measured; the
+/// first rejecting node's cycle is certified; the walk stops at a
+/// rejection (unless [`RunOptions::continue_after_reject`]) or once the
+/// accumulated cost passes a cap of the options.
+pub(crate) struct CostedRun<'a> {
+    g: &'a Graph,
+    options: &'a RunOptions,
+    session: Executor<ColorBfs>,
+    /// The accumulated cost.
+    pub(crate) report: RunReport,
+    /// Colorings drawn up to the last call simulated.
+    pub(crate) iterations: u64,
+    /// The last certified rejection.
+    pub(crate) rejection: Option<Rejection>,
+    /// Whether a cap stopped the walk.
+    pub(crate) budget_exceeded: bool,
+}
+
+impl<'a> CostedRun<'a> {
+    /// A run on `g` that has cost `report` so far (its set-up round, if
+    /// any), simulating on the options' backend and bandwidth.
+    pub(crate) fn new(g: &'a Graph, options: &'a RunOptions, report: RunReport) -> Self {
+        let mut session = Executor::new(options.backend);
+        session.set_bandwidth(options.bandwidth);
+        CostedRun {
+            g,
+            options,
+            session,
+            report,
+            iterations: 0,
+            rejection: None,
+            budget_exceeded: false,
+        }
+    }
+
+    /// Simulates and charges one call; breaks when the run stops.
+    pub(crate) fn visit(&mut self, call: &ColorBfsCall<'_>) -> ControlFlow<()> {
+        self.iterations = call.iteration;
+        let report = call.simulate(&mut self.session, self.g);
+        self.report.absorb(&report);
+        if let Some(&v) = report.rejecting_nodes.first() {
+            let evidence = self.session.nodes()[v as usize].evidence();
+            let origin = NodeId::new(evidence.expect("a rejecting node has evidence").origin);
+            let colors = call.colors();
+            let v = NodeId::new(v);
+            let witness = extract_witness(self.g, call.h_mask, colors, call.palette, origin, v)
+                .expect("rejection must be certifiable");
+            self.rejection = Some(Rejection {
+                witness,
+                phase: call.phase,
+                meet: call.palette.meet,
+            });
+            if !self.options.continue_after_reject {
+                return ControlFlow::Break(());
+            }
+        }
+        if self.options.caps_exceeded(&self.report) {
+            self.budget_exceeded = true;
+            return ControlFlow::Break(());
+        }
         ControlFlow::Continue(())
-    } else {
-        ControlFlow::Break(())
+    }
+
+    /// The run as a [`DetectionOutcome`] over the sets `sets`.
+    pub(crate) fn into_outcome(self, sets: SetsSummary) -> DetectionOutcome {
+        let (witness, phase) = self.rejection.map(|r| (r.witness, r.phase)).unzip();
+        DetectionOutcome {
+            decision: match witness {
+                Some(_) => Decision::Reject,
+                None => Decision::Accept,
+            },
+            witness,
+            phase: phase.flatten(),
+            iterations: self.iterations,
+            report: self.report,
+            sets,
+            budget_exceeded: self.budget_exceeded,
+        }
     }
 }
 
@@ -203,15 +502,15 @@ pub struct RejectEvidence {
     pub origin: u32,
 }
 
-/// The per-node state of `color-BFS(k, H, c, X, τ)`.
+/// The per-node state of one `color-BFS` call.
 ///
-/// Construct one per vertex via [`ColorBfs::new`] and run with a
-/// [`congest_sim::Executor`]; the driver in
-/// [`crate::CycleDetector`] does exactly that for the three calls of
-/// Algorithm 1.
+/// Construct one per vertex via [`ColorBfs::new`] (Algorithm 1's
+/// palette) or [`ColorBfs::with_palette`] and run with a
+/// [`congest_sim::Executor`]; every detector of this crate does exactly
+/// that for each call of its walk.
 #[derive(Debug, Clone)]
 pub struct ColorBfs {
-    k: usize,
+    palette: Palette,
     color: u8,
     in_h: bool,
     /// `x ∈ X` with `c(x) = 0` *and* activated (always true in
@@ -221,16 +520,17 @@ pub struct ColorBfs {
     /// Per neighbor (aligned with the sorted neighbor list): its color,
     /// or [`NOT_IN_H`] when it is outside `H`.
     nbr: Vec<u8>,
-    /// The set `I_v` this node collected (kept for diagnostics).
+    /// The set `I_v` this node collected; at the meeting color, its up
+    /// branch.
     collected: Vec<u32>,
-    /// Whether `|I_v| > τ` forced a discard (diagnostics for the
-    /// congestion experiments).
+    /// Whether `|I_v| > τ` stopped this node from forwarding.
     overflowed: bool,
     reject: Option<RejectEvidence>,
 }
 
 impl ColorBfs {
-    /// Creates the program state for one vertex.
+    /// Creates the program state for one vertex of a call of
+    /// Algorithm 1 or 2 (palette `(2k, k)`).
     ///
     /// * `k` — half the target cycle length (`k ≥ 2`);
     /// * `color` — `c(v) ∈ {0, …, 2k-1}`;
@@ -241,15 +541,27 @@ impl ColorBfs {
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2`, `color ≥ 2k`, or `color` is 255.
+    /// Panics if `k < 2` or `color ≥ 2k`.
     pub fn new(k: usize, color: u8, in_h: bool, in_x: bool, active: bool, tau: u64) -> Self {
-        assert!(k >= 2, "color-BFS requires k ≥ 2");
-        assert!(
-            (color as usize) < 2 * k && color != NOT_IN_H,
-            "color out of range"
-        );
+        ColorBfs::with_palette(Palette::even(k), color, in_h, in_x, active, tau)
+    }
+
+    /// [`ColorBfs::new`] for a call with any [`Palette`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `color` is not below the palette size.
+    pub fn with_palette(
+        palette: Palette,
+        color: u8,
+        in_h: bool,
+        in_x: bool,
+        active: bool,
+        tau: u64,
+    ) -> Self {
+        assert!(color < palette.size, "color out of range");
         ColorBfs {
-            k,
+            palette,
             color,
             in_h,
             active_source: is_source(in_x, in_h, color, active),
@@ -261,15 +573,24 @@ impl ColorBfs {
         }
     }
 
-    /// The superstep at which this node processes/forwards identifiers.
-    fn action_step(&self) -> usize {
-        let c = self.color as usize;
-        let k = self.k;
-        match c {
-            0 => 0,
-            c if c <= k => c, // 1..k-1 forward; k checks at step k
-            c => 2 * k - c,   // k+1..2k-1 forward at 2k-c
-        }
+    /// Whether this node is the `m-1` end of the hand-off.
+    fn awaits_hand_off(&self) -> bool {
+        self.palette.hand_off && self.color + 1 == self.palette.meet
+    }
+
+    /// The superstep at which this node halts: the meeting color reads
+    /// the down branch at `P-m`, the hand-off end reads its set back at
+    /// `m`, and every other node halts once a branch reached it.
+    fn last_step(&self) -> usize {
+        let Palette { size, meet, .. } = self.palette;
+        let c = self.color;
+        usize::from(if c == meet {
+            size - meet
+        } else if self.awaits_hand_off() {
+            meet
+        } else {
+            c.min(size - c)
+        })
     }
 
     /// The set `I_v` of distinct origin ids received from `senders`
@@ -301,6 +622,27 @@ impl ColorBfs {
             if self.nbr[pos] == next {
                 out.send(nbr, CbMsg::Ids(ids.to_vec()));
             }
+        }
+    }
+
+    /// Keeps `ids` as `I_v` and forwards them to the colors `next`,
+    /// unless `|I_v| > τ`.
+    fn relay(&mut self, ctx: &Ctx, out: &mut Outbox<CbMsg>, ids: Vec<u32>, next: &[u8]) {
+        if ids.len() as u64 <= self.tau {
+            for &color in next {
+                self.forward(ctx, out, &ids, color);
+            }
+        } else {
+            self.overflowed = true;
+        }
+        self.collected = ids;
+    }
+
+    /// Rejects if some identifier of `ids` is also in `I_v`.
+    fn reject_on_common(&mut self, ids: &[u32]) {
+        let common = self.collected.iter().find(|x| ids.binary_search(x).is_ok());
+        if let Some(&origin) = common {
+            self.reject = Some(RejectEvidence { origin });
         }
     }
 
@@ -337,7 +679,6 @@ impl Program for ColorBfs {
         inbox: &[(NodeId, CbMsg)],
         out: &mut Outbox<CbMsg>,
     ) -> Control {
-        let k = self.k;
         if superstep == 0 {
             // Record the colors of the H-neighbors from the Hellos.
             self.nbr = vec![NOT_IN_H; ctx.neighbors.len()];
@@ -363,53 +704,61 @@ impl Program for ColorBfs {
                     }
                 }
             }
-            return if self.action_step() == 0 {
+            return if self.color == 0 {
                 Control::Halt
             } else {
                 Control::Continue
             };
         }
-
-        let action = self.action_step();
-        if superstep < action {
+        let Palette {
+            size,
+            meet,
+            hand_off,
+        } = self.palette;
+        let c = self.color;
+        // A branch reaches color c at step c going up, P-c going down.
+        let reached = usize::from(c.min(size - c));
+        if superstep < reached {
             return Control::Continue;
         }
-        debug_assert_eq!(superstep, action, "nodes halt right after acting");
-
-        let c = self.color as usize;
-        if (1..k).contains(&c) {
-            // Up-chain: collect from color c-1, forward to c+1
-            // (Instructions 16–22).
-            let ids = self.collect_ids(inbox, ctx, (c - 1) as u8);
-            if ids.len() as u64 <= self.tau {
-                self.forward(ctx, out, &ids, (c + 1) as u8);
+        let at = |step: u8| superstep == usize::from(step);
+        if superstep == reached {
+            if c < meet {
+                // Up branch: collect from c-1, forward to c+1
+                // (Instructions 16–22).
+                let ids = self.collect_ids(inbox, ctx, c - 1);
+                self.relay(ctx, out, ids, &[c + 1]);
+            } else if c > meet {
+                // Down branch: collect from c+1 (mod P; the predecessor
+                // of P-1 is color 0) and forward to c-1; with the
+                // hand-off, m+1 also forwards to m-1.
+                let ids = self.collect_ids(inbox, ctx, (c + 1) % size);
+                if hand_off && c == meet + 1 {
+                    self.relay(ctx, out, ids, &[c - 1, meet - 1]);
+                } else {
+                    self.relay(ctx, out, ids, &[c - 1]);
+                }
             } else {
-                self.overflowed = true;
+                self.collected = self.collect_ids(inbox, ctx, meet - 1);
             }
-            self.collected = ids;
-        } else if c > k {
-            // Down-chain: color 2k-i collects from 2k-i+1 (mod 2k; the
-            // predecessor of 2k-1 is color 0) and forwards to 2k-i-1.
-            let prev = if c == 2 * k - 1 { 0 } else { (c + 1) as u8 };
-            let ids = self.collect_ids(inbox, ctx, prev);
-            if ids.len() as u64 <= self.tau {
-                self.forward(ctx, out, &ids, (c - 1) as u8);
-            } else {
-                self.overflowed = true;
-            }
-            self.collected = ids;
-        } else if c == k {
-            // Instruction 24–28: same id from a (k-1)-colored and a
-            // (k+1)-colored neighbor certifies a 2k-cycle.
-            let low = self.collect_ids(inbox, ctx, (k - 1) as u8);
-            let high = self.collect_ids(inbox, ctx, (k + 1) as u8);
-            let common = low.iter().find(|x| high.binary_search(x).is_ok());
-            if let Some(&origin) = common {
-                self.reject = Some(RejectEvidence { origin });
-            }
-            self.collected = low;
         }
-        Control::Halt
+        if c == meet && at(size - meet) {
+            // Instructions 24–28: the same id along the up branch and
+            // the down branch certifies a cycle.
+            let down = self.collect_ids(inbox, ctx, meet + 1);
+            self.reject_on_common(&down);
+        } else if self.awaits_hand_off() && at(meet) {
+            // §3.5: an id this node forwarded came back from m+1.
+            let back = self.collect_ids(inbox, ctx, meet + 1);
+            if !self.overflowed {
+                self.reject_on_common(&back);
+            }
+        }
+        if superstep < self.last_step() {
+            Control::Continue
+        } else {
+            Control::Halt
+        }
     }
 
     fn decision(&self) -> Decision {
@@ -425,26 +774,44 @@ impl Program for ColorBfs {
 mod tests {
     use super::*;
     use congest_graph::generators;
-    use congest_sim::{Backend, Executor};
 
-    /// Runs color-BFS on `g` with the given per-node colors, all nodes in
-    /// H and X, all active, threshold `tau`.
-    fn run_plain(
-        g: &congest_graph::Graph,
+    /// Runs one call with `palette` on `g` with the given per-node
+    /// colors, all nodes in H and X, all active, threshold `tau`.
+    fn run_call(
+        g: &Graph,
+        palette: Palette,
         colors: &[u8],
-        k: usize,
         tau: u64,
-    ) -> (congest_sim::RunReport, Vec<ColorBfs>) {
+    ) -> (RunReport, Vec<ColorBfs>) {
         let mut exec = Executor::new(Backend::Sequential);
         let report = exec
             .run(
                 g,
                 7,
-                |v, _| ColorBfs::new(k, colors[v.index()], true, true, true, tau),
-                (k + 3) as u64,
+                |v, _| ColorBfs::with_palette(palette, colors[v.index()], true, true, true, tau),
+                usize::from(palette.size - palette.meet) as u64 + 3,
             )
             .expect("simulation error");
         (report, exec.into_nodes())
+    }
+
+    /// [`run_call`] with Algorithm 1's palette `(2k, k)`.
+    fn run_plain(g: &Graph, colors: &[u8], k: usize, tau: u64) -> (RunReport, Vec<ColorBfs>) {
+        run_call(g, Palette::even(k), colors, tau)
+    }
+
+    /// Asserts that node `v` alone rejects a call with `palette` on `g`
+    /// at threshold `tau`, with origin 0, and that the witness step
+    /// recovers a valid cycle of length `len` from that rejection.
+    fn assert_rejects_at(g: &Graph, palette: Palette, colors: &[u8], tau: u64, v: u32, len: usize) {
+        let (report, nodes) = run_call(g, palette, colors, tau);
+        assert_eq!(report.rejecting_nodes, vec![v], "{palette:?}, τ = {tau}");
+        let origin = nodes[v as usize].evidence().unwrap().origin;
+        assert_eq!(origin, 0);
+        let all = vec![true; g.node_count()];
+        let (x, v) = (NodeId::new(origin), NodeId::new(v));
+        let w = extract_witness(g, &all, colors, palette, x, v).expect("certifiable");
+        assert_eq!(w.len(), len);
     }
 
     #[test]
@@ -595,6 +962,50 @@ mod tests {
         // and the hub collected all s distinct origins.
         assert_eq!(nodes[0].collected().len(), s as usize);
         assert_eq!(report.congestion.max_words_per_edge_step, 1);
+    }
+
+    #[test]
+    fn odd_palette_detects_well_colored_c5_and_c3() {
+        // §3.4: the up branch (k hops) and the down branch (k+1 hops)
+        // meet at color k, one step apart.
+        let colors = [0, 1, 2, 3, 4];
+        assert_rejects_at(&generators::cycle(5), Palette::odd(2), &colors, 4, 2, 5);
+        assert_rejects_at(&generators::cycle(3), Palette::odd(1), &[0, 1, 2], 4, 1, 3);
+    }
+
+    #[test]
+    fn pair_hand_off_detects_the_odd_member() {
+        // §3.5: color ℓ+1 also forwards to ℓ-1, which finds an id it
+        // forwarded coming back.
+        assert_rejects_at(&generators::cycle(3), Palette::pair(2), &[0, 1, 3], 4, 1, 3);
+        let colors = [0, 1, 2, 4, 5];
+        assert_rejects_at(&generators::cycle(5), Palette::pair(3), &colors, 4, 2, 5);
+    }
+
+    #[test]
+    fn pair_palette_detects_the_even_member() {
+        let colors = [0, 1, 2, 3, 4, 5];
+        assert_rejects_at(&generators::cycle(6), Palette::pair(3), &colors, 4, 3, 6);
+    }
+
+    #[test]
+    fn an_overflowed_set_voids_the_hand_off_check() {
+        // The triangle 0-1-2 colored 0, 1, 3, and node 3 colored 0 on
+        // node 1: node 1 collects {0, 3}. At τ = 2 it forwards the set
+        // and id 0 comes back from node 2; at τ = 1 it forwards nothing,
+        // so the 0 coming back matches nothing, though node 1 keeps the
+        // set it collected.
+        let mut b = congest_graph::GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (1, 3)] {
+            b.add_edge(NodeId::new(u), NodeId::new(v));
+        }
+        let g = b.build();
+        let colors = [0, 1, 3, 0];
+        assert_rejects_at(&g, Palette::pair(2), &colors, 2, 1, 3);
+        let (report, nodes) = run_call(&g, Palette::pair(2), &colors, 1);
+        assert!(!report.rejected());
+        assert!(nodes[1].overflowed());
+        assert_eq!(nodes[1].collected(), [0, 3]);
     }
 
     #[test]

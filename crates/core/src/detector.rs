@@ -3,18 +3,17 @@
 
 use std::ops::ControlFlow;
 
-use congest_graph::{CycleWitness, Graph, NodeId};
+use congest_graph::{Graph, NodeId};
 use congest_sim::{
-    derive_seed, node_rng, Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport,
+    derive_seed, node_rng, Backend, Control, Ctx, Executor, Outbox, Program, RunReport,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::api::run_program;
-use crate::color_bfs::{ActivationCoins, ColorBfs, Coloring};
+use crate::color_bfs::{ColorBfs, ColorBfsCall, Coloring, CostedRun, Launch, Palette};
 use crate::params::{Instance, Params};
-use crate::randomized::RANDOMIZED_THRESHOLD;
-use crate::witness::{extract_even_witness, DetectionOutcome, Phase, SetsSummary};
+use crate::witness::{DetectionOutcome, Phase, SetsSummary};
 
 /// Test and experiment hooks for [`CycleDetector::run_with`].
 #[derive(Debug, Clone)]
@@ -57,22 +56,26 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Whether an accumulated report has passed the configured caps.
-    pub(crate) fn caps_exceeded(&self, report: &RunReport) -> bool {
-        report_caps_exceeded(report, self.round_cap, self.message_cap)
+    /// The options of a capped run under `budget` that stops at its
+    /// first rejection.
+    pub(crate) fn capped(budget: &crate::Budget) -> Self {
+        RunOptions {
+            bandwidth: budget.bandwidth,
+            round_cap: budget.max_rounds,
+            message_cap: budget.max_messages,
+            backend: budget.backend,
+            ..Default::default()
+        }
     }
-}
 
-/// The one cap predicate every detector loop shares: an accumulated
-/// report exceeds the budget once its rounds or messages pass the
-/// respective cap.
-pub(crate) fn report_caps_exceeded(
-    report: &RunReport,
-    round_cap: Option<u64>,
-    message_cap: Option<u64>,
-) -> bool {
-    round_cap.is_some_and(|cap| report.rounds > cap)
-        || message_cap.is_some_and(|cap| report.congestion.total_messages > cap)
+    /// Whether an accumulated report has passed the configured caps:
+    /// its rounds or messages pass the respective cap.
+    pub(crate) fn caps_exceeded(&self, report: &RunReport) -> bool {
+        self.round_cap.is_some_and(|cap| report.rounds > cap)
+            || self
+                .message_cap
+                .is_some_and(|cap| report.congestion.total_messages > cap)
+    }
 }
 
 /// The membership sets of Algorithm 1 (Instructions 1–5).
@@ -86,30 +89,6 @@ pub struct Memberships {
     pub w_mask: Vec<bool>,
     /// Round cost of constructing them (the one-round `S`-flag exchange).
     pub setup_report: RunReport,
-}
-
-/// One `color-BFS` call of a run of Algorithm 1 or of the Lemma 12
-/// detector, as [`CallSets::walk_calls`] hands it out.
-pub(crate) struct ColorBfsCall<'a> {
-    /// The coloring iteration (0-based).
-    pub(crate) repetition: u64,
-    /// Which of the three calls of the iteration this is.
-    pub(crate) phase: Phase,
-    /// The iteration's coloring, drawn on first read.
-    pub(crate) coloring: &'a Coloring<'a>,
-    /// The host subgraph `H`.
-    pub(crate) h_mask: &'a [bool],
-    /// The launch set `X`.
-    pub(crate) x_mask: &'a [bool],
-    /// The call's simulation seed; its activation coins derive from it.
-    pub(crate) seed: u64,
-}
-
-impl ColorBfsCall<'_> {
-    /// The iteration's coloring (drawn now if this is its first read).
-    pub(crate) fn colors(&self) -> &[u8] {
-        self.coloring.get()
-    }
 }
 
 /// The host subgraphs and launch sets of the three `color-BFS` calls of
@@ -142,13 +121,15 @@ impl CallSets<'_> {
         repetitions: usize,
         seed: u64,
         forced_coloring: Option<&[u8]>,
+        launch: Launch,
         mut visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let n = self.u.len();
+        let palette = Palette::even(k);
         for r in 0..repetitions as u64 {
             let coloring = match forced_coloring {
                 Some(colors) => Coloring::forced(colors),
-                None => Coloring::new(n, 2 * k, derive_seed(seed, 0xC0 + r)),
+                None => Coloring::new(n, palette, derive_seed(seed, 0xC0 + r)),
             };
             // The three color-BFS calls (Instructions 9–11).
             let phases = [
@@ -158,8 +139,10 @@ impl CallSets<'_> {
             ];
             for (idx, (phase, h_mask, x_mask)) in phases.into_iter().enumerate() {
                 visit(&ColorBfsCall {
-                    repetition: r,
-                    phase,
+                    palette,
+                    launch,
+                    iteration: r + 1,
+                    phase: Some(phase),
                     coloring: &coloring,
                     h_mask,
                     x_mask,
@@ -180,6 +163,7 @@ impl Memberships {
         repetitions: usize,
         seed: u64,
         forced_coloring: Option<&[u8]>,
+        launch: Launch,
         visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let all = vec![true; self.u_mask.len()];
@@ -191,7 +175,7 @@ impl Memberships {
             not_s: &not_s,
             w: &self.w_mask,
         };
-        sets.walk_calls(k, repetitions, seed, forced_coloring, visit)
+        sets.walk_calls(k, repetitions, seed, forced_coloring, launch, visit)
     }
 }
 
@@ -367,8 +351,8 @@ impl CycleDetector {
 
     /// The costed repetition loop of Algorithm 1 or, with `randomized`,
     /// of the Lemma 12 detector (each source activates with probability
-    /// `1/τ`, threshold [`RANDOMIZED_THRESHOLD`]): simulates every call
-    /// and charges what it measured.
+    /// `1/τ`, threshold [`crate::RANDOMIZED_THRESHOLD`]): simulates every
+    /// call and charges what it measured.
     pub(crate) fn run_calls(
         &self,
         g: &Graph,
@@ -378,12 +362,6 @@ impl CycleDetector {
     ) -> DetectionOutcome {
         let k = self.params.k;
         let (inst, sets) = self.build_memberships(g, seed, options);
-        let (activation, threshold) = if randomized {
-            (Some(1.0 / inst.tau as f64), RANDOMIZED_THRESHOLD)
-        } else {
-            (None, inst.tau)
-        };
-        let mut total = sets.setup_report.clone();
         let sets_summary = SetsSummary {
             u_size: sets.u_mask.iter().filter(|&&b| b).count(),
             s_size: sets.s_mask.iter().filter(|&&b| b).count(),
@@ -391,57 +369,13 @@ impl CycleDetector {
             tau: inst.tau,
             selection_probability: inst.selection_probability,
         };
-
-        let mut decision = Decision::Accept;
-        let mut witness: Option<CycleWitness> = None;
-        let mut phase_found: Option<Phase> = None;
-        let mut iterations = 0u64;
-        let mut budget_exceeded = false;
-        let mut session = Executor::new(options.backend);
-        session.set_bandwidth(options.bandwidth);
-
+        let mut run = CostedRun::new(g, options, sets.setup_report.clone());
         let forced = options.forced_coloring.as_deref();
-        let _ = sets.walk_calls(k, self.params.repetitions, seed, forced, |call| {
-            iterations = call.repetition + 1;
-            let result = run_color_bfs_backend(
-                &mut session,
-                g,
-                k,
-                call.colors(),
-                call.h_mask,
-                call.x_mask,
-                activation,
-                threshold,
-                call.seed,
-            );
-            total.absorb(&result.report);
-            if let Some((v, origin)) = result.rejection {
-                decision = Decision::Reject;
-                phase_found = Some(call.phase);
-                let w = extract_even_witness(g, call.h_mask, call.colors(), k, origin, v)
-                    .expect("rejection must be certifiable");
-                assert!(w.is_valid(g), "internal error: invalid witness");
-                witness = Some(w);
-                if !options.continue_after_reject {
-                    return ControlFlow::Break(());
-                }
-            }
-            if options.caps_exceeded(&total) {
-                budget_exceeded = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
+        let launch = Launch::new(inst.tau, randomized);
+        let _ = sets.walk_calls(k, self.params.repetitions, seed, forced, launch, |call| {
+            run.visit(call)
         });
-
-        DetectionOutcome {
-            decision,
-            witness,
-            phase: phase_found,
-            iterations,
-            report: total,
-            sets: sets_summary,
-            budget_exceeded,
-        }
+        run.into_outcome(sets_summary)
     }
 }
 
@@ -463,12 +397,8 @@ impl crate::Detector for CycleDetector {
             None => self.clone(),
         };
         let opts = RunOptions {
-            bandwidth: budget.bandwidth,
             continue_after_reject: budget.run_to_budget,
-            round_cap: budget.max_rounds,
-            message_cap: budget.max_messages,
-            backend: budget.backend,
-            ..Default::default()
+            ..RunOptions::capped(budget)
         };
         Ok(budget.enforce(
             det.run_with(g, seed, &opts)
@@ -498,7 +428,8 @@ pub struct ColorBfsResult {
 
 /// Runs a single `color-BFS(k, H, c, X, τ)` (or, with
 /// `activation = Some(q)`, `randomized-color-BFS`) and gathers the
-/// result, at classical CONGEST bandwidth (`B = 1`).
+/// result, at classical CONGEST bandwidth (`B = 1`), in a one-call
+/// sequential session.
 #[allow(clippy::too_many_arguments)]
 pub fn run_color_bfs(
     g: &Graph,
@@ -510,26 +441,7 @@ pub fn run_color_bfs(
     tau: u64,
     seed: u64,
 ) -> ColorBfsResult {
-    run_color_bfs_bw(g, k, colors, h_mask, x_mask, activation, tau, 1, seed)
-}
-
-/// [`run_color_bfs`] with an explicit per-edge bandwidth in words per
-/// round (the `B` of CONGEST(B·log n); supersteps are charged
-/// `⌈load/B⌉` rounds), in a one-call sequential session.
-#[allow(clippy::too_many_arguments)]
-pub fn run_color_bfs_bw(
-    g: &Graph,
-    k: usize,
-    colors: &[u8],
-    h_mask: &[bool],
-    x_mask: &[bool],
-    activation: Option<f64>,
-    tau: u64,
-    bandwidth: u64,
-    seed: u64,
-) -> ColorBfsResult {
     let mut session = Executor::new(Backend::Sequential);
-    session.set_bandwidth(bandwidth);
     run_color_bfs_backend(
         &mut session,
         g,
@@ -543,8 +455,9 @@ pub fn run_color_bfs_bw(
     )
 }
 
-/// [`run_color_bfs_bw`] in a caller-held simulation session, on the
-/// session's backend and bandwidth — the form the detector repetition
+/// [`run_color_bfs`] in a caller-held simulation session, on the
+/// session's backend and bandwidth (the `B` of CONGEST(B·log n);
+/// supersteps are charged `⌈load/B⌉` rounds) — the form repetition
 /// loops call, so one session's buffers serve every call of a loop.
 /// The result is byte-identical whatever the backend.
 #[allow(clippy::too_many_arguments)]
@@ -559,11 +472,18 @@ pub fn run_color_bfs_backend(
     tau: u64,
     seed: u64,
 ) -> ColorBfsResult {
-    // The factory runs in ascending node order, so node v draws coin v.
-    let mut coins = activation.map(|q| ActivationCoins::new(q, seed));
-    let report = simulate_color_bfs(session, g, k, colors, h_mask, x_mask, tau, seed, |_| {
-        coins.as_mut().is_none_or(ActivationCoins::flip)
-    });
+    let coloring = Coloring::forced(colors);
+    let call = ColorBfsCall {
+        palette: Palette::even(k),
+        launch: Launch { activation, tau },
+        iteration: 1,
+        phase: None,
+        coloring: &coloring,
+        h_mask,
+        x_mask,
+        seed,
+    };
+    let report = call.simulate(session, g);
     let nodes = session.nodes();
     let rejection = report.rejecting_nodes.first().map(|&v| {
         let node = NodeId::new(v);
@@ -583,39 +503,10 @@ pub fn run_color_bfs_backend(
     }
 }
 
-/// Simulates one `color-BFS` call in `session`; `active(v)` is node
-/// `v`'s activation coin, asked in ascending node order. The one
-/// simulation step of both the costed run and the verdict-only
-/// evaluation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_color_bfs(
-    session: &mut Executor<ColorBfs>,
-    g: &Graph,
-    k: usize,
-    colors: &[u8],
-    h_mask: &[bool],
-    x_mask: &[bool],
-    tau: u64,
-    seed: u64,
-    mut active: impl FnMut(usize) -> bool,
-) -> RunReport {
-    session
-        .run(
-            g,
-            seed,
-            |v, _| {
-                let v = v.index();
-                ColorBfs::new(k, colors[v], h_mask[v], x_mask[v], active(v), tau)
-            },
-            (k + 3) as u64,
-        )
-        .expect("color-BFS cannot violate the model")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::{analysis, generators};
+    use congest_graph::{analysis, generators, CycleWitness};
 
     fn consecutive_coloring(g: &Graph, cycle: &CycleWitness, colors: usize) -> Vec<u8> {
         let mut c = vec![(colors - 1) as u8; g.node_count()];

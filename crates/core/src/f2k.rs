@@ -5,250 +5,21 @@
 //! cycles are caught by an earlier pair). Per pair, relative to
 //! Algorithm 1: `W` becomes *all* neighbors of `S` (no degree
 //! restriction), the threshold becomes `τ = 2np`, and the two heavy
-//! `color-BFS` calls merge into one `color-BFS(G, c, W, τ)`. Odd cycles
-//! `C_{2ℓ-1}` are caught on the fly: nodes colored `ℓ+1` also forward to
-//! neighbors colored `ℓ-1`, which reject on a match with their own
-//! collected set.
+//! `color-BFS` calls merge into one `color-BFS(G, c, W, τ)`. Each call
+//! runs with the palette `(2ℓ, ℓ)` and its hand-off (see
+//! [`crate::color_bfs`]): odd cycles `C_{2ℓ-1}` are caught on the fly,
+//! as nodes colored `ℓ+1` also forward to neighbors colored `ℓ-1`, which
+//! reject on a match with the set they forwarded.
 
 use std::ops::ControlFlow;
 
-use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{
-    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
-};
+use congest_graph::{CycleWitness, Graph};
+use congest_sim::{derive_seed, Backend, RunReport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::color_bfs::{call_verdict, is_source, ActivationCoins, Coloring, NOT_IN_H};
-use crate::witness::find_colored_path;
-
-/// Messages of the pair protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PairMsg {
-    Hello { color: u8, in_h: bool },
-    Ids(Vec<u32>),
-}
-
-impl MessageSize for PairMsg {
-    fn words(&self) -> usize {
-        match self {
-            PairMsg::Hello { .. } => 1,
-            PairMsg::Ids(ids) => ids.len().max(1),
-        }
-    }
-}
-
-/// What a rejecting node certified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairEvidence {
-    /// A `C_{2ℓ}` (checked at color `ℓ`).
-    Even { origin: u32 },
-    /// A `C_{2ℓ-1}` (checked at color `ℓ-1`).
-    Odd { origin: u32 },
-}
-
-/// Per-node program detecting the pair `(C_{2ℓ-1}, C_{2ℓ})` under a
-/// `2ℓ`-coloring.
-#[derive(Debug, Clone)]
-struct PairColorBfs {
-    l: usize,
-    color: u8,
-    in_h: bool,
-    active_source: bool,
-    tau: u64,
-    /// Per neighbor (aligned with the sorted neighbor list): its color,
-    /// or [`NOT_IN_H`] when it is outside the host subgraph.
-    nbr: Vec<u8>,
-    /// For color ℓ-1: the collected up-chain set, kept for the odd check.
-    my_ids: Vec<u32>,
-    evidence: Option<PairEvidence>,
-}
-
-impl PairColorBfs {
-    fn action_step(&self) -> usize {
-        let c = self.color as usize;
-        let l = self.l;
-        match c {
-            0 => 0,
-            c if c <= l => c,
-            c => 2 * l - c,
-        }
-    }
-
-    fn collect(&self, inbox: &[(NodeId, PairMsg)], ctx: &Ctx, expected: u8) -> Vec<u32> {
-        let mut ids = Vec::new();
-        for (from, msg) in inbox {
-            if let PairMsg::Ids(payload) = msg {
-                let pos = ctx
-                    .neighbors
-                    .binary_search(from)
-                    .expect("sender is a neighbor");
-                if self.nbr[pos] == expected {
-                    ids.extend_from_slice(payload);
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    fn forward(&self, ctx: &Ctx, out: &mut Outbox<PairMsg>, ids: &[u32], next: u8) {
-        if ids.is_empty() {
-            return;
-        }
-        for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
-            if self.nbr[pos] == next {
-                out.send(nbr, PairMsg::Ids(ids.to_vec()));
-            }
-        }
-    }
-}
-
-impl Program for PairColorBfs {
-    type Msg = PairMsg;
-
-    fn init(&mut self, _ctx: &mut Ctx, out: &mut Outbox<PairMsg>) {
-        out.broadcast(PairMsg::Hello {
-            color: self.color,
-            in_h: self.in_h,
-        });
-    }
-
-    fn step(
-        &mut self,
-        ctx: &mut Ctx,
-        superstep: usize,
-        inbox: &[(NodeId, PairMsg)],
-        out: &mut Outbox<PairMsg>,
-    ) -> Control {
-        let l = self.l;
-        if superstep == 0 {
-            self.nbr = vec![NOT_IN_H; ctx.neighbors.len()];
-            for (from, msg) in inbox {
-                if let PairMsg::Hello { color, in_h: true } = msg {
-                    let pos = ctx
-                        .neighbors
-                        .binary_search(from)
-                        .expect("sender is a neighbor");
-                    self.nbr[pos] = *color;
-                }
-            }
-            if !self.in_h {
-                return Control::Halt;
-            }
-            if self.active_source {
-                let me = ctx.node.raw();
-                for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
-                    if self.nbr[pos] != NOT_IN_H {
-                        out.send(nbr, PairMsg::Ids(vec![me]));
-                    }
-                }
-            }
-            return if self.action_step() == 0 {
-                Control::Halt
-            } else {
-                Control::Continue
-            };
-        }
-
-        let c = self.color as usize;
-        if c == l - 1 && l >= 2 {
-            // Up-chain step at ℓ-1 plus the odd check one step later.
-            if superstep == l - 1 {
-                let prev = if l == 2 { 0u8 } else { (l - 2) as u8 };
-                let ids = self.collect(inbox, ctx, prev);
-                if ids.len() as u64 <= self.tau {
-                    self.forward(ctx, out, &ids, l as u8);
-                    self.my_ids = ids;
-                } else {
-                    self.my_ids = Vec::new(); // discarded
-                }
-                return Control::Continue;
-            }
-            if superstep == l {
-                let from_high = self.collect(inbox, ctx, (l + 1) as u8);
-                if let Some(&x) = self
-                    .my_ids
-                    .iter()
-                    .find(|x| from_high.binary_search(x).is_ok())
-                {
-                    self.evidence = Some(PairEvidence::Odd { origin: x });
-                }
-                return Control::Halt;
-            }
-            return Control::Continue;
-        }
-
-        let action = self.action_step();
-        if superstep < action {
-            return Control::Continue;
-        }
-
-        if (1..l).contains(&c) {
-            // (colors ℓ-1 handled above; this is 1..ℓ-2)
-            let ids = self.collect(inbox, ctx, (c - 1) as u8);
-            if ids.len() as u64 <= self.tau {
-                self.forward(ctx, out, &ids, (c + 1) as u8);
-            }
-        } else if c > l {
-            let prev = if c == 2 * l - 1 { 0 } else { (c + 1) as u8 };
-            let ids = self.collect(inbox, ctx, prev);
-            if ids.len() as u64 <= self.tau {
-                self.forward(ctx, out, &ids, (c - 1) as u8);
-                if c == l + 1 {
-                    // §3.5 extension: also hand the set to ℓ-1 nodes for
-                    // the odd check.
-                    self.forward(ctx, out, &ids, (l - 1) as u8);
-                }
-            }
-        } else if c == l {
-            let low = self.collect(inbox, ctx, (l - 1) as u8);
-            let high = self.collect(inbox, ctx, (l + 1) as u8);
-            if let Some(&x) = low.iter().find(|x| high.binary_search(x).is_ok()) {
-                self.evidence = Some(PairEvidence::Even { origin: x });
-            }
-        }
-        Control::Halt
-    }
-
-    fn decision(&self) -> Decision {
-        if self.evidence.is_some() {
-            Decision::Reject
-        } else {
-            Decision::Accept
-        }
-    }
-}
-
-/// One `color-BFS` call of an [`F2kDetector`] run, as
-/// [`F2kDetector::walk_calls`] hands it out.
-struct PairCall<'a> {
-    /// The pair `ℓ` (detecting `C_{2ℓ-1}` and `C_{2ℓ}`).
-    l: usize,
-    /// Colorings drawn so far in the run, this call's included.
-    iteration: u64,
-    /// The repetition's `2ℓ`-coloring, drawn on first read.
-    coloring: &'a Coloring<'a>,
-    /// The host subgraph `H`.
-    h_mask: &'a [bool],
-    /// The launch set `X`.
-    x_mask: &'a [bool],
-    /// The activation probability of a source (`1/τ` in randomized
-    /// mode; `None` activates every source).
-    activation: Option<f64>,
-    /// The forwarding threshold.
-    tau: u64,
-    /// The call's simulation seed; its activation coins derive from it.
-    seed: u64,
-}
-
-impl PairCall<'_> {
-    /// The repetition's coloring (drawn now if this is its first read).
-    fn colors(&self) -> &[u8] {
-        self.coloring.get()
-    }
-}
+use crate::color_bfs::{ColorBfsCall, Coloring, CostedRun, Launch, Palette, VerdictSession};
+use crate::detector::RunOptions;
 
 /// The parameters and light set of one pair `ℓ` (§3.5) on one graph,
 /// which no seed changes.
@@ -445,8 +216,7 @@ impl F2kDetector {
             det: self,
             g,
             sets: PairSets::new(self, g),
-            coins: Vec::new(),
-            session: Executor::new(backend),
+            verdicts: VerdictSession::new(backend),
         }
     }
 
@@ -469,7 +239,7 @@ impl F2kDetector {
 
     /// [`F2kDetector::run`] at per-edge bandwidth `B` (words per round).
     pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> F2kOutcome {
-        self.run_capped(g, seed, bandwidth, Backend::Sequential, None, None)
+        self.run_on_backend(g, seed, bandwidth, Backend::Sequential)
     }
 
     /// [`F2kDetector::run_with_bandwidth`] on an explicit simulation
@@ -481,58 +251,33 @@ impl F2kDetector {
         bandwidth: u64,
         backend: Backend,
     ) -> F2kOutcome {
-        self.run_capped(g, seed, bandwidth, backend, None, None)
+        let options = RunOptions {
+            bandwidth,
+            backend,
+            ..Default::default()
+        };
+        self.run_capped(g, seed, &options)
     }
 
-    /// [`F2kDetector::run_with_bandwidth`] with hard round/message caps:
-    /// the pair/repetition loop aborts (flagging the outcome) once the
-    /// accumulated cost passes either cap.
-    fn run_capped(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-        backend: Backend,
-        round_cap: Option<u64>,
-        message_cap: Option<u64>,
-    ) -> F2kOutcome {
-        let mut total = RunReport::empty();
-        let mut iterations = 0u64;
-        let mut found: Option<(CycleWitness, usize, usize)> = None;
-        let mut budget_exceeded = false;
-        let mut session = Executor::new(backend);
-        session.set_bandwidth(bandwidth);
+    /// The costed run under `options` (its caps abort the
+    /// pair/repetition loop, flagging the outcome; a rejection always
+    /// stops it).
+    fn run_capped(&self, g: &Graph, seed: u64, options: &RunOptions) -> F2kOutcome {
+        let mut run = CostedRun::new(g, options, RunReport::empty());
         let mut sets = PairSets::new(self, g);
-        let _ = self.walk_calls(g, seed, &mut sets, |call| {
-            iterations = call.iteration;
-            let mut coins = call.activation.map(|q| ActivationCoins::new(q, call.seed));
-            let report = simulate_pair_call(&mut session, g, call, |_| {
-                coins.as_mut().is_none_or(ActivationCoins::flip)
-            });
-            total.absorb(&report);
-            if let Some(&v) = report.rejecting_nodes.first() {
-                let evidence = session.nodes()[v as usize].evidence.expect("evidence");
-                found = Some(certify_pair(g, call, NodeId::new(v), evidence));
-                return ControlFlow::Break(());
-            }
-            if crate::detector::report_caps_exceeded(&total, round_cap, message_cap) {
-                budget_exceeded = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        let (witness, cycle_length, pair) = match found {
-            Some((witness, len, l)) => (Some(witness), Some(len), Some(l)),
-            None => (None, None, None),
-        };
+        let _ = self.walk_calls(g, seed, &mut sets, |call| run.visit(call));
+        let (witness, pair) = run
+            .rejection
+            .map(|r| (r.witness, usize::from(r.meet)))
+            .unzip();
         F2kOutcome {
             rejected: witness.is_some(),
-            cycle_length,
+            cycle_length: witness.as_ref().map(CycleWitness::len),
             witness,
             pair,
-            iterations,
-            report: total,
-            budget_exceeded,
+            iterations: run.iterations,
+            report: run.report,
+            budget_exceeded: run.budget_exceeded,
         }
     }
 
@@ -546,7 +291,7 @@ impl F2kDetector {
         g: &Graph,
         seed: u64,
         sets: &mut PairSets,
-        mut visit: impl FnMut(&PairCall<'_>) -> ControlFlow<()>,
+        mut visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let n = g.node_count();
         let PairSets {
@@ -569,27 +314,23 @@ impl F2kDetector {
                     !s_mask[v.index()] && g.neighbors(v).iter().any(|u| s_mask[u.index()])
                 }),
             );
-            let (activation, call_tau) = if self.randomized {
-                (Some(1.0 / pair.tau as f64), 4)
-            } else {
-                (None, pair.tau)
-            };
-
+            let palette = Palette::pair(l);
+            let launch = Launch::new(pair.tau, self.randomized);
             for r in 0..self.repetitions_per_pair as u64 {
                 iteration += 1;
-                let coloring = Coloring::new(n, 2 * l, derive_seed(pair_seed, 0xC0 + r));
+                let coloring = Coloring::new(n, palette, derive_seed(pair_seed, 0xC0 + r));
                 // Two calls: light (G[U], X = U) and merged heavy
                 // (G, X = W).
                 let calls: [(&[bool], &[bool]); 2] = [(&pair.u_mask, &pair.u_mask), (all, w_mask)];
                 for (ci, (h_mask, x_mask)) in calls.into_iter().enumerate() {
-                    visit(&PairCall {
-                        l,
+                    visit(&ColorBfsCall {
+                        palette,
+                        launch,
                         iteration,
+                        phase: None,
                         coloring: &coloring,
                         h_mask,
                         x_mask,
-                        activation,
-                        tau: call_tau,
                         seed: derive_seed(pair_seed, 0xF00 + r * 2 + ci as u64),
                     })?;
                 }
@@ -597,94 +338,6 @@ impl F2kDetector {
         }
         ControlFlow::Continue(())
     }
-}
-
-/// Simulates one pair call in `session`; `active(v)` is node `v`'s
-/// activation coin, asked in ascending node order. The one simulation
-/// step of both the costed run and the verdict-only evaluation.
-fn simulate_pair_call(
-    session: &mut Executor<PairColorBfs>,
-    g: &Graph,
-    call: &PairCall<'_>,
-    mut active: impl FnMut(usize) -> bool,
-) -> RunReport {
-    let colors = call.colors();
-    session
-        .run(
-            g,
-            call.seed,
-            |v, _| {
-                let v = v.index();
-                PairColorBfs {
-                    l: call.l,
-                    color: colors[v],
-                    in_h: call.h_mask[v],
-                    active_source: is_source(call.x_mask[v], call.h_mask[v], colors[v], active(v)),
-                    tau: call.tau,
-                    nbr: Vec::new(),
-                    my_ids: Vec::new(),
-                    evidence: None,
-                }
-            },
-            (call.l + 4) as u64,
-        )
-        .expect("pair color-BFS cannot violate the model")
-}
-
-/// The certified witness of a rejection at `v` in `call`: `(witness,
-/// cycle length, pair ℓ)`.
-fn certify_pair(
-    g: &Graph,
-    call: &PairCall<'_>,
-    v: NodeId,
-    evidence: PairEvidence,
-) -> (CycleWitness, usize, usize) {
-    let l = call.l;
-    let (witness, len) = match evidence {
-        PairEvidence::Even { origin } => {
-            let w = crate::witness::extract_even_witness(
-                g,
-                call.h_mask,
-                call.colors(),
-                l,
-                NodeId::new(origin),
-                v,
-            )
-            .expect("even rejection certifiable");
-            (w, 2 * l)
-        }
-        PairEvidence::Odd { origin } => {
-            let w =
-                extract_pair_odd_witness(g, call.h_mask, call.colors(), l, NodeId::new(origin), v)
-                    .expect("odd rejection certifiable");
-            (w, 2 * l - 1)
-        }
-    };
-    assert!(witness.is_valid(g));
-    (witness, len, l)
-}
-
-/// Witness extraction for the odd member of a pair: `v` colored `ℓ-1`,
-/// up-branch internals `1, …, ℓ-2`, down-branch internals
-/// `2ℓ-1, …, ℓ+1` — total length `2ℓ-1`.
-fn extract_pair_odd_witness(
-    g: &Graph,
-    h_mask: &[bool],
-    colors: &[u8],
-    l: usize,
-    x: NodeId,
-    v: NodeId,
-) -> Option<CycleWitness> {
-    let up_colors: Vec<u8> = (1..(l - 1) as u8).collect();
-    let down_colors: Vec<u8> = ((l as u8 + 1)..(2 * l as u8)).rev().collect();
-    let up = find_colored_path(g, h_mask, colors, &up_colors, x, v)?;
-    let down = find_colored_path(g, h_mask, colors, &down_colors, x, v)?;
-    let mut nodes = up;
-    for &u in down[1..down.len() - 1].iter().rev() {
-        nodes.push(u);
-    }
-    let w = CycleWitness::new(nodes);
-    w.is_valid(g).then_some(w)
 }
 
 /// The randomized [`F2kDetector`] as a
@@ -708,25 +361,15 @@ pub struct F2kMc<'a> {
     det: &'a F2kDetector,
     g: &'a Graph,
     sets: PairSets,
-    coins: Vec<bool>,
-    session: Executor<PairColorBfs>,
+    verdicts: VerdictSession,
 }
 
 impl congest_quantum::MonteCarloAlgorithm for F2kMc<'_> {
     fn rejects(&mut self, seed: u64) -> bool {
-        let (g, session, coins) = (self.g, &mut self.session, &mut self.coins);
+        let (g, verdicts) = (self.g, &mut self.verdicts);
         self.det
             .walk_calls(g, seed, &mut self.sets, |call| {
-                let (h, x) = (call.h_mask, call.x_mask);
-                call_verdict(
-                    coins,
-                    call.activation,
-                    call.seed,
-                    call.coloring,
-                    h,
-                    x,
-                    |_, coins| simulate_pair_call(session, g, call, |v| coins[v]),
-                )
+                verdicts.call_verdict(g, call)
             })
             .is_break()
     }
@@ -757,14 +400,7 @@ impl crate::Detector for F2kDetector {
             Some(r) => self.clone().with_repetitions(r),
             None => self.clone(),
         };
-        let o = det.run_capped(
-            g,
-            seed,
-            budget.bandwidth,
-            budget.backend,
-            budget.max_rounds,
-            budget.max_messages,
-        );
+        let o = det.run_capped(g, seed, &RunOptions::capped(budget));
         let cost = crate::RunCost::from_report(&o.report, o.iterations);
         let verdict = if o.rejected {
             crate::Verdict::Reject {
@@ -817,6 +453,7 @@ mod tests {
     #[test]
     fn a_call_without_an_active_source_only_says_hello() {
         use crate::color_bfs::has_active_source;
+        use congest_sim::Executor;
         // The lemma behind the verdict-only oracle, on the calls of real
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
@@ -832,16 +469,12 @@ mod tests {
             let mut sets = PairSets::new(&det, &g);
             for seed in 0..10 {
                 let _ = det.walk_calls(&g, seed, &mut sets, |call| {
-                    let (q, h, x) = (call.activation, call.h_mask, call.x_mask);
-                    if has_active_source(&mut coins, q, call.seed, call.coloring, h, x) {
+                    if has_active_source(&mut coins, call) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }
                     silent += 1;
-                    let mut costed = call.activation.map(|q| ActivationCoins::new(q, call.seed));
-                    let report = simulate_pair_call(&mut session, &g, call, |_| {
-                        costed.as_mut().is_none_or(ActivationCoins::flip)
-                    });
+                    let report = call.simulate(&mut session, &g);
                     assert_eq!(
                         report.congestion.total_messages,
                         g.directed_edge_count() as u64

@@ -20,6 +20,12 @@
 //! * [`theory`] — closed-form round complexities for every row of
 //!   Table 1.
 //!
+//! The first five run one CONGEST node program, [`color_bfs::ColorBfs`]:
+//! `color-BFS` with threshold, whose palette (size, meeting color and
+//! the §3.5 hand-off) is the only thing that differs between them. The
+//! [`color_bfs`] module docs give the role of each color for every
+//! palette.
+//!
 //! Every rejection is *certified*: the library extracts an explicit cycle
 //! witness and validates it against the input graph before reporting.
 //!
@@ -54,8 +60,8 @@ pub use api::{
 };
 pub use congest_sim::Backend;
 pub use detector::{
-    random_coloring, run_color_bfs, run_color_bfs_backend, run_color_bfs_bw, ColorBfsResult,
-    CycleDetector, Memberships, RunOptions,
+    random_coloring, run_color_bfs, run_color_bfs_backend, ColorBfsResult, CycleDetector,
+    Memberships, RunOptions,
 };
 pub use f2k::{F2kDetector, F2kMc, F2kOutcome};
 pub use odd::{OddCycleDetector, OddMc};
@@ -65,6 +71,5 @@ pub use quantum_detector::{
 };
 pub use randomized::{LowProbDetector, LowProbMc, RANDOMIZED_THRESHOLD};
 pub use witness::{
-    certify, extract_even_witness, extract_odd_witness, find_colored_path, DetectionOutcome, Phase,
-    SetsSummary,
+    certify, extract_even_witness, find_colored_path, DetectionOutcome, Phase, SetsSummary,
 };

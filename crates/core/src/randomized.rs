@@ -12,12 +12,10 @@
 
 use congest_graph::Graph;
 use congest_quantum::MonteCarloAlgorithm;
-use congest_sim::{Backend, Executor};
+use congest_sim::Backend;
 
-use crate::color_bfs::{call_verdict, ColorBfs};
-use crate::detector::{
-    draw_selection, light_mask, simulate_color_bfs, CallSets, CycleDetector, RunOptions,
-};
+use crate::color_bfs::{Launch, VerdictSession};
+use crate::detector::{draw_selection, light_mask, CallSets, CycleDetector, RunOptions};
 use crate::params::{Instance, Params};
 use crate::witness::DetectionOutcome;
 
@@ -107,8 +105,7 @@ impl LowProbDetector {
             s_mask: Vec::new(),
             not_s: Vec::new(),
             w_mask: Vec::new(),
-            coins: Vec::new(),
-            session: Executor::new(backend),
+            verdicts: VerdictSession::new(backend),
         }
     }
 }
@@ -136,12 +133,8 @@ impl crate::Detector for LowProbDetector {
             None => self.clone(),
         };
         let opts = RunOptions {
-            bandwidth: budget.bandwidth,
             continue_after_reject: budget.run_to_budget,
-            round_cap: budget.max_rounds,
-            message_cap: budget.max_messages,
-            backend: budget.backend,
-            ..Default::default()
+            ..RunOptions::capped(budget)
         };
         Ok(budget.enforce(
             det.run_with(g, seed, &opts)
@@ -189,8 +182,7 @@ pub struct LowProbMc<'a> {
     s_mask: Vec<bool>,
     not_s: Vec<bool>,
     w_mask: Vec<bool>,
-    coins: Vec<bool>,
-    session: Executor<ColorBfs>,
+    verdicts: VerdictSession,
 }
 
 impl LowProbMc<'_> {
@@ -216,31 +208,11 @@ impl MonteCarloAlgorithm for LowProbMc<'_> {
             not_s: &self.not_s,
             w: &self.w_mask,
         };
-        let activation = Some(1.0 / self.inst.tau as f64);
-        let (session, coins) = (&mut self.session, &mut self.coins);
-        sets.walk_calls(k, self.det.params.repetitions, seed, None, |call| {
-            let (h, x) = (call.h_mask, call.x_mask);
-            call_verdict(
-                coins,
-                activation,
-                call.seed,
-                call.coloring,
-                h,
-                x,
-                |colors, coins| {
-                    simulate_color_bfs(
-                        session,
-                        g,
-                        k,
-                        colors,
-                        h,
-                        x,
-                        RANDOMIZED_THRESHOLD,
-                        call.seed,
-                        |v| coins[v],
-                    )
-                },
-            )
+        let launch = Launch::new(self.inst.tau, true);
+        let reps = self.det.params.repetitions;
+        let verdicts = &mut self.verdicts;
+        sets.walk_calls(k, reps, seed, None, launch, |call| {
+            verdicts.call_verdict(g, call)
         })
         .is_break()
     }
@@ -317,7 +289,7 @@ mod tests {
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
         use crate::color_bfs::has_active_source;
-        use crate::detector::run_color_bfs_backend;
+        use congest_sim::Executor;
         use std::ops::ControlFlow;
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(8));
         let scaffold = CycleDetector::new(det.params().clone());
@@ -331,26 +303,14 @@ mod tests {
             let mut coins = Vec::new();
             for seed in 0..10 {
                 let (inst, sets) = scaffold.build_memberships(&g, seed, &RunOptions::default());
-                let q = Some(1.0 / inst.tau as f64);
-                let _ = sets.walk_calls(2, 8, seed, None, |call| {
-                    let (h, x) = (call.h_mask, call.x_mask);
-                    if has_active_source(&mut coins, q, call.seed, call.coloring, h, x) {
+                let launch = Launch::new(inst.tau, true);
+                let _ = sets.walk_calls(2, 8, seed, None, launch, |call| {
+                    if has_active_source(&mut coins, call) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }
                     silent += 1;
-                    let result = run_color_bfs_backend(
-                        &mut session,
-                        &g,
-                        2,
-                        call.colors(),
-                        h,
-                        x,
-                        q,
-                        RANDOMIZED_THRESHOLD,
-                        call.seed,
-                    );
-                    let report = &result.report;
+                    let report = call.simulate(&mut session, &g);
                     assert_eq!(
                         report.congestion.total_messages,
                         g.directed_edge_count() as u64

@@ -3,6 +3,8 @@
 use congest_graph::{analysis, CycleWitness, Graph, NodeId};
 use congest_sim::{Decision, RunReport};
 
+use crate::color_bfs::Palette;
+
 /// Which of Algorithm 1's three `color-BFS` calls produced the rejection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -169,6 +171,10 @@ pub fn find_colored_path(
 /// The internal color sets of the two branches are disjoint and exclude
 /// the endpoint colors, so the union is automatically a simple `2k`-cycle;
 /// the result is verified against `g` before being returned.
+///
+/// # Panics
+///
+/// Panics if `k < 2`.
 pub fn extract_even_witness(
     g: &Graph,
     h_mask: &[bool],
@@ -177,42 +183,31 @@ pub fn extract_even_witness(
     x: NodeId,
     v: NodeId,
 ) -> Option<CycleWitness> {
-    let up_colors: Vec<u8> = (1..k as u8).collect();
-    let down_colors: Vec<u8> = ((k as u8 + 1)..(2 * k as u8)).rev().collect();
-    let up = find_colored_path(g, h_mask, colors, &up_colors, x, v)?;
-    let down = find_colored_path(g, h_mask, colors, &down_colors, x, v)?;
-    let witness = splice_cycle(&up, &down);
-    witness.is_valid(g).then_some(witness)
+    extract_witness(g, h_mask, colors, Palette::even(k), x, v)
 }
 
-/// Reconstructs the `(2k+1)`-cycle certified by an odd-cycle rejection
-/// (paper §3.4): colors `{0, …, 2k}`, up-branch `1, …, k-1` into `v`
-/// (colored `k`), down-branch `2k, 2k-1, …, k+1` into `v`.
-pub fn extract_odd_witness(
+/// Reconstructs the cycle certified by a rejection at `v` in a
+/// `color-BFS` call with `palette` (see [`crate::color_bfs`]): the
+/// origin `x` reached `v` along an up branch colored `1, …, c(v)-1` and
+/// a down branch colored `P-1, …, m+1`, all within the host mask. The
+/// meeting color `m` rejects a `C_P`; in §3.5, color `m-1` rejects a
+/// `C_{P-1}`. The result is verified against `g` before being returned.
+pub(crate) fn extract_witness(
     g: &Graph,
     h_mask: &[bool],
     colors: &[u8],
-    k: usize,
+    palette: Palette,
     x: NodeId,
     v: NodeId,
 ) -> Option<CycleWitness> {
-    let up_colors: Vec<u8> = (1..k as u8).collect();
-    let down_colors: Vec<u8> = ((k as u8 + 1)..=(2 * k as u8)).rev().collect();
-    let up = find_colored_path(g, h_mask, colors, &up_colors, x, v)?;
+    let up_colors: Vec<u8> = (1..colors[v.index()]).collect();
+    let down_colors: Vec<u8> = (palette.meet() + 1..palette.size()).rev().collect();
+    let mut nodes = find_colored_path(g, h_mask, colors, &up_colors, x, v)?;
     let down = find_colored_path(g, h_mask, colors, &down_colors, x, v)?;
-    let witness = splice_cycle(&up, &down);
-    witness.is_valid(g).then_some(witness)
-}
-
-/// Splices two `x → v` paths into the cycle
-/// `x, up internals, v, down internals reversed`.
-fn splice_cycle(up: &[NodeId], down: &[NodeId]) -> CycleWitness {
-    let mut nodes: Vec<NodeId> = up.to_vec();
     // down = x, d_1, ..., d_t, v; append d_t, ..., d_1.
-    for &u in down[1..down.len() - 1].iter().rev() {
-        nodes.push(u);
-    }
-    CycleWitness::new(nodes)
+    nodes.extend(down[1..down.len() - 1].iter().rev());
+    let witness = CycleWitness::new(nodes);
+    witness.is_valid(g).then_some(witness)
 }
 
 /// Double-checks a claimed witness against the exact ground truth
@@ -308,7 +303,8 @@ mod tests {
         let colors = vec![0u8, 1, 2, 3, 4];
         let mask = vec![true; 5];
         // k = 2: v colored 2, up internals [1], down internals [4, 3].
-        let w = extract_odd_witness(&g, &mask, &colors, 2, NodeId::new(0), NodeId::new(2))
+        let palette = Palette::odd(2);
+        let w = extract_witness(&g, &mask, &colors, palette, NodeId::new(0), NodeId::new(2))
             .expect("witness");
         assert_eq!(w.len(), 5);
         assert!(w.is_valid(&g));

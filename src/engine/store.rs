@@ -26,10 +26,7 @@
 //! {"key":"1d90…","det":…}
 //! ```
 //!
-//! Format-v1 files (sweep-keyed `<slug>-<hash>.jsonl` with a
-//! `"kind":"sweep-store"` header) may share the directory; they are
-//! detected and ignored — never misread as unit records. A
-//! `units-v2.jsonl` whose header fails to parse is moved aside to a
+//! A `units-v2.jsonl` whose header fails to parse is moved aside to a
 //! `.corrupt` sidecar (preserving the bytes for inspection) before a
 //! fresh store is started.
 
@@ -68,8 +65,7 @@ pub fn json_f64(v: f64) -> String {
 }
 
 /// 64-bit FNV-1a over a canonical configuration string (kept for
-/// general-purpose hashing — deterministic temp names, legacy v1 file
-/// keys).
+/// general-purpose hashing, such as deterministic temp names).
 pub fn config_hash(canonical: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canonical.as_bytes() {
@@ -464,8 +460,6 @@ impl ResultStore {
     ///   moved to a `.corrupt` sidecar (noted on stderr) instead of
     ///   being destroyed — the data may be hand-edited or otherwise
     ///   worth inspecting.
-    /// * Legacy format-v1 sweep-keyed files in the same directory are
-    ///   detected and ignored (noted on stderr), never misread.
     ///
     /// # Errors
     ///
@@ -473,17 +467,6 @@ impl ResultStore {
     pub fn open(dir: &Path) -> std::io::Result<ResultStore> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(STORE_FILE);
-
-        let legacy = legacy_v1_files(dir);
-        if !legacy.is_empty() {
-            eprintln!(
-                "note: ignoring {} legacy sweep-keyed (v1) store file(s) in {} — \
-                 the per-unit (v2) store does not read them",
-                legacy.len(),
-                dir.display(),
-            );
-        }
-
         let mut loaded = HashMap::new();
         let mut valid_header = false;
         if path.exists() {
@@ -573,40 +556,6 @@ impl ResultStore {
         }
         Ok(())
     }
-}
-
-/// The legacy (v1, sweep-keyed) store files present in `dir`: any other
-/// `.jsonl` file whose first line is a `"kind":"sweep-store"` header.
-fn legacy_v1_files(dir: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl")
-            || path.file_name().and_then(|f| f.to_str()) == Some(STORE_FILE)
-        {
-            continue;
-        }
-        // Only the first line decides; v1 files can be huge, so never
-        // slurp the whole thing.
-        let Ok(file) = std::fs::File::open(&path) else {
-            continue;
-        };
-        let mut first_line = String::new();
-        if std::io::BufRead::read_line(&mut std::io::BufReader::new(file), &mut first_line).is_err()
-        {
-            continue;
-        }
-        let is_v1 = parse_flat(&first_line)
-            .is_some_and(|m| m.get("kind").and_then(Field::as_str) == Some("sweep-store"));
-        if is_v1 {
-            out.push(path);
-        }
-    }
-    out.sort();
-    out
 }
 
 /// A free `.corrupt` sidecar name next to `path` (numbered when a
