@@ -6,9 +6,8 @@
 //! coloring with `P` colors. Each source (a node of `X ∩ H` colored 0)
 //! sends its identifier both ways round the colors: up through
 //! `1, 2, …` and down through `P-1, P-2, …`. The two branches meet at
-//! the meeting color `m`. The detectors differ only in their
-//! [`Palette`]: `P`, `m`, and whether color `m+1` also hands its set to
-//! color `m-1`.
+//! the meeting color `m`. The detectors differ only in their palette:
+//! `P`, `m`, and whether color `m+1` also hands its set to color `m-1`.
 //!
 //! | detector | `P` | `m` | hand-off | rejecting color: cycle |
 //! |---|---|---|---|---|
@@ -90,7 +89,7 @@ const NOT_IN_H: u8 = u8::MAX;
 /// palette size `P`, the meeting color `m`, and whether color `m+1`
 /// also hands its set to color `m-1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Palette {
+pub(crate) struct Palette {
     size: u8,
     meet: u8,
     hand_off: bool,
@@ -102,7 +101,7 @@ impl Palette {
     /// # Panics
     ///
     /// Panics if `k < 2` or `2k ≥ 255`.
-    pub fn even(k: usize) -> Palette {
+    pub(crate) fn even(k: usize) -> Palette {
         assert!(k >= 2, "color-BFS requires k ≥ 2");
         Palette::new(2 * k, k, false)
     }
@@ -112,7 +111,7 @@ impl Palette {
     /// # Panics
     ///
     /// Panics if `k < 1` or `2k+1 ≥ 255`.
-    pub fn odd(k: usize) -> Palette {
+    pub(crate) fn odd(k: usize) -> Palette {
         assert!(k >= 1, "odd cycles start at C3 (k = 1)");
         Palette::new(2 * k + 1, k, false)
     }
@@ -123,7 +122,7 @@ impl Palette {
     /// # Panics
     ///
     /// Panics if `ℓ < 2` or `2ℓ ≥ 255`.
-    pub fn pair(l: usize) -> Palette {
+    pub(crate) fn pair(l: usize) -> Palette {
         assert!(l >= 2, "pairs start at ℓ = 2");
         Palette::new(2 * l, l, true)
     }
@@ -505,9 +504,9 @@ pub struct RejectEvidence {
 /// The per-node state of one `color-BFS` call.
 ///
 /// Construct one per vertex via [`ColorBfs::new`] (Algorithm 1's
-/// palette) or [`ColorBfs::with_palette`] and run with a
-/// [`congest_sim::Executor`]; every detector of this crate does exactly
-/// that for each call of its walk.
+/// palette) and run with a [`congest_sim::Executor`]; every detector of
+/// this crate does the same, with its own palette, for each call of its
+/// walk.
 #[derive(Debug, Clone)]
 pub struct ColorBfs {
     palette: Palette,
@@ -546,12 +545,12 @@ impl ColorBfs {
         ColorBfs::with_palette(Palette::even(k), color, in_h, in_x, active, tau)
     }
 
-    /// [`ColorBfs::new`] for a call with any [`Palette`].
+    /// [`ColorBfs::new`] for a call with any palette.
     ///
     /// # Panics
     ///
     /// Panics if `color` is not below the palette size.
-    pub fn with_palette(
+    pub(crate) fn with_palette(
         palette: Palette,
         color: u8,
         in_h: bool,
@@ -789,7 +788,7 @@ mod tests {
                 g,
                 7,
                 |v, _| ColorBfs::with_palette(palette, colors[v.index()], true, true, true, tau),
-                usize::from(palette.size - palette.meet) as u64 + 3,
+                u64::from(palette.size - palette.meet) + 3,
             )
             .expect("simulation error");
         (report, exec.into_nodes())
