@@ -37,7 +37,7 @@
 //! Algorithm 1 launches every source and uses the global threshold
 //! `τ`. Algorithm 2, and the bases the quantum pipelines amplify,
 //! activate each source with a small probability and use the constant
-//! threshold 4. The driver passes the activation flags and the
+//! threshold 4. Each detector passes the activation flags and the
 //! threshold; the forwarding logic is identical.
 
 use std::cell::OnceCell;
