@@ -11,17 +11,68 @@
 //!
 //! The `n <count>` header fixes the vertex count (isolated vertices would
 //! otherwise be lost).
+//!
+//! [`write_text`] is the one serializer: it streams the format line by
+//! line into a sink, so a caller that only hashes the bytes (the serve
+//! tier's content key) never builds the text. [`to_text`] collects the
+//! same lines into a `String`.
 
 use crate::{Graph, GraphError, NodeId};
 
 /// Serializes `g` to the edge-list text format.
 pub fn to_text(g: &Graph) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("n {}\n", g.node_count()));
+    let mut out = Vec::new();
+    write_text(g, |line| out.extend_from_slice(line));
+    String::from_utf8(out).expect("the edge-list format is ASCII")
+}
+
+/// Streams `g` in the edge-list text format into `sink`, one call per
+/// line, newline included: the `n <count>` header, then `u v` for each
+/// edge in [`Graph::edges`] order. The bytes are exactly [`to_text`]'s.
+pub fn write_text(g: &Graph, mut sink: impl FnMut(&[u8])) {
+    let mut line = Line::default();
+    line.push(b"n ");
+    line.push_decimal(g.node_count() as u64);
+    sink(line.end());
     for (u, v) in g.edges() {
-        out.push_str(&format!("{} {}\n", u.raw(), v.raw()));
+        line.push_decimal(u64::from(u.raw()));
+        line.push(b" ");
+        line.push_decimal(u64::from(v.raw()));
+        sink(line.end());
     }
-    out
+}
+
+/// One line of the text format, assembled on the stack. The longest
+/// line is the header: `n `, a 20-digit count and the newline.
+#[derive(Default)]
+struct Line {
+    buf: [u8; 24],
+    len: usize,
+}
+
+impl Line {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Appends `v` in decimal, without leading zeros.
+    fn push_decimal(&mut self, mut v: u64) {
+        let end = self.len + v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        for digit in self.buf[self.len..end].iter_mut().rev() {
+            *digit = b'0' + (v % 10) as u8;
+            v /= 10;
+        }
+        self.len = end;
+    }
+
+    /// Terminates the line and hands it out; the next push starts a
+    /// new one.
+    fn end(&mut self) -> &[u8] {
+        self.push(b"\n");
+        let len = std::mem::take(&mut self.len);
+        &self.buf[..len]
+    }
 }
 
 /// Parses a graph from the edge-list text format.
@@ -121,6 +172,57 @@ pub fn to_dot(g: &Graph, highlight: &[NodeId]) -> String {
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// The `format!` rendering `to_text` had before it streamed: the
+    /// reference its bytes must keep.
+    fn reference_text(g: &Graph) -> String {
+        let mut out = String::new();
+        out.push_str(&format!("n {}\n", g.node_count()));
+        for (u, v) in g.edges() {
+            out.push_str(&format!("{} {}\n", u.raw(), v.raw()));
+        }
+        out
+    }
+
+    #[test]
+    fn text_matches_the_reference_rendering_across_decimal_boundaries() {
+        // Ids on both sides of every power of ten up to 10,000, as either
+        // endpoint, and vertex counts on both sides of each boundary.
+        let ids = [
+            0u32, 1, 8, 9, 10, 11, 98, 99, 100, 101, 998, 999, 1000, 1001, 9998, 9999, 10_000,
+        ];
+        for n in [
+            1usize, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10_000, 10_001,
+        ] {
+            let n_ids: Vec<u32> = ids.iter().copied().filter(|&v| (v as usize) < n).collect();
+            let edges = n_ids
+                .iter()
+                .flat_map(|&u| n_ids.iter().filter(move |&&v| u < v).map(move |&v| (u, v)));
+            let g = Graph::from_edges(n, edges).unwrap();
+            assert_eq!(to_text(&g), reference_text(&g), "n = {n}");
+        }
+        let g = generators::erdos_renyi(120, 0.1, 4);
+        assert_eq!(to_text(&g), reference_text(&g));
+    }
+
+    #[test]
+    fn text_of_an_edgeless_graph_is_its_header() {
+        for n in [0, 1, 7] {
+            let g = Graph::empty(n);
+            assert_eq!(to_text(&g), format!("n {n}\n"));
+            assert_eq!(to_text(&g), reference_text(&g));
+        }
+    }
+
+    #[test]
+    fn write_text_hands_out_one_line_per_call() {
+        let g = Graph::from_edges(12, [(0, 11), (3, 10)]).unwrap();
+        let mut lines = Vec::new();
+        write_text(&g, |line| {
+            lines.push(String::from_utf8(line.to_vec()).unwrap())
+        });
+        assert_eq!(lines, ["n 12\n", "0 11\n", "3 10\n"]);
+    }
 
     #[test]
     fn roundtrip() {

@@ -34,6 +34,8 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use congest_graph::{serialize, Graph};
+
 /// The store's file name inside its directory (format v2).
 pub const STORE_FILE: &str = "units-v2.jsonl";
 
@@ -80,12 +82,28 @@ pub fn config_hash(canonical: &str) -> u64 {
 /// store directory a non-concern; the engine additionally verifies
 /// `det`/`n`/`seed` on replay.
 pub fn unit_key(canonical: &str) -> String {
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in canonical.as_bytes() {
+    format!("{:032x}", fnv1a_128(FNV1A_128_OFFSET, canonical.as_bytes()))
+}
+
+/// The content address of a graph: the [`unit_key`] of its edge-list
+/// text ([`serialize::to_text`]), hashed as [`serialize::write_text`]
+/// streams it, so the text is never built.
+pub(crate) fn content_key(g: &Graph) -> String {
+    let mut h = FNV1A_128_OFFSET;
+    serialize::write_text(g, |line| h = fnv1a_128(h, line));
+    format!("{h:032x}")
+}
+
+const FNV1A_128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+
+/// Folds `bytes` into the 128-bit FNV-1a state `h`. Folding pieces in
+/// order gives the state of their concatenation.
+fn fnv1a_128(mut h: u128, bytes: &[u8]) -> u128 {
+    for b in bytes {
         h ^= u128::from(*b);
         h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
     }
-    format!("{h:032x}")
+    h
 }
 
 /// The canonical identity string of one work unit — every field that
@@ -780,6 +798,33 @@ mod tests {
             ),
         ] {
             assert_ne!(a, unit_key(&other));
+        }
+    }
+
+    #[test]
+    fn content_keys_equal_the_key_of_the_text() {
+        use congest_graph::generators;
+        for g in [
+            Graph::empty(0),
+            Graph::empty(9),
+            Graph::from_edges(10_001, [(0, 10_000), (9, 10), (99, 100), (999, 1000)]).unwrap(),
+            generators::erdos_renyi(300, 0.05, 2),
+        ] {
+            assert_eq!(content_key(&g), unit_key(&serialize::to_text(&g)));
+        }
+    }
+
+    #[test]
+    fn content_keys_are_pinned() {
+        use congest_graph::FamilySpec;
+        for (family, n, seed, key) in [
+            ("planted:4", 24, 3, "067373234920240b107a7d76d8bd1b7d"),
+            ("trees", 5000, 7, "12166962840cf1f949748e70d4ac7343"),
+            ("trees", 1001, 0, "bf5e39ee701e26e1d6325fc41423bf70"),
+        ] {
+            let g = FamilySpec::parse(family).unwrap().build(n, seed);
+            assert_eq!(unit_key(&serialize::to_text(&g)), key, "{family} n={n}");
+            assert_eq!(content_key(&g), key, "{family} n={n}");
         }
     }
 

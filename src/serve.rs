@@ -26,11 +26,11 @@
 //! | `{"op":"shutdown"}` | acknowledges, then stops accepting connections |
 //!
 //! Errors come back as `{"ok":false,"op":…,"error":"…"}` on the same
-//! line; the connection stays usable. The one exception is a request
-//! line longer than [`MAX_REQUEST_LINE`] bytes: it is answered with a
-//! `request line too long` error and the connection is closed, so a
-//! client that never sends a newline cannot make the server buffer
-//! without bound.
+//! line, for a request line that is not UTF-8 too; the connection stays
+//! usable. The one exception is a request line longer than
+//! [`MAX_REQUEST_LINE`] bytes: it is answered with a `request line too
+//! long` error and the connection is closed, so a client that never
+//! sends a newline cannot make the server buffer without bound.
 //!
 //! # Determinism and deduplication
 //!
@@ -51,6 +51,18 @@
 //! counters. Updating a snapshot changes its content fingerprint and
 //! with it every unit key, so stale verdicts can never be served.
 //!
+//! The content fingerprint is the 128-bit FNV-1a of the snapshot's
+//! edge-list text, streamed into the hash state line by line from
+//! [`write_text`](congest_graph::serialize::write_text), so the text is
+//! never built. It is computed at most once per snapshot generation: the
+//! first detect after a `load` or an applied update freezes a CSR copy
+//! of the graph and fingerprints it outside the snapshots lock; every
+//! later detect at that generation takes the frozen graph and its
+//! fingerprint under the lock. A replay at an unchanged generation
+//! therefore does no snapshot, serialization or hashing, and an
+//! executing detect runs on the shared frozen graph. An update that
+//! changes nothing (`"applied":false`) keeps the generation.
+//!
 //! # Admission control
 //!
 //! At most `max_inflight` detect requests execute concurrently; a
@@ -70,13 +82,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-use congest_graph::{serialize, FamilySpec, MutableGraph, NodeId};
+use congest_graph::{FamilySpec, Graph, MutableGraph, NodeId};
 use congest_telemetry as telemetry;
 use even_cycle::Budget;
 
 use crate::engine::store::{
-    canonical_unit, json_escape, json_f64, parse_flat, unit_key, Field, ResultStore, UnitRecord,
-    UnitStatus,
+    canonical_unit, content_key, json_escape, json_f64, parse_flat, unit_key, Field, ResultStore,
+    UnitRecord, UnitStatus,
 };
 use crate::engine::{record_detection, RunProfile, Schedule};
 use crate::registry::DetectorRegistry;
@@ -203,11 +215,54 @@ struct SnapshotStats {
     rejections: u64,
 }
 
-/// One named snapshot: the mutable graph plus its counters.
+/// One named snapshot: the mutable graph, the memo of its current
+/// content, and its counters.
 #[derive(Debug)]
 struct Snapshot {
     graph: MutableGraph,
+    /// The frozen view of `graph`'s current content, filled by the first
+    /// detect that needs it. An applied update or a `load` puts a fresh
+    /// cell here rather than clearing this one, so a detect still
+    /// fingerprinting older content fills a cell no later request reads.
+    current: FrozenCell,
     stats: SnapshotStats,
+}
+
+/// One snapshot generation as detects read it: the CSR graph they run
+/// on and its content fingerprint.
+#[derive(Debug, Clone)]
+struct Frozen {
+    graph: Arc<Graph>,
+    fingerprint: String,
+}
+
+/// The memo slot of one snapshot generation.
+type FrozenCell = Arc<OnceLock<Frozen>>;
+
+/// What a detect takes from its snapshot under the snapshots lock.
+enum View {
+    /// An earlier detect already froze this generation.
+    Frozen(Frozen),
+    /// The generation's cell, and a CSR snapshot of its content to
+    /// fingerprint once the lock is released.
+    Unfrozen(FrozenCell, Graph),
+}
+
+impl View {
+    /// The frozen generation, fingerprinting it if no detect has. The
+    /// result lands in the cell the view was taken from, which an update
+    /// applied since has already replaced.
+    fn freeze(self) -> Frozen {
+        match self {
+            View::Frozen(frozen) => frozen,
+            View::Unfrozen(cell, graph) => cell
+                .get_or_init(|| Frozen {
+                    fingerprint: content_key(&graph),
+                    graph: Arc::new(graph),
+                })
+                .clone(),
+        }
+    }
 }
 
 // Lock-poisoning messages: these panics are internal invariants, not
@@ -395,6 +450,7 @@ impl ServeState {
             name.to_string(),
             Snapshot {
                 graph: MutableGraph::from_graph(graph),
+                current: FrozenCell::default(),
                 stats: SnapshotStats::default(),
             },
         );
@@ -421,6 +477,10 @@ impl ServeState {
             other => return Err(format!("unknown action {other:?} (want insert or delete)")),
         }
         .map_err(|e| e.to_string())?;
+        if applied {
+            // New content, new generation.
+            snapshot.current = FrozenCell::default();
+        }
         snapshot.stats.updates += 1;
         Ok(format!(
             "{{\"ok\":true,\"op\":\"update\",\"name\":\"{}\",\"action\":\"{}\",\"applied\":{applied},\"edges\":{}}}",
@@ -471,25 +531,19 @@ impl ServeState {
             }
         };
 
-        // Snapshot the graph under the lock, then run detection without
-        // it — updates arriving during a long detection act on the next
-        // request's snapshot, never on this one's.
-        let graph = {
-            let snapshots = self.snapshots.lock().expect(SNAPSHOTS_POISONED);
-            let snapshot = snapshots
-                .get(name)
-                .ok_or_else(|| format!("no snapshot named {name:?} (load it first)"))?;
-            snapshot.graph.snapshot()
-        };
-        let n = graph.node_count();
+        // Take the current generation under the lock, then fingerprint
+        // (if no detect has) and run detection without it — updates
+        // arriving meanwhile act on the next request's generation, never
+        // on this one's.
+        let frozen = self.view(name)?.freeze();
+        let n = frozen.graph.node_count();
 
         // Content address: the serialized edge set is the graph's
         // identity (deterministic — CSR adjacency is canonically
         // sorted), so equal graphs dedup across names, connections, and
         // restarts, and any applied update moves the key.
-        let fingerprint = unit_key(&serialize::to_text(&graph));
         let key = unit_key(&canonical_unit(
-            &format!("serve:{fingerprint}"),
+            &format!("serve:{}", frozen.fingerprint),
             n,
             seed,
             &entry.id,
@@ -519,7 +573,7 @@ impl ServeState {
             }
             let record = record_detection(
                 metric,
-                &graph,
+                &frozen.graph,
                 &self.budget,
                 entry.detector.as_ref(),
                 &entry.id,
@@ -554,6 +608,20 @@ impl ServeState {
         // The verdict line is a pure function of the record: a replayed
         // duplicate is byte-identical to the original response.
         Ok(verdict_line(name, &record))
+    }
+
+    /// What a detect reads of snapshot `name` under the lock: the frozen
+    /// current generation, or its cell and a CSR snapshot when no detect
+    /// has frozen it yet. Nothing is hashed here.
+    fn view(&self, name: &str) -> Result<View, String> {
+        let snapshots = self.snapshots.lock().expect(SNAPSHOTS_POISONED);
+        let snapshot = snapshots
+            .get(name)
+            .ok_or_else(|| format!("no snapshot named {name:?} (load it first)"))?;
+        Ok(match snapshot.current.get() {
+            Some(frozen) => View::Frozen(frozen.clone()),
+            None => View::Unfrozen(Arc::clone(&snapshot.current), snapshot.graph.snapshot()),
+        })
     }
 
     /// `stats`: the per-snapshot counters (one snapshot, or all).
@@ -813,13 +881,11 @@ fn handle_connection(stream: TcpStream, state: &ServeState, addr: std::net::Sock
                 .write_all(format!("{}\n", err_line("?", "request line too long")).as_bytes());
             break;
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
+        let (response, shutdown) = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => state.handle(line),
+            Err(_) => (err_line("?", "request is not UTF-8"), false),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = state.handle(line);
         if writer
             .write_all(format!("{response}\n").as_bytes())
             .and_then(|()| writer.flush())
@@ -995,6 +1061,130 @@ mod tests {
         assert!(stats.0.contains("\"executed\":0"), "{}", stats.0);
         assert!(stats.0.contains("\"replayed\":1"), "{}", stats.0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const LOAD_G: &str =
+        "{\"op\":\"load\",\"name\":\"g\",\"family\":\"planted:4\",\"n\":24,\"seed\":3}";
+    const DETECT_G: &str =
+        "{\"op\":\"detect\",\"name\":\"g\",\"detector\":\"global-threshold\",\"seed\":2}";
+
+    /// The graph `LOAD_G` builds, with one of its edges and one edge it
+    /// lacks.
+    fn loaded_graph() -> (Graph, (u32, u32), (u32, u32)) {
+        let g = FamilySpec::parse("planted:4").unwrap().build(24, 3);
+        let (u, v) = g.edges().next().unwrap();
+        let absent = (1..24)
+            .find(|&w| !g.has_edge(NodeId::new(0), NodeId::new(w)))
+            .unwrap();
+        (g, (u.raw(), v.raw()), (0, absent))
+    }
+
+    fn update_g(action: &str, (u, v): (u32, u32)) -> String {
+        format!("{{\"op\":\"update\",\"name\":\"g\",\"action\":\"{action}\",\"u\":{u},\"v\":{v}}}")
+    }
+
+    fn key_of(line: &str) -> String {
+        let fields = parse_flat(line).unwrap();
+        fields
+            .get("key")
+            .and_then(Field::as_str)
+            .unwrap()
+            .to_string()
+    }
+
+    /// `(executed, replayed)` of snapshot `g`.
+    fn counts(s: &ServeState) -> (u64, u64) {
+        let snapshots = s.snapshots.lock().unwrap();
+        let stats = &snapshots["g"].stats;
+        (stats.executed, stats.replayed)
+    }
+
+    fn store_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ec-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn a_no_op_update_keeps_the_key_and_the_memo() {
+        let dir = store_dir("noop");
+        let s = state(&ServeConfig::new(RunProfile::FastCi, 2).store(&dir));
+        let _ = s.handle(LOAD_G);
+        let first = s.handle(DETECT_G);
+        let memo = Arc::clone(&s.snapshots.lock().unwrap()["g"].current);
+        assert!(memo.get().is_some(), "the detect froze its generation");
+        let (_, present, absent) = loaded_graph();
+        for (round, update) in [update_g("insert", present), update_g("delete", absent)]
+            .iter()
+            .enumerate()
+        {
+            assert!(ok(&s.handle(update)).contains("\"applied\":false"));
+            let current = Arc::clone(&s.snapshots.lock().unwrap()["g"].current);
+            assert!(Arc::ptr_eq(&memo, &current), "{update} dropped the memo");
+            assert_eq!(s.handle(DETECT_G).0, first.0);
+            assert_eq!(counts(&s), (1, round as u64 + 1));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn insert_then_delete_brings_back_the_first_key() {
+        let dir = store_dir("toggle");
+        let s = state(&ServeConfig::new(RunProfile::FastCi, 2).store(&dir));
+        let _ = s.handle(LOAD_G);
+        let first = s.handle(DETECT_G);
+        let (_, _, absent) = loaded_graph();
+        assert!(ok(&s.handle(&update_g("insert", absent))).contains("\"applied\":true"));
+        let inserted = s.handle(DETECT_G);
+        assert_ne!(key_of(ok(&inserted)), key_of(ok(&first)));
+        assert!(ok(&s.handle(&update_g("delete", absent))).contains("\"applied\":true"));
+        assert_eq!(
+            s.handle(DETECT_G).0,
+            first.0,
+            "the first verdict line replays"
+        );
+        assert_eq!(counts(&s), (2, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reload_under_the_same_name_moves_the_key() {
+        let dir = store_dir("reload");
+        let s = state(&ServeConfig::new(RunProfile::FastCi, 2).store(&dir));
+        let _ = s.handle(LOAD_G);
+        let first = s.handle(DETECT_G);
+        let _ = s.handle(&LOAD_G.replace("\"seed\":3", "\"seed\":4"));
+        let other = s.handle(DETECT_G);
+        assert_ne!(key_of(ok(&other)), key_of(ok(&first)));
+        assert_eq!(counts(&s), (1, 0), "another graph executes");
+        let _ = s.handle(LOAD_G);
+        assert_eq!(s.handle(DETECT_G).0, first.0);
+        assert_eq!(counts(&s), (0, 1), "the first graph replays");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fingerprint_finished_after_an_update_does_not_stick() {
+        let s = state(&ServeConfig::new(RunProfile::FastCi, 2));
+        let _ = s.handle(LOAD_G);
+        let (base, _, absent) = loaded_graph();
+        // A detect takes its view, an update lands, then the detect
+        // finishes its fingerprint: of the content it saw.
+        let view = s.view("g").unwrap();
+        assert!(matches!(view, View::Unfrozen(..)));
+        assert!(ok(&s.handle(&update_g("insert", absent))).contains("\"applied\":true"));
+        let stale = view.freeze();
+        assert_eq!(
+            stale.fingerprint,
+            unit_key(&congest_graph::serialize::to_text(&base))
+        );
+        // The next detect keys the updated graph, as on a server that
+        // never saw the stale view.
+        let fresh = state(&ServeConfig::new(RunProfile::FastCi, 2));
+        let _ = fresh.handle(LOAD_G);
+        let _ = fresh.handle(&update_g("insert", absent));
+        let want = fresh.handle(DETECT_G);
+        assert_eq!(key_of(ok(&s.handle(DETECT_G))), key_of(ok(&want)));
     }
 
     #[test]

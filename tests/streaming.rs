@@ -179,3 +179,105 @@ fn serve_cuts_off_a_request_line_that_never_ends() {
     drop((s, r));
     server_thread.join().unwrap().unwrap();
 }
+
+#[test]
+fn serve_answers_a_request_that_is_not_utf8_and_keeps_the_connection() {
+    let config = ServeConfig::new(RunProfile::FastCi, 2);
+    let server = Server::bind(("127.0.0.1", 0), &config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let (mut s, mut r) = connect(addr);
+    s.write_all(b"{\"op\":\"p\xffng\"}\n")
+        .expect("request written");
+    let mut line = String::new();
+    r.read_line(&mut line).expect("error line read");
+    assert_eq!(
+        line,
+        "{\"ok\":false,\"op\":\"?\",\"error\":\"request is not UTF-8\"}\n"
+    );
+    let resp = roundtrip(&mut s, &mut r, "{\"op\":\"ping\"}");
+    assert_eq!(resp, "{\"ok\":true,\"op\":\"ping\"}");
+    let bye = roundtrip(&mut s, &mut r, "{\"op\":\"shutdown\"}");
+    assert_eq!(bye, "{\"ok\":true,\"op\":\"shutdown\"}");
+    drop((s, r));
+    server_thread.join().unwrap().unwrap();
+}
+
+/// The `key` field of a detect verdict line.
+fn key_of(line: &str) -> &str {
+    let start = line
+        .find("\"key\":\"")
+        .expect("a detect line carries its key")
+        + 7;
+    &line[start..start + 32]
+}
+
+#[test]
+fn serve_keys_stay_fresh_while_an_edge_toggles_under_concurrent_detects() {
+    let dir = std::env::temp_dir().join(format!("ec-serve-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig::new(RunProfile::FastCi, 2).store(&dir);
+    let server = Server::bind(("127.0.0.1", 0), &config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let detect = "{\"op\":\"detect\",\"name\":\"g\",\"detector\":\"global-threshold\",\"seed\":5}";
+    let (mut s, mut r) = connect(addr);
+    let resp = roundtrip(
+        &mut s,
+        &mut r,
+        "{\"op\":\"load\",\"name\":\"g\",\"family\":\"planted:4\",\"n\":24,\"seed\":3}",
+    );
+    assert!(resp.starts_with("{\"ok\":true"), "{resp}");
+    let first = roundtrip(&mut s, &mut r, detect);
+    assert!(
+        first.starts_with("{\"ok\":true,\"op\":\"detect\""),
+        "{first}"
+    );
+
+    // One client toggles (0, 11) 200 times, starting with the insert,
+    // while another detects 200 times.
+    let toggler = std::thread::spawn(move || {
+        let (mut s, mut r) = connect(addr);
+        (0..200)
+            .map(|i| {
+                let action = if i % 2 == 0 { "insert" } else { "delete" };
+                roundtrip(
+                    &mut s,
+                    &mut r,
+                    &format!(
+                        "{{\"op\":\"update\",\"name\":\"g\",\"action\":\"{action}\",\"u\":0,\"v\":11}}"
+                    ),
+                )
+            })
+            .collect::<Vec<_>>()
+    });
+    let detector = std::thread::spawn(move || {
+        let (mut s, mut r) = connect(addr);
+        (0..200)
+            .map(|_| roundtrip(&mut s, &mut r, detect))
+            .collect::<Vec<_>>()
+    });
+    for line in toggler.join().expect("toggler joins") {
+        assert!(
+            line.starts_with("{\"ok\":true,\"op\":\"update\"") && line.contains("\"applied\":true"),
+            "{line}"
+        );
+    }
+    for line in detector.join().expect("detector joins") {
+        assert!(line.starts_with("{\"ok\":true,\"op\":\"detect\""), "{line}");
+    }
+
+    // The toggles end on the delete: the graph is the first one again,
+    // and so is its key.
+    let last = roundtrip(&mut s, &mut r, detect);
+    assert_eq!(key_of(&last), key_of(&first));
+    assert_eq!(last, first);
+
+    let bye = roundtrip(&mut s, &mut r, "{\"op\":\"shutdown\"}");
+    assert_eq!(bye, "{\"ok\":true,\"op\":\"shutdown\"}");
+    drop((s, r));
+    server_thread.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
