@@ -39,6 +39,16 @@
 //! activate each source with a small probability and use the constant
 //! threshold 4. Each detector passes the activation flags and the
 //! threshold; the forwarding logic is identical.
+//!
+//! A verdict-only evaluation simulates a call only if some active
+//! source `x` closes a well-colored cycle within `H`, ignoring the
+//! threshold: its up layers, colored `1, …, m`, and its down layers,
+//! colored `P-1, …, m`, share a node colored `m` or, with the hand-off,
+//! an up node colored `m-1` is adjacent to a down node colored `m+1`.
+//! No other call can reject. A rejection certifies exactly such a pair
+//! of branches, and the threshold only keeps identifiers from being
+//! forwarded, so it can stop a rejection but never cause one. The
+//! threshold still decides every call that is simulated.
 
 use std::cell::OnceCell;
 use std::ops::ControlFlow;
@@ -357,12 +367,110 @@ pub(crate) fn has_active_source(coins: &mut Vec<bool>, call: &ColorBfsCall<'_>) 
     (0..=last).any(|v| is_source(x_mask[v], h_mask[v], colors[v], coins[v]))
 }
 
-/// The simulation session and coin scratch of a verdict-only evaluator,
-/// kept from one call and one seed to the next.
+/// The layers a source's identifier reaches when no threshold stops it,
+/// walked with scratch kept from one call and one seed to the next.
+///
+/// From a source `x`, the up branch's layer `c` (`c = 1, …, m`) is the
+/// set of `H`-nodes colored `c` adjacent to layer `c-1`, starting from
+/// `{x}`; the down branch's layers, colored `P-1, …, m`, are built the
+/// same way. `x` closes a well-colored cycle when its two branches
+/// share a node colored `m` or, with the hand-off, an up node colored
+/// `m-1` is adjacent to a down node colored `m+1`: exactly when a call
+/// with no threshold rejects on `x`'s identifier.
+///
+/// The walk stays apart from
+/// [`find_colored_path`](crate::find_colored_path): that search recovers
+/// one path to a known endpoint, keeping a parent per layer, while this
+/// one only asks whether a source's two branches meet, at every meeting
+/// node at once.
+#[derive(Debug, Default)]
+struct CycleWalk {
+    /// Per node, the stamp of the last source whose walk reached it.
+    /// The up layers take colors `1, …, m` and the down layers
+    /// `m+1, …, P-1`, so one stamp per source tells both branches
+    /// apart.
+    marks: Vec<u32>,
+    /// The stamp of the last source walked.
+    stamp: u32,
+    /// The layer being left and the layer being built.
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl CycleWalk {
+    /// Whether some node with its coin up in `coins` is a source of
+    /// `call` that closes a well-colored cycle; nodes past the end of
+    /// `coins` are inactive.
+    fn some_source_closes(&mut self, g: &Graph, call: &ColorBfsCall<'_>, coins: &[bool]) -> bool {
+        let colors = call.colors();
+        self.marks.resize(g.node_count(), 0);
+        (0..coins.len()).any(|x| {
+            is_source(call.x_mask[x], call.h_mask[x], colors[x], coins[x])
+                && self.closes(g, call, NodeId::new(x as u32))
+        })
+    }
+
+    /// Whether source `x` of `call` closes a well-colored cycle.
+    fn closes(&mut self, g: &Graph, call: &ColorBfsCall<'_>, x: NodeId) -> bool {
+        if self.stamp == u32::MAX {
+            self.marks.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let Palette {
+            size,
+            meet,
+            hand_off,
+        } = call.palette;
+        self.walk(g, call, x, 1..=meet);
+        self.walk(g, call, x, (meet + 1..size).rev());
+        // `frontier` holds the down layer colored m+1. A neighbor of it
+        // colored m or m-1 that carries this source's stamp is an up
+        // node: one both branches reach, or the hand-off's m-1 end.
+        let (stamp, colors) = (self.stamp, call.colors());
+        self.frontier.iter().any(|&u| {
+            g.neighbors(u).iter().any(|&w| {
+                let c = colors[w.index()];
+                self.marks[w.index()] == stamp && (c == meet || hand_off && c + 1 == meet)
+            })
+        })
+    }
+
+    /// Builds the layers colored `layers`, in order, from `{x}`,
+    /// stamping each node reached; leaves the last one in `frontier`.
+    fn walk(
+        &mut self,
+        g: &Graph,
+        call: &ColorBfsCall<'_>,
+        x: NodeId,
+        layers: impl Iterator<Item = u8>,
+    ) {
+        let (stamp, h_mask, colors) = (self.stamp, call.h_mask, call.colors());
+        self.frontier.clear();
+        self.frontier.push(x);
+        for color in layers {
+            self.next.clear();
+            for &u in &self.frontier {
+                for &w in g.neighbors(u) {
+                    let i = w.index();
+                    if h_mask[i] && colors[i] == color && self.marks[i] != stamp {
+                        self.marks[i] = stamp;
+                        self.next.push(w);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+    }
+}
+
+/// The simulation session, coin scratch and walk scratch of a
+/// verdict-only evaluator, kept from one call and one seed to the next.
 #[derive(Debug)]
 pub(crate) struct VerdictSession {
     session: Executor<ColorBfs>,
     coins: Vec<bool>,
+    walk: CycleWalk,
 }
 
 impl VerdictSession {
@@ -371,23 +479,30 @@ impl VerdictSession {
         VerdictSession {
             session: Executor::new(backend),
             coins: Vec::new(),
+            walk: CycleWalk::default(),
         }
     }
 
     /// One call of a verdict-only evaluation: simulates the call only
-    /// if it [`has_active_source`], with exactly the coins drawn (the
-    /// undrawn ones, past the last node of `X ∩ H`, read as down: none
-    /// of those nodes can launch). Breaks when the simulated call
+    /// if it [`has_active_source`] and one of those sources closes a
+    /// well-colored cycle ([`CycleWalk`]), with exactly the coins drawn
+    /// (the undrawn ones, past the last node of `X ∩ H`, read as down:
+    /// none of those nodes can launch). Breaks when the simulated call
     /// rejects.
     ///
-    /// A call without an active source cannot reject: only an active
-    /// source sends an identifier, every later message forwards
-    /// identifiers a node received, and a node rejects only when one
-    /// identifier reaches it twice. Such a call delivers its Hello
-    /// round and nothing else.
+    /// A call that is not simulated cannot reject. Only an active
+    /// source sends an identifier, and every later message forwards
+    /// identifiers a node received from a neighbor of the color before
+    /// it, within `H`; so an identifier reaches at most the layers of
+    /// its source's walk. A node rejects only when one identifier
+    /// reaches it along both branches at color `m`, or comes back from
+    /// color `m+1` at color `m-1` (the hand-off). A threshold only keeps
+    /// a node from forwarding what it collected, so it can stop a
+    /// rejection but never cause one. A call that passes is simulated,
+    /// and its threshold decides.
     pub(crate) fn call_verdict(&mut self, g: &Graph, call: &ColorBfsCall<'_>) -> ControlFlow<()> {
         let coins = &mut self.coins;
-        if !has_active_source(coins, call) {
+        if !has_active_source(coins, call) || !self.walk.some_source_closes(g, call, coins) {
             return ControlFlow::Continue(());
         }
         coins.resize(call.x_mask.len(), false);
@@ -1005,6 +1120,64 @@ mod tests {
         assert!(!report.rejected());
         assert!(nodes[1].overflowed());
         assert_eq!(nodes[1].collected(), [0, 3]);
+    }
+
+    #[test]
+    fn the_walk_passes_exactly_the_calls_that_can_reject() {
+        // Per call, on random colorings, H masks and coins: with a
+        // threshold no set can exceed, the walk passes exactly the
+        // calls whose simulation rejects, and at τ = 4 it passes every
+        // call whose simulation rejects. Each palette sees both.
+        let palettes = [
+            Palette::even(2),
+            Palette::even(3),
+            Palette::odd(1),
+            Palette::odd(2),
+            Palette::odd(3),
+            Palette::pair(2),
+            Palette::pair(3),
+        ];
+        let mut session = Executor::new(Backend::Sequential);
+        let mut walk = CycleWalk::default();
+        let mut passed = vec![[0; 2]; palettes.len()];
+        let mut case = 0;
+        for (label, g) in crate::test_corpus::corpus() {
+            let n = g.node_count();
+            let x_mask = vec![true; n];
+            for (counts, palette) in passed.iter_mut().zip(palettes) {
+                case += 1;
+                let mut rng = ChaCha8Rng::seed_from_u64(case);
+                for draw in 0..60 {
+                    let colors: Vec<u8> = (0..n).map(|_| rng.gen_range(0..palette.size)).collect();
+                    let h_mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.9)).collect();
+                    let coins: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+                    let coloring = Coloring::forced(&colors);
+                    let call = |tau| ColorBfsCall {
+                        palette,
+                        launch: Launch {
+                            activation: Some(0.3),
+                            tau,
+                        },
+                        iteration: 1,
+                        phase: None,
+                        coloring: &coloring,
+                        h_mask: &h_mask,
+                        x_mask: &x_mask,
+                        seed: draw,
+                    };
+                    let passes = walk.some_source_closes(&g, &call(u64::MAX), &coins);
+                    let at = format!("{label}, {palette:?}, draw {draw}");
+                    let report = call(u64::MAX).simulate_with(&mut session, &g, |v| coins[v]);
+                    assert_eq!(passes, report.rejected(), "no threshold: {at}");
+                    let report = call(4).simulate_with(&mut session, &g, |v| coins[v]);
+                    assert!(passes || !report.rejected(), "τ = 4: {at}");
+                    counts[usize::from(passes)] += 1;
+                }
+            }
+        }
+        for (counts, palette) in passed.iter().zip(palettes) {
+            assert!(counts[0] > 0 && counts[1] > 0, "{palette:?}: {counts:?}");
+        }
     }
 
     #[test]

@@ -347,15 +347,17 @@ impl F2kDetector {
 /// An evaluation of a seed walks the same calls as [`F2kDetector::run`]
 /// with that seed and stops at the first rejecting call, as the run
 /// does. Each call is simulated, with exactly the run's coins, only if
-/// some node is an active source; a call with an empty `X ∩ H` draws no
-/// coin, and a repetition's coloring is drawn only when some node of
-/// `X ∩ H` has its coin up. A call without an active source cannot
-/// reject: only an active source sends an identifier, and a node
-/// rejects only when one identifier reaches it twice — along both
-/// branches at color `ℓ` (a `C_{2ℓ}`), or back from color `ℓ+1` at color
-/// `ℓ-1` (a `C_{2ℓ-1}`). The evaluator keeps its simulation session, its
-/// coin scratch and its sets from one seed to the next; each pair's `U`
-/// is computed once. Its round bound holds at any bandwidth.
+/// some active source closes a well-colored `C_{2ℓ}` or `C_{2ℓ-1}`
+/// within `H`; a call with an empty `X ∩ H` draws no coin, and a
+/// repetition's coloring is drawn only when some node of `X ∩ H` has
+/// its coin up. Any other call cannot reject: only an active source
+/// sends an identifier, a node rejects only when one identifier
+/// reaches it twice — along both branches at color `ℓ` (a `C_{2ℓ}`),
+/// or back from color `ℓ+1` at color `ℓ-1` (a `C_{2ℓ-1}`) — and the
+/// threshold only keeps identifiers back. The evaluator keeps its
+/// simulation session, its coin and walk scratch and its sets from one
+/// seed to the next; each pair's `U` is computed once. Its round bound
+/// holds at any bandwidth.
 #[derive(Debug)]
 pub struct F2kMc<'a> {
     det: &'a F2kDetector,

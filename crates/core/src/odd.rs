@@ -209,13 +209,14 @@ impl crate::Detector for OddCycleDetector {
 /// [`OddCycleDetector::run`] with that seed and stops at the first
 /// rejecting call, as the run does. Each call is simulated, with
 /// exactly the run's coins (probability `1/n` each), only if some node
-/// colored 0 drew an active coin; the repetition's coloring is drawn
-/// only when some coin is up. A call without such a source cannot
-/// reject: only a source sends an identifier, and the node colored `k`
-/// rejects only when one identifier reaches it along both the
-/// length-`k` and the length-`(k+1)` branch. The evaluator keeps its
-/// simulation session and coin scratch from one seed to the next. Its
-/// round bound holds at any bandwidth.
+/// colored 0 drew an active coin and closes a well-colored `C_{2k+1}`;
+/// the repetition's coloring is drawn only when some coin is up. Any
+/// other call cannot reject: only a source sends an identifier, the
+/// node colored `k` rejects only when one identifier reaches it along
+/// both the length-`k` and the length-`(k+1)` branch, and the threshold
+/// only keeps identifiers back. The evaluator keeps its simulation
+/// session and its coin and walk scratch from one seed to the next.
+/// Its round bound holds at any bandwidth.
 #[derive(Debug)]
 pub struct OddMc<'a> {
     det: &'a OddCycleDetector,

@@ -156,19 +156,21 @@ impl crate::Detector for LowProbDetector {
 /// * it computes `S` and `W` from the set-up round's own coins instead
 ///   of simulating the round;
 /// * each call is simulated, with exactly the run's coins, only if some
-///   node is an active source; a call with an empty `X ∩ H` draws no
-///   coin, and an iteration's coloring is drawn only when some node of
-///   `X ∩ H` has its coin up.
+///   active source closes a well-colored `2k`-cycle within `H`; a call
+///   with an empty `X ∩ H` draws no coin, and an iteration's coloring
+///   is drawn only when some node of `X ∩ H` has its coin up.
 ///
-/// A call without an active source cannot reject: only an active source
-/// sends an identifier (Instruction 15), every later message forwards
-/// identifiers a node received, and a node rejects only when one
-/// identifier reaches it along both branches (Instructions 24–28).
+/// Any other call cannot reject: only an active source sends an
+/// identifier (Instruction 15), every later message forwards
+/// identifiers a node received from its neighbors of the color before
+/// it in `H`, a node rejects only when one identifier reaches it along
+/// both branches (Instructions 24–28), and the threshold only keeps
+/// identifiers back.
 ///
 /// The evaluator keeps its buffers (the simulation session, the coin
-/// scratch, the sets) from one seed to the next; the seed-independent
-/// `U` is computed once. The bandwidth only scales the round bound
-/// charged per `Setup`, so no evaluation reads it.
+/// and walk scratch, the sets) from one seed to the next; the
+/// seed-independent `U` is computed once. The bandwidth only scales
+/// the round bound charged per `Setup`, so no evaluation reads it.
 #[derive(Debug)]
 pub struct LowProbMc<'a> {
     det: &'a LowProbDetector,

@@ -1,9 +1,9 @@
 //! The graphs the verdict-only evaluators are checked on: the families
-//! of `suites/smoke.suite` at n = 24 and 32, plus four instances rich
+//! of `suites/smoke.suite` at n = 24 and 32, plus five instances rich
 //! in targets. Shared by `tests/verdict_only.rs` and the crate's unit
 //! tests.
 
-use congest_graph::{generators, FamilySpec, Graph};
+use congest_graph::{generators, FamilySpec, Graph, GraphBuilder, NodeId};
 
 /// The families of `suites/smoke.suite`.
 const SMOKE_FAMILIES: [&str; 14] = [
@@ -25,7 +25,9 @@ const SMOKE_FAMILIES: [&str; 14] = [
 
 /// The smoke families at n = 24 and 32, plus `K_{6,6}` (C4s), `K_{10,10}`
 /// (C4s of heavy nodes, which a scaled-down selection probability
-/// leaves to the heavy call), a C5 farm, and a tree with a planted C4,
+/// leaves to the heavy call), a C5 farm, a tree with a planted C4, and
+/// four disjoint Petersen graphs (girth 5 and twelve C5s each, every
+/// node of degree 3, so light for the `F_6` detector's pair ℓ = 3),
 /// each with a label.
 pub fn corpus() -> Vec<(String, Graph)> {
     let mut graphs = Vec::new();
@@ -44,5 +46,17 @@ pub fn corpus() -> Vec<(String, Graph)> {
     graphs.push(("C5 farm".to_string(), farm));
     let (planted, _) = generators::plant_cycle(&generators::random_tree(32, 5), 4, 5);
     graphs.push(("tree + C4".to_string(), planted));
+    let mut petersen = GraphBuilder::new(10);
+    for i in 0..5 {
+        petersen.add_edge(NodeId::new(i), NodeId::new((i + 1) % 5));
+        petersen.add_edge(NodeId::new(i), NodeId::new(i + 5));
+        petersen.add_edge(NodeId::new(i + 5), NodeId::new((i + 2) % 5 + 5));
+    }
+    let petersen = petersen.build();
+    let mut farm = petersen.clone();
+    for _ in 1..4 {
+        farm = generators::disjoint_union(&farm, &petersen);
+    }
+    graphs.push(("Petersen farm".to_string(), farm));
     graphs
 }

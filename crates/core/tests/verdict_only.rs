@@ -1,10 +1,10 @@
 //! The verdict-only evaluators of the three randomized bases — the
 //! Lemma 12 detector (Algorithm 2), the §3.4 odd-cycle detector and the
 //! randomized §3.5 `F_{2k}` detector — against their costed runs, on
-//! their fast-ci configurations: the same verdict on every seed, asked
-//! in order of one evaluator per graph as the amplifier asks it, and
-//! costed rounds within the round bound the amplifier charges per
-//! `Setup` instead of simulating it.
+//! their fast-ci configurations at k = 2 and 3: the same verdict on
+//! every seed, asked in order of one evaluator per graph as the
+//! amplifier asks it, and costed rounds within the round bound the
+//! amplifier charges per `Setup` instead of simulating it.
 
 mod common;
 
@@ -17,8 +17,8 @@ use even_cycle::{
 /// Seeds asked of each evaluator, in order.
 const SEEDS: u64 = 200;
 
-fn low_prob() -> LowProbDetector {
-    LowProbDetector::new(Params::practical(2).with_repetitions(8))
+fn low_prob(k: usize) -> LowProbDetector {
+    LowProbDetector::new(Params::practical(k).with_repetitions(8))
 }
 
 /// The Lemma 12 base with its selection probability scaled down. At
@@ -32,12 +32,12 @@ fn scaled_low_prob() -> LowProbDetector {
     )
 }
 
-fn odd() -> OddCycleDetector {
-    OddCycleDetector::new(2, 20)
+fn odd(k: usize) -> OddCycleDetector {
+    OddCycleDetector::new(k, 20)
 }
 
-fn f2k() -> F2kDetector {
-    F2kDetector::new(2).with_repetitions(12).randomized()
+fn f2k(k: usize) -> F2kDetector {
+    F2kDetector::new(k).with_repetitions(12).randomized()
 }
 
 /// Asserts that `mc`, asked seeds 0..200 in order, answers each as the
@@ -59,16 +59,26 @@ fn same_verdicts(
         .count()
 }
 
+/// The fast-ci values of `k` each base is checked at, with the fewest
+/// rejections its verdicts must include over the corpus: at k = 3 the
+/// palettes meet at color 3, and the targets are rarer.
+const KS: [(usize, usize); 2] = [(2, 20), (3, 1)];
+
 #[test]
 fn low_prob_verdicts_match_costed_runs() {
-    let det = low_prob();
-    let mut rejections = 0;
-    for (label, g) in corpus() {
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
-        let at = format!("Lemma 12 on {label}");
-        rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+    for (k, least) in KS {
+        let det = low_prob(k);
+        let mut rejections = 0;
+        for (label, g) in corpus() {
+            let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+            let at = format!("Lemma 12, k = {k}, on {label}");
+            rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+        }
+        assert!(
+            rejections >= least,
+            "Lemma 12, k = {k}: {rejections} rejections"
+        );
     }
-    assert!(rejections >= 20, "Lemma 12: {rejections} rejections");
 }
 
 #[test]
@@ -108,26 +118,42 @@ fn scaled_low_prob_verdicts_match_costed_runs() {
 
 #[test]
 fn odd_verdicts_match_costed_runs() {
-    let det = odd();
-    let mut rejections = 0;
-    for (label, g) in corpus() {
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
-        let at = format!("odd on {label}");
-        rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+    for (k, least) in KS {
+        let det = odd(k);
+        let mut rejections = 0;
+        for (label, g) in corpus() {
+            let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+            let at = format!("odd, k = {k}, on {label}");
+            rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+        }
+        assert!(rejections >= least, "odd, k = {k}: {rejections} rejections");
     }
-    assert!(rejections >= 20, "odd: {rejections} rejections");
 }
 
 #[test]
 fn f2k_verdicts_match_costed_runs() {
-    let det = f2k();
-    let mut rejections = 0;
-    for (label, g) in corpus() {
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
-        let at = format!("F2k on {label}");
-        rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+    // Some rejection must come from the top pair's hand-off: a C3 at
+    // k = 2, and at k = 3 a C5, which on the corpus only the Petersen
+    // farm yields (its girth leaves pair 2 nothing).
+    for (k, least) in KS {
+        let det = f2k(k);
+        let (mut rejections, mut hand_offs) = (0, 0);
+        for (label, g) in corpus() {
+            let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+            let at = format!("F2k, k = {k}, on {label}");
+            rejections += same_verdicts(&at, &mut mc, |seed| {
+                let outcome = det.run(&g, seed);
+                let hand_off = outcome.pair == Some(k) && outcome.cycle_length == Some(2 * k - 1);
+                hand_offs += usize::from(hand_off);
+                outcome.rejected
+            });
+        }
+        assert!(rejections >= least, "F2k, k = {k}: {rejections} rejections");
+        assert!(
+            hand_offs > 0,
+            "F2k, k = {k}: pair {k} never rejected on its hand-off"
+        );
     }
-    assert!(rejections >= 20, "F2k: {rejections} rejections");
 }
 
 #[test]
@@ -135,7 +161,7 @@ fn costed_runs_stay_within_the_charged_round_bound() {
     // The amplifier charges each Setup the wrapper's round_bound() and
     // simulates no run in full, so the bound must cover every costed
     // run. The Lemma 12 detector runs every repetition.
-    let (low, odd, f2k) = (low_prob(), odd(), f2k());
+    let (low, odd, f2k) = (low_prob(2), odd(2), f2k(2));
     let seq = Backend::Sequential;
     for (label, g) in corpus() {
         for bandwidth in [1, 2, 4] {

@@ -50,14 +50,21 @@
 //! [`round_bound`](MonteCarloAlgorithm::round_bound), never rounds
 //! measured in a run. So an oracle evaluation may leave out any part of
 //! a run that cannot change the bit, and may leave undrawn any random
-//! value it does not read: the randomized color-BFS bases skip every
-//! call in which no node is an active source, since such a call sends
-//! no identifier and no node can reject, and they draw a repetition's
-//! coloring only when some call of it has a source candidate.
-//! `rejects` takes `&mut self` so that one evaluator answers every
-//! seed of an amplification and keeps its buffers (simulation
-//! sessions, coin scratch) between seeds; those buffers hold nothing a
-//! later answer reads.
+//! value it does not read. The randomized color-BFS bases skip:
+//!
+//! * every call in which no node is an active source, since such a call
+//!   sends no identifier and no node can reject;
+//! * every call in which no active source closes a well-colored cycle
+//!   within the call's host subgraph, walked layer by layer with no
+//!   threshold: a rejection certifies such a cycle through its origin,
+//!   and a threshold only keeps identifiers back, so such a call cannot
+//!   reject either.
+//!
+//! They draw a repetition's coloring only when some call of it has a
+//! source candidate. `rejects` takes `&mut self` so that one evaluator
+//! answers every seed of an amplification and keeps its buffers
+//! (simulation sessions, coin and walk scratch) between seeds; those
+//! buffers hold nothing a later answer reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
