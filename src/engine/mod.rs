@@ -1154,6 +1154,8 @@ mod tests {
         let dets: Vec<&dyn Detector> = vec![&det];
         let base = std::env::temp_dir().join(format!("ec-store-order-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
+        let schedule =
+            congest_graph::UpdateSchedule::parse("planted:4@rate=5,mix=0.7,checkpoints=3").unwrap();
         let store = |workers: usize| {
             let dir = base.join(workers.to_string());
             Scenario::new("store order", GraphFamily::planted_cycle(4))
@@ -1161,6 +1163,12 @@ mod tests {
                 .seeds(0..4)
                 .workers(workers)
                 .metric(Metric::Rounds)
+                .store(&dir)
+                .run(&dets);
+            StreamScenario::new("store order", schedule.clone())
+                .n(32)
+                .seeds(0..3)
+                .workers(workers)
                 .store(&dir)
                 .run(&dets);
             std::fs::read(dir.join("units-v2.jsonl")).expect("store file")

@@ -766,3 +766,87 @@ fn extending_a_stream_seed_sweep_executes_only_new_cells() {
     assert_eq!(wide.replayed_units, 2);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn wall_clock_cap_skips_then_resumes_a_stream_cleanly() {
+    use even_cycle_congest::stream::StreamScenario;
+    use even_cycle_congest::{Schedule, UpdateSchedule};
+
+    let dir = std::env::temp_dir().join(format!("ec-engine-stream-cap-{}", std::process::id()));
+    let fresh_dir = dir.with_extension("fresh");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
+
+    let inner = CycleDetector::new(Params::practical(2).with_repetitions(2));
+    let calls = AtomicU64::new(0);
+    let det = Counting {
+        inner: &inner,
+        calls: &calls,
+    };
+    let schedule = UpdateSchedule::parse("planted:4@rate=6,mix=0.6,checkpoints=3").unwrap();
+    let scenario = |store: &std::path::Path| {
+        StreamScenario::new("capped stream", schedule.clone())
+            .n(32)
+            .seeds(0..2)
+            .store(store)
+    };
+
+    // A zero cap is already elapsed at dispatch: all 3 × 2 checkpoint
+    // units are skipped, nothing is invoked, and the report says so.
+    let capped = scenario(&dir)
+        .schedule(Schedule::cheapest_first().with_wall_clock_cap(std::time::Duration::ZERO))
+        .run(&[&det]);
+    assert_eq!(calls.load(Ordering::Relaxed), 0);
+    assert_eq!(capped.total_units, 6);
+    assert_eq!(capped.executed_units, 0);
+    assert_eq!(capped.replayed_units, 0);
+    assert_eq!(capped.report.skipped_units(), 6);
+    assert!(capped.report.to_json().contains("\"skipped\":6"));
+
+    // Resuming without the cap executes every unit...
+    let resumed = scenario(&dir).run(&[&det]);
+    assert_eq!(resumed.executed_units, 6);
+    assert_eq!(calls.load(Ordering::Relaxed), 6);
+    assert_eq!(resumed.report.skipped_units(), 0);
+
+    // ...and matches a from-scratch uncapped run byte for byte.
+    let fresh = scenario(&fresh_dir).run(&[&det]);
+    assert_eq!(resumed.report.to_json(), fresh.report.to_json());
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fresh_dir).ok();
+}
+
+#[test]
+fn streams_in_one_call_execute_shared_cells_once() {
+    use even_cycle_congest::stream::StreamScenario;
+    use even_cycle_congest::{Engine, UpdateSchedule};
+
+    let inner = CycleDetector::new(Params::practical(2).with_repetitions(2));
+    let calls = AtomicU64::new(0);
+    let det = Counting {
+        inner: &inner,
+        calls: &calls,
+    };
+    let dets: Vec<&dyn Detector> = vec![&det];
+    let schedule = UpdateSchedule::parse("trees@rate=4,mix=0.8,checkpoints=2").unwrap();
+    let a = StreamScenario::new("a", schedule.clone())
+        .n(24)
+        .seeds([0u64, 1]);
+    let b = StreamScenario::new("b", schedule).n(24).seeds([1u64, 2]);
+
+    // Seed 1's two checkpoint cells belong to both streams: no store is
+    // configured, so the second copy can only come from this call.
+    let outcome = Engine::from_env()
+        .with_workers(2)
+        .run_streams(&[(&a, dets.as_slice()), (&b, dets.as_slice())]);
+    assert_eq!(outcome.total_units, 8);
+    assert_eq!(outcome.executed_units, 6);
+    assert_eq!(outcome.replayed_units, 2);
+    assert_eq!(calls.load(Ordering::Relaxed), 6);
+    assert_eq!(outcome.reports.len(), 2);
+    for report in &outcome.reports {
+        assert_eq!(report.rows[0].skipped, 0);
+        assert!(report.rows[0].cells.iter().all(|c| c.ok == 2));
+    }
+}
