@@ -325,7 +325,7 @@ fn run(args: Args) -> ExitCode {
             outcome.reports.len(),
             outcome.summary(elapsed),
         );
-        let skipped = outcome.skipped_units();
+        let skipped = outcome.skipped_units;
         if skipped > 0 {
             eprintln!(
                 "wall-clock cap hit: {skipped} unit(s) skipped; re-run the same \

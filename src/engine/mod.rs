@@ -25,6 +25,16 @@
 //! configurations (`paper-exact`, `practical`, `fast-ci`) that map
 //! onto registry construction, budget, and schedule defaults.
 //!
+//! Static sweeps ([`Engine::run_suite`]) and update streams
+//! ([`Engine::run_streams`], whose matrix is `checkpoints × seeds ×
+//! detectors`) run through one pass: the thread split, store replay,
+//! deduplication, dispatch order, wall-clock cap, in-order commit and
+//! merge above are the same code for both. Each front end says only
+//! how it keys a unit, where its graphs come from (the evicting
+//! [`cache::GraphCache`], or checkpoint snapshots replayed once per
+//! stream and seed), and how its records fold into a report (through
+//! one per-detector tally).
+//!
 //! ```
 //! use even_cycle_congest::engine::Engine;
 //! use even_cycle_congest::scenario::{GraphFamily, Metric, Scenario};
@@ -46,14 +56,15 @@ pub mod profile;
 pub mod schedule;
 pub mod store;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use congest_graph::Graph;
 use congest_telemetry as telemetry;
 use even_cycle::theory::fit_exponent;
-use even_cycle::Detector;
+use even_cycle::{Budget, Detector};
 
 pub use profile::RunProfile;
 pub use schedule::{Schedule, ScheduleOrder};
@@ -87,21 +98,6 @@ fn engine_metrics() -> &'static EngineMetrics {
             stream_replays: registry.counter("engine.stream.replays"),
         }
     })
-}
-
-/// Renders the canonical work summary the `sweep` bin prints to stderr:
-/// `executed E, replayed R, skipped S of T unit(s) in X.Ys`.
-pub fn work_summary(
-    executed: usize,
-    replayed: usize,
-    skipped: u64,
-    total: usize,
-    elapsed: Duration,
-) -> String {
-    format!(
-        "executed {executed}, replayed {replayed}, skipped {skipped} of {total} unit(s) in {:.1}s",
-        elapsed.as_secs_f64()
-    )
 }
 
 /// The sweep executor. Construct with [`Engine::from_env`], then
@@ -202,188 +198,42 @@ impl Engine {
     /// Panics as [`Engine::run`] does if the result store cannot be
     /// opened or written.
     pub fn run_suite(&self, items: &[(&Scenario, &[&dyn Detector])]) -> SuiteOutcome {
-        // Split the machine's thread budget between pool workers and
-        // the intra-run simulation threads of each scenario's backend,
-        // so a parallel sweep of parallel simulations never
-        // oversubscribes (workers × sim_threads ≤ available
-        // parallelism). The suite shares one pool, so the worker count
-        // is the tightest scenario's split. Backends do not change
-        // results — transcripts are byte-identical — so no clamp can
-        // move a report.
-        let available = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        let mut workers = self.workers.max(1);
-        let mut budgets: Vec<even_cycle::Budget> = Vec::with_capacity(items.len());
-        for (scenario, _) in items {
-            let max_size = scenario.sizes.iter().copied().max().unwrap_or(0);
-            let (w, backend) =
-                split_thread_budget(self.workers, scenario.budget.backend, max_size, available);
-            workers = workers.min(w);
-            budgets.push(scenario.budget.clone().with_backend(backend));
-        }
-
-        let mut store = self
-            .store_dir
-            .as_ref()
-            .map(|dir| ResultStore::open(dir).expect("result store must be writable"));
-
-        // Flatten every scenario's matrix in the canonical order
-        // (scenario-major, then size, seed, detector), content-address
-        // every unit, and keep only the units the store cannot replay —
-        // deduplicated suite-wide, so a cell shared by two stanzas
-        // executes once. The det/n/seed check on replay is a
-        // belt-and-suspenders guard against a 128-bit key collision.
-        struct Todo {
-            si: usize,
-            order: usize,
-            di: usize,
-            n: usize,
-            seed: u64,
-            key: String,
-            estimate: f64,
-        }
-        let mut metas: Vec<ScenarioMeta> = Vec::with_capacity(items.len());
         let family_keys: Vec<String> = items.iter().map(|(s, _)| s.family.store_key()).collect();
-        let mut todo: Vec<Todo> = Vec::new();
-        let mut claimed: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut total_units = 0usize;
-        for (si, (scenario, detectors)) in items.iter().enumerate() {
-            let ids: Vec<String> = detectors.iter().map(|d| d.descriptor().id()).collect();
-            let configs: Vec<String> = detectors.iter().map(|d| d.config_fingerprint()).collect();
-            let exponents: Vec<f64> = detectors.iter().map(|d| d.descriptor().exponent).collect();
-            let units = scenario.sizes.len() * scenario.seeds.len() * detectors.len();
-            let mut keys: Vec<String> = Vec::with_capacity(units);
-            for &n in &scenario.sizes {
-                for &seed in &scenario.seeds {
-                    for di in 0..detectors.len() {
-                        let key = store::unit_key(&store::canonical_unit(
-                            &family_keys[si],
-                            n,
-                            seed,
-                            &ids[di],
-                            &configs[di],
-                            &scenario.budget,
-                        ));
-                        let replayable = store
-                            .as_ref()
-                            .and_then(|s| s.get(&key))
-                            .is_some_and(|r| r.det == ids[di] && r.n == n && r.seed == seed);
-                        if !replayable && claimed.insert(key.clone()) {
-                            todo.push(Todo {
-                                si,
-                                order: total_units + keys.len(),
-                                di,
-                                n,
-                                seed,
-                                key: key.clone(),
-                                estimate: schedule::estimate_cost(n, exponents[di]),
-                            });
-                        }
-                        keys.push(key);
-                    }
-                }
-            }
-            total_units += units;
-            metas.push(ScenarioMeta { ids, keys });
-        }
-
-        // Dispatch order per the schedule, across the whole suite.
-        // Aggregation folds records in canonical unit order regardless,
-        // so reports do not depend on this — only *which* units finish
-        // under a cap does.
-        if self.schedule.order == ScheduleOrder::CheapestFirst {
-            todo.sort_by(|a, b| {
-                a.estimate
-                    .total_cmp(&b.estimate)
-                    .then(a.order.cmp(&b.order))
-            });
-        }
-
-        // Pre-compute per-instance refcounts so the shared graph cache
-        // can evict each (family, n, seed) when its last pending unit
-        // completes.
-        let mut pending: BTreeMap<cache::InstanceKey, usize> = BTreeMap::new();
-        for t in &todo {
-            *pending
-                .entry((family_keys[t.si].clone(), t.n, t.seed))
-                .or_insert(0) += 1;
-        }
-        let graphs = GraphCache::new();
-        graphs.expect_pending(&pending);
-
-        // Workers commit each record as it completes (see
-        // `InOrderStore`), so a killed or wall-clock-capped sweep keeps
-        // every unit up to the first unfinished one and the next run
-        // resumes from there.
-        // audit:allow(R2): schedule-cap enforcement — the deadline decides
-        // *whether* a unit runs (skipped units resume later), never what any
-        // executed unit computes.
-        let deadline = self.schedule.wall_clock_cap.map(|cap| Instant::now() + cap);
-        let shared_store = std::sync::Mutex::new(InOrderStore::new(store.take()));
-        let fresh: Vec<Option<UnitRecord>> = pool::run_indexed(todo.len(), workers, |j| {
-            let t = &todo[j];
-            let (scenario, detectors) = items[t.si];
-            // audit:allow(R2): same cap probe as above — gating only.
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                // Cap elapsed: skip (do not start) this unit, but still
-                // release its graph reference so eviction stays exact.
-                engine_metrics().deadline_skips.inc();
-                graphs.release(&family_keys[t.si], t.n, t.seed);
-                shared_store.lock().unwrap().commit(j, None);
-                return None;
-            }
-            let record = execute_unit(
-                scenario,
-                &budgets[t.si],
-                &graphs,
-                detectors[t.di],
-                &metas[t.si].ids[t.di],
-                &t.key,
-                t.n,
-                t.seed,
-            );
-            graphs.release(&family_keys[t.si], t.n, t.seed);
-            shared_store.lock().unwrap().commit(j, Some(&record));
-            Some(record)
-        });
-        let store = shared_store.into_inner().unwrap().store;
-        let executed = fresh.iter().flatten().count();
-
-        // Merge replayed and fresh records back into each scenario's
-        // canonical unit order, then aggregate sequentially (one
-        // canonical f64 addition order per scenario). Units skipped by
-        // the wall-clock cap stay `None` and are counted per row.
-        let mut by_key: HashMap<&str, &UnitRecord> = HashMap::new();
-        for record in fresh.iter().flatten() {
-            by_key.insert(&record.key, record);
-        }
-        let mut reports = Vec::with_capacity(items.len());
-        for (si, (scenario, detectors)) in items.iter().enumerate() {
-            let records: Vec<Option<UnitRecord>> = metas[si]
-                .keys
-                .iter()
-                .map(|key| {
-                    by_key
-                        .get(key.as_str())
-                        .map(|r| (*r).clone())
-                        .or_else(|| store.as_ref().and_then(|s| s.get(key)).cloned())
-                })
-                .collect();
-            reports.push(aggregate(scenario, detectors, &records));
-        }
-        let skipped: u64 = reports
+        let plan: Vec<Item> = items
             .iter()
-            .map(|r: &ScenarioReport| r.skipped_units())
-            .sum();
-        let replayed_units = total_units - executed - skipped as usize;
-        engine_metrics().units_replayed.add(replayed_units as u64);
-        SuiteOutcome {
-            reports,
-            total_units,
-            executed_units: executed,
-            replayed_units,
-        }
+            .map(|&(s, detectors)| Item {
+                detectors,
+                budget: &s.budget,
+                metric: s.metric,
+                cells: (s.sizes.iter())
+                    .flat_map(|&n| s.seeds.iter().map(move |&seed| Cell::new(n, seed, 0)))
+                    .collect(),
+            })
+            .collect();
+        self.run_pass(
+            &plan,
+            |i, cell, id, config| {
+                let budget = &items[i].0.budget;
+                store::canonical_unit(&family_keys[i], cell.n, cell.seed, id, config, budget)
+            },
+            |todo| {
+                // Per-instance refcounts let the shared cache evict each
+                // (family, n, seed) when its last queued unit completes.
+                let mut pending: BTreeMap<cache::InstanceKey, usize> = BTreeMap::new();
+                for t in todo {
+                    let instance = (family_keys[t.item].clone(), t.cell.n, t.cell.seed);
+                    *pending.entry(instance).or_insert(0) += 1;
+                }
+                let cache = GraphCache::new();
+                cache.expect_pending(&pending);
+                Instances {
+                    cache,
+                    items,
+                    family_keys: &family_keys,
+                }
+            },
+            |i, records| aggregate(items[i].0, items[i].1, records),
+        )
     }
 
     /// Replays one [`StreamScenario`] and runs every detector at every
@@ -394,13 +244,9 @@ impl Engine {
         scenario: &StreamScenario,
         detectors: &[&dyn Detector],
     ) -> StreamOutcome {
-        let suite = self.run_streams(&[(scenario, detectors)]);
+        let mut suite = self.run_streams(&[(scenario, detectors)]);
         StreamOutcome {
-            report: suite
-                .reports
-                .into_iter()
-                .next()
-                .expect("one stream in, one report out"),
+            report: suite.reports.pop().expect("one stream in, one report out"),
             total_units: suite.total_units,
             executed_units: suite.executed_units,
             replayed_units: suite.replayed_units,
@@ -431,116 +277,123 @@ impl Engine {
     /// Panics as [`Engine::run`] does if the result store cannot be
     /// opened or written.
     pub fn run_streams(&self, items: &[(&StreamScenario, &[&dyn Detector])]) -> StreamSuiteOutcome {
+        let schedule_keys: Vec<String> = items
+            .iter()
+            .map(|(s, _)| s.updates.fingerprint_hex())
+            .collect();
+        let plan: Vec<Item> = items
+            .iter()
+            .map(|&(s, detectors)| Item {
+                detectors,
+                budget: &s.budget,
+                metric: s.metric,
+                cells: (0..s.updates.checkpoints)
+                    .flat_map(|ci| s.seeds.iter().map(move |&seed| Cell::new(s.n, seed, ci)))
+                    .collect(),
+            })
+            .collect();
+        self.run_pass(
+            &plan,
+            |i, cell, id, config| {
+                let (key, budget) = (&schedule_keys[i], &items[i].0.budget);
+                store::canonical_stream_unit(
+                    key,
+                    cell.checkpoint,
+                    cell.n,
+                    cell.seed,
+                    id,
+                    config,
+                    budget,
+                )
+            },
+            |todo| replay_snapshots(items, todo),
+            |i, records| aggregate_stream(items[i].0, items[i].1, records),
+        )
+    }
+
+    /// The one pass behind [`Engine::run_suite`] and
+    /// [`Engine::run_streams`]: `key` renders the canonical identity of
+    /// item `i`'s unit `(cell, detector id, detector config)`, `graphs`
+    /// prepares the graphs of the units the store cannot replay, and
+    /// `report` folds item `i`'s records, in canonical order, into its
+    /// report.
+    fn run_pass<G: Graphs, R>(
+        &self,
+        items: &[Item<'_>],
+        key: impl Fn(usize, Cell, &str, &str) -> String,
+        graphs: impl FnOnce(&[Todo]) -> G,
+        report: impl Fn(usize, &[Option<UnitRecord>]) -> R,
+    ) -> Outcome<R> {
+        // Split the machine's thread budget between pool workers and
+        // the intra-run simulation threads of each item's backend, so a
+        // parallel sweep of parallel simulations never oversubscribes
+        // (workers × sim_threads ≤ available parallelism). All items
+        // share one pool, so the worker count is the tightest item's
+        // split. Backends do not change results — transcripts are
+        // byte-identical — so no clamp can move a report.
         let available = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1);
         let mut workers = self.workers.max(1);
-        let mut budgets: Vec<even_cycle::Budget> = Vec::with_capacity(items.len());
-        for (scenario, _) in items {
-            let (w, backend) =
-                split_thread_budget(self.workers, scenario.budget.backend, scenario.n, available);
-            workers = workers.min(w);
-            budgets.push(scenario.budget.clone().with_backend(backend));
-        }
+        let budgets: Vec<Budget> = items
+            .iter()
+            .map(|item| {
+                let max_size = item.cells.iter().map(|c| c.n).max().unwrap_or(0);
+                let (w, backend) =
+                    split_thread_budget(self.workers, item.budget.backend, max_size, available);
+                workers = workers.min(w);
+                item.budget.clone().with_backend(backend)
+            })
+            .collect();
 
         let mut store = self
             .store_dir
             .as_ref()
             .map(|dir| ResultStore::open(dir).expect("result store must be writable"));
 
-        // Flatten every stream's matrix in canonical order
-        // (checkpoint-major, then seed, then detector), content-address
-        // every unit, and keep only what the store cannot replay —
-        // deduplicated suite-wide. The det/n/seed check on replay is
-        // the same key-collision guard the static path uses.
-        struct Todo {
-            si: usize,
-            order: usize,
-            di: usize,
-            ci: usize,
-            qi: usize,
-            key: String,
-            estimate: f64,
-        }
-        let mut metas: Vec<ScenarioMeta> = Vec::with_capacity(items.len());
+        // Flatten every item's units in canonical order, content-address
+        // every unit, and queue only the units the store cannot replay —
+        // deduplicated across items, so a cell two items share executes
+        // once.
+        let mut ids: Vec<Vec<String>> = Vec::with_capacity(items.len());
+        let mut keys: Vec<Vec<String>> = Vec::with_capacity(items.len());
         let mut todo: Vec<Todo> = Vec::new();
-        let mut claimed: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut claimed: HashSet<String> = HashSet::new();
         let mut total_units = 0usize;
-        for (si, (scenario, detectors)) in items.iter().enumerate() {
-            let ids: Vec<String> = detectors.iter().map(|d| d.descriptor().id()).collect();
-            let configs: Vec<String> = detectors.iter().map(|d| d.config_fingerprint()).collect();
-            let exponents: Vec<f64> = detectors.iter().map(|d| d.descriptor().exponent).collect();
-            let schedule_key = scenario.updates.fingerprint_hex();
-            let checkpoints = scenario.updates.checkpoints;
-            let mut keys: Vec<String> =
-                Vec::with_capacity(checkpoints * scenario.seeds.len() * detectors.len());
-            for ci in 0..checkpoints {
-                for (qi, &seed) in scenario.seeds.iter().enumerate() {
-                    for di in 0..detectors.len() {
-                        let key = store::unit_key(&store::canonical_stream_unit(
-                            &schedule_key,
-                            ci,
-                            scenario.n,
-                            seed,
-                            &ids[di],
-                            &configs[di],
-                            &scenario.budget,
-                        ));
-                        let replayable =
-                            store.as_ref().and_then(|s| s.get(&key)).is_some_and(|r| {
-                                r.det == ids[di] && r.n == scenario.n && r.seed == seed
-                            });
-                        if !replayable && claimed.insert(key.clone()) {
-                            todo.push(Todo {
-                                si,
-                                order: total_units + keys.len(),
-                                di,
-                                ci,
-                                qi,
-                                key: key.clone(),
-                                estimate: schedule::estimate_cost(scenario.n, exponents[di]),
-                            });
-                        }
-                        keys.push(key);
+        for (i, item) in items.iter().enumerate() {
+            let dets = item.detectors;
+            let item_ids: Vec<String> = dets.iter().map(|d| d.descriptor().id()).collect();
+            let configs: Vec<String> = dets.iter().map(|d| d.config_fingerprint()).collect();
+            let exponents: Vec<f64> = dets.iter().map(|d| d.descriptor().exponent).collect();
+            let mut item_keys: Vec<String> = Vec::with_capacity(item.cells.len() * dets.len());
+            for &cell in &item.cells {
+                for (det, id) in item_ids.iter().enumerate() {
+                    let unit = store::unit_key(&key(i, cell, id, &configs[det]));
+                    let stored = (store.as_ref())
+                        .and_then(|s| s.replay(&unit, id, cell.n, cell.seed))
+                        .is_some();
+                    if !stored && claimed.insert(unit.clone()) {
+                        todo.push(Todo {
+                            item: i,
+                            det,
+                            cell,
+                            key: unit.clone(),
+                            order: total_units + item_keys.len(),
+                            estimate: schedule::estimate_cost(cell.n, exponents[det]),
+                        });
                     }
+                    item_keys.push(unit);
                 }
             }
-            total_units += keys.len();
-            metas.push(ScenarioMeta { ids, keys });
+            total_units += item_keys.len();
+            ids.push(item_ids);
+            keys.push(item_keys);
         }
 
-        // Materialize only the snapshots that missing units need: one
-        // sequential replay per (stream, seed) with any pending work,
-        // stopped at its last needed checkpoint. Fully stored seeds are
-        // never replayed.
-        let mut needed: std::collections::BTreeMap<
-            (usize, usize),
-            std::collections::BTreeSet<usize>,
-        > = std::collections::BTreeMap::new();
-        for t in &todo {
-            needed.entry((t.si, t.qi)).or_default().insert(t.ci);
-        }
-        let mut snapshots: HashMap<(usize, usize, usize), std::sync::Arc<congest_graph::Graph>> =
-            HashMap::new();
-        for ((si, qi), checkpoints) in &needed {
-            let scenario = items[*si].0;
-            let last = *checkpoints.iter().next_back().expect("non-empty set");
-            engine_metrics().stream_replays.inc();
-            let _replay_span = telemetry::Span::begin("engine.stream.replay")
-                .with("n", scenario.n)
-                .with("seed", scenario.seeds[*qi])
-                .with("checkpoints", checkpoints.len());
-            let mut replay = scenario.updates.replay(scenario.n, scenario.seeds[*qi]);
-            while let Some((ci, snapshot)) = replay.next_checkpoint() {
-                if checkpoints.contains(&ci) {
-                    snapshots.insert((*si, *qi, ci), std::sync::Arc::new(snapshot));
-                }
-                if ci == last {
-                    break;
-                }
-            }
-        }
-
+        // Dispatch order per the schedule, across all items. Reports
+        // fold records in canonical unit order regardless, so they do
+        // not depend on this — only *which* units finish under a cap
+        // does.
         if self.schedule.order == ScheduleOrder::CheapestFirst {
             todo.sort_by(|a, b| {
                 a.estimate
@@ -548,109 +401,231 @@ impl Engine {
                     .then(a.order.cmp(&b.order))
             });
         }
+        let graphs = graphs(&todo);
 
+        // Workers commit each record as it completes (see
+        // `InOrderStore`), so a killed or wall-clock-capped run keeps
+        // every unit up to the first unfinished one and the next run
+        // resumes from there.
         // audit:allow(R2): schedule-cap enforcement — the deadline decides
         // *whether* a unit runs (skipped units resume later), never what any
         // executed unit computes.
         let deadline = self.schedule.wall_clock_cap.map(|cap| Instant::now() + cap);
-        let shared_store = std::sync::Mutex::new(InOrderStore::new(store.take()));
+        let shared_store = Mutex::new(InOrderStore::new(store.take()));
         let fresh: Vec<Option<UnitRecord>> = pool::run_indexed(todo.len(), workers, |j| {
             let t = &todo[j];
-            let (scenario, detectors) = items[t.si];
+            let item = &items[t.item];
             // audit:allow(R2): same cap probe as above — gating only.
-            if deadline.is_some_and(|d| Instant::now() >= d) {
+            let record = if deadline.is_some_and(|d| Instant::now() >= d) {
                 engine_metrics().deadline_skips.inc();
-                shared_store.lock().unwrap().commit(j, None);
-                return None;
-            }
-            let g = &snapshots[&(t.si, t.qi, t.ci)];
-            let record = record_detection(
-                scenario.metric,
-                g,
-                &budgets[t.si],
-                detectors[t.di],
-                &metas[t.si].ids[t.di],
-                &t.key,
-                scenario.n,
-                scenario.seeds[t.qi],
-            );
-            shared_store.lock().unwrap().commit(j, Some(&record));
-            Some(record)
+                None
+            } else {
+                let g = graphs.get(t.item, t.cell);
+                Some(record_detection(
+                    item.metric,
+                    &g,
+                    &budgets[t.item],
+                    item.detectors[t.det],
+                    &ids[t.item][t.det],
+                    &t.key,
+                    t.cell.n,
+                    t.cell.seed,
+                ))
+            };
+            // A skipped unit releases its graph too, so eviction stays
+            // exact.
+            graphs.release(t.item, t.cell);
+            (shared_store.lock())
+                .expect("a worker panicked while committing")
+                .commit(j, record.as_ref());
+            record
         });
-        let store = shared_store.into_inner().unwrap().store;
-        let executed = fresh.iter().flatten().count();
+        let store = (shared_store.into_inner())
+            .expect("a worker panicked while committing")
+            .store;
 
-        let mut by_key: HashMap<&str, &UnitRecord> = HashMap::new();
-        for record in fresh.iter().flatten() {
-            by_key.insert(&record.key, record);
-        }
-        let mut reports = Vec::with_capacity(items.len());
-        for (si, (scenario, detectors)) in items.iter().enumerate() {
-            let records: Vec<Option<UnitRecord>> = metas[si]
-                .keys
-                .iter()
-                .map(|key| {
-                    by_key
-                        .get(key.as_str())
-                        .map(|r| (*r).clone())
-                        .or_else(|| store.as_ref().and_then(|s| s.get(key)).cloned())
-                })
-                .collect();
-            reports.push(aggregate_stream(scenario, detectors, &records));
-        }
-        let skipped: u64 = reports.iter().map(StreamReport::skipped_units).sum();
-        let replayed_units = total_units - executed - skipped as usize;
+        // Merge fresh and stored records back into each item's
+        // canonical order, then fold each item sequentially (one
+        // canonical f64 addition order per item). Units skipped by the
+        // wall-clock cap stay `None`.
+        let by_key: HashMap<&str, &UnitRecord> = (fresh.iter().flatten())
+            .map(|record| (record.key.as_str(), record))
+            .collect();
+        let executed_units = by_key.len();
+        let mut skipped_units = 0;
+        let reports: Vec<R> = (keys.iter().enumerate())
+            .map(|(i, keys)| {
+                let records: Vec<Option<UnitRecord>> = keys
+                    .iter()
+                    .map(|key| {
+                        (by_key.get(key.as_str()).copied())
+                            .or_else(|| store.as_ref().and_then(|s| s.get(key)))
+                            .cloned()
+                    })
+                    .collect();
+                skipped_units += records.iter().filter(|r| r.is_none()).count();
+                report(i, &records)
+            })
+            .collect();
+        let replayed_units = total_units - executed_units - skipped_units;
         engine_metrics().units_replayed.add(replayed_units as u64);
-        StreamSuiteOutcome {
+        Outcome {
             reports,
             total_units,
-            executed_units: executed,
+            executed_units,
             replayed_units,
+            skipped_units,
         }
     }
 }
 
-/// Per-scenario bookkeeping the suite runner threads through the
-/// shared pool pass.
-struct ScenarioMeta {
-    ids: Vec<String>,
-    keys: Vec<String>,
+/// One scenario or stream as [`Engine::run_pass`] sees it: its
+/// detectors, budget and metric, and the instances it runs every
+/// detector on, in the front end's canonical order.
+struct Item<'a> {
+    detectors: &'a [&'a dyn Detector],
+    budget: &'a Budget,
+    metric: Metric,
+    cells: Vec<Cell>,
 }
 
-/// What a suite run did: the per-scenario reports plus the shared
-/// engine's work accounting — the replay guarantee made visible (a
-/// second run of an unchanged suite must show `executed_units == 0`).
+/// One instance of an item: the requested size and the seed, plus the
+/// checkpoint for stream units (0 for sweep units).
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    n: usize,
+    seed: u64,
+    checkpoint: usize,
+}
+
+impl Cell {
+    fn new(n: usize, seed: u64, checkpoint: usize) -> Cell {
+        Cell {
+            n,
+            seed,
+            checkpoint,
+        }
+    }
+}
+
+/// A unit the store cannot replay, queued for the pool.
+struct Todo {
+    item: usize,
+    det: usize,
+    cell: Cell,
+    key: String,
+    /// The unit's position in the flattened canonical order (the
+    /// cheapest-first tie-break).
+    order: usize,
+    estimate: f64,
+}
+
+/// Where [`Engine::run_pass`] gets the graph each queued unit runs on.
+trait Graphs: Sync {
+    /// The graph of item `item`'s instance `cell`.
+    fn get(&self, item: usize, cell: Cell) -> Arc<Graph>;
+
+    /// Called once per queued unit, after it ran or was skipped.
+    fn release(&self, _item: usize, _cell: Cell) {}
+}
+
+/// Sweep graphs: built once per `(family, n, seed)` by the shared cache
+/// and evicted when the last queued unit of the instance releases it.
+struct Instances<'a> {
+    cache: GraphCache,
+    items: &'a [(&'a Scenario, &'a [&'a dyn Detector])],
+    family_keys: &'a [String],
+}
+
+impl Graphs for Instances<'_> {
+    fn get(&self, item: usize, cell: Cell) -> Arc<Graph> {
+        self.cache
+            .get(&self.items[item].0.family, cell.n, cell.seed)
+    }
+
+    fn release(&self, item: usize, cell: Cell) {
+        self.cache
+            .release(&self.family_keys[item], cell.n, cell.seed);
+    }
+}
+
+/// Stream graphs: the checkpoint snapshots, keyed by `(item, seed,
+/// checkpoint)`.
+type Snapshots = HashMap<(usize, u64, usize), Arc<Graph>>;
+
+impl Graphs for Snapshots {
+    fn get(&self, item: usize, cell: Cell) -> Arc<Graph> {
+        Arc::clone(&self[&(item, cell.seed, cell.checkpoint)])
+    }
+}
+
+/// Materializes only the snapshots that queued units need: one
+/// sequential replay per (stream, seed) with queued work, stopped at
+/// its last needed checkpoint. Fully stored seeds are never replayed.
+fn replay_snapshots(items: &[(&StreamScenario, &[&dyn Detector])], todo: &[Todo]) -> Snapshots {
+    let mut needed: BTreeMap<(usize, u64), BTreeSet<usize>> = BTreeMap::new();
+    for t in todo {
+        (needed.entry((t.item, t.cell.seed)).or_default()).insert(t.cell.checkpoint);
+    }
+    let mut snapshots = Snapshots::new();
+    for (&(item, seed), checkpoints) in &needed {
+        let scenario = items[item].0;
+        let last = *checkpoints.iter().next_back().expect("non-empty set");
+        engine_metrics().stream_replays.inc();
+        let _replay_span = telemetry::Span::begin("engine.stream.replay")
+            .with("n", scenario.n)
+            .with("seed", seed)
+            .with("checkpoints", checkpoints.len());
+        let mut replay = scenario.updates.replay(scenario.n, seed);
+        while let Some((ci, snapshot)) = replay.next_checkpoint() {
+            if checkpoints.contains(&ci) {
+                snapshots.insert((item, seed, ci), Arc::new(snapshot));
+            }
+            if ci == last {
+                break;
+            }
+        }
+    }
+    snapshots
+}
+
+/// What a run did: one report per input scenario or stream plus the
+/// shared engine's work accounting — the replay guarantee made visible
+/// (a second run of an unchanged suite must show `executed_units == 0`).
 #[derive(Debug)]
-pub struct SuiteOutcome {
-    /// One report per input scenario, in input order.
-    pub reports: Vec<ScenarioReport>,
-    /// Total work units across all scenarios (duplicates counted per
-    /// scenario).
+pub struct Outcome<R> {
+    /// One report per input item, in input order.
+    pub reports: Vec<R>,
+    /// Total work units across all items (duplicates counted per item).
     pub total_units: usize,
     /// Units that actually invoked a detector in this run.
     pub executed_units: usize,
     /// Units served without a detector invocation — from the result
-    /// store, or from a sibling stanza that already computed the same
+    /// store, or from a sibling item that already computed the same
     /// content address this run.
     pub replayed_units: usize,
-}
-
-impl SuiteOutcome {
     /// Units skipped by the schedule's wall-clock cap, across all
     /// reports.
-    pub fn skipped_units(&self) -> u64 {
-        self.reports.iter().map(|r| r.skipped_units()).sum()
-    }
+    pub skipped_units: usize,
+}
 
-    /// The canonical `executed …, replayed …, skipped … of … unit(s) in
-    /// X.Ys` summary for this run; see [`work_summary`].
+/// What a suite run did; see [`Engine::run_suite`].
+pub type SuiteOutcome = Outcome<ScenarioReport>;
+
+/// What a multi-stream run did; see [`Engine::run_streams`].
+pub type StreamSuiteOutcome = Outcome<StreamReport>;
+
+impl<R> Outcome<R> {
+    /// The canonical `executed E, replayed R, skipped S of T unit(s) in
+    /// X.Ys` summary the `sweep` bin prints to stderr.
     pub fn summary(&self, elapsed: Duration) -> String {
-        work_summary(
+        format!(
+            "executed {}, replayed {}, skipped {} of {} unit(s) in {:.1}s",
             self.executed_units,
             self.replayed_units,
-            self.skipped_units(),
+            self.skipped_units,
             self.total_units,
-            elapsed,
+            elapsed.as_secs_f64()
         )
     }
 }
@@ -669,39 +644,6 @@ pub struct StreamOutcome {
     /// Units served without a detector invocation (from the result
     /// store, or deduplicated within the run).
     pub replayed_units: usize,
-}
-
-/// What a multi-stream run did; see [`Engine::run_streams`].
-#[derive(Debug)]
-pub struct StreamSuiteOutcome {
-    /// One report per input stream, in input order.
-    pub reports: Vec<StreamReport>,
-    /// Total checkpoint units across all streams (duplicates counted
-    /// per stream).
-    pub total_units: usize,
-    /// Units that actually invoked a detector in this run.
-    pub executed_units: usize,
-    /// Units served without a detector invocation.
-    pub replayed_units: usize,
-}
-
-impl StreamSuiteOutcome {
-    /// Units skipped by the schedule's wall-clock cap, across all
-    /// reports.
-    pub fn skipped_units(&self) -> u64 {
-        self.reports.iter().map(StreamReport::skipped_units).sum()
-    }
-
-    /// The canonical work summary for this run; see [`work_summary`].
-    pub fn summary(&self, elapsed: Duration) -> String {
-        work_summary(
-            self.executed_units,
-            self.replayed_units,
-            self.skipped_units(),
-            self.total_units,
-            elapsed,
-        )
-    }
 }
 
 /// Appends executed records to the result store in dispatch order,
@@ -767,24 +709,6 @@ fn split_thread_budget(
     let backend = backend.clamped(available);
     let sim = backend.effective_threads(max_size).max(1);
     (workers.clamp(1, (available / sim).max(1)), backend)
-}
-
-/// Executes one work unit: build (or fetch) the instance, run the
-/// detector, extract the metric. `budget` is the scenario's budget
-/// with the backend already split against the worker count.
-#[allow(clippy::too_many_arguments)]
-fn execute_unit(
-    scenario: &Scenario,
-    budget: &even_cycle::Budget,
-    graphs: &GraphCache,
-    detector: &dyn Detector,
-    id: &str,
-    key: &str,
-    n: usize,
-    seed: u64,
-) -> UnitRecord {
-    let g = graphs.get(&scenario.family, n, seed);
-    record_detection(scenario.metric, &g, budget, detector, id, key, n, seed)
 }
 
 /// Runs one detector on one concrete graph and folds the detection into
@@ -863,178 +787,97 @@ pub(crate) fn record_detection(
     record
 }
 
-/// Folds stream checkpoint records (in canonical checkpoint-major
-/// order) into per-detector rows — sequential, one canonical f64
-/// addition order, so stream reports are byte-identical across worker
-/// counts and resumes, exactly like [`aggregate`] for static sweeps.
-fn aggregate_stream(
-    scenario: &StreamScenario,
-    detectors: &[&dyn Detector],
+/// One detector's fold of its records: per-group sums (a group is a
+/// sweep's size rung or a stream's checkpoint) and the verdict counts
+/// every report row carries.
+#[derive(Default)]
+struct Tally {
+    groups: Vec<Group>,
+    rejections: u64,
+    errors: u64,
+    budget_exceeded: u64,
+    skipped: u64,
+}
+
+/// The runs of one detector in one group that completed OK.
+#[derive(Default, Clone)]
+struct Group {
+    total: f64,
+    node_count: u64,
+    ok: u64,
+    rejections: u64,
+}
+
+/// Folds one item's records (in canonical order: group-major, then
+/// seed, then detector) into one [`Tally`] per detector — the same
+/// arithmetic, in the same order, whatever the worker count or resume
+/// history, so reports are byte-identical. A missing record (a unit
+/// the wall-clock cap skipped) is counted, not aggregated.
+fn tally(
+    metric: Metric,
     records: &[Option<UnitRecord>],
-) -> StreamReport {
-    #[derive(Default)]
-    struct Cell {
-        total: f64,
-        ok: u64,
-        rejections: u64,
-    }
-    #[derive(Default)]
-    struct Acc {
-        cells: Vec<Cell>,
-        rejections: u64,
-        errors: u64,
-        budget_exceeded: u64,
-        skipped: u64,
-    }
-    let checkpoints = scenario.updates.checkpoints;
-    let mut accs: Vec<Acc> = detectors
-        .iter()
-        .map(|_| Acc {
-            cells: (0..checkpoints).map(|_| Cell::default()).collect(),
-            ..Default::default()
+    groups: usize,
+    detectors: usize,
+) -> Vec<Tally> {
+    let mut tallies: Vec<Tally> = (0..detectors)
+        .map(|_| Tally {
+            groups: vec![Group::default(); groups],
+            ..Tally::default()
         })
         .collect();
-
-    let dets = detectors.len();
-    let per_checkpoint = scenario.seeds.len() * dets;
+    let per_group = records.len() / groups.max(1);
     for (unit, record) in records.iter().enumerate() {
-        let ci = unit / per_checkpoint;
-        let di = unit % dets;
-        let acc = &mut accs[di];
+        let tally = &mut tallies[unit % detectors];
         let Some(record) = record else {
-            acc.skipped += 1;
+            tally.skipped += 1;
             continue;
         };
         match &record.status {
             UnitStatus::Ok => {
+                let group = &mut tally.groups[unit / per_group];
+                group.total += metric.extract_cost(&record.cost());
+                // Families snap requested sizes (primes, parity); fit
+                // against the graphs actually built, not the request.
+                group.node_count += record.node_count;
+                group.ok += 1;
                 if record.rejected {
-                    acc.rejections += 1;
-                    acc.cells[ci].rejections += 1;
+                    tally.rejections += 1;
+                    group.rejections += 1;
                 }
-                let cell = &mut acc.cells[ci];
-                cell.total += scenario.metric.extract_cost(&record.cost());
-                cell.ok += 1;
             }
-            UnitStatus::BudgetExceeded => acc.budget_exceeded += 1,
-            UnitStatus::Error(_) => acc.errors += 1,
+            // A certified rejection always keeps its Reject verdict
+            // through a cap (status Ok), so this arm only sees runs
+            // that were genuinely cut off undecided.
+            UnitStatus::BudgetExceeded => tally.budget_exceeded += 1,
+            UnitStatus::Error(_) => tally.errors += 1,
         }
     }
-
-    let rows = detectors
-        .iter()
-        .zip(accs)
-        .map(|(det, acc)| {
-            let descriptor = det.descriptor();
-            let cells = acc
-                .cells
-                .iter()
-                .enumerate()
-                .map(|(ci, cell)| CheckpointCell {
-                    checkpoint: ci,
-                    updates_applied: (ci + 1) * scenario.updates.rate,
-                    mean: if cell.ok > 0 {
-                        cell.total / cell.ok as f64
-                    } else {
-                        f64::NAN
-                    },
-                    ok: cell.ok,
-                    rejections: cell.rejections,
-                })
-                .collect();
-            StreamRow {
-                id: descriptor.id(),
-                descriptor,
-                cells,
-                rejections: acc.rejections,
-                errors: acc.errors,
-                budget_exceeded: acc.budget_exceeded,
-                skipped: acc.skipped,
-            }
-        })
-        .collect();
-    StreamReport {
-        scenario: scenario.name.clone(),
-        schedule: scenario.updates.canonical_label(),
-        metric: scenario.metric,
-        bandwidth: scenario.budget.bandwidth,
-        n: scenario.n,
-        runs_per_checkpoint: scenario.seeds.len(),
-        rows,
-    }
+    tallies
 }
 
-/// Folds unit records (in canonical order) into the per-detector rows —
-/// the same arithmetic, in the same order, as the original sequential
-/// runner, so reports are byte-identical across worker counts and
-/// resumes. A missing record (a unit the wall-clock cap skipped) is
-/// counted per row, not aggregated.
+/// Folds a sweep's records into its per-detector rows: per-size means
+/// and the fitted scaling exponent.
 fn aggregate(
     scenario: &Scenario,
     detectors: &[&dyn Detector],
     records: &[Option<UnitRecord>],
 ) -> ScenarioReport {
-    #[derive(Default)]
-    struct Cell {
-        total: f64,
-        node_count: u64,
-        ok: u64,
-    }
-    #[derive(Default)]
-    struct Acc {
-        cells: Vec<Cell>,
-        rejections: u64,
-        errors: u64,
-        budget_exceeded: u64,
-        skipped: u64,
-    }
-    let mut accs: Vec<Acc> = detectors
-        .iter()
-        .map(|_| Acc {
-            cells: scenario.sizes.iter().map(|_| Cell::default()).collect(),
-            ..Default::default()
-        })
-        .collect();
-
-    let dets = detectors.len();
-    let per_size = scenario.seeds.len() * dets;
-    for (unit, record) in records.iter().enumerate() {
-        let si = unit / per_size;
-        let di = unit % dets;
-        let acc = &mut accs[di];
-        let Some(record) = record else {
-            acc.skipped += 1;
-            continue;
-        };
-        match &record.status {
-            UnitStatus::Ok => {
-                if record.rejected {
-                    acc.rejections += 1;
-                }
-                let cell = &mut acc.cells[si];
-                cell.total += scenario.metric.extract_cost(&record.cost());
-                // Families snap requested sizes (primes, parity); fit
-                // against the graphs actually built, not the request.
-                cell.node_count += record.node_count;
-                cell.ok += 1;
-            }
-            // A certified rejection always keeps its Reject verdict
-            // through a cap (status Ok), so this arm only sees runs
-            // that were genuinely cut off undecided.
-            UnitStatus::BudgetExceeded => acc.budget_exceeded += 1,
-            UnitStatus::Error(_) => acc.errors += 1,
-        }
-    }
-
+    let tallies = tally(
+        scenario.metric,
+        records,
+        scenario.sizes.len(),
+        detectors.len(),
+    );
     let rows = detectors
         .iter()
-        .zip(accs)
-        .map(|(det, acc)| {
+        .zip(tallies)
+        .map(|(det, t)| {
             let descriptor = det.descriptor();
-            let samples: Vec<(usize, f64)> = acc
-                .cells
+            let samples: Vec<(usize, f64)> = t
+                .groups
                 .iter()
-                .filter(|c| c.ok > 0)
-                .map(|c| ((c.node_count / c.ok) as usize, c.total / c.ok as f64))
+                .filter(|g| g.ok > 0)
+                .map(|g| ((g.node_count / g.ok) as usize, g.total / g.ok as f64))
                 .collect();
             let (fitted_exponent, fitted_constant) = if samples.len() >= 2
                 && samples.iter().all(|&(_, v)| v > 0.0)
@@ -1050,10 +893,10 @@ fn aggregate(
                 samples,
                 fitted_exponent,
                 fitted_constant,
-                rejections: acc.rejections,
-                errors: acc.errors,
-                budget_exceeded: acc.budget_exceeded,
-                skipped: acc.skipped,
+                rejections: t.rejections,
+                errors: t.errors,
+                budget_exceeded: t.budget_exceeded,
+                skipped: t.skipped,
             }
         })
         .collect();
@@ -1063,6 +906,55 @@ fn aggregate(
         metric: scenario.metric,
         bandwidth: scenario.budget.bandwidth,
         runs_per_size: scenario.seeds.len(),
+        rows,
+    }
+}
+
+/// Folds a stream's records into its per-detector rows: one cell per
+/// checkpoint.
+fn aggregate_stream(
+    scenario: &StreamScenario,
+    detectors: &[&dyn Detector],
+    records: &[Option<UnitRecord>],
+) -> StreamReport {
+    let checkpoints = scenario.updates.checkpoints;
+    let tallies = tally(scenario.metric, records, checkpoints, detectors.len());
+    let rows = detectors
+        .iter()
+        .zip(tallies)
+        .map(|(det, t)| {
+            let descriptor = det.descriptor();
+            let cells = (t.groups.iter().enumerate())
+                .map(|(ci, g)| CheckpointCell {
+                    checkpoint: ci,
+                    updates_applied: (ci + 1) * scenario.updates.rate,
+                    mean: if g.ok > 0 {
+                        g.total / g.ok as f64
+                    } else {
+                        f64::NAN
+                    },
+                    ok: g.ok,
+                    rejections: g.rejections,
+                })
+                .collect();
+            StreamRow {
+                id: descriptor.id(),
+                descriptor,
+                cells,
+                rejections: t.rejections,
+                errors: t.errors,
+                budget_exceeded: t.budget_exceeded,
+                skipped: t.skipped,
+            }
+        })
+        .collect();
+    StreamReport {
+        scenario: scenario.name.clone(),
+        schedule: scenario.updates.canonical_label(),
+        metric: scenario.metric,
+        bandwidth: scenario.budget.bandwidth,
+        n: scenario.n,
+        runs_per_checkpoint: scenario.seeds.len(),
         rows,
     }
 }

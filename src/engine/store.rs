@@ -66,21 +66,25 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// 64-bit FNV-1a over a canonical configuration string (kept for
-/// general-purpose hashing, such as deterministic temp names).
-pub fn config_hash(canonical: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Appends `line` and a newline to the file at `path`, creating the
+/// file (and its parent directory) when missing.
+pub(crate) fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
     }
-    h
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(f, "{line}")
 }
 
 /// 128-bit FNV-1a rendered as 32 hex characters — the content address
 /// of one work unit. 128 bits make accidental collisions across a
-/// store directory a non-concern; the engine additionally verifies
-/// `det`/`n`/`seed` on replay.
+/// store directory a non-concern; [`ResultStore::replay`] additionally
+/// verifies `det`/`n`/`seed`.
 pub fn unit_key(canonical: &str) -> String {
     format!("{:032x}", fnv1a_128(FNV1A_128_OFFSET, canonical.as_bytes()))
 }
@@ -544,6 +548,13 @@ impl ResultStore {
         self.loaded.get(key)
     }
 
+    /// The record stored under `key`, if it is detector `det`'s unit at
+    /// `(n, seed)`: checking the identity the key was hashed from guards
+    /// against a 128-bit key collision replaying another unit.
+    pub fn replay(&self, key: &str, det: &str, n: usize, seed: u64) -> Option<&UnitRecord> {
+        (self.loaded.get(key)).filter(|r| r.det == det && r.n == n && r.seed == seed)
+    }
+
     /// Number of replayable records.
     pub fn len(&self) -> usize {
         self.loaded.len()
@@ -616,11 +627,7 @@ mod tests {
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "ec-store-{tag}-{}-{:x}",
-            std::process::id(),
-            config_hash(tag)
-        ))
+        std::env::temp_dir().join(format!("ec-store-{tag}-{}", std::process::id()))
     }
 
     #[test]

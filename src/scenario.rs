@@ -40,7 +40,7 @@ use std::sync::Arc;
 use congest_graph::{FamilySpec, Graph};
 use even_cycle::{Backend, Budget, Descriptor, Detector};
 
-use crate::engine::store::{json_escape, json_f64};
+use crate::engine::store::{append_line, json_escape, json_f64};
 use crate::engine::{Engine, Schedule};
 
 /// A sized, seeded family of instances: `build(n, seed)` produces a
@@ -598,18 +598,7 @@ impl ScenarioReport {
     ///
     /// Propagates the underlying I/O error.
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        writeln!(f, "{}", self.to_json())
+        append_line(path.as_ref(), &self.to_json())
     }
 }
 

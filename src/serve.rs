@@ -557,8 +557,7 @@ impl ServeState {
                 .lock()
                 .expect(STORE_POISONED)
                 .as_ref()
-                .and_then(|s| s.get(&key))
-                .filter(|r| r.det == entry.id && r.n == n && r.seed == seed)
+                .and_then(|s| s.replay(&key, &entry.id, n, seed))
                 .cloned();
             if let Some(record) = replayed {
                 return Ok((record, true));

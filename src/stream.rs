@@ -6,12 +6,17 @@
 //! sweeps `sizes × seeds × detectors`, a stream sweeps `checkpoints ×
 //! seeds × detectors` over the snapshots of a seeded edge-update
 //! replay. Execution is delegated to the engine
-//! ([`Engine::run_stream`](crate::engine::Engine::run_stream)): every
-//! checkpoint verdict is a content-addressed work unit keyed by
+//! ([`Engine::run_stream`](crate::engine::Engine::run_stream)), whose
+//! one pass runs static sweeps too: the same worker pool, store
+//! replay, deduplication, schedule, wall-clock cap and in-order commit.
+//! Every checkpoint verdict is a content-addressed work unit keyed by
 //! `(schedule fingerprint, checkpoint index, n, seed, detector,
 //! budget)`, so re-running an unchanged stream resolves every unit from
 //! the result store with **zero** detector invocations, and editing any
-//! schedule parameter moves every affected key.
+//! schedule parameter moves every affected key. Only the stream's own
+//! parts differ from a sweep: the unit key, the checkpoint snapshots
+//! (replayed once per seed that has a missing unit), and the
+//! per-checkpoint report.
 //!
 //! ```
 //! use even_cycle_congest::stream::StreamScenario;
@@ -31,7 +36,7 @@ use std::path::PathBuf;
 use congest_graph::UpdateSchedule;
 use even_cycle::{Budget, Descriptor, Detector};
 
-use crate::engine::store::{json_escape, json_f64};
+use crate::engine::store::{append_line, json_escape, json_f64};
 use crate::engine::{Engine, Schedule, StreamOutcome};
 use crate::scenario::{IntoSeeds, Metric};
 
@@ -317,18 +322,7 @@ impl StreamReport {
     ///
     /// Propagates the underlying I/O error.
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        writeln!(f, "{}", self.to_json())
+        append_line(path.as_ref(), &self.to_json())
     }
 }
 
