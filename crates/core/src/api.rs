@@ -26,39 +26,10 @@
 //! which can see the baselines as well; the trait and outcome types live
 //! here so every algorithm crate can implement them.
 
-use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{Backend, CutMeter, Program, RunReport, SimError};
+use congest_graph::{CycleWitness, Graph};
+use congest_sim::{Backend, RunReport, SimError};
 
 use crate::theory::Table1Row;
-
-/// Runs a CONGEST node program once under a [`Backend`]: a one-shot
-/// wrapper over a temporary [`congest_sim::Executor`] session (see
-/// [`congest_sim::run_with_backend`]). Returns the run report and the
-/// final per-node states; both are byte-identical whatever the backend
-/// or thread count. Repetition loops hold an [`congest_sim::Executor`]
-/// instead, so one session's buffers serve every run of the loop.
-///
-/// # Errors
-///
-/// Same as [`congest_sim::Executor::run`]: step-limit overruns and
-/// model violations surface as [`SimError`]s.
-#[allow(clippy::too_many_arguments)]
-pub fn run_program<P, F>(
-    g: &Graph,
-    seed: u64,
-    backend: Backend,
-    bandwidth: u64,
-    cut: Option<CutMeter>,
-    factory: F,
-    max_supersteps: u64,
-) -> Result<(RunReport, Vec<P>), SimError>
-where
-    P: Program + Send,
-    P::Msg: Send,
-    F: FnMut(NodeId, usize) -> P,
-{
-    congest_sim::run_with_backend(g, seed, backend, bandwidth, cut, factory, max_supersteps)
-}
 
 /// Which CONGEST model an algorithm runs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

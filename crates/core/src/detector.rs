@@ -5,12 +5,12 @@ use std::ops::ControlFlow;
 
 use congest_graph::{Graph, NodeId};
 use congest_sim::{
-    derive_seed, node_rng, Backend, Control, Ctx, Executor, Outbox, Program, RunReport,
+    derive_seed, node_rng, run_with_backend, Backend, Control, Ctx, Executor, Outbox, Program,
+    RunReport,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::api::run_program;
 use crate::color_bfs::{ColorBfs, ColorBfsCall, Coloring, CostedRun, Launch, Palette};
 use crate::params::{Instance, Params};
 use crate::witness::{DetectionOutcome, Phase, SetsSummary};
@@ -315,7 +315,7 @@ impl CycleDetector {
         let u_mask = light_mask(g, &inst);
 
         let forced = options.forced_selection.clone();
-        let (setup_report, nodes) = run_program(
+        let (setup_report, nodes) = run_with_backend(
             g,
             derive_seed(seed, SETUP_STREAM),
             options.backend,

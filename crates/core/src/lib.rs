@@ -55,8 +55,7 @@ mod witness;
 mod test_corpus;
 
 pub use api::{
-    run_program, Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target,
-    Verdict,
+    Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target, Verdict,
 };
 pub use congest_sim::Backend;
 pub use detector::{
