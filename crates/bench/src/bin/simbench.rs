@@ -1,27 +1,28 @@
-//! `simbench` — the simulator's perf trajectory, machine-readable.
+//! `simbench` — the simulator measurements perfbench does not take,
+//! machine-readable.
 //!
-//! Times every registry detector over a fixed, seeded n-grid on the
-//! sequential and parallel simulation backends (wall time, supersteps,
-//! supersteps/sec), plus a deliver-scaling microbenchmark that pins
-//! the touched-edge accounting of the superstep core: at fixed `n`,
-//! the per-superstep cost of a quiet protocol must stay flat as the
-//! total edge count grows (an `O(m)`-per-superstep deliver shows up
-//! here immediately), plus a streaming section that replays one fixed
-//! seeded [`UpdateSchedule`] and reports edge-update throughput
-//! (updates/sec through `MutableGraph`) and per-checkpoint verdict
-//! latency (snapshot + detect at every checkpoint), plus a `crossover`
-//! section sweeping a sparse 4-regular family at large n on the
-//! sequential and pooled-parallel backends — the measurement
-//! `Backend::DEFAULT_AUTO_NODE_THRESHOLD` is tuned from.
+//! Three sections. A deliver-scaling microbenchmark pins the
+//! touched-edge accounting of the superstep core: at fixed `n`, the
+//! per-superstep cost of a quiet protocol must stay flat as the total
+//! edge count grows (an `O(m)`-per-superstep deliver shows up here
+//! immediately). A streaming section replays one fixed seeded
+//! [`UpdateSchedule`] and reports edge-update throughput (updates/sec
+//! through `MutableGraph`) and per-checkpoint verdict latency
+//! (snapshot + detect at every checkpoint). A `crossover` section
+//! sweeps a sparse 4-regular family at large n on the sequential and
+//! pooled-parallel backends — the measurement
+//! `Backend::DEFAULT_AUTO_NODE_THRESHOLD` is tuned from. Per-detector
+//! unit times and the telemetry overhead are perfbench's
+//! (`cycle.unit_ms.*`, `quantum.unit_ms.*`, `telemetry.overhead_pct`).
 //!
 //! ```text
 //! cargo run --release -p even-cycle-bench --bin simbench -- \
-//!     [--smoke] [--out BENCH_sim.json]
+//!     [--smoke] [--out target/BENCH_sim.json]
 //! ```
 //!
-//! The output is a single JSON object (see `BENCH_sim.json`); CI runs
-//! `--smoke` and uploads the file as an artifact, so regressions in
-//! the superstep core leave a visible trail.
+//! The output is a single JSON object; CI runs `--smoke` and uploads
+//! the file as the `bench-sim` artifact, so regressions in the
+//! superstep core leave a visible trail.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,7 +31,6 @@ use congest_graph::{generators, MutableGraph, NodeId};
 use congest_sim::{run_with_backend, Backend, Control, Ctx, Outbox, Program};
 use even_cycle_congest::engine::store::json_escape;
 use even_cycle_congest::registry::DetectorRegistry;
-use even_cycle_congest::scenario::GraphFamily;
 use even_cycle_congest::{Budget, RunProfile, UpdateSchedule};
 use rand::Rng;
 
@@ -46,7 +46,7 @@ struct Args {
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         smoke: false,
-        out: "BENCH_sim.json".to_string(),
+        out: "target/BENCH_sim.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -185,87 +185,6 @@ fn main() -> ExitCode {
     };
     let backends = [Backend::Sequential, Backend::Parallel { threads: 2 }];
     let registry = DetectorRegistry::with_profile(2, RunProfile::FastCi);
-    // The families the grid times, parsed through the shared catalog:
-    // the standard planted yes-instance for the full registry, plus a
-    // small-world row (one detector) so BENCH_sim.json tracks the new
-    // catalog families release over release.
-    let grid_family = GraphFamily::parse("planted:4").expect("catalog family");
-    let extra_family = GraphFamily::parse("ws:4:0.1").expect("catalog family");
-
-    // --- per-detector wall time and supersteps/sec over the grid ---
-    let mut detector_rows: Vec<String> = Vec::new();
-    let mut bench_one = |entry: &even_cycle_congest::registry::RegistryEntry,
-                         family: &GraphFamily,
-                         n: usize|
-     -> Result<(), String> {
-        let g = family.build(n, SEED);
-        for backend in backends {
-            let budget = Budget::classical().with_backend(backend);
-            // One unmeasured warm-up, then the best of three timed
-            // runs: the runs are seed-deterministic (identical work),
-            // so the minimum is the run least disturbed by host
-            // scheduling noise — single samples swing by 2x and worse
-            // on a shared host.
-            let _ = entry.detector.detect(&g, SEED, &budget);
-            let mut wall_ns = u128::MAX;
-            let mut detection = None;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let d = entry
-                    .detector
-                    .detect(&g, SEED, &budget)
-                    .map_err(|e| format!("{}: n = {n}: {e}", entry.id))?;
-                wall_ns = wall_ns.min(t.elapsed().as_nanos());
-                detection = Some(d);
-            }
-            let detection = detection.expect("three samples always ran");
-            let supersteps = detection.cost.supersteps;
-            let sps = if wall_ns > 0 && supersteps > 0 {
-                format!("{:.1}", supersteps as f64 / (wall_ns as f64 / 1e9))
-            } else {
-                "null".to_string()
-            };
-            detector_rows.push(format!(
-                "{{\"id\":\"{}\",\"family\":\"{}\",\"n\":{},\"node_count\":{},\"backend\":\"{}\",\"wall_ns\":{},\"rounds\":{},\"supersteps\":{},\"supersteps_per_sec\":{}}}",
-                json_escape(&entry.id),
-                json_escape(family.name()),
-                n,
-                g.node_count(),
-                backend.label(),
-                wall_ns,
-                detection.cost.rounds,
-                supersteps,
-                sps,
-            ));
-            eprintln!(
-                "{:<44} {:<12} n {:>4}  {:<12} {:>10} ns",
-                entry.id,
-                family.name(),
-                n,
-                backend.label(),
-                wall_ns
-            );
-        }
-        Ok(())
-    };
-    for entry in registry.iter() {
-        for &n in sizes {
-            if let Err(msg) = bench_one(entry, &grid_family, n) {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The new-family row: the classical C4 detector over the
-    // small-world grid (one entry keeps the added cost a single row
-    // per size × backend).
-    let first = registry.iter().next().expect("registry is never empty");
-    for &n in sizes {
-        if let Err(msg) = bench_one(first, &extra_family, n) {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    }
 
     // --- deliver scaling: fixed n, growing edge count, quiet load ---
     // With touched-edge accounting the per-superstep cost must not
@@ -312,64 +231,6 @@ fn main() -> ExitCode {
             );
         }
     }
-
-    // --- telemetry overhead: the disabled recorder must be free ---
-    // The same quiet-ping microbench at one fixed config, measured
-    // twice: with no recorder installed (the default for every library
-    // consumer) and with the JSONL sink streaming every sim.round
-    // event to a scratch file. The off row is the acceptance gate —
-    // telemetry must not tax a run that never asked for a trace.
-    let telemetry_row = {
-        use even_cycle_congest::telemetry;
-        let deg = 8.0f64;
-        let g = generators::erdos_renyi(dn, deg / dn as f64, 7);
-        let holder = g
-            .nodes()
-            .find(|&v| g.degree(v) >= 1)
-            .expect("bench graph has at least one edge");
-        let build = |v: NodeId, _: usize| QuietPing {
-            steps,
-            holder: v == holder,
-        };
-        let backend = Backend::Sequential;
-        let measure = || {
-            // Warm-up, then timed — same protocol as the deliver grid.
-            let _ = run_with_backend(&g, SEED, backend, 1, None, build, steps as u64 + 4);
-            let t = Instant::now();
-            let (report, _) = run_with_backend(&g, SEED, backend, 1, None, build, steps as u64 + 4)
-                .expect("quiet ping cannot violate the model");
-            t.elapsed().as_nanos() / u128::from(report.supersteps.max(1))
-        };
-        // Alternate off/on samples and keep the best of each arm: a
-        // single ~100ms sample is at the mercy of host scheduling, and
-        // the quantity of interest here is the floor, not the mean.
-        let trace_path = std::env::temp_dir().join("even-cycle-simbench-trace.jsonl");
-        let mut off_ns = u128::MAX;
-        let mut on_ns = u128::MAX;
-        for _ in 0..9 {
-            telemetry::uninstall();
-            off_ns = off_ns.min(measure());
-            let sink = telemetry::JsonlSink::create(&trace_path).expect("scratch trace file");
-            telemetry::install(std::sync::Arc::new(sink));
-            on_ns = on_ns.min(measure());
-        }
-        telemetry::uninstall();
-        let _ = std::fs::remove_file(&trace_path);
-        let overhead_pct = (on_ns as f64 - off_ns as f64) / off_ns.max(1) as f64 * 100.0;
-        eprintln!(
-            "telemetry n {dn:>6}  {:<12} off {off_ns:>7} ns/superstep  on {on_ns:>7} ns/superstep  ({overhead_pct:+.1}%)",
-            backend.label(),
-        );
-        format!(
-            "{{\"n\":{},\"directed_edges\":{},\"backend\":\"{}\",\"recorder_off_ns_per_superstep\":{},\"recorder_on_ns_per_superstep\":{},\"overhead_pct\":{:.1}}}",
-            dn,
-            g.directed_edge_count(),
-            backend.label(),
-            off_ns,
-            on_ns,
-            overhead_pct,
-        )
-    };
 
     // --- streaming: updates/sec + checkpoint-verdict latency on one
     // --- fixed seeded schedule ---
@@ -575,17 +436,18 @@ fn main() -> ExitCode {
     );
 
     let json = format!(
-        "{{\"bench\":\"sim\",\"smoke\":{},\"seed\":{},\"profile\":\"{}\",\"detectors\":[{}],\"deliver_scaling\":[{}],\"telemetry_overhead\":[{}],\"streaming\":[{}],\"crossover\":{}}}",
+        "{{\"bench\":\"sim\",\"smoke\":{},\"seed\":{},\"profile\":\"{}\",\"deliver_scaling\":[{}],\"streaming\":[{}],\"crossover\":{}}}",
         args.smoke,
         SEED,
         RunProfile::FastCi.name(),
-        detector_rows.join(","),
         deliver_rows.join(","),
-        telemetry_row,
         streaming_rows.join(","),
         crossover_json,
     );
-    if let Err(e) = std::fs::write(&args.out, format!("{json}\n")) {
+    let out = std::path::Path::new(&args.out);
+    let written = (out.parent().map_or(Ok(()), std::fs::create_dir_all))
+        .and_then(|()| std::fs::write(out, format!("{json}\n")));
+    if let Err(e) = written {
         eprintln!("cannot write {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
