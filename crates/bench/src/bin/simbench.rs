@@ -445,7 +445,9 @@ fn main() -> ExitCode {
         crossover_json,
     );
     let out = std::path::Path::new(&args.out);
-    let written = (out.parent().map_or(Ok(()), std::fs::create_dir_all))
+    let written = out
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
         .and_then(|()| std::fs::write(out, format!("{json}\n")));
     if let Err(e) = written {
         eprintln!("cannot write {}: {e}", args.out);

@@ -205,7 +205,9 @@ impl Engine {
                 detectors,
                 budget: &s.budget,
                 metric: s.metric,
-                cells: (s.sizes.iter())
+                cells: s
+                    .sizes
+                    .iter()
                     .flat_map(|&n| s.seeds.iter().map(move |&seed| Cell::new(n, seed, 0)))
                     .collect(),
             })
@@ -369,7 +371,8 @@ impl Engine {
             for &cell in &item.cells {
                 for (det, id) in item_ids.iter().enumerate() {
                     let unit = store::unit_key(&key(i, cell, id, &configs[det]));
-                    let stored = (store.as_ref())
+                    let stored = store
+                        .as_ref()
                         .and_then(|s| s.replay(&unit, id, cell.n, cell.seed))
                         .is_some();
                     if !stored && claimed.insert(unit.clone()) {
@@ -435,12 +438,14 @@ impl Engine {
             // A skipped unit releases its graph too, so eviction stays
             // exact.
             graphs.release(t.item, t.cell);
-            (shared_store.lock())
+            shared_store
+                .lock()
                 .expect("a worker panicked while committing")
                 .commit(j, record.as_ref());
             record
         });
-        let store = (shared_store.into_inner())
+        let store = shared_store
+            .into_inner()
             .expect("a worker panicked while committing")
             .store;
 
@@ -448,17 +453,23 @@ impl Engine {
         // canonical order, then fold each item sequentially (one
         // canonical f64 addition order per item). Units skipped by the
         // wall-clock cap stay `None`.
-        let by_key: HashMap<&str, &UnitRecord> = (fresh.iter().flatten())
+        let by_key: HashMap<&str, &UnitRecord> = fresh
+            .iter()
+            .flatten()
             .map(|record| (record.key.as_str(), record))
             .collect();
         let executed_units = by_key.len();
         let mut skipped_units = 0;
-        let reports: Vec<R> = (keys.iter().enumerate())
+        let reports: Vec<R> = keys
+            .iter()
+            .enumerate()
             .map(|(i, keys)| {
                 let records: Vec<Option<UnitRecord>> = keys
                     .iter()
                     .map(|key| {
-                        (by_key.get(key.as_str()).copied())
+                        by_key
+                            .get(key.as_str())
+                            .copied()
                             .or_else(|| store.as_ref().and_then(|s| s.get(key)))
                             .cloned()
                     })
@@ -565,7 +576,10 @@ impl Graphs for Snapshots {
 fn replay_snapshots(items: &[(&StreamScenario, &[&dyn Detector])], todo: &[Todo]) -> Snapshots {
     let mut needed: BTreeMap<(usize, u64), BTreeSet<usize>> = BTreeMap::new();
     for t in todo {
-        (needed.entry((t.item, t.cell.seed)).or_default()).insert(t.cell.checkpoint);
+        needed
+            .entry((t.item, t.cell.seed))
+            .or_default()
+            .insert(t.cell.checkpoint);
     }
     let mut snapshots = Snapshots::new();
     for (&(item, seed), checkpoints) in &needed {
@@ -924,7 +938,10 @@ fn aggregate_stream(
         .zip(tallies)
         .map(|(det, t)| {
             let descriptor = det.descriptor();
-            let cells = (t.groups.iter().enumerate())
+            let cells = t
+                .groups
+                .iter()
+                .enumerate()
                 .map(|(ci, g)| CheckpointCell {
                     checkpoint: ci,
                     updates_applied: (ci + 1) * scenario.updates.rate,

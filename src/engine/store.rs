@@ -552,7 +552,9 @@ impl ResultStore {
     /// `(n, seed)`: checking the identity the key was hashed from guards
     /// against a 128-bit key collision replaying another unit.
     pub fn replay(&self, key: &str, det: &str, n: usize, seed: u64) -> Option<&UnitRecord> {
-        (self.loaded.get(key)).filter(|r| r.det == det && r.n == n && r.seed == seed)
+        self.loaded
+            .get(key)
+            .filter(|r| r.det == det && r.n == n && r.seed == seed)
     }
 
     /// Number of replayable records.
