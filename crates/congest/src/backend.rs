@@ -55,13 +55,14 @@ impl Backend {
     /// The node count at which [`Backend::auto`] flips to parallel.
     /// Below this size, waking and coordinating the worker pool
     /// outweighs the parallel phase speedup. Tuned from the
-    /// `crossover` section of `BENCH_sim.json` (`simbench`'s sparse
-    /// 4-regular sweep): pool coordination overhead on the pooled
-    /// 2-thread backend falls to measurement-noise level from 10k
-    /// nodes (it is ~10% at 1k), so on any host with ≥ 2 cores the
-    /// crossover sits at or below this size — and `Auto` resolves its
-    /// thread count through [`default_parallel_threads`], which is 1
-    /// on a single-core host, so flipping there is free anyway.
+    /// `crossover` section of `simbench`'s output (its sparse
+    /// 4-regular sweep, uploaded by CI as the `bench-sim` artifact):
+    /// pool coordination overhead on the pooled 2-thread backend falls
+    /// to measurement-noise level from 10k nodes (it is ~10% at 1k),
+    /// so on any host with ≥ 2 cores the crossover sits at or below
+    /// this size — and `Auto` resolves its thread count through
+    /// [`default_parallel_threads`], which is 1 on a single-core host,
+    /// so flipping there is free anyway.
     pub const DEFAULT_AUTO_NODE_THRESHOLD: usize = 10_000;
 
     /// The auto backend with the default flip threshold.

@@ -240,7 +240,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// previous one (the previous recorder is flushed on the way out).
 ///
 /// Unlike a write-once global, the slot is swappable so one process can
-/// compare recorder-on and recorder-off runs (simbench does exactly this).
+/// compare recorder-on and recorder-off runs (perfbench's
+/// `telemetry.overhead_pct` and the facade's `tests/telemetry.rs` do
+/// exactly this).
 pub fn install(recorder: Arc<dyn Recorder>) {
     let enabled = recorder.is_enabled();
     let previous = {
