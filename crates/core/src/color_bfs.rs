@@ -41,18 +41,23 @@
 //! threshold; the forwarding logic is identical.
 //!
 //! A verdict-only evaluation simulates a call only if some active
-//! source `x` closes a well-colored cycle within `H`, ignoring the
-//! threshold: its up layers, colored `1, …, m`, and its down layers,
-//! colored `P-1, …, m`, share a node colored `m` or, with the hand-off,
-//! an up node colored `m-1` is adjacent to a down node colored `m+1`.
-//! No other call can reject. A rejection certifies exactly such a pair
-//! of branches, and the threshold only keeps identifiers from being
-//! forwarded, so it can stop a rejection but never cause one. The
-//! threshold still decides every call that is simulated.
+//! source `x` lies on a cycle of a length the palette closes (`P`, and
+//! `P-1` with the hand-off) and closes a well-colored cycle within `H`,
+//! ignoring the threshold: its up layers, colored `1, …, m`, and its
+//! down layers, colored `P-1, …, m`, share a node colored `m` or, with
+//! the hand-off, an up node colored `m-1` is adjacent to a down node
+//! colored `m+1`. No other call can reject. A rejection certifies
+//! exactly such a pair of branches, whose colors are all distinct: a
+//! simple cycle of one of those lengths through `x`. The threshold only
+//! keeps identifiers from being forwarded, so it can stop a rejection
+//! but never cause one. A source on no such cycle still fills
+//! thresholds, so a simulated call draws every node's coin, and the
+//! threshold decides it.
 
 use std::cell::OnceCell;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, RangeInclusive};
 
+use congest_graph::analysis::nodes_on_cycles;
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
     derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
@@ -155,6 +160,13 @@ impl Palette {
     pub(crate) fn meet(self) -> u8 {
         self.meet
     }
+
+    /// The lengths of the cycles a rejection certifies: `P`, and `P-1`
+    /// with the hand-off.
+    pub(crate) fn cycle_lengths(self) -> RangeInclusive<usize> {
+        let size = usize::from(self.size);
+        size - usize::from(self.hand_off)..=size
+    }
 }
 
 /// Whether a node starts a search (Instruction 15): it is in `X` and in
@@ -191,7 +203,7 @@ impl ActivationCoins {
 
 /// The coloring of one repetition, drawn from the repetition's own
 /// stream ([`random_coloring`]) on first use. A verdict-only evaluation
-/// reads it only for a call in which some node of `X ∩ H` has its coin
+/// reads it only for a call in which some launch candidate has its coin
 /// up, so most colorings are never drawn; since no other value comes
 /// from that stream, leaving it undrawn changes nothing that is read.
 pub(crate) struct Coloring<'a> {
@@ -336,31 +348,38 @@ impl ColorBfsCall<'_> {
     }
 }
 
-/// Whether some node of a call is an active source ([`is_source`]),
-/// drawing only what the answer reads:
+/// Whether some launch candidate of a call, a node of `X ∩ H` that
+/// `on_cycle` marks, is an active source ([`is_source`]), drawing only
+/// what the answer reads:
 ///
-/// * a call whose launch set `X ∩ H` is empty draws nothing;
-/// * otherwise its coins go into `coins` in node order, up to the last
-///   node of `X ∩ H` (later coins cannot make a source, so they stay
-///   undrawn; every coin is the same single draw of the call's stream,
-///   so the coins drawn are exactly the costed run's first coins);
-/// * the repetition's coloring is read only if some node of `X ∩ H`
-///   has its coin up.
-pub(crate) fn has_active_source(coins: &mut Vec<bool>, call: &ColorBfsCall<'_>) -> bool {
+/// * a call without a candidate draws nothing;
+/// * otherwise its coins are drawn in node order up to the last
+///   candidate (later coins cannot make a candidate a source, so they
+///   stay undrawn; every coin is the same single draw of the call's
+///   stream, so the coins drawn are exactly the costed run's first
+///   coins), and `coins` keeps, per node, whether it is a candidate
+///   with its coin up;
+/// * the repetition's coloring is read only if some candidate has its
+///   coin up.
+pub(crate) fn has_active_source(
+    coins: &mut Vec<bool>,
+    call: &ColorBfsCall<'_>,
+    on_cycle: &[bool],
+) -> bool {
     let (h_mask, x_mask) = (call.h_mask, call.x_mask);
     coins.clear();
-    let launches = |v: usize| x_mask[v] && h_mask[v];
-    let Some(last) = (0..x_mask.len()).rposition(launches) else {
+    let candidate = |v: usize| on_cycle[v] && x_mask[v] && h_mask[v];
+    let Some(last) = (0..x_mask.len()).rposition(candidate) else {
         return false;
     };
     match call.launch.activation {
         Some(q) => {
             let mut stream = ActivationCoins::new(q, call.seed);
-            coins.extend((0..=last).map(|_| stream.flip()));
+            coins.extend((0..=last).map(|v| stream.flip() && candidate(v)));
         }
-        None => coins.resize(last + 1, true),
+        None => coins.extend((0..=last).map(candidate)),
     }
-    if !(0..=last).any(|v| launches(v) && coins[v]) {
+    if !coins.contains(&true) {
         return false;
     }
     let colors = call.colors();
@@ -464,31 +483,49 @@ impl CycleWalk {
     }
 }
 
-/// The simulation session, coin scratch and walk scratch of a
-/// verdict-only evaluator, kept from one call and one seed to the next.
+/// The simulation session, launch candidates, coin scratch and walk
+/// scratch of a verdict-only evaluator, kept from one call and one seed
+/// to the next.
 #[derive(Debug)]
 pub(crate) struct VerdictSession {
     session: Executor<ColorBfs>,
+    /// Per node, whether it lies on a cycle of a length the evaluator's
+    /// palettes close ([`nodes_on_cycles`]): only such a node can be
+    /// the origin of a rejection.
+    on_cycle: Vec<bool>,
     coins: Vec<bool>,
     walk: CycleWalk,
 }
 
 impl VerdictSession {
-    /// An evaluator whose simulated calls step on `backend`.
-    pub(crate) fn new(backend: Backend) -> Self {
+    /// An evaluator on `g` whose palettes close cycles of `lengths` and
+    /// whose simulated calls step on `backend`.
+    pub(crate) fn new(g: &Graph, lengths: RangeInclusive<usize>, backend: Backend) -> Self {
+        // Past this many steps the search marks every node, which costs
+        // only speed: linear in the graph's size, BFS work included.
+        let budget = 64 * (g.node_count() + g.directed_edge_count()) as u64 + 4096;
         VerdictSession {
             session: Executor::new(backend),
+            on_cycle: nodes_on_cycles(g, lengths, budget),
             coins: Vec::new(),
             walk: CycleWalk::default(),
         }
     }
 
+    /// Whether any call can reject: some node lies on a cycle of the
+    /// evaluator's lengths. An evaluator that answers `false` without
+    /// walking a call when this is `false` answers what walking every
+    /// call would.
+    pub(crate) fn can_reject(&self) -> bool {
+        self.on_cycle.contains(&true)
+    }
+
     /// One call of a verdict-only evaluation: simulates the call only
-    /// if it [`has_active_source`] and one of those sources closes a
-    /// well-colored cycle ([`CycleWalk`]), with exactly the coins drawn
-    /// (the undrawn ones, past the last node of `X ∩ H`, read as down:
-    /// none of those nodes can launch). Breaks when the simulated call
-    /// rejects.
+    /// if a launch candidate (a node of `X ∩ H` on a cycle of the
+    /// evaluator's lengths) is an active source ([`has_active_source`])
+    /// that closes a well-colored cycle ([`CycleWalk`]), and then with
+    /// the coins of every node, redrawn from the call's stream. Breaks
+    /// when the simulated call rejects.
     ///
     /// A call that is not simulated cannot reject. Only an active
     /// source sends an identifier, and every later message forwards
@@ -496,17 +533,22 @@ impl VerdictSession {
     /// it, within `H`; so an identifier reaches at most the layers of
     /// its source's walk. A node rejects only when one identifier
     /// reaches it along both branches at color `m`, or comes back from
-    /// color `m+1` at color `m-1` (the hand-off). A threshold only keeps
-    /// a node from forwarding what it collected, so it can stop a
-    /// rejection but never cause one. A call that passes is simulated,
-    /// and its threshold decides.
+    /// color `m+1` at color `m-1` (the hand-off): a simple cycle, its
+    /// colors being distinct, of length `P` or `P-1` through the
+    /// source, so a source on no such cycle never causes a rejection. A
+    /// threshold only keeps a node from forwarding what it collected,
+    /// so it can stop a rejection but never cause one. A call that
+    /// passes is simulated, and its threshold decides; the identifiers
+    /// of sources on no cycle count towards it, which is why the
+    /// simulation redraws every coin.
     pub(crate) fn call_verdict(&mut self, g: &Graph, call: &ColorBfsCall<'_>) -> ControlFlow<()> {
         let coins = &mut self.coins;
-        if !has_active_source(coins, call) || !self.walk.some_source_closes(g, call, coins) {
+        if !has_active_source(coins, call, &self.on_cycle)
+            || !self.walk.some_source_closes(g, call, coins)
+        {
             return ControlFlow::Continue(());
         }
-        coins.resize(call.x_mask.len(), false);
-        let report = call.simulate_with(&mut self.session, g, |v| coins[v]);
+        let report = call.simulate(&mut self.session, g);
         if report.rejecting_nodes.is_empty() {
             ControlFlow::Continue(())
         } else {
@@ -1178,6 +1220,88 @@ mod tests {
         for (counts, palette) in passed.iter().zip(palettes) {
             assert!(counts[0] > 0 && counts[1] > 0, "{palette:?}: {counts:?}");
         }
+    }
+
+    #[test]
+    fn thresholds_read_sources_on_no_cycle() {
+        // A C4 on nodes 0-3 colored 0, 1, 2, 3, and a pendant node 4
+        // colored 0 on node 1. Node 4 lies on no cycle, so it is no
+        // launch candidate, but its identifier takes node 1 over τ = 1
+        // and the up branch of node 0 stops there: the call accepts,
+        // and so must its verdict.
+        let mut b = congest_graph::GraphBuilder::new(5);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)] {
+            b.add_edge(NodeId::new(u), NodeId::new(v));
+        }
+        let g = b.build();
+        let palette = Palette::even(2);
+        let (colors, every_node) = ([0, 1, 2, 3, 0], [true; 5]);
+        let coloring = Coloring::forced(&colors);
+        let call = ColorBfsCall {
+            palette,
+            launch: Launch {
+                activation: Some(1.0),
+                tau: 1,
+            },
+            iteration: 1,
+            phase: None,
+            coloring: &coloring,
+            h_mask: &every_node,
+            x_mask: &every_node,
+            seed: 3,
+        };
+        let mut costed = Executor::new(Backend::Sequential);
+        assert!(!call.simulate(&mut costed, &g).rejected());
+        let mut verdicts = VerdictSession::new(&g, palette.cycle_lengths(), Backend::Sequential);
+        assert_eq!(verdicts.on_cycle, [true, true, true, true, false]);
+        assert!(verdicts.call_verdict(&g, &call).is_continue());
+        // The pre-check drew the coins up to the last candidate, node 3,
+        // and no further.
+        assert_eq!(verdicts.coins, [true; 4]);
+    }
+
+    #[test]
+    fn evaluators_launch_only_from_nodes_on_their_cycles() {
+        // At k = 2, each evaluator's candidates lie on a C4, on a C5 or
+        // on a cycle of length 3 or 4. Where there is none, every seed
+        // is answered `false` without a coin drawn.
+        use crate::{F2kDetector, LowProbDetector, OddCycleDetector, Params};
+        use congest_quantum::MonteCarloAlgorithm;
+        let low = LowProbDetector::new(Params::practical(2).with_repetitions(8));
+        let odd = OddCycleDetector::new(2, 20);
+        let f2k = F2kDetector::new(2).with_repetitions(12).randomized();
+        let seq = Backend::Sequential;
+        let empty = |on_cycle: &[bool]| !on_cycle.contains(&true);
+        for (label, g) in crate::test_corpus::corpus() {
+            if !matches!(label.as_str(), "trees n=24" | "trees n=32" | "cycle n=24") {
+                continue;
+            }
+            let mut low_mc = low.as_monte_carlo(&g, seq);
+            let mut odd_mc = odd.as_monte_carlo(&g, seq);
+            let mut f2k_mc = f2k.as_monte_carlo(&g, seq);
+            assert!(empty(&low_mc.verdicts.on_cycle), "{label}");
+            assert!(empty(&odd_mc.verdicts.on_cycle), "{label}");
+            assert!(empty(&f2k_mc.verdicts.on_cycle), "{label}");
+            for seed in 0..200 {
+                assert!(!low_mc.rejects(seed), "Lemma 12 on {label}, seed {seed}");
+                assert!(!odd_mc.rejects(seed), "odd on {label}, seed {seed}");
+                assert!(!f2k_mc.rejects(seed), "F2k on {label}, seed {seed}");
+            }
+            assert!(low_mc.verdicts.coins.is_empty(), "{label}");
+            assert!(odd_mc.verdicts.coins.is_empty(), "{label}");
+            assert!(f2k_mc.verdicts.coins.is_empty(), "{label}");
+        }
+        // The corpus's tree + C4: only the planted nodes lie on a cycle
+        // of length 3 or 4, but the planted edges also close a C5
+        // through tree edges.
+        let (g, planted) = generators::plant_cycle(&generators::random_tree(32, 5), 4, 5);
+        let mut on_c4 = vec![false; g.node_count()];
+        for v in planted.nodes() {
+            on_c4[v.index()] = true;
+        }
+        assert_eq!(low.as_monte_carlo(&g, seq).verdicts.on_cycle, on_c4);
+        assert_eq!(f2k.as_monte_carlo(&g, seq).verdicts.on_cycle, on_c4);
+        assert!(!empty(&odd.as_monte_carlo(&g, seq).verdicts.on_cycle));
     }
 
     #[test]

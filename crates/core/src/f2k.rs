@@ -212,11 +212,13 @@ impl F2kDetector {
             self.randomized,
             "amplification needs the randomized (constant-congestion) variant"
         );
+        // The pairs ℓ = 2, …, k close C_{2ℓ-1} and C_{2ℓ}.
+        let lengths = 3..=self.max_cycle_length();
         F2kMc {
             det: self,
             g,
             sets: PairSets::new(self, g),
-            verdicts: VerdictSession::new(backend),
+            verdicts: VerdictSession::new(g, lengths, backend),
         }
     }
 
@@ -346,28 +348,37 @@ impl F2kDetector {
 ///
 /// An evaluation of a seed walks the same calls as [`F2kDetector::run`]
 /// with that seed and stops at the first rejecting call, as the run
-/// does. Each call is simulated, with exactly the run's coins, only if
-/// some active source closes a well-colored `C_{2ℓ}` or `C_{2ℓ-1}`
-/// within `H`; a call with an empty `X ∩ H` draws no coin, and a
-/// repetition's coloring is drawn only when some node of `X ∩ H` has
+/// does. Only a node of `X ∩ H` on a cycle of length `3, …, 2k` of the
+/// graph is a launch candidate, and on a graph without one the
+/// evaluation answers `false` before it draws a pair's sets. Each call
+/// is simulated, with exactly the run's coins, only if some candidate
+/// is an active source that closes a well-colored `C_{2ℓ}` or
+/// `C_{2ℓ-1}` within `H`; a call without a candidate draws no coin,
+/// and a repetition's coloring is drawn only when some candidate has
 /// its coin up. Any other call cannot reject: only an active source
 /// sends an identifier, a node rejects only when one identifier
 /// reaches it twice — along both branches at color `ℓ` (a `C_{2ℓ}`),
-/// or back from color `ℓ+1` at color `ℓ-1` (a `C_{2ℓ-1}`) — and the
-/// threshold only keeps identifiers back. The evaluator keeps its
-/// simulation session, its coin and walk scratch and its sets from one
-/// seed to the next; each pair's `U` is computed once. Its round bound
-/// holds at any bandwidth.
+/// or back from color `ℓ+1` at color `ℓ-1` (a `C_{2ℓ-1}`), in either
+/// case a simple cycle through the source — and the threshold only
+/// keeps identifiers back. A source on no such cycle still fills
+/// thresholds, so a simulated call reads every node's coin. The
+/// evaluator keeps its simulation session, its coin and walk scratch
+/// and its sets from one seed to the next; its candidates and each
+/// pair's `U` are computed once. Its round bound holds at any
+/// bandwidth.
 #[derive(Debug)]
 pub struct F2kMc<'a> {
     det: &'a F2kDetector,
     g: &'a Graph,
     sets: PairSets,
-    verdicts: VerdictSession,
+    pub(crate) verdicts: VerdictSession,
 }
 
 impl congest_quantum::MonteCarloAlgorithm for F2kMc<'_> {
     fn rejects(&mut self, seed: u64) -> bool {
+        if !self.verdicts.can_reject() {
+            return false;
+        }
         let (g, verdicts) = (self.g, &mut self.verdicts);
         self.det
             .walk_calls(g, seed, &mut self.sets, |call| {
@@ -467,11 +478,11 @@ mod tests {
             generators::plant_cycle(&host, 4, 5).0,
         ] {
             let mut session = Executor::new(Backend::Sequential);
-            let mut coins = Vec::new();
+            let (mut coins, every_node) = (Vec::new(), vec![true; g.node_count()]);
             let mut sets = PairSets::new(&det, &g);
             for seed in 0..10 {
                 let _ = det.walk_calls(&g, seed, &mut sets, |call| {
-                    if has_active_source(&mut coins, call) {
+                    if has_active_source(&mut coins, call, &every_node) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }

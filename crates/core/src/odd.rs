@@ -167,11 +167,12 @@ impl OddCycleDetector {
     /// one verdict-only evaluator, whose simulated calls step on
     /// `backend`, for every seed of an amplification.
     pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> OddMc<'a> {
+        let lengths = Palette::odd(self.k).cycle_lengths();
         OddMc {
             det: self,
             g,
             all: vec![true; g.node_count()],
-            verdicts: VerdictSession::new(backend),
+            verdicts: VerdictSession::new(g, lengths, backend),
         }
     }
 }
@@ -207,27 +208,35 @@ impl crate::Detector for OddCycleDetector {
 ///
 /// An evaluation of a seed walks the same calls as
 /// [`OddCycleDetector::run`] with that seed and stops at the first
-/// rejecting call, as the run does. Each call is simulated, with
-/// exactly the run's coins (probability `1/n` each), only if some node
-/// colored 0 drew an active coin and closes a well-colored `C_{2k+1}`;
-/// the repetition's coloring is drawn only when some coin is up. Any
-/// other call cannot reject: only a source sends an identifier, the
-/// node colored `k` rejects only when one identifier reaches it along
-/// both the length-`k` and the length-`(k+1)` branch, and the threshold
-/// only keeps identifiers back. The evaluator keeps its simulation
-/// session and its coin and walk scratch from one seed to the next.
-/// Its round bound holds at any bandwidth.
+/// rejecting call, as the run does. Only a node on a `C_{2k+1}` of the
+/// graph is a launch candidate, and on a graph without one the
+/// evaluation answers `false` without walking a call. Each call is
+/// simulated, with exactly the run's coins (probability `1/n` each),
+/// only if some candidate colored 0 drew an active coin and closes a
+/// well-colored `C_{2k+1}`; the repetition's coloring is drawn only
+/// when some candidate's coin is up. Any other call cannot reject: only
+/// a source sends an identifier, the node colored `k` rejects only when
+/// one identifier reaches it along both the length-`k` and the
+/// length-`(k+1)` branch, which close a simple `C_{2k+1}` through the
+/// source, and the threshold only keeps identifiers back. A source on
+/// no `C_{2k+1}` still fills thresholds, so a simulated call reads
+/// every node's coin. The evaluator computes its candidates once and
+/// keeps its simulation session and its coin and walk scratch from one
+/// seed to the next. Its round bound holds at any bandwidth.
 #[derive(Debug)]
 pub struct OddMc<'a> {
     det: &'a OddCycleDetector,
     g: &'a Graph,
     /// Every node: the host subgraph and the launch set of each call.
     all: Vec<bool>,
-    verdicts: VerdictSession,
+    pub(crate) verdicts: VerdictSession,
 }
 
 impl MonteCarloAlgorithm for OddMc<'_> {
     fn rejects(&mut self, seed: u64) -> bool {
+        if !self.verdicts.can_reject() {
+            return false;
+        }
         let (g, verdicts) = (self.g, &mut self.verdicts);
         self.det
             .walk_calls(&self.all, seed, |call| verdicts.call_verdict(g, call))
@@ -326,7 +335,7 @@ mod tests {
             let mut coins = Vec::new();
             for seed in 0..10 {
                 let _ = det.walk_calls(&all, seed, |call| {
-                    if has_active_source(&mut coins, call) {
+                    if has_active_source(&mut coins, call, &all) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }

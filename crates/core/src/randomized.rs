@@ -14,7 +14,7 @@ use congest_graph::Graph;
 use congest_quantum::MonteCarloAlgorithm;
 use congest_sim::Backend;
 
-use crate::color_bfs::{Launch, VerdictSession};
+use crate::color_bfs::{Launch, Palette, VerdictSession};
 use crate::detector::{draw_selection, light_mask, CallSets, CycleDetector, RunOptions};
 use crate::params::{Instance, Params};
 use crate::witness::DetectionOutcome;
@@ -95,6 +95,7 @@ impl LowProbDetector {
     /// Panics if `g` is empty.
     pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> LowProbMc<'a> {
         let inst = self.params.instantiate(g.node_count());
+        let lengths = Palette::even(self.params.k).cycle_lengths();
         LowProbMc {
             det: self,
             g,
@@ -105,7 +106,7 @@ impl LowProbDetector {
             s_mask: Vec::new(),
             not_s: Vec::new(),
             w_mask: Vec::new(),
-            verdicts: VerdictSession::new(backend),
+            verdicts: VerdictSession::new(g, lengths, backend),
         }
     }
 }
@@ -153,24 +154,31 @@ impl crate::Detector for LowProbDetector {
 /// rejecting call as the run does, and draws only what its verdict
 /// reads:
 ///
+/// * only a node of `X ∩ H` that lies on a `2k`-cycle of the graph is a
+///   launch candidate; on a graph with no `2k`-cycle it answers `false`
+///   without drawing anything;
 /// * it computes `S` and `W` from the set-up round's own coins instead
 ///   of simulating the round;
 /// * each call is simulated, with exactly the run's coins, only if some
-///   active source closes a well-colored `2k`-cycle within `H`; a call
-///   with an empty `X ∩ H` draws no coin, and an iteration's coloring
-///   is drawn only when some node of `X ∩ H` has its coin up.
+///   candidate is an active source that closes a well-colored
+///   `2k`-cycle within `H`; a call without a candidate draws no coin,
+///   and an iteration's coloring is drawn only when some candidate has
+///   its coin up.
 ///
 /// Any other call cannot reject: only an active source sends an
 /// identifier (Instruction 15), every later message forwards
 /// identifiers a node received from its neighbors of the color before
 /// it in `H`, a node rejects only when one identifier reaches it along
-/// both branches (Instructions 24–28), and the threshold only keeps
-/// identifiers back.
+/// both branches (Instructions 24–28), which close a simple `2k`-cycle
+/// through the source, and the threshold only keeps identifiers back.
+/// A source on no `2k`-cycle still fills thresholds, so a simulated
+/// call reads every node's coin.
 ///
 /// The evaluator keeps its buffers (the simulation session, the coin
 /// and walk scratch, the sets) from one seed to the next; the
-/// seed-independent `U` is computed once. The bandwidth only scales
-/// the round bound charged per `Setup`, so no evaluation reads it.
+/// seed-independent `U` and launch candidates are computed once. The
+/// bandwidth only scales the round bound charged per `Setup`, so no
+/// evaluation reads it.
 #[derive(Debug)]
 pub struct LowProbMc<'a> {
     det: &'a LowProbDetector,
@@ -184,7 +192,7 @@ pub struct LowProbMc<'a> {
     s_mask: Vec<bool>,
     not_s: Vec<bool>,
     w_mask: Vec<bool>,
-    verdicts: VerdictSession,
+    pub(crate) verdicts: VerdictSession,
 }
 
 impl LowProbMc<'_> {
@@ -199,6 +207,9 @@ impl LowProbMc<'_> {
 
 impl MonteCarloAlgorithm for LowProbMc<'_> {
     fn rejects(&mut self, seed: u64) -> bool {
+        if !self.verdicts.can_reject() {
+            return false;
+        }
         let (g, k) = (self.g, self.det.params.k);
         draw_selection(g, &self.inst, seed, &mut self.s_mask, &mut self.w_mask);
         self.not_s.clear();
@@ -302,12 +313,12 @@ mod tests {
             generators::plant_cycle(&host, 4, 5).0,
         ] {
             let mut session = Executor::new(Backend::Sequential);
-            let mut coins = Vec::new();
+            let (mut coins, every_node) = (Vec::new(), vec![true; g.node_count()]);
             for seed in 0..10 {
                 let (inst, sets) = scaffold.build_memberships(&g, seed, &RunOptions::default());
                 let launch = Launch::new(inst.tau, true);
                 let _ = sets.walk_calls(2, 8, seed, None, launch, |call| {
-                    if has_active_source(&mut coins, call) {
+                    if has_active_source(&mut coins, call, &every_node) {
                         sourced += 1;
                         return ControlFlow::Continue(());
                     }

@@ -25,10 +25,11 @@ const SMOKE_FAMILIES: [&str; 14] = [
 
 /// The smoke families at n = 24 and 32, plus `K_{6,6}` (C4s), `K_{10,10}`
 /// (C4s of heavy nodes, which a scaled-down selection probability
-/// leaves to the heavy call), a C5 farm, a tree with a planted C4, and
-/// four disjoint Petersen graphs (girth 5 and twelve C5s each, every
-/// node of degree 3, so light for the `F_6` detector's pair ℓ = 3),
-/// each with a label.
+/// leaves to the heavy call), a C5 farm, a tree with a planted C4, four
+/// disjoint Petersen graphs (girth 5 and twelve C5s each, every node of
+/// degree 3, so light for the `F_6` detector's pair ℓ = 3), and a C3
+/// farm (triangles on no C4, which only the hand-off finds), each with
+/// a label.
 pub fn corpus() -> Vec<(String, Graph)> {
     let mut graphs = Vec::new();
     for family in SMOKE_FAMILIES {
@@ -58,5 +59,10 @@ pub fn corpus() -> Vec<(String, Graph)> {
         farm = generators::disjoint_union(&farm, &petersen);
     }
     graphs.push(("Petersen farm".to_string(), farm));
+    let mut farm = generators::cycle(3);
+    for _ in 1..6 {
+        farm = generators::disjoint_union(&farm, &generators::cycle(3));
+    }
+    graphs.push(("C3 farm".to_string(), farm));
     graphs
 }

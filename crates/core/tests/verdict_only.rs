@@ -134,7 +134,9 @@ fn odd_verdicts_match_costed_runs() {
 fn f2k_verdicts_match_costed_runs() {
     // Some rejection must come from the top pair's hand-off: a C3 at
     // k = 2, and at k = 3 a C5, which on the corpus only the Petersen
-    // farm yields (its girth leaves pair 2 nothing).
+    // farm yields (its girth leaves pair 2 nothing). On the C3 farm no
+    // node lies on a C4, so an evaluator that launched only from nodes
+    // on a C4 would miss every rejection there.
     for (k, least) in KS {
         let det = f2k(k);
         let (mut rejections, mut hand_offs) = (0, 0);

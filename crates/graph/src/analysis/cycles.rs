@@ -7,7 +7,10 @@
 //! simulation scales; [`find_cycle_color_coding`] is the classical
 //! Alon–Yuster–Zwick randomized search, used both as a faster oracle and
 //! as an executable reference for the color-coding idea the distributed
-//! algorithms implement.
+//! algorithms implement. [`nodes_on_cycles`] marks the nodes that lie on
+//! a cycle of given lengths.
+
+use std::ops::RangeInclusive;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,6 +207,174 @@ fn count_extend(
         count_extend(g, root, l, dist, path, in_path, steps_left, closures);
         in_path[next.index()] = false;
         path.pop();
+    }
+}
+
+/// Marks every node of `g` that lies on a simple cycle whose length is
+/// in `lengths`.
+///
+/// For each node not marked yet, a depth-first search looks for such a
+/// cycle through it. The search stays within the 2-core (what is left
+/// after repeatedly deleting the nodes of degree at most 1; it holds
+/// every cycle), and it extends a path only to nodes whose BFS distance
+/// back to the start leaves room to close a cycle in time. The first
+/// cycle it finds marks all of its nodes.
+///
+/// Each neighbor a BFS or the search scans is one step, and the peeling
+/// takes one per node and neighbor. Once the steps pass `budget`, the
+/// search stops and every node is marked: the answer is then a superset
+/// of the exact one. Within the budget it is exact.
+///
+/// # Panics
+///
+/// Panics if `lengths` starts below 3.
+pub fn nodes_on_cycles(g: &Graph, lengths: RangeInclusive<usize>, budget: u64) -> Vec<bool> {
+    assert!(*lengths.start() >= 3, "cycles have length at least 3");
+    let n = g.node_count();
+    let mut marked = vec![false; n];
+    let mut search = CycleSearch {
+        g,
+        lengths,
+        steps_left: budget,
+        core: Vec::new(),
+        dist: vec![u32::MAX; n],
+        reached: Vec::new(),
+        path: Vec::new(),
+        in_path: vec![false; n],
+    };
+    match search.mark(&mut marked) {
+        Ok(()) => marked,
+        Err(OutOfBudget) => vec![true; n],
+    }
+}
+
+/// The step budget of [`nodes_on_cycles`] ran out.
+#[derive(Debug)]
+struct OutOfBudget;
+
+/// The state of one [`nodes_on_cycles`] search.
+struct CycleSearch<'a> {
+    g: &'a Graph,
+    lengths: RangeInclusive<usize>,
+    steps_left: u64,
+    /// The 2-core.
+    core: Vec<bool>,
+    /// BFS distances from the current start within the 2-core, up to
+    /// half the longest length; `u32::MAX` elsewhere.
+    dist: Vec<u32>,
+    /// The nodes `dist` holds a distance for, in BFS order.
+    reached: Vec<NodeId>,
+    /// The simple path from the current start, and its nodes.
+    path: Vec<NodeId>,
+    in_path: Vec<bool>,
+}
+
+impl CycleSearch<'_> {
+    /// Spends `steps` steps of the budget.
+    fn spend(&mut self, steps: usize) -> Result<(), OutOfBudget> {
+        self.steps_left = self
+            .steps_left
+            .checked_sub(steps as u64)
+            .ok_or(OutOfBudget)?;
+        Ok(())
+    }
+
+    /// Marks the nodes that lie on a cycle with a length in range.
+    fn mark(&mut self, marked: &mut [bool]) -> Result<(), OutOfBudget> {
+        self.peel()?;
+        for v in self.g.nodes() {
+            if marked[v.index()] || !self.core[v.index()] {
+                continue;
+            }
+            if self.through(v)? {
+                for &u in &self.path {
+                    marked[u.index()] = true;
+                }
+            }
+            for &u in &self.path {
+                self.in_path[u.index()] = false;
+            }
+            self.path.clear();
+        }
+        Ok(())
+    }
+
+    /// Computes the 2-core.
+    fn peel(&mut self) -> Result<(), OutOfBudget> {
+        let g = self.g;
+        self.spend(g.node_count() + g.degree_sum())?;
+        let mut degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+        self.core = vec![true; g.node_count()];
+        let mut leaves: Vec<NodeId> = g.nodes().filter(|v| degree[v.index()] < 2).collect();
+        while let Some(u) = leaves.pop() {
+            self.core[u.index()] = false;
+            for &w in g.neighbors(u) {
+                let d = &mut degree[w.index()];
+                *d -= 1;
+                if *d == 1 && self.core[w.index()] {
+                    leaves.push(w);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether some cycle through `v` has a length in range; if so,
+    /// `path` holds its nodes.
+    fn through(&mut self, v: NodeId) -> Result<bool, OutOfBudget> {
+        for &u in &self.reached {
+            self.dist[u.index()] = u32::MAX;
+        }
+        self.reached.clear();
+        // Every node of a cycle through `v` lies within half its length
+        // of `v`, along the cycle, inside the 2-core.
+        let radius = (*self.lengths.end() / 2) as u32;
+        self.dist[v.index()] = 0;
+        self.reached.push(v);
+        let mut head = 0;
+        while let Some(&u) = self.reached.get(head) {
+            head += 1;
+            let du = self.dist[u.index()];
+            if du == radius {
+                break;
+            }
+            self.spend(self.g.degree(u))?;
+            for &w in self.g.neighbors(u) {
+                if self.core[w.index()] && self.dist[w.index()] == u32::MAX {
+                    self.dist[w.index()] = du + 1;
+                    self.reached.push(w);
+                }
+            }
+        }
+        self.path.push(v);
+        self.in_path[v.index()] = true;
+        self.extend()
+    }
+
+    /// Whether the path extends to a cycle with a length in range.
+    fn extend(&mut self) -> Result<bool, OutOfBudget> {
+        let g = self.g;
+        let cur = *self.path.last().expect("non-empty path");
+        self.spend(g.degree(cur))?;
+        // The next node would be `len` edges from the start.
+        let len = self.path.len();
+        for &next in g.neighbors(cur) {
+            let d = self.dist[next.index()];
+            // Closing the cycle takes at least `d` more edges.
+            if d == u32::MAX || self.in_path[next.index()] || len + d as usize > *self.lengths.end()
+            {
+                continue;
+            }
+            self.path.push(next);
+            self.in_path[next.index()] = true;
+            // At distance 1, `next` closes a cycle of `len + 1` edges.
+            if d == 1 && len + 1 >= *self.lengths.start() || self.extend()? {
+                return Ok(true);
+            }
+            self.in_path[next.index()] = false;
+            self.path.pop();
+        }
+        Ok(false)
     }
 }
 
@@ -426,6 +597,92 @@ mod tests {
     fn budget_exhaustion_panics() {
         let g = generators::complete(12);
         let _ = find_cycle_exact(&g, 12, Some(5));
+    }
+
+    /// The families of the smoke suite.
+    const SMOKE_FAMILIES: [&str; 14] = [
+        "trees",
+        "cycle",
+        "torus",
+        "polarity",
+        "planted:4",
+        "multi:2:4",
+        "noisy:4:0.02",
+        "planted-polarity:4",
+        "er:3",
+        "bipartite:0.1",
+        "regular:2",
+        "funnel:4:2",
+        "pa:2",
+        "ws:4:0.1",
+    ];
+
+    /// The smoke families at n = 24 and 32, seeds 0 and 1, each with a
+    /// label.
+    fn smoke_graphs() -> Vec<(String, Graph)> {
+        let mut graphs = Vec::new();
+        for family in SMOKE_FAMILIES {
+            let spec = crate::FamilySpec::parse(family).unwrap();
+            for n in [24, 32] {
+                for seed in 0..2 {
+                    graphs.push((format!("{family} n={n} seed {seed}"), spec.build(n, seed)));
+                }
+            }
+        }
+        graphs
+    }
+
+    /// Per node, whether it lies on a `C_l`: exactly when deleting it
+    /// deletes some `C_l`.
+    fn on_cycle_by_deletion(g: &Graph, l: usize) -> Vec<bool> {
+        let total = count_cycles_exact(g, l, None);
+        g.nodes()
+            .map(|v| {
+                let mut keep = vec![true; g.node_count()];
+                keep[v.index()] = false;
+                count_cycles_exact(&g.induced_subgraph(&keep).0, l, None) < total
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nodes_on_cycles_matches_deletion_counts() {
+        let length_sets = [4..=4, 5..=5, 3..=4, 6..=6, 7..=7, 3..=6];
+        let mut checks = 0;
+        for (label, g) in smoke_graphs() {
+            let by_length: Vec<Vec<bool>> = (3..=7).map(|l| on_cycle_by_deletion(&g, l)).collect();
+            for lengths in length_sets.clone() {
+                let want: Vec<bool> = g
+                    .nodes()
+                    .map(|v| lengths.clone().any(|l| by_length[l - 3][v.index()]))
+                    .collect();
+                let got = nodes_on_cycles(&g, lengths.clone(), u64::MAX);
+                assert_eq!(got, want, "{label}, lengths {lengths:?}");
+                checks += want.len();
+            }
+        }
+        assert_eq!(checks, 9096);
+    }
+
+    #[test]
+    fn nodes_on_cycles_of_trees_and_cycles() {
+        for (label, g) in smoke_graphs() {
+            if label.starts_with("trees ") {
+                let marked = nodes_on_cycles(&g, 3..=12, u64::MAX);
+                assert!(!marked.contains(&true), "{label}");
+            }
+        }
+        let cycle = crate::FamilySpec::parse("cycle").unwrap().build(24, 0);
+        assert_eq!(nodes_on_cycles(&cycle, 24..=24, u64::MAX), vec![true; 24]);
+        assert_eq!(nodes_on_cycles(&cycle, 4..=4, u64::MAX), vec![false; 24]);
+    }
+
+    #[test]
+    fn nodes_on_cycles_marks_everything_past_its_budget() {
+        for (label, g) in smoke_graphs() {
+            let everything = vec![true; g.node_count()];
+            assert_eq!(nodes_on_cycles(&g, 4..=4, 1), everything, "{label}");
+        }
     }
 
     #[test]
