@@ -59,20 +59,21 @@
 //!   threshold: a rejection certifies such a cycle through its origin,
 //!   and a threshold only keeps identifiers back, so such a call cannot
 //!   reject either;
-//! * every source that lies on no cycle, of the graph, of a length the
+//! * every source that lies on no cycle of the graph whose length the
 //!   base detects: the cycle a rejection certifies is simple and runs
-//!   through its origin, so such a source can never be one. A base
-//!   whose graph has no such node answers `false` without walking a
-//!   call. The sources it skips still launch in every call that is
-//!   simulated: their identifiers count towards the thresholds of the
-//!   nodes they reach, and a threshold they fill can stop a rejection.
+//!   through its origin, so such a source is never that origin. A base
+//!   whose graph has no node on such a cycle answers `false` without
+//!   walking a call. The sources it skips still launch in every call
+//!   that is simulated: their identifiers count towards the thresholds
+//!   of the nodes they reach, and a threshold they fill can stop a
+//!   rejection.
 //!
 //! They draw a repetition's coloring only when some call of it has a
 //! source candidate. `rejects` takes `&mut self` so that one evaluator
 //! answers every seed of an amplification and keeps its buffers
-//! (simulation sessions, coin and walk scratch, the nodes on a target
-//! cycle) between seeds; those buffers hold nothing a later answer
-//! reads.
+//! (simulation sessions, coin and walk scratch) between seeds; those
+//! buffers hold nothing a later answer reads. What no seed changes,
+//! such as the nodes on a target cycle, it computes once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
