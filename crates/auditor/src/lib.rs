@@ -125,7 +125,8 @@ pub fn classify(rel: &str) -> FileClass {
         ]),
         // The layers allowed to read wall clocks: work distribution,
         // scheduling caps, the server, CLI drivers, telemetry, bench,
-        // and the simulator's worker pool (busy/idle accounting).
+        // the simulator's worker pool (busy/idle accounting), and its
+        // superstep core (the `sim.run` span and its phase timers).
         timing_allowed: starts(&[
             "src/engine/pool.rs",
             "src/engine/schedule.rs",
@@ -134,6 +135,7 @@ pub fn classify(rel: &str) -> FileClass {
             "crates/telemetry/",
             "crates/bench/",
             "crates/congest/src/pool.rs",
+            "crates/congest/src/core.rs",
         ]),
         // The layers allowed to create threads: the engine's sweep
         // pool, the server, CLI drivers, and the simulator's persistent
@@ -530,10 +532,13 @@ mod tests {
         assert!(!detector.output_scope && !detector.timing_allowed && !detector.spawn_allowed);
         let sim_pool = classify("crates/congest/src/pool.rs");
         assert!(sim_pool.timing_allowed && sim_pool.spawn_allowed);
+        // The superstep core times its phases but spawns nothing.
+        let sim_core = classify("crates/congest/src/core.rs");
+        assert!(sim_core.timing_allowed && !sim_core.spawn_allowed);
         // The rest of the simulator may neither spawn nor read clocks
-        // without a reviewed waiver: the pool is the whole surface.
+        // without a reviewed waiver.
         for rel in [
-            "crates/congest/src/core.rs",
+            "crates/congest/src/executor.rs",
             "crates/congest/src/parallel.rs",
             "crates/congest/src/backend.rs",
         ] {

@@ -27,7 +27,7 @@ pub const RULES: [(&str, &str); 6] = [
     ),
     (
         "R2",
-        "Instant::now/SystemTime::now only in the timing allowlist (engine pool, schedule, serve, bin drivers, telemetry, bench, sim worker pool)",
+        "Instant::now/SystemTime::now only in the timing allowlist (engine pool, schedule, serve, bin drivers, telemetry, bench, sim worker pool and superstep core)",
     ),
     (
         "R3",

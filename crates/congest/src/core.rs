@@ -339,7 +339,8 @@ impl<P: Program> PhaseDriver<P> for SeqDriver {
 
 /// Telemetry handles for the superstep core, resolved once per process.
 /// Updates are relaxed atomics, so they stay on unconditionally; only the
-/// per-round trace *events* are gated on `telemetry::enabled()`.
+/// per-round trace *events* and the phase timings are gated on
+/// `telemetry::enabled()`.
 struct SimMetrics {
     runs: Arc<telemetry::Counter>,
     supersteps: Arc<telemetry::Counter>,
@@ -348,6 +349,8 @@ struct SimMetrics {
     superstep_messages: Arc<telemetry::Histogram>,
     superstep_max_edge_words: Arc<telemetry::Histogram>,
     run_supersteps_per_sec: Arc<telemetry::Histogram>,
+    /// One sample per run and phase: the run's total in the phase.
+    phase_ns: [Arc<telemetry::Histogram>; PHASES],
 }
 
 fn sim_metrics() -> &'static SimMetrics {
@@ -362,8 +365,93 @@ fn sim_metrics() -> &'static SimMetrics {
             superstep_messages: registry.histogram("sim.superstep.messages"),
             superstep_max_edge_words: registry.histogram("sim.superstep.max_edge_words"),
             run_supersteps_per_sec: registry.histogram("sim.run.supersteps_per_sec"),
+            phase_ns: PHASE_HISTOGRAMS.map(|name| registry.histogram(name)),
         }
     })
+}
+
+/// The phases of a run, in the order a superstep visits them after the
+/// run's reset: the node step, edge accounting, delivery, and the
+/// termination scan.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// From the start of the run to its first node step: the session's
+    /// buffers reset in place (and, on a parallel backend, the pool
+    /// started).
+    Reset,
+    /// Stepping the nodes (init included).
+    Step,
+    /// Charging words to directed edges and validating recipients.
+    Account,
+    /// Moving messages into the recipients' inboxes.
+    Deliver,
+    /// The termination test, and the decisions collected at the end.
+    Scan,
+}
+
+const PHASES: usize = 5;
+
+/// Each phase's field on the `sim.run` span, in [`Phase`] order.
+const PHASE_FIELDS: [&str; PHASES] = ["reset_ns", "step_ns", "account_ns", "deliver_ns", "scan_ns"];
+
+/// Each phase's histogram, in [`Phase`] order.
+const PHASE_HISTOGRAMS: [&str; PHASES] = [
+    "sim.phase.reset_ns",
+    "sim.phase.step_ns",
+    "sim.phase.account_ns",
+    "sim.phase.deliver_ns",
+    "sim.phase.scan_ns",
+];
+
+/// The `sim.run` span of one run and the time the run spent in each
+/// [`Phase`]. Each lap charges the time since the previous lap to one
+/// phase, so the phases add up to the run, less the gap between the
+/// span's start and the first lap's. The phases are timed only while a
+/// recorder is installed; when the run ends, however it ends, their
+/// totals go on the span and into the `sim.phase.*_ns` histograms.
+pub(crate) struct RunClock {
+    span: telemetry::Span,
+    started: Instant,
+    /// The last lap, while the phases are timed.
+    lap: Option<Instant>,
+    phase_ns: [u64; PHASES],
+}
+
+impl RunClock {
+    /// Starts the clock of a run on `n` nodes, before its reset.
+    pub(crate) fn start(n: usize) -> RunClock {
+        let span = telemetry::Span::begin("sim.run").with("n", n);
+        let started = Instant::now();
+        RunClock {
+            lap: span.is_active().then_some(started),
+            span,
+            started,
+            phase_ns: [0; PHASES],
+        }
+    }
+
+    /// Charges the time since the last lap to `phase`.
+    #[inline]
+    fn lap(&mut self, phase: Phase) {
+        if let Some(last) = &mut self.lap {
+            let now = Instant::now();
+            self.phase_ns[phase as usize] += now.duration_since(*last).as_nanos() as u64;
+            *last = now;
+        }
+    }
+}
+
+impl Drop for RunClock {
+    fn drop(&mut self) {
+        if self.lap.is_none() {
+            return;
+        }
+        let histograms = &sim_metrics().phase_ns;
+        for ((field, histogram), ns) in PHASE_FIELDS.iter().zip(histograms).zip(self.phase_ns) {
+            histogram.record(ns);
+            self.span.push(field, ns);
+        }
+    }
 }
 
 /// What one delivery pass did, for the caller's accounting and telemetry.
@@ -473,7 +561,8 @@ impl Delivery {
     /// superstep along with its congestion profile. The caller holds
     /// every chunk guard: delivery is a single-threaded phase, and
     /// holding all chunks lets a sender's taken-out outbox feed
-    /// recipient inboxes anywhere in the table.
+    /// recipient inboxes anywhere in the table. Laps `clock` after the
+    /// accounting pass and after delivery.
     #[allow(clippy::too_many_arguments)]
     fn deliver<P: Program>(
         &mut self,
@@ -484,6 +573,7 @@ impl Delivery {
         shift: u32,
         chunks: &mut [MutexGuard<'_, NodeChunk<'_, P>>],
         stats: &mut CongestionStats,
+        clock: &mut RunClock,
     ) -> Result<DeliverOutcome, SimError> {
         let messages_before = stats.total_messages;
         let mut reused_buffers = 0u64;
@@ -530,6 +620,8 @@ impl Delivery {
             }
         }
 
+        clock.lap(Phase::Account);
+
         // Delivery pass (sender order => deterministic inbox order),
         // draining outboxes in place so their capacity survives. The
         // sender's outbox is taken out of its chunk first, so pushing
@@ -565,6 +657,7 @@ impl Delivery {
             .max()
             .unwrap_or(0);
         stats.max_words_per_edge_step = stats.max_words_per_edge_step.max(max_load);
+        clock.lap(Phase::Deliver);
         Ok(DeliverOutcome {
             round_cost: max_load.div_ceil(bandwidth).max(1),
             max_load,
@@ -603,7 +696,8 @@ fn observe_delivery(metrics: &SimMetrics, outcome: &DeliverOutcome, superstep: u
 /// reset [`NodeState`] under the given phase driver; the semantics of
 /// [`crate::Executor::run`], shared by every backend. Pooled runs share
 /// the table with scoped workers; the final node states stay in the
-/// session's [`NodeState`].
+/// session's [`NodeState`]. `clock` was started before the reset.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_loop<P, D>(
     graph: &Graph,
     bandwidth: u64,
@@ -611,19 +705,15 @@ pub(crate) fn run_loop<P, D>(
     table: &ChunkTable<'_, P>,
     delivery: &mut Delivery,
     driver: &D,
+    mut clock: RunClock,
     max_supersteps: u64,
 ) -> Result<RunReport, SimError>
 where
     P: Program,
     D: PhaseDriver<P>,
 {
-    let n = table.n();
     let metrics = sim_metrics();
     metrics.runs.inc();
-    // audit:allow(R2): span timing for the sim.run telemetry event —
-    // rounds/messages/verdicts never read the clock.
-    let started = Instant::now();
-    let mut span = telemetry::Span::begin("sim.run").with("n", n);
     delivery.reset(graph, table);
     let mut stats = CongestionStats::default();
     let mut cut_words: u64 = 0;
@@ -632,9 +722,11 @@ where
     // One guard vector for the whole run, emptied before every node
     // phase (the driver locks chunks itself).
     let mut guards = Vec::with_capacity(table.chunk_count());
+    clock.lap(Phase::Reset);
 
     // Init phase: superstep-0 sends.
     driver.run_phase(table, graph, None);
+    clock.lap(Phase::Step);
     table.lock_all(&mut guards);
     if guards
         .iter()
@@ -648,12 +740,14 @@ where
             table.shift,
             &mut guards,
             &mut stats,
+            &mut clock,
         )?;
         rounds += outcome.round_cost;
         observe_delivery(metrics, &outcome, 0);
     }
     let mut finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
     guards.clear();
+    clock.lap(Phase::Scan);
 
     while !finished {
         if supersteps >= max_supersteps {
@@ -662,6 +756,7 @@ where
             });
         }
         driver.run_phase(table, graph, Some(supersteps as usize));
+        clock.lap(Phase::Step);
         supersteps += 1;
         metrics.supersteps.inc();
         table.lock_all(&mut guards);
@@ -673,22 +768,24 @@ where
             table.shift,
             &mut guards,
             &mut stats,
+            &mut clock,
         )?;
         rounds += outcome.round_cost;
         observe_delivery(metrics, &outcome, supersteps);
         finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
         guards.clear();
+        clock.lap(Phase::Scan);
     }
 
     if supersteps > 0 {
-        let secs = started.elapsed().as_secs_f64().max(1e-9);
+        let secs = clock.started.elapsed().as_secs_f64().max(1e-9);
         metrics
             .run_supersteps_per_sec
             .record((supersteps as f64 / secs) as u64);
     }
-    span.push("supersteps", supersteps);
-    span.push("rounds", rounds);
-    span.push("messages", stats.total_messages);
+    clock.span.push("supersteps", supersteps);
+    clock.span.push("rounds", rounds);
+    clock.span.push("messages", stats.total_messages);
 
     let mut rejecting_nodes: Vec<u32> = Vec::new();
     table.lock_all(&mut guards);
@@ -699,6 +796,7 @@ where
             }
         }
     }
+    clock.lap(Phase::Scan);
     let decision = if rejecting_nodes.is_empty() {
         Decision::Accept
     } else {

@@ -3,7 +3,7 @@
 use congest_graph::{Graph, NodeId};
 
 use crate::backend::Backend;
-use crate::core::{Delivery, NodeState};
+use crate::core::{Delivery, NodeState, RunClock};
 use crate::cut::CutMeter;
 use crate::error::SimError;
 use crate::metrics::RunReport;
@@ -128,6 +128,7 @@ where
         F: FnMut(NodeId, usize) -> P,
     {
         let threads = self.backend.effective_threads(graph.node_count());
+        let clock = RunClock::start(graph.node_count());
         self.state.reset(graph, seed, factory);
         let table = self.state.chunks(threads);
         run_pooled(
@@ -137,6 +138,7 @@ where
             &table,
             &mut self.delivery,
             threads,
+            clock,
             max_supersteps,
         )
     }

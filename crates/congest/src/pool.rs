@@ -34,7 +34,7 @@ use std::time::Instant;
 use congest_graph::Graph;
 use congest_telemetry as telemetry;
 
-use crate::core::{lock_chunk, run_loop, ChunkTable, Delivery, PhaseDriver, SeqDriver};
+use crate::core::{lock_chunk, run_loop, ChunkTable, Delivery, PhaseDriver, RunClock, SeqDriver};
 use crate::cut::CutMeter;
 use crate::error::SimError;
 use crate::metrics::RunReport;
@@ -256,6 +256,7 @@ impl<P: Program> PhaseDriver<P> for SuperstepPool<'_> {
 /// one of them, and the only one at `threads = 1`): the semantics of
 /// [`crate::Executor::run`] with byte-identical transcripts. Workers
 /// live for the whole run, parked between supersteps.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_pooled<P>(
     graph: &Graph,
     bandwidth: u64,
@@ -263,6 +264,7 @@ pub(crate) fn run_pooled<P>(
     table: &ChunkTable<'_, P>,
     delivery: &mut Delivery,
     threads: usize,
+    clock: RunClock,
     max_supersteps: u64,
 ) -> Result<RunReport, SimError>
 where
@@ -279,6 +281,7 @@ where
             table,
             delivery,
             &SeqDriver,
+            clock,
             max_supersteps,
         );
     }
@@ -301,6 +304,7 @@ where
             table,
             delivery,
             &pool,
+            clock,
             max_supersteps,
         )
     })

@@ -93,6 +93,32 @@ fn recorder_is_result_invariant_across_the_registry() {
         );
     }
 
+    // Every simulator run carries its phase profile: five non-negative
+    // integer nanosecond totals that add up to no more than the span
+    // (whose duration is truncated to whole microseconds).
+    let mut sim_runs = 0;
+    for line in trace_text.lines() {
+        let fields = telemetry::parse_flat_line(line).expect("flat-JSON event line");
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        if field("name").and_then(|v| v.as_str()) != Some("sim.run") {
+            continue;
+        }
+        sim_runs += 1;
+        let mut phases_ns = 0.0;
+        for phase in ["reset_ns", "step_ns", "account_ns", "deliver_ns", "scan_ns"] {
+            let ns = field(phase).and_then(|v| v.as_f64());
+            let ns = ns.unwrap_or_else(|| panic!("sim.run without {phase}: {line}"));
+            assert!(ns >= 0.0 && ns.fract() == 0.0, "{phase} = {ns}: {line}");
+            phases_ns += ns;
+        }
+        let dur_us = field("dur_us").and_then(|v| v.as_f64()).expect("dur_us");
+        assert!(
+            phases_ns <= (dur_us + 1.0) * 1000.0,
+            "the phases outlast the run: {line}"
+        );
+    }
+    assert!(sim_runs > 0, "the recording run must simulate");
+
     // And the Chrome mirror of that trace must convert losslessly.
     let chrome = base.join("trace.chrome.json");
     let events = telemetry::convert_file(&trace, &chrome).expect("chrome conversion");
