@@ -220,10 +220,14 @@ fn count_extend(
 /// back to the start leaves room to close a cycle in time. The first
 /// cycle it finds marks all of its nodes.
 ///
+/// When every length in range is odd, the components of the 2-core
+/// that are bipartite are skipped: they hold no odd cycle.
+///
 /// Each neighbor a BFS or the search scans is one step, and the peeling
-/// takes one per node and neighbor. Once the steps pass `budget`, the
-/// search stops and every node is marked: the answer is then a superset
-/// of the exact one. Within the budget it is exact.
+/// and the bipartiteness test each take one per node and neighbor. Once
+/// the steps pass `budget`, the search stops and every node is marked:
+/// the answer is then a superset of the exact one. Within the budget it
+/// is exact.
 ///
 /// # Panics
 ///
@@ -282,6 +286,9 @@ impl CycleSearch<'_> {
     /// Marks the nodes that lie on a cycle with a length in range.
     fn mark(&mut self, marked: &mut [bool]) -> Result<(), OutOfBudget> {
         self.peel()?;
+        if self.lengths.clone().all(|l| l % 2 == 1) {
+            self.drop_bipartite_components()?;
+        }
         for v in self.g.nodes() {
             if marked[v.index()] || !self.core[v.index()] {
                 continue;
@@ -313,6 +320,45 @@ impl CycleSearch<'_> {
                 *d -= 1;
                 if *d == 1 && self.core[w.index()] {
                     leaves.push(w);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Removes from the 2-core each of its components that is
+    /// bipartite, found by 2-coloring it breadth-first.
+    fn drop_bipartite_components(&mut self) -> Result<(), OutOfBudget> {
+        let g = self.g;
+        self.spend(g.node_count() + g.degree_sum())?;
+        let mut side = vec![u8::MAX; g.node_count()];
+        let mut component = Vec::new();
+        for start in g.nodes() {
+            if !self.core[start.index()] || side[start.index()] != u8::MAX {
+                continue;
+            }
+            side[start.index()] = 0;
+            component.clear();
+            component.push(start);
+            let mut bipartite = true;
+            let mut head = 0;
+            while let Some(&u) = component.get(head) {
+                head += 1;
+                for &w in g.neighbors(u) {
+                    if !self.core[w.index()] {
+                        continue;
+                    }
+                    if side[w.index()] == u8::MAX {
+                        side[w.index()] = 1 - side[u.index()];
+                        component.push(w);
+                    } else if side[w.index()] == side[u.index()] {
+                        bipartite = false;
+                    }
+                }
+            }
+            if bipartite {
+                for &u in &component {
+                    self.core[u.index()] = false;
                 }
             }
         }
@@ -675,6 +721,44 @@ mod tests {
         let cycle = crate::FamilySpec::parse("cycle").unwrap().build(24, 0);
         assert_eq!(nodes_on_cycles(&cycle, 24..=24, u64::MAX), vec![true; 24]);
         assert_eq!(nodes_on_cycles(&cycle, 4..=4, u64::MAX), vec![false; 24]);
+    }
+
+    #[test]
+    fn nodes_on_cycles_skips_bipartite_components_for_odd_lengths() {
+        // The 4×6 and 6×6 tori are bipartite, so they hold no odd cycle.
+        // Within the budget a verdict-only evaluator grants, the search
+        // answers so for odd lengths, where it used to run out and mark
+        // every node; an even length still finds every node's C4.
+        for n in [24, 36] {
+            let g = crate::FamilySpec::parse("torus").unwrap().build(n, 0);
+            assert!(crate::analysis::is_bipartite(&g), "torus n={n}");
+            let budget = 64 * (g.node_count() + g.directed_edge_count()) as u64 + 4096;
+            for lengths in [5..=5, 7..=7] {
+                let marked = nodes_on_cycles(&g, lengths.clone(), budget);
+                assert_eq!(marked, vec![false; n], "torus n={n}, lengths {lengths:?}");
+            }
+            assert_eq!(nodes_on_cycles(&g, 4..=4, budget), vec![true; n]);
+        }
+        // A bipartite component beside one with odd cycles: only the
+        // odd one is searched, and its nodes on a C5 are marked.
+        let mut b = crate::GraphBuilder::new(9);
+        for (u, v) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 8),
+            (8, 4),
+        ] {
+            b.add_edge(NodeId::new(u), NodeId::new(v));
+        }
+        let g = b.build();
+        let want: Vec<bool> = (0..9).map(|v| v >= 4).collect();
+        assert_eq!(nodes_on_cycles(&g, 5..=5, u64::MAX), want);
+        assert_eq!(nodes_on_cycles(&g, 3..=3, u64::MAX), vec![false; 9]);
     }
 
     #[test]
