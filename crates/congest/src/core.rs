@@ -18,22 +18,29 @@
 //! Hot-path choices:
 //!
 //! * **Chunked struct-of-arrays node state** — per-node state lives in
-//!   parallel flat arrays ([`NodeState`]: programs, RNG streams,
-//!   inboxes, outboxes, and halted flags packed into `u64` bitset
-//!   words), which each run splits into [`NodeChunk`] windows of a
-//!   fixed power-of-two span. A phase sweep walks contiguous memory, a
-//!   fully-halted 64-node word is skipped in one compare, and a chunk
-//!   whose nodes are all halted with nothing in any inbox is skipped
-//!   outright (`live`/`pending` counters).
+//!   parallel flat arrays ([`NodeState`]: programs, RNG stream slots,
+//!   inboxes, outboxes, and the halt flags and the streams' "seeded"
+//!   bits packed into `u64` bitset words), which each run splits into
+//!   [`NodeChunk`] windows of a fixed power-of-two span. A phase sweep
+//!   walks contiguous memory, a fully-halted 64-node word is skipped in
+//!   one compare, and a chunk whose nodes are all halted with nothing in
+//!   any inbox is skipped outright (`live`/`pending` counters).
 //! * **Touched-edge accounting** — only the `edge_words` entries
 //!   actually written in a superstep are reset, so a quiet superstep
 //!   costs `O(touched)`, not `O(m)`.
 //! * **Buffer reuse** — a session owns its [`NodeState`] and
 //!   [`Delivery`] buffers and resets them in place at the start of
-//!   every run: programs, RNG streams, inboxes, outboxes, halt words,
-//!   edge counters, the touched list, CSR bases, and outbox capacities
-//!   all keep their allocations from one run to the next, and within a
-//!   run delivery drains outboxes in place. Every inbox and outbox
+//!   every run: programs, RNG stream slots, inboxes, outboxes, halt and
+//!   "seeded" words, edge counters, the touched list, CSR bases, and
+//!   outbox capacities all keep their allocations from one run to the
+//!   next, and within a run delivery drains outboxes in place. The
+//!   factory still builds every node's program, in ascending node
+//!   order, and the session recycles it into the program it already
+//!   holds ([`Program::recycle`]), so a program that owns buffers (the
+//!   color-BFS neighbor table and identifier set) keeps them too. A
+//!   node's stream is seeded on its first draw ([`NodeRng`]), so
+//!   resetting the streams clears one bit per node, and a run whose
+//!   nodes never draw runs no key schedule. Every inbox and outbox
 //!   starts a run with room for one message per incident edge,
 //!   reserved on the session's thread. Whoever holds the session owns
 //!   the buffers: each detector repetition loop holds one session per
@@ -57,14 +64,14 @@ use crate::cut::CutMeter;
 use crate::error::SimError;
 use crate::message::MessageSize;
 use crate::metrics::{CongestionStats, RunReport};
-use crate::node_rng;
-use crate::program::{Control, Ctx, Decision, Outbox, Program};
+use crate::program::{Control, Ctx, Decision, NodeRng, Outbox, Program};
 
 /// One contiguous block of per-node state in struct-of-arrays layout:
 /// for one run, a window into each of the session's [`NodeState`]
 /// arrays. `nodes[off]`, `rngs[off]`, `inboxes[off]`, and
 /// `outboxes[off]` all belong to global node `base + off`; `halted`
-/// packs the halt flags 64 per word. The chunk is the unit of work
+/// and `seeded` pack the halt flags and the streams' "seeded" bits 64
+/// per word. The chunk is the unit of work
 /// claiming: a phase steps whole chunks, so a `Mutex` per chunk
 /// (uncontended — the claim cursor hands each chunk to exactly one
 /// worker) is the entire synchronization story, with no `unsafe`
@@ -73,9 +80,16 @@ pub(crate) struct NodeChunk<'s, P: Program> {
     /// Global id of the chunk's first node.
     base: usize,
     nodes: &'s mut [P],
+    /// Stream slots, each holding its node's stream once its `seeded`
+    /// bit is set ([`NodeRng`]).
     rngs: &'s mut [ChaCha8Rng],
+    /// The run's seed, from which every node stream derives.
+    seed: u64,
     /// Halt flags, bit `off - 64*w` of word `w`.
     halted: &'s mut [u64],
+    /// Whether a node's stream slot is seeded for this run, bit
+    /// `off - 64*w` of word `w`.
+    seeded: &'s mut [u64],
     /// Nodes in this chunk that have not halted.
     live: usize,
     /// Inboxes in this chunk currently holding messages. Maintained by
@@ -107,11 +121,18 @@ impl<P: Program> NodeChunk<'_, P> {
         let Some(s) = superstep else {
             for off in 0..len {
                 let id = NodeId::new((self.base + off) as u32);
+                let rng = NodeRng::new(
+                    &mut self.rngs[off],
+                    &mut self.seeded[off / 64],
+                    off % 64,
+                    self.seed,
+                    id,
+                );
                 let mut ctx = Ctx {
                     node: id,
                     n,
                     neighbors: graph.neighbors(id),
-                    rng: &mut self.rngs[off],
+                    rng,
                 };
                 self.nodes[off].init(&mut ctx, &mut self.outboxes[off]);
             }
@@ -139,11 +160,18 @@ impl<P: Program> NodeChunk<'_, P> {
                 // Take the inbox for the step, then hand its
                 // allocation back so the capacity survives.
                 let staged = std::mem::take(&mut self.inboxes[off]);
+                let rng = NodeRng::new(
+                    &mut self.rngs[off],
+                    &mut self.seeded[w],
+                    off - lo,
+                    self.seed,
+                    id,
+                );
                 let mut ctx = Ctx {
                     node: id,
                     n,
                     neighbors: graph.neighbors(id),
-                    rng: &mut self.rngs[off],
+                    rng,
                 };
                 if self.nodes[off].step(&mut ctx, s, &staged, &mut self.outboxes[off])
                     == Control::Halt
@@ -188,7 +216,9 @@ pub(crate) struct NodeState<P: Program> {
     /// The programs in node order; after a run, its final node states.
     pub(crate) nodes: Vec<P>,
     rngs: Vec<ChaCha8Rng>,
+    seed: u64,
     halted: Vec<u64>,
+    seeded: Vec<u64>,
     inboxes: Vec<Vec<(NodeId, P::Msg)>>,
     outboxes: Vec<Outbox<P::Msg>>,
 }
@@ -198,29 +228,40 @@ impl<P: Program> NodeState<P> {
         NodeState {
             nodes: Vec::new(),
             rngs: Vec::new(),
+            seed: 0,
             halted: Vec::new(),
+            seeded: Vec::new(),
             inboxes: Vec::new(),
             outboxes: Vec::new(),
         }
     }
 
     /// Prepares the state for a run on `graph`: programs from the
-    /// factory (called in ascending node order, on the caller's
-    /// thread), one seeded RNG stream per node, every halt flag
-    /// cleared, and every inbox and outbox emptied of whatever a failed
-    /// run left behind — while each vector keeps its allocation.
+    /// factory (called once per node, in ascending node order, on the
+    /// caller's thread), recycled into the programs already held
+    /// ([`Program::recycle`]) and built new only past their number;
+    /// every node stream unseeded, to be seeded from `seed` on its
+    /// node's first draw ([`NodeRng`]); every halt flag cleared; and
+    /// every inbox and outbox emptied of whatever a failed run left
+    /// behind — while each vector keeps its allocation.
     pub(crate) fn reset<F>(&mut self, graph: &Graph, seed: u64, mut factory: F)
     where
         F: FnMut(NodeId, usize) -> P,
     {
         let n = graph.node_count();
-        self.nodes.clear();
+        self.nodes.truncate(n);
+        for (v, node) in self.nodes.iter_mut().enumerate() {
+            node.recycle(factory(NodeId::new(v as u32), n));
+        }
+        let kept = self.nodes.len();
         self.nodes
-            .extend((0..n).map(|v| factory(NodeId::new(v as u32), n)));
-        self.rngs.clear();
-        self.rngs.extend(graph.nodes().map(|v| node_rng(seed, v)));
-        self.halted.clear();
-        self.halted.resize(n.div_ceil(64), 0);
+            .extend((kept..n).map(|v| factory(NodeId::new(v as u32), n)));
+        self.rngs.resize(n, NodeRng::empty_slot());
+        self.seed = seed;
+        for words in [&mut self.halted, &mut self.seeded] {
+            words.clear();
+            words.resize(n.div_ceil(64), 0);
+        }
         self.inboxes.resize_with(n, Vec::new);
         self.outboxes.resize_with(n, Outbox::new);
         // Room for one message per incident edge — a superstep's CONGEST
@@ -244,26 +285,32 @@ impl<P: Program> NodeState<P> {
         let n = self.nodes.len();
         let shift = chunk_shift_for(n, threads);
         let span = 1usize << shift;
+        let seed = self.seed;
         let chunks = self
             .nodes
             .chunks_mut(span)
             .zip(self.rngs.chunks_mut(span))
             .zip(self.halted.chunks_mut(span / 64))
+            .zip(self.seeded.chunks_mut(span / 64))
             .zip(self.inboxes.chunks_mut(span))
             .zip(self.outboxes.chunks_mut(span))
             .enumerate()
-            .map(|(i, ((((nodes, rngs), halted), inboxes), outboxes))| {
-                Mutex::new(NodeChunk {
-                    base: i << shift,
-                    live: nodes.len(),
-                    pending: 0,
-                    nodes,
-                    rngs,
-                    halted,
-                    inboxes,
-                    outboxes,
-                })
-            })
+            .map(
+                |(i, (((((nodes, rngs), halted), seeded), inboxes), outboxes))| {
+                    Mutex::new(NodeChunk {
+                        base: i << shift,
+                        live: nodes.len(),
+                        pending: 0,
+                        nodes,
+                        rngs,
+                        seed,
+                        halted,
+                        seeded,
+                        inboxes,
+                        outboxes,
+                    })
+                },
+            )
             .collect();
         ChunkTable { chunks, shift, n }
     }
@@ -275,6 +322,7 @@ impl<P: Program> NodeState<P> {
             self.nodes.as_ptr() as usize,
             self.rngs.as_ptr() as usize,
             self.halted.as_ptr() as usize,
+            self.seeded.as_ptr() as usize,
             self.inboxes.as_ptr() as usize,
             self.outboxes.as_ptr() as usize,
         ];

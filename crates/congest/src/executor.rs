@@ -29,12 +29,15 @@ use crate::program::Program;
 ///   run's transcript depends on nothing an earlier run of the session
 ///   did.
 /// * **Buffer lifetime.** The session keeps its node state (programs,
-///   RNG streams, inboxes, outboxes, halt words) and its delivery
-///   buffers (edge counters, touched list, CSR bases, outbox
-///   capacities) from one run to the next and resets them in place, so
-///   a loop that runs one program type many times allocates them once.
-///   They are freed when the session is dropped: hold a session for as
-///   long as one loop needs it, not longer.
+///   RNG stream slots, inboxes, outboxes, halt and "seeded" words) and
+///   its delivery buffers (edge counters, touched list, CSR bases,
+///   outbox capacities) from one run to the next and resets them in
+///   place, so a loop that runs one program type many times allocates
+///   them once. Each run's programs are recycled into the previous
+///   run's ([`Program::recycle`]), and each node's stream is seeded on
+///   its first draw ([`crate::NodeRng`]). They are freed when the
+///   session is dropped: hold a session for as long as one loop needs
+///   it, not longer.
 ///
 /// See the crate-level docs for a complete example.
 pub struct Executor<P: Program> {
@@ -109,8 +112,9 @@ where
     ///
     /// `factory(v, n)` builds the program instance for vertex `v`;
     /// capture per-node inputs (set memberships, colorings, …) in the
-    /// closure. It is called in ascending node order on the calling
-    /// thread.
+    /// closure. It is called once per node, in ascending node order, on
+    /// the calling thread; the session then recycles each program into
+    /// the one it holds from its last run ([`Program::recycle`]).
     ///
     /// # Errors
     ///
@@ -158,8 +162,9 @@ impl<P: Program> Executor<P> {
 mod tests {
     use super::*;
     use crate::program::{Control, Ctx, Decision, Outbox};
+    use crate::strict::StrictExecutor;
     use congest_graph::generators;
-    use rand::Rng;
+    use rand::{Rng, RngCore};
 
     /// Every node broadcasts its id once, then halts after hearing all
     /// neighbors.
@@ -529,6 +534,90 @@ mod tests {
             let first = exec.buffer_addrs();
             exec.run(&g, 2, mixed(5), 16).unwrap();
             assert_eq!(exec.buffer_addrs(), first, "{backend}");
+        }
+    }
+
+    /// Draws three words from its stream in `init` and one more in its
+    /// first step if `draws`, logging them, then halts.
+    struct Draws {
+        draws: bool,
+        log: Vec<u64>,
+    }
+
+    impl Program for Draws {
+        type Msg = u32;
+        fn init(&mut self, ctx: &mut Ctx, _out: &mut Outbox<u32>) {
+            if self.draws {
+                self.log.extend((0..3).map(|_| ctx.rng.next_u64()));
+            }
+        }
+        fn step(
+            &mut self,
+            ctx: &mut Ctx,
+            _s: usize,
+            _inbox: &[(NodeId, u32)],
+            _out: &mut Outbox<u32>,
+        ) -> Control {
+            if self.draws {
+                self.log.push(ctx.rng.gen_range(0..u64::MAX));
+            }
+            Control::Halt
+        }
+    }
+
+    fn draws_at(pick: fn(NodeId) -> bool) -> impl Fn(NodeId, usize) -> Draws + Copy {
+        move |v, _| Draws {
+            draws: pick(v),
+            log: Vec::new(),
+        }
+    }
+
+    fn drawn(nodes: &[Draws]) -> Vec<Vec<u64>> {
+        nodes.iter().map(|p| p.log.clone()).collect()
+    }
+
+    /// What `Draws` logs at the nodes `pick` selects in a run with
+    /// seed `seed`: the first draws of a freshly seeded node stream.
+    fn fresh_draws(g: &Graph, seed: u64, pick: fn(NodeId) -> bool) -> Vec<Vec<u64>> {
+        let fresh = |v| {
+            let mut rng = crate::node_rng(seed, v);
+            let mut log: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
+            log.push(rng.gen_range(0..u64::MAX));
+            log
+        };
+        g.nodes()
+            .map(|v| if pick(v) { fresh(v) } else { Vec::new() })
+            .collect()
+    }
+
+    #[test]
+    fn every_run_of_a_session_draws_from_fresh_node_streams() {
+        let g = generators::erdos_renyi(300, 0.02, 6);
+        let odd: fn(NodeId) -> bool = |v| v.index() % 2 == 1;
+        let every: fn(NodeId) -> bool = |_| true;
+        let none: fn(NodeId) -> bool = |_| false;
+        for backend in SESSIONS {
+            // Only odd nodes draw; a seed that comes back draws its
+            // streams from the start again.
+            let mut exec = Executor::new(backend);
+            for seed in [1, 2, 1] {
+                exec.run(&g, seed, draws_at(odd), 4).unwrap();
+                let want = fresh_draws(&g, seed, odd);
+                assert_eq!(drawn(exec.nodes()), want, "{backend}, seed {seed}");
+                let mut strict = StrictExecutor::new(&g, seed);
+                strict.run(draws_at(odd), 4).unwrap();
+                assert_eq!(drawn(strict.nodes()), want, "strict, seed {seed}");
+            }
+            // Every node draws, then none, then every node again with
+            // the first run's seed: the streams the second run never
+            // touched start over too.
+            let mut exec = Executor::new(backend);
+            exec.run(&g, 1, draws_at(every), 4).unwrap();
+            let first = drawn(exec.nodes());
+            assert_eq!(first, fresh_draws(&g, 1, every), "{backend}");
+            exec.run(&g, 2, draws_at(none), 4).unwrap();
+            exec.run(&g, 1, draws_at(every), 4).unwrap();
+            assert_eq!(drawn(exec.nodes()), first, "{backend}");
         }
     }
 

@@ -91,7 +91,7 @@ pub use error::SimError;
 pub use executor::Executor;
 pub use message::MessageSize;
 pub use metrics::{CongestionStats, RunReport};
-pub use program::{Control, Ctx, Decision, Outbox, Program};
+pub use program::{Control, Ctx, Decision, NodeRng, Outbox, Program};
 
 use congest_graph::{Graph, NodeId};
 use rand::SeedableRng;
@@ -130,7 +130,8 @@ where
 }
 
 /// The private random stream node `v` reads through [`Ctx::rng`] in a
-/// run with seed `seed`. Every executor seeds node streams here, so
+/// run with seed `seed`. Every executor seeds node streams here, on
+/// each node's first draw ([`NodeRng`]), so
 /// code that needs only a node's first draws (say, a coin its program
 /// flips in [`Program::init`]) can replay them without running the
 /// program.

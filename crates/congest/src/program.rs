@@ -1,9 +1,11 @@
 //! Node programs: the local algorithms run by each vertex.
 
 use congest_graph::NodeId;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::message::MessageSize;
+use crate::node_rng;
 
 /// The local view a node has of the network — everything a CONGEST
 /// algorithm is allowed to know before communicating.
@@ -17,8 +19,79 @@ pub struct Ctx<'a> {
     pub n: usize,
     /// The identifiers of this node's neighbors (sorted).
     pub neighbors: &'a [NodeId],
-    /// Private per-node randomness, derived from the master seed.
-    pub rng: &'a mut ChaCha8Rng,
+    /// Private per-node randomness, derived from the master seed: the
+    /// stream [`node_rng`]`(seed, node)` of the run's seed, seeded on
+    /// the node's first draw.
+    pub rng: NodeRng<'a>,
+}
+
+/// A node's private random stream in one run: [`node_rng`]`(seed, v)`,
+/// seeded the first time node `v` draws, so the draws are exactly those
+/// of a stream seeded up front, and a node that never draws costs no key
+/// schedule. Implements [`RngCore`], so every `rand::Rng` method works
+/// on it.
+///
+/// The stream lives in a slot its executor keeps from run to run, beside
+/// one "seeded" bit per node; an executor starts a run by clearing the
+/// bits, which is all it takes to give every node a fresh stream.
+#[derive(Debug)]
+pub struct NodeRng<'a> {
+    slot: &'a mut ChaCha8Rng,
+    /// The word holding the node's "seeded" bit.
+    seeded: &'a mut u64,
+    bit: u64,
+    seed: u64,
+    node: NodeId,
+}
+
+impl<'a> NodeRng<'a> {
+    /// The stream of `node` in a run with seed `seed`, kept in `slot`;
+    /// bit `bit` of `seeded` says whether `slot` already holds it.
+    pub(crate) fn new(
+        slot: &'a mut ChaCha8Rng,
+        seeded: &'a mut u64,
+        bit: usize,
+        seed: u64,
+        node: NodeId,
+    ) -> Self {
+        NodeRng {
+            slot,
+            seeded,
+            bit: 1 << bit,
+            seed,
+            node,
+        }
+    }
+
+    /// A value for a slot no node has drawn from yet; the first draw
+    /// replaces it.
+    pub(crate) fn empty_slot() -> ChaCha8Rng {
+        ChaCha8Rng::from_seed(Default::default())
+    }
+
+    /// The node's stream, seeded now if this is its first draw.
+    #[inline]
+    fn stream(&mut self) -> &mut ChaCha8Rng {
+        if *self.seeded & self.bit == 0 {
+            *self.slot = node_rng(self.seed, self.node);
+            *self.seeded |= self.bit;
+        }
+        self.slot
+    }
+}
+
+impl RngCore for NodeRng<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.stream().next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.stream().next_u64()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.stream().fill_bytes(dest);
+    }
 }
 
 impl Ctx<'_> {
@@ -102,6 +175,12 @@ pub trait Program {
 
     /// One synchronous superstep: `inbox` holds the messages sent to this
     /// node in the previous superstep, tagged with their senders.
+    ///
+    /// Every executor guarantees the inbox order: ascending by sender,
+    /// and one sender's messages in the order it queued them, its
+    /// broadcast first. Since [`Ctx::neighbors`] is sorted too, a
+    /// program can find each sender's position with one forward walk
+    /// over the neighbor list.
     fn step(
         &mut self,
         ctx: &mut Ctx,
@@ -113,6 +192,20 @@ pub trait Program {
     /// The node's verdict once the run ends. Default: accept.
     fn decision(&self) -> Decision {
         Decision::Accept
+    }
+
+    /// Turns this node's state, left by an earlier run of the same
+    /// session, into `fresh`, the program the run's factory built for
+    /// the node. Default: `*self = fresh`.
+    ///
+    /// A program that owns buffers can override this to keep their
+    /// allocations: it empties them and takes every other field from
+    /// `fresh`, so that nothing an earlier run left behind is observable.
+    fn recycle(&mut self, fresh: Self)
+    where
+        Self: Sized,
+    {
+        *self = fresh;
     }
 }
 

@@ -19,8 +19,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::error::SimError;
 use crate::message::MessageSize;
 use crate::metrics::{CongestionStats, RunReport};
-use crate::node_rng;
-use crate::program::{Control, Ctx, Decision, Outbox, Program};
+use crate::program::{Control, Ctx, Decision, NodeRng, Outbox, Program};
 
 /// A CONGEST executor that literally iterates bandwidth-limited rounds.
 ///
@@ -72,8 +71,9 @@ impl<'g, P: Program> StrictExecutor<'g, P> {
     {
         let n = self.graph.node_count();
         self.nodes = (0..n as u32).map(|v| factory(NodeId::new(v), n)).collect();
-        let mut rngs: Vec<ChaCha8Rng> =
-            self.graph.nodes().map(|v| node_rng(self.seed, v)).collect();
+        // Node streams seeded on first draw, as in `Executor`.
+        let mut rngs: Vec<ChaCha8Rng> = vec![NodeRng::empty_slot(); n];
+        let mut seeded = vec![0u64; n.div_ceil(64)];
 
         let mut halted = vec![false; n];
         let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
@@ -82,13 +82,14 @@ impl<'g, P: Program> StrictExecutor<'g, P> {
         let mut supersteps: u64 = 0;
 
         let mut pending: Vec<Outbox<P::Msg>> = Vec::with_capacity(n);
-        for (v, rng) in rngs.iter_mut().enumerate() {
+        for (v, slot) in rngs.iter_mut().enumerate() {
             let mut out = Outbox::new();
+            let id = NodeId::new(v as u32);
             let mut ctx = Ctx {
-                node: NodeId::new(v as u32),
+                node: id,
                 n,
-                neighbors: self.graph.neighbors(NodeId::new(v as u32)),
-                rng,
+                neighbors: self.graph.neighbors(id),
+                rng: NodeRng::new(slot, &mut seeded[v / 64], v % 64, self.seed, id),
             };
             self.nodes[v].init(&mut ctx, &mut out);
             pending.push(out);
@@ -113,11 +114,14 @@ impl<'g, P: Program> StrictExecutor<'g, P> {
                 let mut out = Outbox::new();
                 if !halted[v] {
                     let inbox = std::mem::take(&mut inboxes[v]);
+                    let id = NodeId::new(v as u32);
+                    let rng =
+                        NodeRng::new(&mut rngs[v], &mut seeded[v / 64], v % 64, self.seed, id);
                     let mut ctx = Ctx {
-                        node: NodeId::new(v as u32),
+                        node: id,
                         n,
-                        neighbors: self.graph.neighbors(NodeId::new(v as u32)),
-                        rng: &mut rngs[v],
+                        neighbors: self.graph.neighbors(id),
+                        rng,
                     };
                     let control =
                         self.nodes[v].step(&mut ctx, supersteps as usize, &inbox, &mut out);

@@ -124,6 +124,13 @@ impl<P: Program> Program for Traced<P> {
     fn decision(&self) -> crate::Decision {
         self.inner.decision()
     }
+
+    fn recycle(&mut self, fresh: Self) {
+        self.inner.recycle(fresh.inner);
+        self.node = fresh.node;
+        self.log = fresh.log;
+        self.neighbors = fresh.neighbors;
+    }
 }
 
 impl<P: Program> Traced<P> {

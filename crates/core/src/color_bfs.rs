@@ -749,54 +749,68 @@ impl ColorBfs {
         })
     }
 
-    /// The set `I_v` of distinct origin ids received from `senders`
-    /// colored `expected`, restricted to `H`.
-    fn collect_ids(&self, inbox: &[(NodeId, CbMsg)], ctx: &Ctx, expected: u8) -> Vec<u32> {
-        let mut ids: Vec<u32> = Vec::new();
-        for (from, msg) in inbox {
-            if let CbMsg::Ids(payload) = msg {
-                let pos = ctx
-                    .neighbors
-                    .binary_search(from)
-                    .expect("sender must be a neighbor");
-                if self.nbr[pos] == expected {
-                    ids.extend_from_slice(payload);
-                }
+    /// The identifier sets received from `H`-neighbors colored
+    /// `expected`, in inbox order.
+    fn sets_from<'m>(
+        &'m self,
+        inbox: &'m [(NodeId, CbMsg)],
+        ctx: &'m Ctx,
+        expected: u8,
+    ) -> impl Iterator<Item = &'m [u32]> + 'm {
+        let mut walk = SenderWalk::default();
+        inbox.iter().filter_map(move |(from, msg)| match msg {
+            CbMsg::Ids(ids) if self.nbr[walk.position(ctx.neighbors, *from)] == expected => {
+                Some(ids.as_slice())
             }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+            _ => None,
+        })
     }
 
-    /// Sends `ids` to every `H`-neighbor colored `next`.
-    fn forward(&self, ctx: &Ctx, out: &mut Outbox<CbMsg>, ids: &[u32], next: u8) {
-        if ids.is_empty() {
+    /// Collects as `I_v` the distinct origin ids received from
+    /// `H`-neighbors colored `expected`.
+    fn collect(&mut self, inbox: &[(NodeId, CbMsg)], ctx: &Ctx, expected: u8) {
+        let mut collected = std::mem::take(&mut self.collected);
+        collected.clear();
+        for ids in self.sets_from(inbox, ctx, expected) {
+            collected.extend_from_slice(ids);
+        }
+        collected.sort_unstable();
+        collected.dedup();
+        self.collected = collected;
+    }
+
+    /// Sends `I_v` to every `H`-neighbor colored `next`.
+    fn forward(&self, ctx: &Ctx, out: &mut Outbox<CbMsg>, next: u8) {
+        if self.collected.is_empty() {
             return;
         }
         for (pos, &nbr) in ctx.neighbors.iter().enumerate() {
             if self.nbr[pos] == next {
-                out.send(nbr, CbMsg::Ids(ids.to_vec()));
+                out.send(nbr, CbMsg::Ids(self.collected.clone()));
             }
         }
     }
 
-    /// Keeps `ids` as `I_v` and forwards them to the colors `next`,
-    /// unless `|I_v| > τ`.
-    fn relay(&mut self, ctx: &Ctx, out: &mut Outbox<CbMsg>, ids: Vec<u32>, next: &[u8]) {
-        if ids.len() as u64 <= self.tau {
+    /// Forwards `I_v` to the colors `next`, unless `|I_v| > τ`.
+    fn relay(&mut self, ctx: &Ctx, out: &mut Outbox<CbMsg>, next: &[u8]) {
+        if self.collected.len() as u64 <= self.tau {
             for &color in next {
-                self.forward(ctx, out, &ids, color);
+                self.forward(ctx, out, color);
             }
         } else {
             self.overflowed = true;
         }
-        self.collected = ids;
     }
 
-    /// Rejects if some identifier of `ids` is also in `I_v`.
-    fn reject_on_common(&mut self, ids: &[u32]) {
-        let common = self.collected.iter().find(|x| ids.binary_search(x).is_ok());
+    /// Rejects if some identifier received from `H`-neighbors colored
+    /// `expected` is also in `I_v`, with the least such identifier as
+    /// the origin.
+    fn reject_on_common(&mut self, inbox: &[(NodeId, CbMsg)], ctx: &Ctx, expected: u8) {
+        let common = self
+            .sets_from(inbox, ctx, expected)
+            .flatten()
+            .filter(|id| self.collected.binary_search(id).is_ok())
+            .min();
         if let Some(&origin) = common {
             self.reject = Some(RejectEvidence { origin });
         }
@@ -837,14 +851,12 @@ impl Program for ColorBfs {
     ) -> Control {
         if superstep == 0 {
             // Record the colors of the H-neighbors from the Hellos.
-            self.nbr = vec![NOT_IN_H; ctx.neighbors.len()];
+            self.nbr.clear();
+            self.nbr.resize(ctx.neighbors.len(), NOT_IN_H);
+            let mut walk = SenderWalk::default();
             for (from, msg) in inbox {
                 if let CbMsg::Hello { color, in_h: true } = msg {
-                    let pos = ctx
-                        .neighbors
-                        .binary_search(from)
-                        .expect("sender must be a neighbor");
-                    self.nbr[pos] = *color;
+                    self.nbr[walk.position(ctx.neighbors, *from)] = *color;
                 }
             }
             if !self.in_h {
@@ -882,33 +894,29 @@ impl Program for ColorBfs {
             if c < meet {
                 // Up branch: collect from c-1, forward to c+1
                 // (Instructions 16–22).
-                let ids = self.collect_ids(inbox, ctx, c - 1);
-                self.relay(ctx, out, ids, &[c + 1]);
+                self.collect(inbox, ctx, c - 1);
+                self.relay(ctx, out, &[c + 1]);
             } else if c > meet {
                 // Down branch: collect from c+1 (mod P; the predecessor
                 // of P-1 is color 0) and forward to c-1; with the
                 // hand-off, m+1 also forwards to m-1.
-                let ids = self.collect_ids(inbox, ctx, (c + 1) % size);
+                self.collect(inbox, ctx, (c + 1) % size);
                 if hand_off && c == meet + 1 {
-                    self.relay(ctx, out, ids, &[c - 1, meet - 1]);
+                    self.relay(ctx, out, &[c - 1, meet - 1]);
                 } else {
-                    self.relay(ctx, out, ids, &[c - 1]);
+                    self.relay(ctx, out, &[c - 1]);
                 }
             } else {
-                self.collected = self.collect_ids(inbox, ctx, meet - 1);
+                self.collect(inbox, ctx, meet - 1);
             }
         }
         if c == meet && at(size - meet) {
             // Instructions 24–28: the same id along the up branch and
             // the down branch certifies a cycle.
-            let down = self.collect_ids(inbox, ctx, meet + 1);
-            self.reject_on_common(&down);
-        } else if self.awaits_hand_off() && at(meet) {
+            self.reject_on_common(inbox, ctx, meet + 1);
+        } else if self.awaits_hand_off() && at(meet) && !self.overflowed {
             // §3.5: an id this node forwarded came back from m+1.
-            let back = self.collect_ids(inbox, ctx, meet + 1);
-            if !self.overflowed {
-                self.reject_on_common(&back);
-            }
+            self.reject_on_common(inbox, ctx, meet + 1);
         }
         if superstep < self.last_step() {
             Control::Continue
@@ -923,6 +931,42 @@ impl Program for ColorBfs {
         } else {
             Decision::Accept
         }
+    }
+
+    /// Keeps the allocations of the neighbor table and of `I_v`,
+    /// emptied; every other field comes from `fresh`.
+    fn recycle(&mut self, fresh: ColorBfs) {
+        let (mut nbr, mut collected) = (
+            std::mem::take(&mut self.nbr),
+            std::mem::take(&mut self.collected),
+        );
+        nbr.clear();
+        collected.clear();
+        *self = ColorBfs {
+            nbr,
+            collected,
+            ..fresh
+        };
+    }
+}
+
+/// Finds the senders of one inbox in a node's sorted neighbor list with
+/// one forward walk: an inbox lists its senders in ascending order
+/// ([`Program::step`]).
+#[derive(Default)]
+struct SenderWalk {
+    pos: usize,
+}
+
+impl SenderWalk {
+    /// The position of `from` in `neighbors`; `from` must not precede
+    /// the sender asked for before it.
+    fn position(&mut self, neighbors: &[NodeId], from: NodeId) -> usize {
+        while neighbors[self.pos] < from {
+            self.pos += 1;
+        }
+        debug_assert_eq!(neighbors[self.pos], from, "sender must be a neighbor");
+        self.pos
     }
 }
 
@@ -1302,6 +1346,91 @@ mod tests {
         assert_eq!(low.as_monte_carlo(&g, seq).verdicts.on_cycle, on_c4);
         assert_eq!(f2k.as_monte_carlo(&g, seq).verdicts.on_cycle, on_c4);
         assert!(!empty(&odd.as_monte_carlo(&g, seq).verdicts.on_cycle));
+    }
+
+    impl ColorBfs {
+        /// The address of the neighbor table.
+        fn table_addr(&self) -> usize {
+            self.nbr.as_ptr() as usize
+        }
+    }
+
+    #[test]
+    fn a_second_call_keeps_every_neighbor_table() {
+        let g = generators::erdos_renyi(300, 0.03, 8);
+        let mut session = Executor::new(Backend::Sequential);
+        let x_mask = vec![true; g.node_count()];
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut tables = Vec::new();
+        for seed in 0..2 {
+            let colors: Vec<u8> = g.nodes().map(|_| rng.gen_range(0..4)).collect();
+            let coloring = Coloring::forced(&colors);
+            let call = ColorBfsCall {
+                palette: Palette::even(2),
+                launch: Launch::new(4, false),
+                iteration: 1,
+                phase: None,
+                coloring: &coloring,
+                h_mask: &x_mask,
+                x_mask: &x_mask,
+                seed,
+            };
+            call.simulate(&mut session, &g);
+            tables.push(
+                session
+                    .nodes()
+                    .iter()
+                    .map(ColorBfs::table_addr)
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(tables[0], tables[1]);
+    }
+
+    #[test]
+    fn a_recycled_session_matches_fresh_sessions() {
+        // The C4 0-1-2-3 colored 0, 1, 2, 3, with node 4 colored 0 on
+        // node 1, which collects {0, 4}. Calls that reject (τ = 2),
+        // overflow at node 1 (τ = 1), launch nothing, and reject again,
+        // on one session and each on a fresh one.
+        let mut b = congest_graph::GraphBuilder::new(5);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)] {
+            b.add_edge(NodeId::new(u), NodeId::new(v));
+        }
+        let g = b.build();
+        let colors = [0, 1, 2, 3, 0];
+        let run = |session: &mut Executor<ColorBfs>, tau: u64, active: bool| {
+            let palette = Palette::even(2);
+            let report = session
+                .run(
+                    &g,
+                    7,
+                    |v, _| {
+                        ColorBfs::with_palette(palette, colors[v.index()], true, true, active, tau)
+                    },
+                    8,
+                )
+                .unwrap();
+            let states: Vec<_> = session
+                .nodes()
+                .iter()
+                .map(|p| (p.evidence(), p.overflowed(), p.collected().to_vec()))
+                .collect();
+            (report, states)
+        };
+        let mut recycled = Executor::new(Backend::Sequential);
+        for (tau, active, rejects, overflows) in [
+            (2, true, true, false),
+            (1, true, false, true),
+            (2, false, false, false),
+            (2, true, true, false),
+        ] {
+            let (report, states) = run(&mut recycled, tau, active);
+            assert_eq!(report.rejected(), rejects, "τ = {tau}, active {active}");
+            assert_eq!(states[1].1, overflows, "τ = {tau}, active {active}");
+            let fresh = run(&mut Executor::new(Backend::Sequential), tau, active);
+            assert_eq!((report, states), fresh, "τ = {tau}, active {active}");
+        }
     }
 
     #[test]

@@ -236,7 +236,7 @@ struct SetupProgram {
 impl SetupProgram {
     /// Instruction 3: whether a node joins `S`, from the first draw of
     /// its random stream (`p ≥ 1` draws nothing).
-    fn selected(rng: &mut ChaCha8Rng, p: f64) -> bool {
+    fn selected(rng: &mut impl Rng, p: f64) -> bool {
         rng.gen_bool(p)
     }
 
@@ -253,7 +253,7 @@ impl Program for SetupProgram {
     fn init(&mut self, ctx: &mut Ctx, out: &mut Outbox<bool>) {
         self.in_s = match self.forced {
             Some(v) => v,
-            None => SetupProgram::selected(ctx.rng, self.selection_probability),
+            None => SetupProgram::selected(&mut ctx.rng, self.selection_probability),
         };
         out.broadcast(self.in_s);
     }

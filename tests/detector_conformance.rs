@@ -402,3 +402,47 @@ fn fast_ci_classical_costs_are_pinned() {
         assert_eq!((got.as_str(), d.cost), (verdict, want), "{id} on {family}");
     }
 }
+
+#[test]
+fn fast_ci_algorithm_1_costs_are_pinned_at_scale() {
+    // Algorithm 1's fast-ci verdict and every `RunCost` field on a
+    // 5,000-node tree (10 chunks of node state at one thread) and the
+    // 553-node polarity graph (q = 23), on both backends: recorded before
+    // node streams were seeded on first draw, programs kept their
+    // buffers across a session's runs and senders were found by a
+    // merge walk, none of which may change a charge. Fields: rounds,
+    // supersteps, messages, words, max_congestion, iterations.
+    use even_cycle_congest::sim::Backend;
+    use even_cycle_congest::{FamilySpec, RunProfile};
+    #[rustfmt::skip]
+    const PINNED: [(&str, usize, [u64; 6]); 2] = [
+        ("trees",    5_000, [125, 73, 278_599, 279_176, 4, 8]),
+        ("polarity",   553, [203, 73, 366_230, 410_729, 11, 8]),
+    ];
+    let registry = RunProfile::FastCi.registry(2);
+    let entry = registry
+        .get("classical/C4/global-threshold-color-bfs")
+        .expect("Algorithm 1 is registered");
+    for (family, n, cost) in PINNED {
+        let g = FamilySpec::parse(family).unwrap().build(n, 3);
+        for backend in [Backend::Sequential, Backend::Parallel { threads: 2 }] {
+            let budget = RunProfile::FastCi.budget().with_backend(backend);
+            let d = entry.detector.detect(&g, 5, &budget).unwrap();
+            let c = d.cost;
+            let got = [
+                c.rounds,
+                c.supersteps,
+                c.messages,
+                c.words,
+                c.max_congestion,
+                c.iterations,
+            ];
+            assert_eq!(
+                (d.rejected(), d.budget_exceeded(), got),
+                (false, false, cost),
+                "{family} n = {} on {backend}",
+                g.node_count()
+            );
+        }
+    }
+}
