@@ -487,6 +487,15 @@ impl RunClock {
             *last = now;
         }
     }
+
+    /// Starts the next lap without charging the time since the last
+    /// one to any phase: for the time the recorder itself takes.
+    #[inline]
+    fn skip(&mut self) {
+        if let Some(last) = &mut self.lap {
+            *last = Instant::now();
+        }
+    }
 }
 
 impl Drop for RunClock {
@@ -724,8 +733,15 @@ impl Delivery {
 }
 
 /// Folds one delivery pass into the process-wide metrics and, when a
-/// recorder is installed, emits the per-round profile event.
-fn observe_delivery(metrics: &SimMetrics, outcome: &DeliverOutcome, superstep: u64) {
+/// recorder is installed, emits the per-round profile event. A sink
+/// that writes the event (a JSONL file, say) can take longer than a
+/// small run's phases, so `clock` charges this to no phase.
+fn observe_delivery(
+    metrics: &SimMetrics,
+    outcome: &DeliverOutcome,
+    superstep: u64,
+    clock: &mut RunClock,
+) {
     metrics.messages_delivered.add(outcome.messages);
     metrics.buffer_reuse_hits.add(outcome.reused_buffers);
     metrics.superstep_messages.record(outcome.messages);
@@ -738,6 +754,7 @@ fn observe_delivery(metrics: &SimMetrics, outcome: &DeliverOutcome, superstep: u
             ("round_cost", outcome.round_cost.into()),
         ]
     });
+    clock.skip();
 }
 
 /// Runs a program to completion over the chunk table of a freshly
@@ -791,7 +808,7 @@ where
             &mut clock,
         )?;
         rounds += outcome.round_cost;
-        observe_delivery(metrics, &outcome, 0);
+        observe_delivery(metrics, &outcome, 0, &mut clock);
     }
     let mut finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
     guards.clear();
@@ -819,7 +836,7 @@ where
             &mut clock,
         )?;
         rounds += outcome.round_cost;
-        observe_delivery(metrics, &outcome, supersteps);
+        observe_delivery(metrics, &outcome, supersteps, &mut clock);
         finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
         guards.clear();
         clock.lap(Phase::Scan);
