@@ -71,11 +71,10 @@ use crate::program::{Control, Ctx, Decision, NodeRng, Outbox, Program};
 /// arrays. `nodes[off]`, `rngs[off]`, `inboxes[off]`, and
 /// `outboxes[off]` all belong to global node `base + off`; `halted`
 /// and `seeded` pack the halt flags and the streams' "seeded" bits 64
-/// per word. The chunk is the unit of work
-/// claiming: a phase steps whole chunks, so a `Mutex` per chunk
-/// (uncontended — the claim cursor hands each chunk to exactly one
-/// worker) is the entire synchronization story, with no `unsafe`
-/// anywhere.
+/// per word. The chunk is the unit of work claiming: a phase steps
+/// whole chunks, so a `Mutex` per chunk (uncontended — the claim
+/// cursor hands each chunk to exactly one worker) is the entire
+/// synchronization story, with no `unsafe` anywhere.
 pub(crate) struct NodeChunk<'s, P: Program> {
     /// Global id of the chunk's first node.
     base: usize,
