@@ -446,3 +446,141 @@ fn fast_ci_algorithm_1_costs_are_pinned_at_scale() {
         }
     }
 }
+
+#[test]
+fn fast_ci_budget_matrix_is_pinned() {
+    // Verdict and every `RunCost` field of each fast-ci k = 2 entry under
+    // budgets that set one field each, recorded before every detector
+    // read its run configuration from one `Budget`: the bandwidth, the
+    // repetition override and both caps must mean for each entry what
+    // they meant then. The round cap binds every entry that does not
+    // reject first; the message cap binds the simulated loops. Fields:
+    // rounds, supersteps, messages, words, max_congestion, iterations.
+    use even_cycle_congest::{FamilySpec, RunCost, RunProfile, Verdict};
+    #[rustfmt::skip]
+    const PINNED: [(&str, &str, &str, &str, [u64; 6]); 80] = [
+        ("bw4",       "trees",     "classical/C4/global-threshold-color-bfs",         "accept",      [82, 57, 1364, 1366, 2, 8]),
+        ("bw4",       "trees",     "classical/C5/constant-round-odd-color-bfs",       "accept",      [200, 160, 1854, 1854, 1, 40]),
+        ("bw4",       "trees",     "classical/F4/pairwise-color-bfs-sweep",           "accept",      [32, 24, 421, 421, 1, 4]),
+        ("bw4",       "trees",     "quantum/C4/amplified-color-bfs-pipeline",         "accept",      [55289, 0, 0, 0, 0, 397]),
+        ("bw4",       "trees",     "quantum/C5/amplified-odd-color-bfs-pipeline",     "accept",      [284572, 0, 0, 0, 0, 589]),
+        ("bw4",       "trees",     "quantum/F4/amplified-pairwise-sweep-pipeline",    "accept",      [308091, 0, 0, 0, 0, 780]),
+        ("bw4",       "trees",     "classical/C4/deterministic-gather",               "accept",      [33, 16, 502, 2116, 12, 1]),
+        ("bw4",       "trees",     "classical/C5/deterministic-gather",               "accept",      [33, 16, 502, 2116, 12, 1]),
+        ("bw4",       "trees",     "quantum/F4/quantized-heavy-search-framework",     "accept",      [92250, 0, 0, 0, 0, 321]),
+        ("bw4",       "trees",     "classical/C4/local-threshold-sampling",           "accept",      [19, 14, 237, 237, 1, 5]),
+        ("bw4",       "planted:4", "classical/C4/global-threshold-color-bfs",         "reject C4",   [6, 4, 121, 121, 1, 1]),
+        ("bw4",       "planted:4", "classical/C5/constant-round-odd-color-bfs",       "accept",      [200, 160, 2178, 2178, 1, 40]),
+        ("bw4",       "planted:4", "classical/F4/pairwise-color-bfs-sweep",           "accept",      [32, 24, 494, 496, 2, 4]),
+        ("bw4",       "planted:4", "quantum/C4/amplified-color-bfs-pipeline",         "reject C4",   [5332, 0, 0, 0, 0, 38]),
+        ("bw4",       "planted:4", "quantum/C5/amplified-odd-color-bfs-pipeline",     "accept",      [141718, 0, 0, 0, 0, 297]),
+        ("bw4",       "planted:4", "quantum/F4/amplified-pairwise-sweep-pipeline",    "reject C4",   [196840, 0, 0, 0, 0, 500]),
+        ("bw4",       "planted:4", "classical/C4/deterministic-gather",               "reject C4",   [33, 9, 330, 2916, 20, 1]),
+        ("bw4",       "planted:4", "classical/C5/deterministic-gather",               "accept",      [33, 9, 330, 2916, 20, 1]),
+        ("bw4",       "planted:4", "quantum/F4/quantized-heavy-search-framework",     "accept",      [89380, 0, 0, 0, 0, 321]),
+        ("bw4",       "planted:4", "classical/C4/local-threshold-sampling",           "accept",      [19, 14, 283, 283, 1, 5]),
+        ("reps3",     "trees",     "classical/C4/global-threshold-color-bfs",         "accept",      [32, 22, 534, 534, 1, 3]),
+        ("reps3",     "trees",     "classical/C5/constant-round-odd-color-bfs",       "accept",      [15, 12, 142, 142, 1, 3]),
+        ("reps3",     "trees",     "classical/F4/pairwise-color-bfs-sweep",           "accept",      [24, 18, 317, 317, 1, 3]),
+        ("reps3",     "trees",     "quantum/C4/amplified-color-bfs-pipeline",         "accept",      [65651, 0, 0, 0, 0, 397]),
+        ("reps3",     "trees",     "quantum/C5/amplified-odd-color-bfs-pipeline",     "accept",      [49370, 0, 0, 0, 0, 589]),
+        ("reps3",     "trees",     "quantum/F4/amplified-pairwise-sweep-pipeline",    "accept",      [84714, 0, 0, 0, 0, 780]),
+        ("reps3",     "trees",     "classical/C4/deterministic-gather",               "accept",      [118, 16, 502, 2116, 12, 1]),
+        ("reps3",     "trees",     "classical/C5/deterministic-gather",               "accept",      [118, 16, 502, 2116, 12, 1]),
+        ("reps3",     "trees",     "quantum/F4/quantized-heavy-search-framework",     "accept",      [38950, 0, 0, 0, 0, 321]),
+        ("reps3",     "trees",     "classical/C4/local-threshold-sampling",           "accept",      [12, 9, 140, 140, 1, 3]),
+        ("reps3",     "planted:4", "classical/C4/global-threshold-color-bfs",         "reject C4",   [6, 4, 121, 121, 1, 1]),
+        ("reps3",     "planted:4", "classical/C5/constant-round-odd-color-bfs",       "accept",      [15, 12, 167, 167, 1, 3]),
+        ("reps3",     "planted:4", "classical/F4/pairwise-color-bfs-sweep",           "accept",      [25, 18, 374, 376, 2, 3]),
+        ("reps3",     "planted:4", "quantum/C4/amplified-color-bfs-pipeline",         "reject C4",   [6475, 0, 0, 0, 0, 38]),
+        ("reps3",     "planted:4", "quantum/C5/amplified-odd-color-bfs-pipeline",     "accept",      [24020, 0, 0, 0, 0, 297]),
+        ("reps3",     "planted:4", "quantum/F4/amplified-pairwise-sweep-pipeline",    "accept",      [81333, 0, 0, 0, 0, 780]),
+        ("reps3",     "planted:4", "classical/C4/deterministic-gather",               "reject C4",   [120, 9, 330, 2916, 20, 1]),
+        ("reps3",     "planted:4", "classical/C5/deterministic-gather",               "accept",      [120, 9, 330, 2916, 20, 1]),
+        ("reps3",     "planted:4", "quantum/F4/quantized-heavy-search-framework",     "accept",      [36080, 0, 0, 0, 0, 321]),
+        ("reps3",     "planted:4", "classical/C4/local-threshold-sampling",           "accept",      [12, 9, 166, 166, 1, 3]),
+        ("cap16",     "trees",     "classical/C4/global-threshold-color-bfs",         "over budget", [20, 14, 324, 324, 1, 2]),
+        ("cap16",     "trees",     "classical/C5/constant-round-odd-color-bfs",       "over budget", [20, 16, 188, 188, 1, 4]),
+        ("cap16",     "trees",     "classical/F4/pairwise-color-bfs-sweep",           "over budget", [20, 15, 271, 271, 1, 3]),
+        ("cap16",     "trees",     "quantum/C4/amplified-color-bfs-pipeline",         "over budget", [125, 0, 0, 0, 0, 0]),
+        ("cap16",     "trees",     "quantum/C5/amplified-odd-color-bfs-pipeline",     "over budget", [150, 0, 0, 0, 0, 0]),
+        ("cap16",     "trees",     "quantum/F4/amplified-pairwise-sweep-pipeline",    "over budget", [125, 0, 0, 0, 0, 0]),
+        ("cap16",     "trees",     "classical/C4/deterministic-gather",               "over budget", [118, 16, 502, 2116, 12, 1]),
+        ("cap16",     "trees",     "classical/C5/deterministic-gather",               "over budget", [118, 16, 502, 2116, 12, 1]),
+        ("cap16",     "trees",     "quantum/F4/quantized-heavy-search-framework",     "over budget", [92250, 0, 0, 0, 0, 321]),
+        ("cap16",     "trees",     "classical/C4/local-threshold-sampling",           "over budget", [19, 14, 237, 237, 1, 5]),
+        ("cap16",     "planted:4", "classical/C4/global-threshold-color-bfs",         "reject C4",   [6, 4, 121, 121, 1, 1]),
+        ("cap16",     "planted:4", "classical/C5/constant-round-odd-color-bfs",       "over budget", [20, 16, 221, 221, 1, 4]),
+        ("cap16",     "planted:4", "classical/F4/pairwise-color-bfs-sweep",           "over budget", [17, 12, 254, 256, 2, 2]),
+        ("cap16",     "planted:4", "quantum/C4/amplified-color-bfs-pipeline",         "over budget", [125, 0, 0, 0, 0, 0]),
+        ("cap16",     "planted:4", "quantum/C5/amplified-odd-color-bfs-pipeline",     "over budget", [150, 0, 0, 0, 0, 0]),
+        ("cap16",     "planted:4", "quantum/F4/amplified-pairwise-sweep-pipeline",    "over budget", [125, 0, 0, 0, 0, 0]),
+        ("cap16",     "planted:4", "classical/C4/deterministic-gather",               "reject C4",   [120, 9, 330, 2916, 20, 1]),
+        ("cap16",     "planted:4", "classical/C5/deterministic-gather",               "over budget", [120, 9, 330, 2916, 20, 1]),
+        ("cap16",     "planted:4", "quantum/F4/quantized-heavy-search-framework",     "over budget", [89380, 0, 0, 0, 0, 321]),
+        ("cap16",     "planted:4", "classical/C4/local-threshold-sampling",           "over budget", [19, 14, 283, 283, 1, 5]),
+        ("msgcap300", "trees",     "classical/C4/global-threshold-color-bfs",         "over budget", [20, 14, 324, 324, 1, 2]),
+        ("msgcap300", "trees",     "classical/C5/constant-round-odd-color-bfs",       "over budget", [35, 28, 326, 326, 1, 7]),
+        ("msgcap300", "trees",     "classical/F4/pairwise-color-bfs-sweep",           "over budget", [24, 18, 317, 317, 1, 3]),
+        ("msgcap300", "trees",     "quantum/C4/amplified-color-bfs-pipeline",         "accept",      [161006, 0, 0, 0, 0, 397]),
+        ("msgcap300", "trees",     "quantum/C5/amplified-odd-color-bfs-pipeline",     "accept",      [284684, 0, 0, 0, 0, 589]),
+        ("msgcap300", "trees",     "quantum/F4/amplified-pairwise-sweep-pipeline",    "accept",      [308184, 0, 0, 0, 0, 780]),
+        ("msgcap300", "trees",     "classical/C4/deterministic-gather",               "over budget", [118, 16, 502, 2116, 12, 1]),
+        ("msgcap300", "trees",     "classical/C5/deterministic-gather",               "over budget", [118, 16, 502, 2116, 12, 1]),
+        ("msgcap300", "trees",     "quantum/F4/quantized-heavy-search-framework",     "accept",      [92250, 0, 0, 0, 0, 321]),
+        ("msgcap300", "trees",     "classical/C4/local-threshold-sampling",           "accept",      [19, 14, 237, 237, 1, 5]),
+        ("msgcap300", "planted:4", "classical/C4/global-threshold-color-bfs",         "reject C4",   [6, 4, 121, 121, 1, 1]),
+        ("msgcap300", "planted:4", "classical/C5/constant-round-odd-color-bfs",       "over budget", [30, 24, 329, 329, 1, 6]),
+        ("msgcap300", "planted:4", "classical/F4/pairwise-color-bfs-sweep",           "over budget", [21, 15, 320, 322, 2, 3]),
+        ("msgcap300", "planted:4", "quantum/C4/amplified-color-bfs-pipeline",         "reject C4",   [16225, 0, 0, 0, 0, 38]),
+        ("msgcap300", "planted:4", "quantum/C5/amplified-odd-color-bfs-pipeline",     "accept",      [141830, 0, 0, 0, 0, 297]),
+        ("msgcap300", "planted:4", "quantum/F4/amplified-pairwise-sweep-pipeline",    "reject C4",   [196933, 0, 0, 0, 0, 500]),
+        ("msgcap300", "planted:4", "classical/C4/deterministic-gather",               "reject C4",   [120, 9, 330, 2916, 20, 1]),
+        ("msgcap300", "planted:4", "classical/C5/deterministic-gather",               "over budget", [120, 9, 330, 2916, 20, 1]),
+        ("msgcap300", "planted:4", "quantum/F4/quantized-heavy-search-framework",     "accept",      [89380, 0, 0, 0, 0, 321]),
+        ("msgcap300", "planted:4", "classical/C4/local-threshold-sampling",           "accept",      [19, 14, 283, 283, 1, 5]),
+    ];
+    let budget = |label: &str| match label {
+        "bw4" => Budget::classical().with_bandwidth(4),
+        "reps3" => Budget::classical().with_repetitions(3),
+        "cap16" => Budget::classical().with_round_cap(16),
+        "msgcap300" => Budget::classical().with_message_cap(300),
+        other => unreachable!("{other}"),
+    };
+    let registry = RunProfile::FastCi.registry(2);
+    assert_eq!(8 * registry.len(), PINNED.len(), "every entry is pinned");
+    for (
+        label,
+        family,
+        id,
+        verdict,
+        [rounds, supersteps, messages, words, max_congestion, iterations],
+    ) in PINNED
+    {
+        let g = FamilySpec::parse(family).unwrap().build(24, 0);
+        let entry = registry.iter().find(|e| e.id == id).expect(id);
+        let d = entry.detector.detect(&g, 0, &budget(label)).unwrap();
+        let got = match &d.verdict {
+            Verdict::Accept => "accept".to_string(),
+            Verdict::Reject {
+                cycle_length: Some(l),
+                ..
+            } => format!("reject C{l}"),
+            Verdict::BudgetExceeded { .. } => "over budget".to_string(),
+            other => format!("{other:?}"),
+        };
+        let want = RunCost {
+            rounds,
+            supersteps,
+            messages,
+            words,
+            max_congestion,
+            iterations,
+        };
+        assert_eq!(
+            (got.as_str(), d.cost),
+            (verdict, want),
+            "{id} on {family} under {label}"
+        );
+    }
+}
