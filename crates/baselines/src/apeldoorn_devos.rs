@@ -17,8 +17,7 @@
 use congest_graph::Graph;
 use congest_quantum::{GroverMode, MonteCarloAlgorithm, MonteCarloAmplifier, WithSuccess};
 use even_cycle::{
-    Budget, Descriptor, DetectResult, Detection, Detector, F2kDetector, Model, RunCost, Target,
-    Verdict,
+    Budget, Descriptor, DetectResult, Detector, F2kDetector, Model, QuantumOutcome, Target,
 };
 
 /// The [33] cost model.
@@ -152,6 +151,56 @@ impl ApeldoornDeVosDetector {
     pub fn model(&self) -> &ApeldoornDeVosModel {
         &self.model
     }
+
+    /// Amplifies the base subroutine over the whole graph under
+    /// `budget`: one component, no decomposition charged. The budget's
+    /// repetition override and backend reach the base subroutine, whose
+    /// round bound holds at any bandwidth; caps apply only through
+    /// [`Budget::enforce`].
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> QuantumOutcome {
+        let base = F2kDetector::new(self.model.k)
+            .with_repetitions(self.repetitions)
+            .randomized();
+        // One verdict-only evaluator for every seed.
+        let mc = base.as_monte_carlo(g, budget);
+        // Declaring [33]'s (smaller) effective ε only enlarges the seed
+        // space, so one-sidedness and completeness are unaffected while
+        // the amplification cost follows their balance.
+        let declared = self.model.effective_success(g.node_count()).min(1.0);
+        let mut wrapped = WithSuccess::new(mc, declared);
+        let diameter = congest_graph::analysis::diameter(g).unwrap_or(0) as u64;
+        let amp = MonteCarloAmplifier::new(self.delta)
+            .with_diameter(diameter)
+            .with_mode(self.mode);
+        let report = amp.amplify(&mut wrapped, seed);
+        let witness = report.rejected.then(|| {
+            let ws = report.witness_seed.expect("rejected implies witness seed");
+            // The rejecting seed's own run, uncapped, stopping at its
+            // first rejection.
+            let rerun = Budget {
+                repetitions: budget.repetitions,
+                backend: budget.backend,
+                ..Budget::default()
+            };
+            let witness = base.run(g, ws, &rerun).witness;
+            let witness = witness.expect("witness seed reproduces the rejection");
+            assert!(witness.is_valid(g), "witness must validate");
+            witness
+        });
+        QuantumOutcome {
+            rejected: report.rejected,
+            witness,
+            quantum_rounds: report.quantum_rounds,
+            classical_rounds: report.classical_rounds_baseline,
+            decomposition_rounds: 0,
+            iterations: report.iterations,
+            components: 1,
+            colors: 1,
+            classical_evals: report.classical_evals,
+            simulations: report.simulations,
+            budget_exceeded: false,
+        }
+    }
 }
 
 impl Detector for ApeldoornDeVosDetector {
@@ -168,49 +217,8 @@ impl Detector for ApeldoornDeVosDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let n = g.node_count();
-        let k = self.model.k;
-        let reps = budget.repetitions.unwrap_or(self.repetitions);
-        let base = F2kDetector::new(k).with_repetitions(reps).randomized();
-        // One verdict-only evaluator for every seed, stepping its
-        // simulated calls on the budget's backend; its round bound holds
-        // at any bandwidth.
-        let mc = base.as_monte_carlo(g, budget.backend);
-        // Declaring [33]'s (smaller) effective ε only enlarges the seed
-        // space, so one-sidedness and completeness are unaffected while
-        // the amplification cost follows their balance.
-        let declared = self.model.effective_success(n).min(1.0);
-        let mut wrapped = WithSuccess::new(mc, declared);
-        let diameter = congest_graph::analysis::diameter(g).unwrap_or(0) as u64;
-        let amp = MonteCarloAmplifier::new(self.delta)
-            .with_diameter(diameter)
-            .with_mode(self.mode);
-        let report = amp.amplify(&mut wrapped, seed);
-
-        let verdict = if report.rejected {
-            let ws = report.witness_seed.expect("rejected implies witness seed");
-            let o = base.run_on_backend(g, ws, budget.bandwidth, budget.backend);
-            let witness = o.witness.expect("witness seed reproduces the rejection");
-            assert!(witness.is_valid(g), "witness must validate");
-            Verdict::Reject {
-                cycle_length: Some(witness.len()),
-                witness: Some(witness),
-            }
-        } else {
-            Verdict::Accept
-        };
-        Ok(budget.enforce(Detection {
-            algorithm: self.descriptor(),
-            verdict,
-            cost: RunCost {
-                rounds: report.quantum_rounds,
-                supersteps: 0,
-                messages: 0,
-                words: 0,
-                max_congestion: 0,
-                iterations: report.iterations,
-            },
-        }))
+        let outcome = self.run(g, seed, budget);
+        Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
 

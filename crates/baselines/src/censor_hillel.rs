@@ -11,10 +11,10 @@
 //! enforces the `k ≤ 5` restriction accordingly.
 
 use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{derive_seed, Backend, Executor, RunReport};
+use congest_sim::{derive_seed, Executor, RunReport};
 use even_cycle::{
     extract_even_witness, random_coloring, run_color_bfs_backend, Budget, Descriptor, DetectResult,
-    Detection, Detector, Model, RunCost, Target, Verdict,
+    Detection, Detector, Model, RunCost, Target,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -37,10 +37,11 @@ pub struct LocalThresholdOutcome {
 /// ```
 /// use congest_graph::generators;
 /// use congest_baselines::censor_hillel::LocalThresholdDetector;
+/// use even_cycle::Budget;
 /// let host = generators::random_tree(40, 3);
 /// let (g, _) = generators::plant_cycle(&host, 4, 3);
 /// let det = LocalThresholdDetector::new(2);
-/// let found = (0..6).any(|seed| det.run(&g, seed).rejected);
+/// let found = (0..6).any(|seed| det.run(&g, seed, &Budget::classical()).rejected);
 /// assert!(found);
 /// ```
 #[derive(Debug, Clone)]
@@ -89,32 +90,31 @@ impl LocalThresholdDetector {
         self
     }
 
-    /// The attempt budget for an `n`-vertex graph.
-    pub fn attempts_for(&self, n: usize) -> u64 {
+    /// The attempt budget of a run on an `n`-vertex graph under
+    /// `budget`: `factor · n^{1-1/k}` attempts, capped at the configured
+    /// maximum or, since the [10] outer loop counts attempts, at the
+    /// budget's repetition override.
+    pub fn attempts_for(&self, n: usize, budget: &Budget) -> u64 {
+        let max = budget
+            .repetitions
+            .map_or(self.max_attempts, |r| (r as u64).max(1));
         let want = (self.attempt_factor * (n as f64).powf(1.0 - 1.0 / self.k as f64)).ceil() as u64;
-        want.clamp(1, self.max_attempts)
+        want.clamp(1, max)
     }
 
-    /// Runs the detector on `g` with randomness from `seed`.
-    pub fn run(&self, g: &Graph, seed: u64) -> LocalThresholdOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`LocalThresholdDetector::run`] at per-edge bandwidth `B`.
-    pub fn run_with_bandwidth(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-    ) -> LocalThresholdOutcome {
+    /// Runs the detector on `g` with randomness from `seed`, simulated
+    /// on the budget's backend and charged at its bandwidth, for the
+    /// budget's attempts ([`LocalThresholdDetector::attempts_for`]). A
+    /// rejection stops it; caps apply only through [`Budget::enforce`].
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> LocalThresholdOutcome {
         let n = g.node_count();
         let k = self.k;
         let mut total = RunReport::empty();
-        let attempts = self.attempts_for(n);
+        let attempts = self.attempts_for(n, budget);
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, 0x10CA1));
         let all = vec![true; n];
-        let mut session = Executor::new(Backend::Sequential);
-        session.set_bandwidth(bandwidth);
+        let mut session = Executor::new(budget.backend);
+        session.set_bandwidth(budget.bandwidth);
 
         for attempt in 0..attempts {
             // One uniformly random source; its neighbors form X.
@@ -169,27 +169,9 @@ impl Detector for LocalThresholdDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let det = match budget.repetitions {
-            // The [10] outer loop counts *attempts*, so the repetition
-            // override caps the attempt budget.
-            Some(r) => self.clone().with_attempts(self.attempt_factor, r as u64),
-            None => self.clone(),
-        };
-        let o = det.run_with_bandwidth(g, seed, budget.bandwidth);
-        let verdict = if o.rejected {
-            let cycle_length = o.witness.as_ref().map(|w| w.len());
-            Verdict::Reject {
-                witness: o.witness,
-                cycle_length,
-            }
-        } else {
-            Verdict::Accept
-        };
-        Ok(budget.enforce(Detection {
-            algorithm: self.descriptor(),
-            verdict,
-            cost: RunCost::from_report(&o.report, o.attempts),
-        }))
+        let o = self.run(g, seed, budget);
+        let cost = RunCost::from_report(&o.report, o.attempts);
+        Ok(budget.enforce(Detection::of_run(self.descriptor(), o.witness, false, cost)))
     }
 }
 
@@ -204,7 +186,7 @@ mod tests {
         let (g, _) = generators::plant_cycle(&host, 4, 3);
         let det = LocalThresholdDetector::new(2);
         let found = (0..6).any(|seed| {
-            let o = det.run(&g, seed);
+            let o = det.run(&g, seed, &Budget::classical());
             if o.rejected {
                 let w = o.witness.as_ref().unwrap();
                 assert_eq!(w.len(), 4);
@@ -220,11 +202,11 @@ mod tests {
         let det = LocalThresholdDetector::new(2);
         let g = generators::polarity_graph(3);
         for seed in 0..4 {
-            assert!(!det.run(&g, seed).rejected);
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected);
         }
         for seed in 0..4 {
             let t = generators::random_tree(50, seed);
-            assert!(!det.run(&t, seed).rejected);
+            assert!(!det.run(&t, seed, &Budget::classical()).rejected);
         }
     }
 
@@ -232,7 +214,7 @@ mod tests {
     fn congestion_bounded_by_constant_tau() {
         let det = LocalThresholdDetector::new(2).with_tau(8);
         let g = generators::erdos_renyi(80, 0.06, 2);
-        let o = det.run(&g, 1);
+        let o = det.run(&g, 1, &Budget::classical());
         // Hello rounds carry 1 word; forwarding ≤ τ words.
         assert!(o.report.congestion.max_words_per_edge_step <= 8);
     }
@@ -240,8 +222,8 @@ mod tests {
     #[test]
     fn attempt_budget_scales() {
         let det = LocalThresholdDetector::new(2).with_attempts(2.0, 1 << 30);
-        let a = det.attempts_for(100);
-        let b = det.attempts_for(10_000);
+        let a = det.attempts_for(100, &Budget::classical());
+        let b = det.attempts_for(10_000, &Budget::classical());
         // n^{1/2} scaling: 100x n → 10x attempts.
         assert!(b >= 9 * a && b <= 11 * a, "a = {a}, b = {b}");
     }

@@ -13,12 +13,8 @@
 //! experiments only ever compare *shapes*.
 
 use congest_graph::{analysis, CycleWitness, Graph, NodeId};
-use congest_sim::{
-    run_with_backend, Backend, Control, Ctx, Decision, Outbox, Program, RunReport, SimError,
-};
-use even_cycle::{
-    Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target, Verdict,
-};
+use congest_sim::{run_with_backend, Control, Ctx, Decision, Outbox, Program, RunReport, SimError};
+use even_cycle::{Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target};
 
 /// An edge record `(u, v)` flooded through the network; two identifier
 /// words.
@@ -129,91 +125,25 @@ pub struct GatherOutcome {
     pub report: RunReport,
 }
 
-/// Decides `C_ℓ`-freeness deterministically by full gathering.
+/// The gather-and-decide baseline: decides a single cycle length `ℓ`
+/// exactly (no error at all), at `Θ(m + D)` rounds.
 ///
-/// # Errors
-///
-/// Propagates simulator errors (step-limit; cannot happen with the
-/// default limit of `4(m + n) + 64` supersteps).
+/// This is the one detector whose simulation can genuinely fail (the
+/// flooding step count depends on the input); [`GatherDetector::run`]
+/// and [`Detector::detect`] surface that as the shared fallible path
+/// instead of a panic.
 ///
 /// ```
 /// use congest_graph::generators;
-/// use congest_baselines::deterministic::gather_and_decide;
+/// use congest_baselines::deterministic::GatherDetector;
+/// use even_cycle::Budget;
 /// let g = generators::cycle(7);
-/// let outcome = gather_and_decide(&g, 7, 1)?;
+/// let outcome = GatherDetector::new(7).run(&g, 1, &Budget::classical())?;
 /// assert!(outcome.rejected);
-/// let outcome = gather_and_decide(&g, 5, 1)?;
+/// let outcome = GatherDetector::new(5).run(&g, 1, &Budget::classical())?;
 /// assert!(!outcome.rejected);
 /// # Ok::<(), congest_sim::SimError>(())
 /// ```
-pub fn gather_and_decide(
-    g: &Graph,
-    cycle_len: usize,
-    seed: u64,
-) -> Result<GatherOutcome, SimError> {
-    gather_and_decide_bw(g, cycle_len, seed, 1)
-}
-
-/// [`gather_and_decide`] at per-edge bandwidth `B` (words per round).
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`gather_and_decide`].
-pub fn gather_and_decide_bw(
-    g: &Graph,
-    cycle_len: usize,
-    seed: u64,
-    bandwidth: u64,
-) -> Result<GatherOutcome, SimError> {
-    gather_and_decide_on(g, cycle_len, seed, bandwidth, Backend::Sequential)
-}
-
-/// [`gather_and_decide_bw`] on an explicit simulation [`Backend`]; the
-/// outcome is byte-identical whatever the backend.
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`gather_and_decide`].
-pub fn gather_and_decide_on(
-    g: &Graph,
-    cycle_len: usize,
-    seed: u64,
-    bandwidth: u64,
-    backend: Backend,
-) -> Result<GatherOutcome, SimError> {
-    let limit = 4 * (g.edge_count() as u64 + g.node_count() as u64) + 64;
-    let (report, nodes) = run_with_backend(
-        g,
-        seed,
-        backend,
-        bandwidth,
-        None,
-        |_, _| GatherProgram {
-            cycle_len,
-            known: Vec::new(),
-            fresh: Vec::new(),
-            found: None,
-            quiet: 0,
-        },
-        limit,
-    )?;
-    let witness = report
-        .rejecting_nodes
-        .first()
-        .and_then(|&v| nodes[v as usize].found.clone());
-    Ok(GatherOutcome {
-        rejected: report.rejected(),
-        witness,
-        report,
-    })
-}
-
-/// The gather-and-decide baseline as a [`Detector`]: decides a single
-/// cycle length `ℓ` exactly (no error at all), at `Θ(m + D)` rounds.
-///
-/// This is the one detector whose simulation can genuinely fail (the
-/// flooding step count depends on the input); [`Detector::detect`]
-/// surfaces that as the shared fallible path instead of a panic.
 #[derive(Debug, Clone)]
 pub struct GatherDetector {
     cycle_len: usize,
@@ -233,6 +163,44 @@ impl GatherDetector {
     /// The decided cycle length.
     pub fn cycle_length(&self) -> usize {
         self.cycle_len
+    }
+
+    /// Decides `C_ℓ`-freeness by full gathering, simulated on the
+    /// budget's backend and charged at its bandwidth. Deterministic and
+    /// exact: the protocol reads no randomness, the repetition override
+    /// has nothing to repeat, and caps apply only through
+    /// [`Budget::enforce`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors (step-limit; cannot happen with the
+    /// default limit of `4(m + n) + 64` supersteps).
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> Result<GatherOutcome, SimError> {
+        let limit = 4 * (g.edge_count() as u64 + g.node_count() as u64) + 64;
+        let (report, nodes) = run_with_backend(
+            g,
+            seed,
+            budget.backend,
+            budget.bandwidth,
+            None,
+            |_, _| GatherProgram {
+                cycle_len: self.cycle_len,
+                known: Vec::new(),
+                fresh: Vec::new(),
+                found: None,
+                quiet: 0,
+            },
+            limit,
+        )?;
+        let witness = report
+            .rejecting_nodes
+            .first()
+            .and_then(|&v| nodes[v as usize].found.clone());
+        Ok(GatherOutcome {
+            rejected: report.rejected(),
+            witness,
+            report,
+        })
     }
 }
 
@@ -266,23 +234,9 @@ impl Detector for GatherDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        // Deterministic and exact: the repetition override has nothing
-        // to repeat, so only the bandwidth and backend apply.
-        let o = gather_and_decide_on(g, self.cycle_len, seed, budget.bandwidth, budget.backend)?;
-        let verdict = if o.rejected {
-            let cycle_length = o.witness.as_ref().map(|w| w.len());
-            Verdict::Reject {
-                witness: o.witness,
-                cycle_length,
-            }
-        } else {
-            Verdict::Accept
-        };
-        Ok(budget.enforce(Detection {
-            algorithm: self.descriptor(),
-            verdict,
-            cost: RunCost::from_report(&o.report, 1),
-        }))
+        let o = self.run(g, seed, budget)?;
+        let cost = RunCost::from_report(&o.report, 1);
+        Ok(budget.enforce(Detection::of_run(self.descriptor(), o.witness, false, cost)))
     }
 }
 
@@ -291,19 +245,23 @@ mod tests {
     use super::*;
     use congest_graph::generators;
 
+    fn gather(g: &Graph, cycle_len: usize, seed: u64) -> Result<GatherOutcome, SimError> {
+        GatherDetector::new(cycle_len).run(g, seed, &Budget::classical())
+    }
+
     #[test]
     fn exact_on_cycles() {
         let g = generators::cycle(9);
-        assert!(gather_and_decide(&g, 9, 0).unwrap().rejected);
-        assert!(!gather_and_decide(&g, 7, 0).unwrap().rejected);
-        assert!(!gather_and_decide(&g, 4, 0).unwrap().rejected);
+        assert!(gather(&g, 9, 0).unwrap().rejected);
+        assert!(!gather(&g, 7, 0).unwrap().rejected);
+        assert!(!gather(&g, 4, 0).unwrap().rejected);
     }
 
     #[test]
     fn witness_is_valid() {
         let host = generators::random_tree(25, 2);
         let (g, _) = generators::plant_cycle(&host, 5, 2);
-        let o = gather_and_decide(&g, 5, 1).unwrap();
+        let o = gather(&g, 5, 1).unwrap();
         assert!(o.rejected);
         let w = o.witness.unwrap();
         assert_eq!(w.len(), 5);
@@ -313,8 +271,8 @@ mod tests {
     #[test]
     fn rounds_scale_with_edges() {
         // Gathering m records through a bottleneck edge costs Ω(m).
-        let a = gather_and_decide(&generators::cycle(16), 3, 0).unwrap();
-        let b = gather_and_decide(&generators::cycle(64), 3, 0).unwrap();
+        let a = gather(&generators::cycle(16), 3, 0).unwrap();
+        let b = gather(&generators::cycle(64), 3, 0).unwrap();
         assert!(
             b.report.rounds >= 3 * a.report.rounds,
             "rounds must grow ~linearly: {} vs {}",
@@ -328,8 +286,8 @@ mod tests {
         // The decision is seed-independent (no randomness in the
         // protocol at all).
         let g = generators::erdos_renyi(24, 0.15, 5);
-        let a = gather_and_decide(&g, 4, 1).unwrap();
-        let c = gather_and_decide(&g, 4, 2).unwrap();
+        let a = gather(&g, 4, 1).unwrap();
+        let c = gather(&g, 4, 2).unwrap();
         assert_eq!(a.rejected, c.rejected);
         assert_eq!(a.report.rounds, c.report.rounds);
     }

@@ -16,10 +16,10 @@
 //! papers.
 
 use congest_graph::{CycleWitness, Graph};
-use congest_sim::{derive_seed, Backend, Executor, RunReport};
+use congest_sim::{derive_seed, Executor, RunReport};
 use even_cycle::{
     extract_even_witness, random_coloring, run_color_bfs_backend, Budget, Descriptor, DetectResult,
-    Detection, Detector, Model, RunCost, Target, Verdict,
+    Detection, Detector, Model, RunCost, Target,
 };
 
 /// The outcome of an [`EdenModel`] run.
@@ -87,13 +87,11 @@ impl EdenModel {
     }
 
     /// Runs the model detector: light-cycle color-BFS below `d_max`,
-    /// plus a full-graph color-BFS thresholded at `τ = n^{exponent}`.
-    pub fn run(&self, g: &Graph, seed: u64) -> EdenOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`EdenModel::run`] at per-edge bandwidth `B`.
-    pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> EdenOutcome {
+    /// plus a full-graph color-BFS thresholded at `τ = n^{exponent}`,
+    /// simulated on the budget's backend and charged at its bandwidth,
+    /// for the budget's repetitions. A rejection stops it; caps apply
+    /// only through [`Budget::enforce`].
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> EdenOutcome {
         let n = g.node_count();
         let k = self.k;
         let d_max = self.degree_threshold(n);
@@ -102,9 +100,9 @@ impl EdenModel {
         let all = vec![true; n];
         let mut total = RunReport::empty();
         let mut iterations = 0u64;
-        let mut session = Executor::new(Backend::Sequential);
-        session.set_bandwidth(bandwidth);
-        for r in 0..self.repetitions as u64 {
+        let mut session = Executor::new(budget.backend);
+        session.set_bandwidth(budget.bandwidth);
+        for r in 0..budget.repetitions.unwrap_or(self.repetitions) as u64 {
             iterations = r + 1;
             let colors = random_coloring(n, 2 * k, derive_seed(seed, 0xED0 + r));
             let calls: [(&[bool], &[bool]); 2] = [(&light, &light), (&all, &all)];
@@ -160,25 +158,9 @@ impl Detector for EdenModel {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => self.clone().with_repetitions(r),
-            None => self.clone(),
-        };
-        let o = det.run_with_bandwidth(g, seed, budget.bandwidth);
-        let verdict = if o.rejected {
-            let cycle_length = o.witness.as_ref().map(|w| w.len());
-            Verdict::Reject {
-                witness: o.witness,
-                cycle_length,
-            }
-        } else {
-            Verdict::Accept
-        };
-        Ok(budget.enforce(Detection {
-            algorithm: self.descriptor(),
-            verdict,
-            cost: RunCost::from_report(&o.report, o.iterations),
-        }))
+        let o = self.run(g, seed, budget);
+        let cost = RunCost::from_report(&o.report, o.iterations);
+        Ok(budget.enforce(Detection::of_run(self.descriptor(), o.witness, false, cost)))
     }
 }
 
@@ -215,7 +197,7 @@ mod tests {
         let (g, _) = generators::plant_cycle(&host, 6, 5);
         let det = EdenModel::new(3).with_repetitions(512);
         let found = (0..6).any(|seed| {
-            let o = det.run(&g, seed);
+            let o = det.run(&g, seed, &Budget::classical());
             if o.rejected {
                 assert!(o.witness.as_ref().unwrap().is_valid(&g));
             }
@@ -229,7 +211,7 @@ mod tests {
         let det = EdenModel::new(3).with_repetitions(32);
         for seed in 0..4 {
             let g = generators::random_tree(40, seed);
-            assert!(!det.run(&g, seed).rejected);
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected);
         }
     }
 }

@@ -19,7 +19,7 @@
 //!   completeness argument (Lemma 3 / Fact 3), not safety.
 
 use congest_graph::{generators, FamilySpec};
-use even_cycle::{random_coloring, run_color_bfs, CycleDetector, Params, RunOptions};
+use even_cycle::{random_coloring, run_color_bfs, Budget, CycleDetector, Params, RunOptions};
 use even_cycle_bench::render_table;
 
 fn main() {
@@ -38,7 +38,8 @@ fn main() {
         let mut detected = 0;
         for seed in 0..trials {
             let det = CycleDetector::new(base.clone().with_repetitions(1));
-            let (_, m) = det.build_memberships(&g, seed, &RunOptions::default());
+            let (_, m) =
+                det.build_memberships(&g, seed, &Budget::classical(), &RunOptions::default());
             let all = vec![true; n];
             let not_s: Vec<bool> = m.s_mask.iter().map(|&b| !b).collect();
             let mut hit = false;

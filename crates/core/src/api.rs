@@ -10,10 +10,12 @@
 //! * [`Detection`] — a [`Verdict`] (accept / reject with a validated
 //!   [`CycleWitness`]), a [`RunCost`] (rounds, messages, congestion,
 //!   iterations), and the algorithm's [`Descriptor`];
-//! * [`Budget`] — the resource envelope of a run: per-edge
+//! * [`Budget`] — the one configuration of a run: per-edge
 //!   [`bandwidth`](Budget::bandwidth) in words per round (`B = 1` is
-//!   classical CONGEST) and an optional repetition override for
-//!   experiment sweeps.
+//!   classical CONGEST), an optional repetition override, hard round
+//!   and message caps, and the simulation backend. Every detector's
+//!   own `run(&graph, seed, &budget)` reads all of it, and its
+//!   [`Detector::detect`] is that run under [`Budget::enforce`].
 //!
 //! Every implementation routes through the same fallible surface
 //! (`Result<Detection, SimError>`): simulator-level failures (step-limit
@@ -115,8 +117,10 @@ pub struct Budget {
     /// Keep iterating after the first rejection, spending the whole
     /// repetition budget (cost-scaling studies want every iteration's
     /// cost, not a run truncated at the first lucky coloring).
-    /// Honored by the color-BFS family; detectors whose outer loop has
-    /// no early exit ignore it.
+    /// Honored by the paper's classical detectors: Algorithm 1
+    /// (`CycleDetector`), the Lemma 12 detector (`LowProbDetector`),
+    /// §3.4's `OddCycleDetector` and §3.5's `F2kDetector`. The quantum
+    /// pipelines and the Table 1 baselines ignore it.
     pub run_to_budget: bool,
     /// Hard cap on charged rounds. A detector whose outer loop notices
     /// the cap aborts between iterations and reports
@@ -370,6 +374,34 @@ pub struct Detection {
 }
 
 impl Detection {
+    /// The detection of a finished run of `algorithm` that cost `cost`:
+    /// a rejection when the run certified `witness` (it stands even past
+    /// a cap: the witness is proof), else [`Verdict::BudgetExceeded`]
+    /// when a cap stopped the run, else acceptance.
+    pub fn of_run(
+        algorithm: Descriptor,
+        witness: Option<CycleWitness>,
+        budget_exceeded: bool,
+        cost: RunCost,
+    ) -> Detection {
+        let verdict = match witness {
+            Some(witness) => Verdict::Reject {
+                cycle_length: Some(witness.len()),
+                witness: Some(witness),
+            },
+            None if budget_exceeded => Verdict::BudgetExceeded {
+                rounds: cost.rounds,
+                messages: cost.messages,
+            },
+            None => Verdict::Accept,
+        };
+        Detection {
+            algorithm,
+            verdict,
+            cost,
+        }
+    }
+
     /// Whether the run found a cycle.
     pub fn rejected(&self) -> bool {
         self.verdict.rejected()

@@ -60,14 +60,15 @@ use std::ops::{ControlFlow, RangeInclusive};
 use congest_graph::analysis::nodes_on_cycles;
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
-    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
+    derive_seed, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::detector::{random_coloring, RunOptions};
+use crate::detector::random_coloring;
 use crate::randomized::RANDOMIZED_THRESHOLD;
 use crate::witness::{extract_witness, DetectionOutcome, Phase, SetsSummary};
+use crate::{Budget, RunCost};
 
 /// Messages of the color-BFS protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -499,14 +500,14 @@ pub(crate) struct VerdictSession {
 
 impl VerdictSession {
     /// An evaluator on `g` whose palettes close cycles of `lengths` and
-    /// whose simulated calls step on `backend`.
-    pub(crate) fn new(g: &Graph, lengths: RangeInclusive<usize>, backend: Backend) -> Self {
+    /// whose simulated calls step on the budget's backend.
+    pub(crate) fn new(g: &Graph, lengths: RangeInclusive<usize>, budget: &Budget) -> Self {
         // Past this many steps the search marks every node, which costs
         // only speed: linear in the graph's size, BFS work included.
-        let budget = 64 * (g.node_count() + g.directed_edge_count()) as u64 + 4096;
+        let steps = 64 * (g.node_count() + g.directed_edge_count()) as u64 + 4096;
         VerdictSession {
-            session: Executor::new(backend),
-            on_cycle: nodes_on_cycles(g, lengths, budget),
+            session: Executor::new(budget.backend),
+            on_cycle: nodes_on_cycles(g, lengths, steps),
             coins: Vec::new(),
             walk: CycleWalk::default(),
         }
@@ -571,11 +572,11 @@ pub(crate) struct Rejection {
 /// The costed loop every detector drives with its own walk: each call
 /// is simulated with its own coins and charged what it measured; the
 /// first rejecting node's cycle is certified; the walk stops at a
-/// rejection (unless [`RunOptions::continue_after_reject`]) or once the
-/// accumulated cost passes a cap of the options.
+/// rejection (unless [`Budget::run_to_budget`]) or once the accumulated
+/// cost passes a cap of the budget.
 pub(crate) struct CostedRun<'a> {
     g: &'a Graph,
-    options: &'a RunOptions,
+    budget: &'a Budget,
     session: Executor<ColorBfs>,
     /// The accumulated cost.
     pub(crate) report: RunReport,
@@ -589,13 +590,13 @@ pub(crate) struct CostedRun<'a> {
 
 impl<'a> CostedRun<'a> {
     /// A run on `g` that has cost `report` so far (its set-up round, if
-    /// any), simulating on the options' backend and bandwidth.
-    pub(crate) fn new(g: &'a Graph, options: &'a RunOptions, report: RunReport) -> Self {
-        let mut session = Executor::new(options.backend);
-        session.set_bandwidth(options.bandwidth);
+    /// any), simulating on the budget's backend and bandwidth.
+    pub(crate) fn new(g: &'a Graph, budget: &'a Budget, report: RunReport) -> Self {
+        let mut session = Executor::new(budget.backend);
+        session.set_bandwidth(budget.bandwidth);
         CostedRun {
             g,
-            options,
+            budget,
             session,
             report,
             iterations: 0,
@@ -621,11 +622,14 @@ impl<'a> CostedRun<'a> {
                 phase: call.phase,
                 meet: call.palette.meet,
             });
-            if !self.options.continue_after_reject {
+            if !self.budget.run_to_budget {
                 return ControlFlow::Break(());
             }
         }
-        if self.options.caps_exceeded(&self.report) {
+        if self
+            .budget
+            .caps_exceeded(&RunCost::from_report(&self.report, 0))
+        {
             self.budget_exceeded = true;
             return ControlFlow::Break(());
         }
@@ -974,6 +978,7 @@ impl SenderWalk {
 mod tests {
     use super::*;
     use congest_graph::generators;
+    use congest_sim::Backend;
 
     /// Runs one call with `palette` on `g` with the given per-node
     /// colors, all nodes in H and X, all active, threshold `tau`.
@@ -1296,7 +1301,7 @@ mod tests {
         };
         let mut costed = Executor::new(Backend::Sequential);
         assert!(!call.simulate(&mut costed, &g).rejected());
-        let mut verdicts = VerdictSession::new(&g, palette.cycle_lengths(), Backend::Sequential);
+        let mut verdicts = VerdictSession::new(&g, palette.cycle_lengths(), &Budget::classical());
         assert_eq!(verdicts.on_cycle, [true, true, true, true, false]);
         assert!(verdicts.call_verdict(&g, &call).is_continue());
         // The pre-check drew the coins up to the last candidate, node 3,
@@ -1314,7 +1319,7 @@ mod tests {
         let low = LowProbDetector::new(Params::practical(2).with_repetitions(8));
         let odd = OddCycleDetector::new(2, 20);
         let f2k = F2kDetector::new(2).with_repetitions(12).randomized();
-        let seq = Backend::Sequential;
+        let seq = &Budget::classical();
         let empty = |on_cycle: &[bool]| !on_cycle.contains(&true);
         for (label, g) in crate::test_corpus::corpus() {
             if !matches!(label.as_str(), "trees n=24" | "trees n=32" | "cycle n=24") {

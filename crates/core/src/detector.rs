@@ -14,68 +14,19 @@ use rand_chacha::ChaCha8Rng;
 use crate::color_bfs::{ColorBfs, ColorBfsCall, Coloring, CostedRun, Launch, Palette};
 use crate::params::{Instance, Params};
 use crate::witness::{DetectionOutcome, Phase, SetsSummary};
+use crate::Budget;
 
-/// Test and experiment hooks for [`CycleDetector::run_with`].
-#[derive(Debug, Clone)]
+/// Test hooks for [`CycleDetector::run_with`] and
+/// [`crate::LowProbDetector::run_with`]: they pin the random events a
+/// unit test needs. Everything else a run reads comes from its
+/// [`Budget`].
+#[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Use this coloring in every iteration instead of fresh random ones
     /// (lets unit tests pin the "well colored cycle" event).
     pub forced_coloring: Option<Vec<u8>>,
     /// Use this selected set `S` instead of per-node coins.
     pub forced_selection: Option<Vec<bool>>,
-    /// Keep iterating after the first rejection (for error-probability
-    /// studies that want every iteration's cost).
-    pub continue_after_reject: bool,
-    /// Per-edge bandwidth in words per round (`1` = classical CONGEST);
-    /// see [`crate::Budget::bandwidth`].
-    pub bandwidth: u64,
-    /// Hard cap on accumulated rounds: the repetition loop aborts (with
-    /// [`DetectionOutcome::budget_exceeded`] set) once the charged total
-    /// passes it. See [`crate::Budget::max_rounds`].
-    pub round_cap: Option<u64>,
-    /// Hard cap on accumulated messages; same abort semantics.
-    pub message_cap: Option<u64>,
-    /// The simulation backend driving every superstep of the run; see
-    /// [`crate::Budget::backend`]. Transcripts are byte-identical
-    /// across backends.
-    pub backend: Backend,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            forced_coloring: None,
-            forced_selection: None,
-            continue_after_reject: false,
-            bandwidth: 1,
-            round_cap: None,
-            message_cap: None,
-            backend: Backend::Sequential,
-        }
-    }
-}
-
-impl RunOptions {
-    /// The options of a capped run under `budget` that stops at its
-    /// first rejection.
-    pub(crate) fn capped(budget: &crate::Budget) -> Self {
-        RunOptions {
-            bandwidth: budget.bandwidth,
-            round_cap: budget.max_rounds,
-            message_cap: budget.max_messages,
-            backend: budget.backend,
-            ..Default::default()
-        }
-    }
-
-    /// Whether an accumulated report has passed the configured caps:
-    /// its rounds or messages pass the respective cap.
-    pub(crate) fn caps_exceeded(&self, report: &RunReport) -> bool {
-        self.round_cap.is_some_and(|cap| report.rounds > cap)
-            || self
-                .message_cap
-                .is_some_and(|cap| report.congestion.total_messages > cap)
-    }
 }
 
 /// The membership sets of Algorithm 1 (Instructions 1–5).
@@ -275,11 +226,11 @@ impl Program for SetupProgram {
 ///
 /// ```
 /// use congest_graph::generators;
-/// use even_cycle::{CycleDetector, Params};
+/// use even_cycle::{Budget, CycleDetector, Params};
 ///
 /// let host = generators::random_tree(48, 3);
 /// let (g, _) = generators::plant_cycle(&host, 4, 3);
-/// let outcome = CycleDetector::new(Params::practical(2)).run(&g, 1);
+/// let outcome = CycleDetector::new(Params::practical(2)).run(&g, 1, &Budget::classical());
 /// assert!(outcome.rejected());
 /// assert!(outcome.witness().unwrap().is_valid(&g));
 /// ```
@@ -299,16 +250,23 @@ impl CycleDetector {
         &self.params
     }
 
-    /// Runs Algorithm 1 on `g` with all randomness derived from `seed`.
-    pub fn run(&self, g: &Graph, seed: u64) -> DetectionOutcome {
-        self.run_with(g, seed, &RunOptions::default())
+    /// Runs Algorithm 1 on `g` with all randomness derived from `seed`,
+    /// under `budget`: its repetition override replaces
+    /// [`Params::repetitions`], every call is simulated on its backend
+    /// and charged at its bandwidth, its caps abort the repetition loop
+    /// (flagging the outcome) and, with
+    /// [`Budget::run_to_budget`], a rejection does not stop it.
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectionOutcome {
+        self.run_with(g, seed, budget, &RunOptions::default())
     }
 
-    /// Constructs the sets `U`, `S`, `W` (Instructions 1–5).
+    /// Constructs the sets `U`, `S`, `W` (Instructions 1–5), simulating
+    /// the set-up round on the budget's backend and bandwidth.
     pub fn build_memberships(
         &self,
         g: &Graph,
         seed: u64,
+        budget: &Budget,
         options: &RunOptions,
     ) -> (Instance, Memberships) {
         let inst = self.params.instantiate(g.node_count());
@@ -318,8 +276,8 @@ impl CycleDetector {
         let (setup_report, nodes) = run_with_backend(
             g,
             derive_seed(seed, SETUP_STREAM),
-            options.backend,
-            options.bandwidth,
+            budget.backend,
+            budget.bandwidth,
             None,
             |v, _| SetupProgram {
                 selection_probability: inst.selection_probability,
@@ -344,9 +302,15 @@ impl CycleDetector {
         )
     }
 
-    /// Runs Algorithm 1 with experiment hooks.
-    pub fn run_with(&self, g: &Graph, seed: u64, options: &RunOptions) -> DetectionOutcome {
-        self.run_calls(g, seed, options, false)
+    /// [`CycleDetector::run`] with the test hooks of `options`.
+    pub fn run_with(
+        &self,
+        g: &Graph,
+        seed: u64,
+        budget: &Budget,
+        options: &RunOptions,
+    ) -> DetectionOutcome {
+        self.run_calls(g, seed, budget, options, false)
     }
 
     /// The costed repetition loop of Algorithm 1 or, with `randomized`,
@@ -357,11 +321,12 @@ impl CycleDetector {
         &self,
         g: &Graph,
         seed: u64,
+        budget: &Budget,
         options: &RunOptions,
         randomized: bool,
     ) -> DetectionOutcome {
         let k = self.params.k;
-        let (inst, sets) = self.build_memberships(g, seed, options);
+        let (inst, sets) = self.build_memberships(g, seed, budget, options);
         let sets_summary = SetsSummary {
             u_size: sets.u_mask.iter().filter(|&&b| b).count(),
             s_size: sets.s_mask.iter().filter(|&&b| b).count(),
@@ -369,12 +334,11 @@ impl CycleDetector {
             tau: inst.tau,
             selection_probability: inst.selection_probability,
         };
-        let mut run = CostedRun::new(g, options, sets.setup_report.clone());
+        let mut run = CostedRun::new(g, budget, sets.setup_report.clone());
         let forced = options.forced_coloring.as_deref();
         let launch = Launch::new(inst.tau, randomized);
-        let _ = sets.walk_calls(k, self.params.repetitions, seed, forced, launch, |call| {
-            run.visit(call)
-        });
+        let repetitions = budget.repetitions.unwrap_or(self.params.repetitions);
+        let _ = sets.walk_calls(k, repetitions, seed, forced, launch, |call| run.visit(call));
         run.into_outcome(sets_summary)
     }
 }
@@ -391,19 +355,9 @@ impl crate::Detector for CycleDetector {
         }
     }
 
-    fn detect(&self, g: &Graph, seed: u64, budget: &crate::Budget) -> crate::DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => CycleDetector::new(self.params.clone().with_repetitions(r)),
-            None => self.clone(),
-        };
-        let opts = RunOptions {
-            continue_after_reject: budget.run_to_budget,
-            ..RunOptions::capped(budget)
-        };
-        Ok(budget.enforce(
-            det.run_with(g, seed, &opts)
-                .into_detection(self.descriptor()),
-        ))
+    fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> crate::DetectResult {
+        let outcome = self.run(g, seed, budget);
+        Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
 
@@ -528,7 +482,7 @@ mod tests {
             forced_coloring: Some(colors),
             ..Default::default()
         };
-        let outcome = detector.run_with(&g, 5, &opts);
+        let outcome = detector.run_with(&g, 5, &Budget::classical(), &opts);
         assert!(outcome.rejected());
         let w = outcome.witness().unwrap();
         assert_eq!(w.len(), 4);
@@ -546,7 +500,7 @@ mod tests {
                 forced_coloring: Some(colors),
                 ..Default::default()
             };
-            let outcome = detector.run_with(&g, 5, &opts);
+            let outcome = detector.run_with(&g, 5, &Budget::classical(), &opts);
             assert!(outcome.rejected(), "k = {k}");
             assert_eq!(outcome.witness().unwrap().len(), l);
         }
@@ -558,7 +512,7 @@ mod tests {
         // by seed.
         let host = generators::random_tree(48, 7);
         let (g, _) = generators::plant_cycle(&host, 4, 7);
-        let outcome = CycleDetector::new(Params::practical(2)).run(&g, 11);
+        let outcome = CycleDetector::new(Params::practical(2)).run(&g, 11, &Budget::classical());
         assert!(outcome.rejected());
         assert!(outcome.witness().unwrap().is_valid(&g));
         assert_eq!(outcome.witness().unwrap().len(), 4);
@@ -571,7 +525,7 @@ mod tests {
         let detector = CycleDetector::new(Params::practical(2).with_repetitions(16));
         for seed in 0..6 {
             let g = generators::random_tree(50, seed);
-            let outcome = detector.run(&g, seed);
+            let outcome = detector.run(&g, seed, &Budget::classical());
             assert!(!outcome.rejected(), "tree rejected (seed {seed})");
             assert!(outcome.witness.is_none());
             assert_eq!(outcome.iterations, 16);
@@ -584,7 +538,7 @@ mod tests {
         let g = generators::cycle(6);
         let detector = CycleDetector::new(Params::practical(2).with_repetitions(64));
         for seed in 0..4 {
-            assert!(!detector.run(&g, seed).rejected());
+            assert!(!detector.run(&g, seed, &Budget::classical()).rejected());
         }
     }
 
@@ -593,7 +547,7 @@ mod tests {
         // Dense C4-free extremal graph: the hardest soundness input.
         let g = generators::polarity_graph(5);
         let detector = CycleDetector::new(Params::practical(2).with_repetitions(32));
-        assert!(!detector.run(&g, 3).rejected());
+        assert!(!detector.run(&g, 3, &Budget::classical()).rejected());
     }
 
     #[test]
@@ -615,9 +569,8 @@ mod tests {
         let opts = RunOptions {
             forced_coloring: Some(colors),
             forced_selection: Some(s),
-            ..Default::default()
         };
-        let outcome = detector.run_with(&g, 2, &opts);
+        let outcome = detector.run_with(&g, 2, &Budget::classical(), &opts);
         assert!(outcome.rejected());
         assert_eq!(outcome.phase, Some(Phase::Heavy));
         assert!(outcome.witness().unwrap().is_valid(&g));
@@ -641,9 +594,8 @@ mod tests {
         let opts = RunOptions {
             forced_coloring: Some(colors),
             forced_selection: Some(s),
-            ..Default::default()
         };
-        let outcome = detector.run_with(&g, 2, &opts);
+        let outcome = detector.run_with(&g, 2, &Budget::classical(), &opts);
         assert!(outcome.rejected());
     }
 
@@ -651,7 +603,7 @@ mod tests {
     fn iterations_counted_and_costs_accumulate() {
         let g = generators::random_tree(30, 8);
         let detector = CycleDetector::new(Params::practical(2).with_repetitions(5));
-        let outcome = detector.run(&g, 1);
+        let outcome = detector.run(&g, 1, &Budget::classical());
         assert_eq!(outcome.iterations, 5);
         // 5 iterations × 3 phases plus setup. On a small tree p caps at
         // 1, so S = V and the third phase's host G[V∖S] is empty (its
@@ -668,7 +620,8 @@ mod tests {
     fn membership_construction_matches_definitions() {
         let g = generators::plant_cycle_on_heavy_hub(&generators::empty(8), 4, 40, 1).0;
         let detector = CycleDetector::new(Params::practical(2));
-        let (inst, m) = detector.build_memberships(&g, 3, &RunOptions::default());
+        let (inst, m) =
+            detector.build_memberships(&g, 3, &Budget::classical(), &RunOptions::default());
         for v in g.nodes() {
             assert_eq!(
                 m.u_mask[v.index()],
@@ -699,7 +652,12 @@ mod tests {
             let (mut proper_s, mut nonempty_w) = (0, 0);
             for (label, g) in crate::test_corpus::corpus() {
                 for seed in 0..200 {
-                    let (inst, sets) = det.build_memberships(&g, seed, &RunOptions::default());
+                    let (inst, sets) = det.build_memberships(
+                        &g,
+                        seed,
+                        &Budget::classical(),
+                        &RunOptions::default(),
+                    );
                     draw_selection(&g, &inst, seed, &mut s_mask, &mut w_mask);
                     let at = format!("scale {scale}, {label}, seed {seed}");
                     assert_eq!(s_mask, sets.s_mask, "S at {at}");
@@ -720,7 +678,7 @@ mod tests {
         let detector = CycleDetector::new(Params::practical(2).with_repetitions(24));
         for seed in 0..6 {
             let g = generators::erdos_renyi(40, 0.08, seed);
-            let outcome = detector.run(&g, seed * 13 + 1);
+            let outcome = detector.run(&g, seed * 13 + 1, &Budget::classical());
             if outcome.rejected() {
                 let w = outcome.witness().unwrap();
                 assert_eq!(w.len(), 4);

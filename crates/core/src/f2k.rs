@@ -14,12 +14,12 @@
 use std::ops::ControlFlow;
 
 use congest_graph::{CycleWitness, Graph};
-use congest_sim::{derive_seed, Backend, RunReport};
+use congest_sim::{derive_seed, RunReport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::color_bfs::{ColorBfsCall, Coloring, CostedRun, Launch, Palette, VerdictSession};
-use crate::detector::RunOptions;
+use crate::Budget;
 
 /// The parameters and light set of one pair `ℓ` (§3.5) on one graph,
 /// which no seed changes.
@@ -80,12 +80,12 @@ pub struct F2kOutcome {
     /// Which pair `ℓ` (detecting `C_{2ℓ-1}`/`C_{2ℓ}`) fired.
     pub pair: Option<usize>,
     /// Total coloring repetitions executed across all pairs (stops at
-    /// the first rejection).
+    /// the first rejection unless [`Budget::run_to_budget`]).
     pub iterations: u64,
     /// Accumulated CONGEST costs.
     pub report: RunReport,
-    /// Whether the pair loop was aborted by a [`Budget`](crate::Budget)
-    /// cap (the decision is then untrusted).
+    /// Whether the pair loop was aborted by a [`Budget`] cap (the
+    /// decision is then untrusted).
     pub budget_exceeded: bool,
 }
 
@@ -100,7 +100,7 @@ impl F2kOutcome {
 ///
 /// ```
 /// use congest_graph::generators;
-/// use even_cycle::F2kDetector;
+/// use even_cycle::{Budget, F2kDetector};
 /// // A farm of disjoint C5s (girth 5): the pair ℓ=3 must catch one as
 /// // the odd member. (The farm keeps n large enough for the selection
 /// // probability to leave its min(1, ·) clamp and boosts the
@@ -112,7 +112,7 @@ impl F2kOutcome {
 /// let g = generators::disjoint_union(&g, &generators::path(10));
 /// let det = F2kDetector::new(3).with_repetitions(2000);
 /// let found = (0..10).any(|seed| {
-///     let o = det.run(&g, seed);
+///     let o = det.run(&g, seed, &Budget::classical());
 ///     if o.rejected() {
 ///         assert_eq!(o.cycle_length, Some(5));
 ///     }
@@ -184,30 +184,33 @@ impl F2kDetector {
         1.0 / (3.0 * self.max_tau(n) as f64)
     }
 
-    /// Upper bound on the rounds of one run: per pair,
-    /// `K` repetitions × 2 calls × `(ℓ+2)` supersteps, each superstep
-    /// carrying at most 4 words per edge in randomized mode (or `τ_ℓ`
-    /// otherwise — this bound is for the randomized variant used by the
-    /// quantum pipeline).
-    pub fn round_bound(&self) -> u64 {
+    /// Upper bound on the rounds of one run under `budget` (whose
+    /// repetition override replaces `K`): per pair, `K` repetitions × 2
+    /// calls × `(ℓ+2)` supersteps, each superstep carrying at most 4
+    /// words per edge in randomized mode (or `τ_ℓ` otherwise — this
+    /// bound is for the randomized variant used by the quantum
+    /// pipeline). It holds at any bandwidth.
+    pub fn round_bound(&self, budget: &Budget) -> u64 {
+        let repetitions = self.repetitions(budget) as u64;
         let mut total = 0u64;
         for l in 2..=self.k as u64 {
-            total += self.repetitions_per_pair as u64 * 2 * (1 + (l + 1) * 4);
+            total += repetitions * 2 * (1 + (l + 1) * 4);
         }
         total + 2
     }
 
     /// Wraps the (randomized) detector as a Monte-Carlo algorithm over a
     /// fixed graph, for quantum amplification: one verdict-only
-    /// evaluator, whose simulated calls step on `backend`, for every
-    /// seed of an amplification.
+    /// evaluator for every seed of an amplification. It reads from
+    /// `budget` the repetition override and the backend its simulated
+    /// calls step on; no verdict depends on the rest.
     ///
     /// # Panics
     ///
     /// Panics if the detector is not in randomized mode (the full
     /// threshold variant has `Θ(n^{1-1/k})` rounds and nothing to
     /// amplify).
-    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> F2kMc<'a> {
+    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> F2kMc<'a> {
         assert!(
             self.randomized,
             "amplification needs the randomized (constant-congestion) variant"
@@ -217,8 +220,9 @@ impl F2kDetector {
         F2kMc {
             det: self,
             g,
+            budget: budget.clone(),
             sets: PairSets::new(self, g),
-            verdicts: VerdictSession::new(g, lengths, backend),
+            verdicts: VerdictSession::new(g, lengths, budget),
         }
     }
 
@@ -234,40 +238,17 @@ impl F2kDetector {
         2 * self.k
     }
 
-    /// Runs the detector; randomness derives from `seed`.
-    pub fn run(&self, g: &Graph, seed: u64) -> F2kOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`F2kDetector::run`] at per-edge bandwidth `B` (words per round).
-    pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> F2kOutcome {
-        self.run_on_backend(g, seed, bandwidth, Backend::Sequential)
-    }
-
-    /// [`F2kDetector::run_with_bandwidth`] on an explicit simulation
-    /// [`Backend`]; the outcome is byte-identical whatever the backend.
-    pub fn run_on_backend(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-        backend: Backend,
-    ) -> F2kOutcome {
-        let options = RunOptions {
-            bandwidth,
-            backend,
-            ..Default::default()
-        };
-        self.run_capped(g, seed, &options)
-    }
-
-    /// The costed run under `options` (its caps abort the
-    /// pair/repetition loop, flagging the outcome; a rejection always
-    /// stops it).
-    fn run_capped(&self, g: &Graph, seed: u64, options: &RunOptions) -> F2kOutcome {
-        let mut run = CostedRun::new(g, options, RunReport::empty());
+    /// Runs the detector under `budget`; randomness derives from `seed`.
+    /// The budget's repetition override replaces the per-pair count,
+    /// every call is simulated on its backend and charged at its
+    /// bandwidth, its caps abort the pair/repetition loop (flagging the
+    /// outcome) and, with [`Budget::run_to_budget`], a rejection does
+    /// not stop it.
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> F2kOutcome {
+        let mut run = CostedRun::new(g, budget, RunReport::empty());
         let mut sets = PairSets::new(self, g);
-        let _ = self.walk_calls(g, seed, &mut sets, |call| run.visit(call));
+        let repetitions = self.repetitions(budget);
+        let _ = self.walk_calls(g, seed, repetitions, &mut sets, |call| run.visit(call));
         let (witness, pair) = run
             .rejection
             .map(|r| (r.witness, usize::from(r.meet)))
@@ -283,6 +264,11 @@ impl F2kDetector {
         }
     }
 
+    /// The per-pair repetitions of a run under `budget`.
+    fn repetitions(&self, budget: &Budget) -> usize {
+        budget.repetitions.unwrap_or(self.repetitions_per_pair)
+    }
+
     /// Walks the `color-BFS` calls of one run in order: per pair
     /// `ℓ = 2, …, k` its `S` and `W`, then per repetition a coloring,
     /// drawn when first read, and two calls; stops when `visit` breaks.
@@ -292,6 +278,7 @@ impl F2kDetector {
         &self,
         g: &Graph,
         seed: u64,
+        repetitions: usize,
         sets: &mut PairSets,
         mut visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
@@ -318,7 +305,7 @@ impl F2kDetector {
             );
             let palette = Palette::pair(l);
             let launch = Launch::new(pair.tau, self.randomized);
-            for r in 0..self.repetitions_per_pair as u64 {
+            for r in 0..repetitions as u64 {
                 iteration += 1;
                 let coloring = Coloring::new(n, palette, derive_seed(pair_seed, 0xC0 + r));
                 // Two calls: light (G[U], X = U) and merged heavy
@@ -347,8 +334,8 @@ impl F2kDetector {
 /// evaluator that simulates only the calls that can reject.
 ///
 /// An evaluation of a seed walks the same calls as [`F2kDetector::run`]
-/// with that seed and stops at the first rejecting call, as the run
-/// does. Only a node of `X ∩ H` on a cycle of length `3, …, 2k` of the
+/// with that seed under the evaluator's budget, uncapped, and stops at
+/// the first rejecting call, as the run does. Only a node of `X ∩ H` on a cycle of length `3, …, 2k` of the
 /// graph is a launch candidate, and on a graph without one the
 /// evaluation answers `false` before it draws a pair's sets. Each call
 /// is simulated, with exactly the run's coins, only if some candidate
@@ -370,6 +357,8 @@ impl F2kDetector {
 pub struct F2kMc<'a> {
     det: &'a F2kDetector,
     g: &'a Graph,
+    /// The repetition override.
+    budget: Budget,
     sets: PairSets,
     pub(crate) verdicts: VerdictSession,
 }
@@ -380,15 +369,16 @@ impl congest_quantum::MonteCarloAlgorithm for F2kMc<'_> {
             return false;
         }
         let (g, verdicts) = (self.g, &mut self.verdicts);
+        let repetitions = self.det.repetitions(&self.budget);
         self.det
-            .walk_calls(g, seed, &mut self.sets, |call| {
+            .walk_calls(g, seed, repetitions, &mut self.sets, |call| {
                 verdicts.call_verdict(g, call)
             })
             .is_break()
     }
 
     fn round_bound(&self) -> u64 {
-        self.det.round_bound()
+        self.det.round_bound(&self.budget)
     }
 
     fn success_probability(&self) -> f64 {
@@ -408,31 +398,12 @@ impl crate::Detector for F2kDetector {
         }
     }
 
-    fn detect(&self, g: &Graph, seed: u64, budget: &crate::Budget) -> crate::DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => self.clone().with_repetitions(r),
-            None => self.clone(),
-        };
-        let o = det.run_capped(g, seed, &RunOptions::capped(budget));
+    fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> crate::DetectResult {
+        let o = self.run(g, seed, budget);
         let cost = crate::RunCost::from_report(&o.report, o.iterations);
-        let verdict = if o.rejected {
-            crate::Verdict::Reject {
-                cycle_length: o.cycle_length,
-                witness: o.witness,
-            }
-        } else if o.budget_exceeded {
-            crate::Verdict::BudgetExceeded {
-                rounds: cost.rounds,
-                messages: cost.messages,
-            }
-        } else {
-            crate::Verdict::Accept
-        };
-        Ok(budget.enforce(crate::Detection {
-            algorithm: self.descriptor(),
-            verdict,
-            cost,
-        }))
+        let detection =
+            crate::Detection::of_run(self.descriptor(), o.witness, o.budget_exceeded, cost);
+        Ok(budget.enforce(detection))
     }
 }
 
@@ -446,7 +417,7 @@ mod tests {
         let host = generators::erdos_renyi(100, 0.05, 4);
         let (g, _) = generators::plant_cycle(&host, 4, 4);
         let det = F2kDetector::new(3).with_repetitions(30).randomized();
-        let o = det.run(&g, 2);
+        let o = det.run(&g, 2, &Budget::classical());
         assert!(
             o.report.congestion.max_words_per_edge_step <= 4,
             "randomized F2k congestion {}",
@@ -459,14 +430,17 @@ mod tests {
         let det = F2kDetector::new(3).with_repetitions(20).randomized();
         for seed in 0..3 {
             let g = generators::high_girth(60, 6, 10, seed);
-            assert!(!det.run(&g, seed).rejected(), "seed {seed}");
+            assert!(
+                !det.run(&g, seed, &Budget::classical()).rejected(),
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
     fn a_call_without_an_active_source_only_says_hello() {
         use crate::color_bfs::has_active_source;
-        use congest_sim::Executor;
+        use congest_sim::{Backend, Executor};
         // The lemma behind the verdict-only oracle, on the calls of real
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
@@ -481,7 +455,7 @@ mod tests {
             let (mut coins, every_node) = (Vec::new(), vec![true; g.node_count()]);
             let mut sets = PairSets::new(&det, &g);
             for seed in 0..10 {
-                let _ = det.walk_calls(&g, seed, &mut sets, |call| {
+                let _ = det.walk_calls(&g, seed, 12, &mut sets, |call| {
                     if has_active_source(&mut coins, call, &every_node) {
                         sourced += 1;
                         return ControlFlow::Continue(());
@@ -507,14 +481,14 @@ mod tests {
     fn monte_carlo_wrapper_requires_randomized() {
         let g = generators::cycle(8);
         let det = F2kDetector::new(2).randomized();
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let mut mc = det.as_monte_carlo(&g, &Budget::classical());
         use congest_quantum::MonteCarloAlgorithm;
         assert!(mc.success_probability() > 0.0);
         assert!(mc.round_bound() > 0);
         for seed in 0..5 {
             assert_eq!(
                 mc.rejects(seed),
-                det.run(&g, seed).rejected(),
+                det.run(&g, seed, &Budget::classical()).rejected(),
                 "seed {seed}"
             );
         }
@@ -525,7 +499,29 @@ mod tests {
     fn monte_carlo_wrapper_rejects_full_threshold_mode() {
         let g = generators::cycle(8);
         let det = F2kDetector::new(2);
-        let _ = det.as_monte_carlo(&g, Backend::Sequential);
+        let _ = det.as_monte_carlo(&g, &Budget::classical());
+    }
+
+    #[test]
+    fn an_exhaustive_budget_walks_every_pair() {
+        // A rejection stops a run unless the budget runs to its end;
+        // then the cost covers R repetitions of each of the k − 1 pairs
+        // and the witness stands. The C4 farm rejects at pair ℓ = 2.
+        use crate::Detector;
+        let g = cycle_farm(4, 8);
+        let det = F2kDetector::new(3);
+        let reps = 64;
+        let budget = Budget::classical().with_repetitions(reps);
+        let seed = (0..16)
+            .find(|&seed| det.detect(&g, seed, &budget).unwrap().rejected())
+            .expect("some seed rejects");
+        let first = det.detect(&g, seed, &budget).unwrap();
+        assert!(first.cost.iterations < reps as u64, "{:?}", first.cost);
+        let all = det.detect(&g, seed, &budget.exhaustive()).unwrap();
+        assert!(all.rejected());
+        assert!(all.witness().unwrap().is_valid(&g));
+        assert_eq!(all.cost.iterations, 2 * reps as u64);
+        assert!(all.cost.rounds > first.cost.rounds);
     }
 
     #[test]
@@ -533,7 +529,7 @@ mod tests {
         let host = generators::random_tree(40, 3);
         let (g, _) = generators::plant_cycle(&host, 4, 3);
         let det = F2kDetector::new(3);
-        let outcome = det.run(&g, 1);
+        let outcome = det.run(&g, 1, &Budget::classical());
         assert!(outcome.rejected());
         assert_eq!(outcome.pair, Some(2));
         assert_eq!(outcome.cycle_length, Some(4));
@@ -549,7 +545,7 @@ mod tests {
         let g = cycle_farm(3, 8);
         let det = F2kDetector::new(2);
         let found = (0..6).any(|seed| {
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             if outcome.rejected() {
                 assert_eq!(outcome.cycle_length, Some(3));
                 assert_eq!(outcome.witness.as_ref().unwrap().len(), 3);
@@ -578,7 +574,7 @@ mod tests {
         let det = F2kDetector::new(3).with_repetitions(2000);
         let mut found = false;
         for seed in 0..10 {
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             if outcome.rejected() {
                 assert_eq!(outcome.pair, Some(3));
                 assert_eq!(outcome.cycle_length, Some(5));
@@ -596,7 +592,7 @@ mod tests {
         let det = F2kDetector::new(3).with_repetitions(2000);
         let mut found = false;
         for seed in 0..10 {
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             if outcome.rejected() {
                 assert_eq!(outcome.cycle_length, Some(6));
                 found = true;
@@ -612,7 +608,10 @@ mod tests {
         let g = generators::theta(5, 6);
         let det = F2kDetector::new(4).with_repetitions(64);
         for seed in 0..4 {
-            assert!(!det.run(&g, seed).rejected(), "seed {seed}");
+            assert!(
+                !det.run(&g, seed, &Budget::classical()).rejected(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -621,7 +620,7 @@ mod tests {
         let det = F2kDetector::new(3).with_repetitions(32);
         for seed in 0..4 {
             let g = generators::random_tree(40, seed);
-            assert!(!det.run(&g, seed).rejected());
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected());
         }
     }
 }

@@ -9,12 +9,12 @@ use std::ops::ControlFlow;
 
 use congest_graph::Graph;
 use congest_quantum::MonteCarloAlgorithm;
-use congest_sim::{derive_seed, Backend, RunReport};
+use congest_sim::{derive_seed, RunReport};
 
 use crate::color_bfs::{ColorBfsCall, Coloring, CostedRun, Launch, Palette, VerdictSession};
-use crate::detector::RunOptions;
 use crate::randomized::RANDOMIZED_THRESHOLD;
 use crate::witness::{DetectionOutcome, SetsSummary};
+use crate::Budget;
 
 /// The §3.4 odd-cycle detector: decides `C_{2k+1}`-freeness with
 /// one-sided success probability `Ω(1/n)` per repetition, in constant
@@ -26,12 +26,13 @@ use crate::witness::{DetectionOutcome, SetsSummary};
 ///
 /// ```
 /// use congest_graph::generators;
-/// use even_cycle::OddCycleDetector;
+/// use even_cycle::{Budget, OddCycleDetector};
 /// let g = generators::cycle(5);
 /// // k = 2: looking for C5. Success is Ω(1/n) per repetition, so give
 /// // it a few times n repetitions.
 /// let det = OddCycleDetector::new(2, 64);
-/// let found = (0..40).any(|seed| det.run(&g, seed).rejected());
+/// let budget = Budget::classical();
+/// let found = (0..40).any(|seed| det.run(&g, seed, &budget).rejected());
 /// assert!(found);
 /// ```
 #[derive(Debug, Clone)]
@@ -69,43 +70,18 @@ impl OddCycleDetector {
         self
     }
 
-    /// Runs the detector; all randomness derives from `seed`.
-    pub fn run(&self, g: &Graph, seed: u64) -> DetectionOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`OddCycleDetector::run`] at per-edge bandwidth `B` (words per
-    /// round); the protocol is unchanged, supersteps are charged
-    /// `⌈load/B⌉` rounds.
-    pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> DetectionOutcome {
-        self.run_on_backend(g, seed, bandwidth, Backend::Sequential)
-    }
-
-    /// [`OddCycleDetector::run_with_bandwidth`] on an explicit
-    /// simulation [`Backend`]; the outcome is byte-identical whatever
-    /// the backend.
-    pub fn run_on_backend(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-        backend: Backend,
-    ) -> DetectionOutcome {
-        let options = RunOptions {
-            bandwidth,
-            backend,
-            ..Default::default()
-        };
-        self.run_capped(g, seed, &options)
-    }
-
-    /// The costed run under `options` (its caps abort the repetition
-    /// loop, flagging the outcome; a rejection always stops it).
-    fn run_capped(&self, g: &Graph, seed: u64, options: &RunOptions) -> DetectionOutcome {
+    /// Runs the detector under `budget`; all randomness derives from
+    /// `seed`. The budget's repetition override replaces the configured
+    /// count, every call is simulated on its backend and charged at its
+    /// bandwidth (the protocol is unchanged: supersteps cost
+    /// `⌈load/B⌉` rounds), its caps abort the repetition loop (flagging
+    /// the outcome) and, with [`Budget::run_to_budget`], a rejection
+    /// does not stop it.
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectionOutcome {
         let n = g.node_count();
         let all = vec![true; n];
-        let mut run = CostedRun::new(g, options, RunReport::empty());
-        let _ = self.walk_calls(&all, seed, |call| run.visit(call));
+        let mut run = CostedRun::new(g, budget, RunReport::empty());
+        let _ = self.walk_calls(&all, seed, self.repetitions(budget), |call| run.visit(call));
         run.into_outcome(SetsSummary {
             u_size: n,
             s_size: 0,
@@ -113,6 +89,11 @@ impl OddCycleDetector {
             tau: RANDOMIZED_THRESHOLD,
             selection_probability: 1.0 / n as f64,
         })
+    }
+
+    /// The repetitions of a run under `budget`.
+    fn repetitions(&self, budget: &Budget) -> usize {
+        budget.repetitions.unwrap_or(self.repetitions)
     }
 
     /// Walks the calls of one run in order, one per repetition, on the
@@ -123,6 +104,7 @@ impl OddCycleDetector {
         &self,
         all: &[bool],
         seed: u64,
+        repetitions: usize,
         mut visit: impl FnMut(&ColorBfsCall<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let n = all.len();
@@ -131,7 +113,7 @@ impl OddCycleDetector {
             activation: Some(1.0 / n as f64),
             tau: RANDOMIZED_THRESHOLD,
         };
-        for r in 0..self.repetitions as u64 {
+        for r in 0..repetitions as u64 {
             visit(&ColorBfsCall {
                 palette,
                 launch,
@@ -146,33 +128,36 @@ impl OddCycleDetector {
         ControlFlow::Continue(())
     }
 
-    /// An upper bound on the rounds of one run.
-    pub fn round_bound(&self) -> u64 {
+    /// An upper bound on the rounds of one run under `budget`, at any
+    /// bandwidth.
+    pub fn round_bound(&self, budget: &Budget) -> u64 {
         let k = self.k as u64;
-        self.repetitions as u64 * (2 + (k + 2) * 4)
+        self.repetitions(budget) as u64 * (2 + (k + 2) * 4)
     }
 
-    /// The one-sided success probability per run (§3.4): a repetition
-    /// succeeds when the cycle is well colored (probability
-    /// `(2k+1)^{-(2k+1)}`), its origin activates (probability `1/n`), and
-    /// no threshold discards (constant probability, bounded by ½ here).
-    /// Repetitions add up; capped at ½.
-    pub fn success_probability(&self, n: usize) -> f64 {
+    /// The one-sided success probability of one run under `budget`
+    /// (§3.4): a repetition succeeds when the cycle is well colored
+    /// (probability `(2k+1)^{-(2k+1)}`), its origin activates
+    /// (probability `1/n`), and no threshold discards (constant
+    /// probability, bounded by ½ here). Repetitions add up; capped at ½.
+    pub fn success_probability(&self, n: usize, budget: &Budget) -> f64 {
         let l = (2 * self.k + 1) as f64;
         let per_rep = (1.0 / l).powf(l) / (2.0 * n as f64);
-        (per_rep * self.repetitions as f64).min(0.5)
+        (per_rep * self.repetitions(budget) as f64).min(0.5)
     }
 
     /// Wraps the detector as a Monte-Carlo algorithm over a fixed graph:
-    /// one verdict-only evaluator, whose simulated calls step on
-    /// `backend`, for every seed of an amplification.
-    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> OddMc<'a> {
+    /// one verdict-only evaluator for every seed of an amplification.
+    /// It reads from `budget` the repetition override and the backend
+    /// its simulated calls step on; no verdict depends on the rest.
+    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> OddMc<'a> {
         let lengths = Palette::odd(self.k).cycle_lengths();
         OddMc {
             det: self,
             g,
+            budget: budget.clone(),
             all: vec![true; g.node_count()],
-            verdicts: VerdictSession::new(g, lengths, backend),
+            verdicts: VerdictSession::new(g, lengths, budget),
         }
     }
 }
@@ -192,12 +177,8 @@ impl crate::Detector for OddCycleDetector {
         }
     }
 
-    fn detect(&self, g: &Graph, seed: u64, budget: &crate::Budget) -> crate::DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => self.clone().with_repetitions(r),
-            None => self.clone(),
-        };
-        let outcome = det.run_capped(g, seed, &RunOptions::capped(budget));
+    fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> crate::DetectResult {
+        let outcome = self.run(g, seed, budget);
         Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
@@ -207,8 +188,9 @@ impl crate::Detector for OddCycleDetector {
 /// reject.
 ///
 /// An evaluation of a seed walks the same calls as
-/// [`OddCycleDetector::run`] with that seed and stops at the first
-/// rejecting call, as the run does. Only a node on a `C_{2k+1}` of the
+/// [`OddCycleDetector::run`] with that seed under the evaluator's
+/// budget, uncapped, and stops at the first rejecting call, as the run
+/// does. Only a node on a `C_{2k+1}` of the
 /// graph is a launch candidate, and on a graph without one the
 /// evaluation answers `false` without walking a call. Each call is
 /// simulated, with exactly the run's coins (probability `1/n` each),
@@ -227,6 +209,8 @@ impl crate::Detector for OddCycleDetector {
 pub struct OddMc<'a> {
     det: &'a OddCycleDetector,
     g: &'a Graph,
+    /// The repetition override.
+    budget: Budget,
     /// Every node: the host subgraph and the launch set of each call.
     all: Vec<bool>,
     pub(crate) verdicts: VerdictSession,
@@ -238,17 +222,21 @@ impl MonteCarloAlgorithm for OddMc<'_> {
             return false;
         }
         let (g, verdicts) = (self.g, &mut self.verdicts);
+        let repetitions = self.det.repetitions(&self.budget);
         self.det
-            .walk_calls(&self.all, seed, |call| verdicts.call_verdict(g, call))
+            .walk_calls(&self.all, seed, repetitions, |call| {
+                verdicts.call_verdict(g, call)
+            })
             .is_break()
     }
 
     fn round_bound(&self) -> u64 {
-        self.det.round_bound()
+        self.det.round_bound(&self.budget)
     }
 
     fn success_probability(&self) -> f64 {
-        self.det.success_probability(self.g.node_count())
+        self.det
+            .success_probability(self.g.node_count(), &self.budget)
     }
 }
 
@@ -263,7 +251,7 @@ mod tests {
         let det = OddCycleDetector::new(2, 200);
         let mut found = false;
         for seed in 0..20 {
-            let o = det.run(&g, seed);
+            let o = det.run(&g, seed, &Budget::classical());
             if o.rejected() {
                 let w = o.witness().unwrap();
                 assert_eq!(w.len(), 5);
@@ -281,7 +269,7 @@ mod tests {
         let det = OddCycleDetector::new(1, 100);
         let mut found = false;
         for seed in 0..20 {
-            let o = det.run(&g, seed);
+            let o = det.run(&g, seed, &Budget::classical());
             if o.rejected() {
                 assert_eq!(o.witness().unwrap().len(), 3);
                 assert!(o.witness().unwrap().is_valid(&g));
@@ -298,7 +286,10 @@ mod tests {
         let det = OddCycleDetector::new(2, 50);
         for seed in 0..5 {
             let g = generators::random_bipartite(20, 20, 0.2, seed);
-            assert!(!det.run(&g, seed).rejected(), "seed {seed}");
+            assert!(
+                !det.run(&g, seed, &Budget::classical()).rejected(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -308,7 +299,7 @@ mod tests {
         let g = generators::cycle(5);
         let det = OddCycleDetector::new(3, 100);
         for seed in 0..5 {
-            assert!(!det.run(&g, seed).rejected());
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected());
         }
     }
 
@@ -316,14 +307,38 @@ mod tests {
     fn congestion_constant() {
         let g = generators::erdos_renyi(100, 0.08, 1);
         let det = OddCycleDetector::new(2, 30);
-        let o = det.run(&g, 2);
+        let o = det.run(&g, 2, &Budget::classical());
         assert!(o.report.congestion.max_words_per_edge_step <= 4);
+    }
+
+    #[test]
+    fn an_exhaustive_budget_walks_every_repetition() {
+        // A rejection stops a run unless the budget runs to its end;
+        // then the cost covers all R repetitions and the witness stands.
+        use crate::Detector;
+        let mut g = generators::cycle(5);
+        for _ in 1..8 {
+            g = generators::disjoint_union(&g, &generators::cycle(5));
+        }
+        let det = OddCycleDetector::new(2, 1);
+        let reps = 400;
+        let budget = Budget::classical().with_repetitions(reps);
+        let seed = (0..64)
+            .find(|&seed| det.detect(&g, seed, &budget).unwrap().rejected())
+            .expect("some seed rejects");
+        let first = det.detect(&g, seed, &budget).unwrap();
+        assert!(first.cost.iterations < reps as u64, "{:?}", first.cost);
+        let all = det.detect(&g, seed, &budget.exhaustive()).unwrap();
+        assert!(all.rejected());
+        assert!(all.witness().unwrap().is_valid(&g));
+        assert_eq!(all.cost.iterations, reps as u64);
+        assert!(all.cost.rounds > first.cost.rounds);
     }
 
     #[test]
     fn a_call_without_an_active_source_only_says_hello() {
         use crate::color_bfs::has_active_source;
-        use congest_sim::Executor;
+        use congest_sim::{Backend, Executor};
         // The lemma behind the verdict-only oracle, on the calls of real
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
@@ -334,7 +349,7 @@ mod tests {
             let mut session = Executor::new(Backend::Sequential);
             let mut coins = Vec::new();
             for seed in 0..10 {
-                let _ = det.walk_calls(&all, seed, |call| {
+                let _ = det.walk_calls(&all, seed, 20, |call| {
                     if has_active_source(&mut coins, call, &all) {
                         sourced += 1;
                         return ControlFlow::Continue(());
@@ -360,13 +375,13 @@ mod tests {
     fn monte_carlo_wrapper() {
         let g = generators::cycle(5);
         let det = OddCycleDetector::new(2, 50);
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let mut mc = det.as_monte_carlo(&g, &Budget::classical());
         assert!(mc.success_probability() > 0.0);
         assert!(mc.round_bound() > 0);
         for seed in 0..20 {
             assert_eq!(
                 mc.rejects(seed),
-                det.run(&g, seed).rejected(),
+                det.run(&g, seed, &Budget::classical()).rejected(),
                 "seed {seed}"
             );
         }

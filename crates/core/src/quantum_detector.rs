@@ -14,11 +14,11 @@
 use congest_graph::{CycleWitness, Graph};
 use congest_quantum::decomposition::{decompose, reduced_components};
 use congest_quantum::{GroverMode, MonteCarloAlgorithm, MonteCarloAmplifier, WithSuccess};
-use congest_sim::{derive_seed, Backend};
+use congest_sim::derive_seed;
 
 use crate::params::Params;
 use crate::randomized::LowProbDetector;
-use crate::{Budget, Descriptor, DetectResult, Detection, Detector, RunCost, Verdict};
+use crate::{Budget, Descriptor, DetectResult, Detection, Detector, RunCost};
 
 /// The result of the quantum pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,32 +64,12 @@ impl QuantumOutcome {
     /// Message/word/congestion statistics are not part of the quantum
     /// cost model and report 0.
     pub fn into_detection(self, algorithm: Descriptor) -> Detection {
-        let cycle_length = self.witness.as_ref().map(|w| w.len());
-        let verdict = if self.rejected {
-            Verdict::Reject {
-                witness: self.witness,
-                cycle_length,
-            }
-        } else if self.budget_exceeded {
-            Verdict::BudgetExceeded {
-                rounds: self.quantum_rounds,
-                messages: 0,
-            }
-        } else {
-            Verdict::Accept
+        let cost = RunCost {
+            rounds: self.quantum_rounds,
+            iterations: self.iterations,
+            ..RunCost::default()
         };
-        Detection {
-            algorithm,
-            verdict,
-            cost: RunCost {
-                rounds: self.quantum_rounds,
-                supersteps: 0,
-                messages: 0,
-                words: 0,
-                max_congestion: 0,
-                iterations: self.iterations,
-            },
-        }
+        Detection::of_run(algorithm, self.witness, self.budget_exceeded, cost)
     }
 }
 
@@ -102,59 +82,56 @@ trait PipelineBase {
         Self: 'a;
 
     /// The evaluator that answers every seed of the amplification on
-    /// `g`: its simulated calls step on `backend`, and `bandwidth` sizes
-    /// the round bound it declares per `Setup` (where that bound
-    /// depends on it). It declares the base's own success probability.
-    fn monte_carlo<'a>(&'a self, g: &'a Graph, bandwidth: u64, backend: Backend) -> Self::Mc<'a>;
+    /// `g` under `budget` (the base's `as_monte_carlo`): its repetition
+    /// override, the backend its simulated calls step on, and the
+    /// bandwidth of the round bound it declares per `Setup`, where that
+    /// bound depends on it. It declares the base's own success
+    /// probability.
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> Self::Mc<'a>;
 
-    /// Re-runs the witness seed and extracts the certified cycle.
-    fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness>;
+    /// Re-runs the witness seed under `budget` and extracts the
+    /// certified cycle.
+    fn witness_of(&self, g: &Graph, seed: u64, budget: &Budget) -> Option<CycleWitness>;
 }
 
 impl PipelineBase for LowProbDetector {
     type Mc<'a> = crate::LowProbMc<'a>;
 
-    fn monte_carlo<'a>(&'a self, g: &'a Graph, bandwidth: u64, backend: Backend) -> Self::Mc<'a> {
-        self.as_monte_carlo(g, backend).with_bandwidth(bandwidth)
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> Self::Mc<'a> {
+        self.as_monte_carlo(g, budget)
     }
 
-    fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
-        let opts = crate::RunOptions {
-            backend,
-            ..Default::default()
-        };
-        self.run_with(g, seed, &opts).witness
+    fn witness_of(&self, g: &Graph, seed: u64, budget: &Budget) -> Option<CycleWitness> {
+        self.run(g, seed, budget).witness
     }
 }
 
 impl PipelineBase for crate::OddCycleDetector {
     type Mc<'a> = crate::OddMc<'a>;
 
-    fn monte_carlo<'a>(&'a self, g: &'a Graph, _bandwidth: u64, backend: Backend) -> Self::Mc<'a> {
-        // Constant threshold 4; the B = 1 bound stays valid for B ≥ 1.
-        self.as_monte_carlo(g, backend)
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> Self::Mc<'a> {
+        self.as_monte_carlo(g, budget)
     }
 
-    fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
-        self.run_on_backend(g, seed, 1, backend).witness
+    fn witness_of(&self, g: &Graph, seed: u64, budget: &Budget) -> Option<CycleWitness> {
+        self.run(g, seed, budget).witness
     }
 }
 
 impl PipelineBase for crate::F2kDetector {
     type Mc<'a> = crate::F2kMc<'a>;
 
-    fn monte_carlo<'a>(&'a self, g: &'a Graph, _bandwidth: u64, backend: Backend) -> Self::Mc<'a> {
-        // Constant threshold 4; the B = 1 bound stays valid for B ≥ 1.
-        self.as_monte_carlo(g, backend)
+    fn monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> Self::Mc<'a> {
+        self.as_monte_carlo(g, budget)
     }
 
-    fn witness_of(&self, g: &Graph, seed: u64, backend: Backend) -> Option<CycleWitness> {
-        self.run_on_backend(g, seed, 1, backend).witness
+    fn witness_of(&self, g: &Graph, seed: u64, budget: &Budget) -> Option<CycleWitness> {
+        self.run(g, seed, budget).witness
     }
 }
 
 /// Shared parameters of one pipeline run.
-struct PipelineSpec {
+struct PipelineSpec<'a> {
     /// Decomposition separation parameter (`2k+1` for even/F2k targets,
     /// `2k+2` for odd).
     separation: u32,
@@ -174,18 +151,13 @@ struct PipelineSpec {
     /// Declared success-probability override (shrinks the seed space;
     /// one-sidedness unaffected).
     declared_success: Option<f64>,
-    /// Per-edge bandwidth of the decomposition and of the round bound
-    /// charged per amplified base run, where that bound depends on it
-    /// (see
-    /// [`Decomposition::round_cost_at`](congest_quantum::decomposition::Decomposition::round_cost_at)).
-    bandwidth: u64,
-    /// Simulation backend driving the classical base runs (see
-    /// [`crate::Budget::backend`]); outcomes are byte-identical
-    /// across backends.
-    backend: Backend,
-    /// Hard cap on accumulated quantum rounds: the component loop
-    /// aborts once the charge so far passes it.
-    round_cap: Option<u64>,
+    /// The run's budget. Its bandwidth prices the decomposition (see
+    /// [`Decomposition::round_cost_at`](congest_quantum::decomposition::Decomposition::round_cost_at))
+    /// and reaches the base evaluators, its round cap aborts the
+    /// component loop once the charge so far passes it, and its
+    /// repetition override and backend reach the base evaluators and
+    /// the witness re-run.
+    budget: &'a Budget,
 }
 
 /// The Lemma 13 pipeline: decomposition, per-component amplification,
@@ -197,13 +169,21 @@ fn run_pipeline<B: PipelineBase>(
     base: &B,
     spec: &PipelineSpec,
 ) -> QuantumOutcome {
+    let budget = spec.budget;
     let decomposition = decompose(g, spec.separation, derive_seed(seed, spec.dec_stream));
     let components = reduced_components(g, &decomposition, spec.radius);
     // Budget::bandwidth applies to the whole pipeline: the decomposition
     // construction and the round bound charged per amplified Setup
     // (declared by the base's evaluator), where the base's bound
     // depends on it.
-    let decomposition_rounds = decomposition.round_cost_at(spec.bandwidth);
+    let decomposition_rounds = decomposition.round_cost_at(budget.bandwidth);
+    // The witness re-run: the base's own run of the rejecting seed, at
+    // B = 1 and uncapped, stopping at its first rejection.
+    let witness_budget = Budget {
+        repetitions: budget.repetitions,
+        backend: budget.backend,
+        ..Budget::default()
+    };
 
     let mut per_color_quantum: std::collections::BTreeMap<u32, u64> =
         std::collections::BTreeMap::new();
@@ -220,15 +200,15 @@ fn run_pipeline<B: PipelineBase>(
         if comp.graph.node_count() < spec.min_nodes {
             continue; // cannot contain a target cycle
         }
-        if spec
-            .round_cap
+        if budget
+            .max_rounds
             .is_some_and(|cap| decomposition_rounds + per_color_quantum.values().sum::<u64>() > cap)
         {
             budget_exceeded = true;
             break;
         }
         // One evaluator answers every seed of this amplification.
-        let mc = base.monte_carlo(&comp.graph, spec.bandwidth, spec.backend);
+        let mc = base.monte_carlo(&comp.graph, budget);
         let declared = spec
             .declared_success
             .unwrap_or_else(|| mc.success_probability());
@@ -253,7 +233,7 @@ fn run_pipeline<B: PipelineBase>(
             // witness back to the original ids.
             let ws = report.witness_seed.expect("rejected implies witness seed");
             let local_witness = base
-                .witness_of(&comp.graph, ws, spec.backend)
+                .witness_of(&comp.graph, ws, &witness_budget)
                 .expect("witness seed reproduces the rejection");
             let mapped = CycleWitness::new(
                 local_witness
@@ -286,14 +266,14 @@ fn run_pipeline<B: PipelineBase>(
 ///
 /// ```
 /// use congest_graph::generators;
-/// use even_cycle::{Params, QuantumCycleDetector};
+/// use even_cycle::{Budget, Params, QuantumCycleDetector};
 ///
 /// let host = generators::random_tree(32, 5);
 /// let (g, _) = generators::plant_cycle(&host, 4, 5);
 /// let det = QuantumCycleDetector::new(Params::practical(2).with_repetitions(24), 0.1)
 ///     .with_declared_success(1.0 / 256.0);
 /// let found = (0..4).any(|seed| {
-///     let outcome = det.run(&g, seed);
+///     let outcome = det.run(&g, seed, &Budget::classical());
 ///     if outcome.rejected {
 ///         assert!(outcome.witness.as_ref().unwrap().is_valid(&g));
 ///     }
@@ -351,26 +331,11 @@ impl QuantumCycleDetector {
         self
     }
 
-    /// Runs the full pipeline on `g`.
-    pub fn run(&self, g: &Graph, seed: u64) -> QuantumOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`QuantumCycleDetector::run`] with the whole pipeline — the round
-    /// bound of the amplified base runs and the decomposition — charged
-    /// at per-edge bandwidth `B`.
-    pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> QuantumOutcome {
-        self.run_capped(g, seed, bandwidth, Backend::Sequential, None)
-    }
-
-    fn run_capped(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-        backend: Backend,
-        round_cap: Option<u64>,
-    ) -> QuantumOutcome {
+    /// Runs the full pipeline on `g` under `budget`: its bandwidth
+    /// prices the decomposition and the round bound of the amplified
+    /// base runs, its round cap aborts the component loop, and its
+    /// repetition override and backend reach the base detector.
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> QuantumOutcome {
         let k = self.params.k;
         let base = LowProbDetector::new(self.params.clone());
         // Lemma 9 uses the decomposition with separation parameter
@@ -384,9 +349,7 @@ impl QuantumCycleDetector {
             delta: self.delta,
             mode: self.mode,
             declared_success: self.declared_success,
-            bandwidth,
-            backend,
-            round_cap,
+            budget,
         };
         run_pipeline(g, seed, &base, &spec)
     }
@@ -405,11 +368,7 @@ impl Detector for QuantumCycleDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => self.clone().with_repetitions(r),
-            None => self.clone(),
-        };
-        let outcome = det.run_capped(g, seed, budget.bandwidth, budget.backend, budget.max_rounds);
+        let outcome = self.run(g, seed, budget);
         Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
@@ -473,25 +432,9 @@ impl QuantumOddCycleDetector {
         self
     }
 
-    /// Runs the full pipeline on `g`.
-    pub fn run(&self, g: &Graph, seed: u64) -> QuantumOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`QuantumOddCycleDetector::run`] with the whole pipeline charged
-    /// at per-edge bandwidth `B`.
-    pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> QuantumOutcome {
-        self.run_capped(g, seed, bandwidth, Backend::Sequential, None)
-    }
-
-    fn run_capped(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-        backend: Backend,
-        round_cap: Option<u64>,
-    ) -> QuantumOutcome {
+    /// Runs the full pipeline on `g` under `budget` (read as
+    /// [`QuantumCycleDetector::run`] reads it).
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> QuantumOutcome {
         let k = self.k;
         let l = 2 * k + 1;
         let base = crate::OddCycleDetector::new(k, self.repetitions);
@@ -505,9 +448,7 @@ impl QuantumOddCycleDetector {
             delta: self.delta,
             mode: self.mode,
             declared_success: self.declared_success,
-            bandwidth,
-            backend,
-            round_cap,
+            budget,
         };
         run_pipeline(g, seed, &base, &spec)
     }
@@ -526,11 +467,7 @@ impl Detector for QuantumOddCycleDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => self.clone().with_repetitions(r),
-            None => self.clone(),
-        };
-        let outcome = det.run_capped(g, seed, budget.bandwidth, budget.backend, budget.max_rounds);
+        let outcome = self.run(g, seed, budget);
         Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
@@ -591,25 +528,9 @@ impl QuantumF2kDetector {
         self
     }
 
-    /// Runs the full pipeline on `g`.
-    pub fn run(&self, g: &Graph, seed: u64) -> QuantumOutcome {
-        self.run_with_bandwidth(g, seed, 1)
-    }
-
-    /// [`QuantumF2kDetector::run`] with the whole pipeline charged at
-    /// per-edge bandwidth `B`.
-    pub fn run_with_bandwidth(&self, g: &Graph, seed: u64, bandwidth: u64) -> QuantumOutcome {
-        self.run_capped(g, seed, bandwidth, Backend::Sequential, None)
-    }
-
-    fn run_capped(
-        &self,
-        g: &Graph,
-        seed: u64,
-        bandwidth: u64,
-        backend: Backend,
-        round_cap: Option<u64>,
-    ) -> QuantumOutcome {
+    /// Runs the full pipeline on `g` under `budget` (read as
+    /// [`QuantumCycleDetector::run`] reads it).
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> QuantumOutcome {
         let k = self.k;
         let base = crate::F2kDetector::new(k)
             .with_repetitions(self.repetitions)
@@ -623,9 +544,7 @@ impl QuantumF2kDetector {
             delta: self.delta,
             mode: self.mode,
             declared_success: self.declared_success,
-            bandwidth,
-            backend,
-            round_cap,
+            budget,
         };
         run_pipeline(g, seed, &base, &spec)
     }
@@ -644,11 +563,7 @@ impl Detector for QuantumF2kDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => self.clone().with_repetitions(r),
-            None => self.clone(),
-        };
-        let outcome = det.run_capped(g, seed, budget.bandwidth, budget.backend, budget.max_rounds);
+        let outcome = self.run(g, seed, budget);
         Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
@@ -678,7 +593,7 @@ mod tests {
         let (g, _) = generators::plant_cycle(&host, 4, 5);
         let det = small_detector();
         let found = (0..6).any(|seed| {
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             if outcome.rejected {
                 let w = outcome.witness.as_ref().unwrap();
                 assert_eq!(w.len(), 4);
@@ -695,7 +610,7 @@ mod tests {
         let det = sampled_detector();
         for seed in 0..2 {
             let g = generators::random_tree(32, seed);
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             assert!(!outcome.rejected, "seed {seed}");
             assert!(outcome.witness.is_none());
         }
@@ -704,7 +619,7 @@ mod tests {
     #[test]
     fn one_sided_on_polarity_graph() {
         let g = generators::polarity_graph(3);
-        let outcome = sampled_detector().run(&g, 7);
+        let outcome = sampled_detector().run(&g, 7, &Budget::classical());
         assert!(!outcome.rejected);
     }
 
@@ -712,7 +627,7 @@ mod tests {
     fn accounts_decomposition_and_components() {
         let host = generators::random_tree(40, 2);
         let (g, _) = generators::plant_cycle(&host, 4, 2);
-        let outcome = small_detector().run(&g, 1);
+        let outcome = small_detector().run(&g, 1, &Budget::classical());
         assert!(outcome.decomposition_rounds > 0);
         assert!(outcome.components >= 1);
         assert!(outcome.colors >= 1);
@@ -726,8 +641,8 @@ mod tests {
         // words per edge divide the charge exactly.
         let g = generators::random_tree(32, 3);
         let det = sampled_detector();
-        let b1 = det.run_with_bandwidth(&g, 1, 1);
-        let b4 = det.run_with_bandwidth(&g, 1, 4);
+        let b1 = det.run(&g, 1, &Budget::classical());
+        let b4 = det.run(&g, 1, &Budget::classical().with_bandwidth(4));
         assert!(b1.decomposition_rounds > 1);
         assert_eq!(b4.decomposition_rounds, b1.decomposition_rounds.div_ceil(4));
         assert!(b4.quantum_rounds <= b1.quantum_rounds);
@@ -758,8 +673,8 @@ mod tests {
         let host = generators::random_tree(28, 4);
         let (g, _) = generators::plant_cycle(&host, 4, 4);
         let det = small_detector();
-        let a = det.run(&g, 9);
-        let b = det.run(&g, 9);
+        let a = det.run(&g, 9, &Budget::classical());
+        let b = det.run(&g, 9, &Budget::classical());
         assert_eq!(a.rejected, b.rejected);
         assert_eq!(a.quantum_rounds, b.quantum_rounds);
         assert_eq!(a.iterations, b.iterations);
@@ -775,7 +690,7 @@ mod tests {
         let g = generators::disjoint_union(&g, &generators::path(10));
         let det = QuantumOddCycleDetector::new(2, 60, 0.1).with_declared_success(1.0 / 64.0);
         let found = (0..6).any(|seed| {
-            let o = det.run(&g, seed);
+            let o = det.run(&g, seed, &Budget::classical());
             if o.rejected {
                 let w = o.witness.as_ref().unwrap();
                 assert_eq!(w.len(), 5);
@@ -792,7 +707,10 @@ mod tests {
             .with_mode(congest_quantum::GroverMode::Sampled { samples: 16 });
         for seed in 0..2 {
             let g = generators::random_bipartite(16, 16, 0.15, seed);
-            assert!(!det.run(&g, seed).rejected, "seed {seed}");
+            assert!(
+                !det.run(&g, seed, &Budget::classical()).rejected,
+                "seed {seed}"
+            );
         }
     }
 
@@ -804,7 +722,7 @@ mod tests {
         let (g, _) = generators::plant_cycle(&host, 4, 6);
         let det = QuantumF2kDetector::new(2, 40, 0.1).with_declared_success(1.0 / 128.0);
         let found = (0..6).any(|seed| {
-            let o = det.run(&g, seed);
+            let o = det.run(&g, seed, &Budget::classical());
             if o.rejected {
                 let w = o.witness.as_ref().unwrap();
                 assert!(w.len() == 3 || w.len() == 4);
@@ -822,7 +740,10 @@ mod tests {
             .with_mode(congest_quantum::GroverMode::Sampled { samples: 16 });
         for seed in 0..2 {
             let g = generators::high_girth(48, 6, 8, seed);
-            assert!(!det.run(&g, seed).rejected, "seed {seed}");
+            assert!(
+                !det.run(&g, seed, &Budget::classical()).rejected,
+                "seed {seed}"
+            );
         }
     }
 
@@ -833,7 +754,7 @@ mod tests {
         let (g, _) = generators::plant_cycle(&host, 4, 8);
         let det = small_detector();
         for seed in 0..3 {
-            let via_run = det.run(&g, seed);
+            let via_run = det.run(&g, seed, &Budget::classical());
             let via_detect = det.detect(&g, seed, &Budget::classical()).unwrap();
             assert_eq!(via_run.rejected, via_detect.rejected());
             assert_eq!(via_run.quantum_rounds, via_detect.rounds());

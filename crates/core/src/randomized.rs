@@ -12,12 +12,12 @@
 
 use congest_graph::Graph;
 use congest_quantum::MonteCarloAlgorithm;
-use congest_sim::Backend;
 
 use crate::color_bfs::{Launch, Palette, VerdictSession};
 use crate::detector::{draw_selection, light_mask, CallSets, CycleDetector, RunOptions};
 use crate::params::{Instance, Params};
 use crate::witness::DetectionOutcome;
+use crate::Budget;
 
 /// The constant threshold of `randomized-color-BFS` (Algorithm 2,
 /// Instruction 5).
@@ -51,32 +51,35 @@ impl LowProbDetector {
         &self.params
     }
 
-    /// Runs the low-probability detector once with the given seed.
-    pub fn run(&self, g: &Graph, seed: u64) -> DetectionOutcome {
-        self.run_with(g, seed, &RunOptions::default())
+    /// Runs the low-probability detector once with the given seed, under
+    /// `budget` (read as [`CycleDetector::run`] reads it).
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectionOutcome {
+        self.run_with(g, seed, budget, &RunOptions::default())
     }
 
-    /// Runs with experiment hooks (see [`RunOptions`]). Algorithm 1's
-    /// set construction (Instructions 1–5) is unchanged; only the
-    /// `color-BFS` calls are randomized.
-    pub fn run_with(&self, g: &Graph, seed: u64, options: &RunOptions) -> DetectionOutcome {
-        CycleDetector::new(self.params.clone()).run_calls(g, seed, options, true)
+    /// [`LowProbDetector::run`] with the test hooks of `options`.
+    /// Algorithm 1's set construction (Instructions 1–5) is unchanged;
+    /// only the `color-BFS` calls are randomized.
+    pub fn run_with(
+        &self,
+        g: &Graph,
+        seed: u64,
+        budget: &Budget,
+        options: &RunOptions,
+    ) -> DetectionOutcome {
+        CycleDetector::new(self.params.clone()).run_calls(g, seed, budget, options, true)
     }
 
-    /// An upper bound on the rounds of one run: setup + `K` iterations of
-    /// three `(k+2)`-superstep calls, each superstep carrying at most
-    /// [`RANDOMIZED_THRESHOLD`] words per edge.
-    pub fn round_bound(&self, n: usize) -> u64 {
-        self.round_bound_bw(n, 1)
-    }
-
-    /// [`LowProbDetector::round_bound`] at per-edge bandwidth `B`: each
-    /// superstep is charged `⌈threshold/B⌉` rounds instead of the full
-    /// threshold.
-    pub fn round_bound_bw(&self, n: usize, bandwidth: u64) -> u64 {
+    /// An upper bound on the rounds of one run under `budget`: setup +
+    /// `K` iterations of three `(k+2)`-superstep calls, each superstep
+    /// carrying at most [`RANDOMIZED_THRESHOLD`] words per edge and so
+    /// charged `⌈threshold/B⌉` rounds at the budget's bandwidth `B`.
+    /// The budget's repetition override replaces `K`.
+    pub fn round_bound(&self, n: usize, budget: &Budget) -> u64 {
         let k = self.params.k as u64;
-        let per_call = 1 + (k + 1) * RANDOMIZED_THRESHOLD.div_ceil(bandwidth.max(1));
-        2 + self.params.repetitions as u64 * 3 * per_call + (n == 0) as u64
+        let repetitions = budget.repetitions.unwrap_or(self.params.repetitions) as u64;
+        let per_call = 1 + (k + 1) * RANDOMIZED_THRESHOLD.div_ceil(budget.bandwidth.max(1));
+        2 + repetitions * 3 * per_call + (n == 0) as u64
     }
 
     /// The Lemma 12 one-sided success probability `1/(3τ)` for an
@@ -86,27 +89,30 @@ impl LowProbDetector {
     }
 
     /// Wraps the detector as a [`MonteCarloAlgorithm`] over a fixed
-    /// graph, for quantum amplification: one verdict-only evaluator,
-    /// whose simulated calls step on `backend`, for every seed of an
-    /// amplification.
+    /// graph, for quantum amplification: one verdict-only evaluator for
+    /// every seed of an amplification. It reads from `budget` what a
+    /// verdict and the declared round bound depend on: the repetition
+    /// override, the backend its simulated calls step on and the
+    /// bandwidth of [`LowProbDetector::round_bound`]. Caps and
+    /// [`Budget::run_to_budget`] change no verdict.
     ///
     /// # Panics
     ///
     /// Panics if `g` is empty.
-    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, backend: Backend) -> LowProbMc<'a> {
+    pub fn as_monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> LowProbMc<'a> {
         let inst = self.params.instantiate(g.node_count());
         let lengths = Palette::even(self.params.k).cycle_lengths();
         LowProbMc {
             det: self,
             g,
-            bandwidth: 1,
+            budget: budget.clone(),
             u_mask: light_mask(g, &inst),
             all: vec![true; g.node_count()],
             inst,
             s_mask: Vec::new(),
             not_s: Vec::new(),
             w_mask: Vec::new(),
-            verdicts: VerdictSession::new(g, lengths, backend),
+            verdicts: VerdictSession::new(g, lengths, budget),
         }
     }
 }
@@ -128,19 +134,9 @@ impl crate::Detector for LowProbDetector {
         }
     }
 
-    fn detect(&self, g: &Graph, seed: u64, budget: &crate::Budget) -> crate::DetectResult {
-        let det = match budget.repetitions {
-            Some(r) => LowProbDetector::new(self.params.clone().with_repetitions(r)),
-            None => self.clone(),
-        };
-        let opts = RunOptions {
-            continue_after_reject: budget.run_to_budget,
-            ..RunOptions::capped(budget)
-        };
-        Ok(budget.enforce(
-            det.run_with(g, seed, &opts)
-                .into_detection(self.descriptor()),
-        ))
+    fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> crate::DetectResult {
+        let outcome = self.run(g, seed, budget);
+        Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
 
@@ -150,9 +146,9 @@ impl crate::Detector for LowProbDetector {
 /// reject.
 ///
 /// An evaluation of a seed finds the same sets and walks the same calls
-/// as [`LowProbDetector::run`] with that seed, stopping at the first
-/// rejecting call as the run does, and draws only what its verdict
-/// reads:
+/// as [`LowProbDetector::run`] with that seed under the evaluator's
+/// budget, uncapped, stopping at the first rejecting call as the run
+/// does, and draws only what its verdict reads:
 ///
 /// * only a node of `X ∩ H` that lies on a `2k`-cycle of the graph is a
 ///   launch candidate; on a graph with no `2k`-cycle it answers `false`
@@ -183,7 +179,8 @@ impl crate::Detector for LowProbDetector {
 pub struct LowProbMc<'a> {
     det: &'a LowProbDetector,
     g: &'a Graph,
-    bandwidth: u64,
+    /// The repetition override and the bandwidth of the round bound.
+    budget: Budget,
     inst: Instance,
     /// `U` and `V`, which no seed changes.
     u_mask: Vec<bool>,
@@ -193,16 +190,6 @@ pub struct LowProbMc<'a> {
     not_s: Vec<bool>,
     w_mask: Vec<bool>,
     pub(crate) verdicts: VerdictSession,
-}
-
-impl LowProbMc<'_> {
-    /// Sets the per-edge bandwidth of the round bound charged per
-    /// `Setup`.
-    pub fn with_bandwidth(mut self, bandwidth: u64) -> Self {
-        assert!(bandwidth > 0, "bandwidth must be positive");
-        self.bandwidth = bandwidth;
-        self
-    }
 }
 
 impl MonteCarloAlgorithm for LowProbMc<'_> {
@@ -222,7 +209,10 @@ impl MonteCarloAlgorithm for LowProbMc<'_> {
             w: &self.w_mask,
         };
         let launch = Launch::new(self.inst.tau, true);
-        let reps = self.det.params.repetitions;
+        let reps = self
+            .budget
+            .repetitions
+            .unwrap_or(self.det.params.repetitions);
         let verdicts = &mut self.verdicts;
         sets.walk_calls(k, reps, seed, None, launch, |call| {
             verdicts.call_verdict(g, call)
@@ -231,7 +221,7 @@ impl MonteCarloAlgorithm for LowProbMc<'_> {
     }
 
     fn round_bound(&self) -> u64 {
-        self.det.round_bound_bw(self.g.node_count(), self.bandwidth)
+        self.det.round_bound(self.g.node_count(), &self.budget)
     }
 
     fn success_probability(&self) -> f64 {
@@ -252,7 +242,7 @@ mod tests {
         let host = generators::erdos_renyi(120, 0.05, 3);
         let (g, _) = generators::plant_cycle(&host, 4, 3);
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(20));
-        let outcome = det.run(&g, 5);
+        let outcome = det.run(&g, 5, &Budget::classical());
         assert!(
             outcome.report.congestion.max_words_per_edge_step <= RANDOMIZED_THRESHOLD,
             "congestion {} exceeds the constant threshold",
@@ -265,7 +255,7 @@ mod tests {
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(30));
         for seed in 0..5 {
             let g = generators::random_tree(60, seed);
-            assert!(!det.run(&g, seed).rejected());
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected());
         }
     }
 
@@ -277,7 +267,7 @@ mod tests {
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(200));
         let mut detected = 0;
         for seed in 0..8 {
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             if outcome.rejected() {
                 detected += 1;
                 let w = outcome.witness().unwrap();
@@ -302,7 +292,7 @@ mod tests {
         // runs: a costed call whose coins activate no source delivers
         // its Hello round and nothing else, and no node rejects.
         use crate::color_bfs::has_active_source;
-        use congest_sim::Executor;
+        use congest_sim::{Backend, Executor};
         use std::ops::ControlFlow;
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(8));
         let scaffold = CycleDetector::new(det.params().clone());
@@ -315,7 +305,12 @@ mod tests {
             let mut session = Executor::new(Backend::Sequential);
             let (mut coins, every_node) = (Vec::new(), vec![true; g.node_count()]);
             for seed in 0..10 {
-                let (inst, sets) = scaffold.build_memberships(&g, seed, &RunOptions::default());
+                let (inst, sets) = scaffold.build_memberships(
+                    &g,
+                    seed,
+                    &Budget::classical(),
+                    &RunOptions::default(),
+                );
                 let launch = Launch::new(inst.tau, true);
                 let _ = sets.walk_calls(2, 8, seed, None, launch, |call| {
                     if has_active_source(&mut coins, call, &every_node) {
@@ -344,11 +339,11 @@ mod tests {
         let host = generators::random_tree(40, 2);
         let (g, _) = generators::plant_cycle(&host, 4, 2);
         let det = LowProbDetector::new(Params::practical(2).with_repetitions(10));
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let mut mc = det.as_monte_carlo(&g, &Budget::classical());
         for seed in 0..20 {
             assert_eq!(
                 mc.rejects(seed),
-                det.run(&g, seed).rejected(),
+                det.run(&g, seed, &Budget::classical()).rejected(),
                 "seed {seed}"
             );
         }

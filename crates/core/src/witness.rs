@@ -76,28 +76,7 @@ impl DetectionOutcome {
     /// under the given algorithm metadata.
     pub fn into_detection(self, algorithm: crate::Descriptor) -> crate::Detection {
         let cost = crate::RunCost::from_report(&self.report, self.iterations);
-        // A certified rejection survives a budget overrun — the witness
-        // is proof either way; only an accept from a truncated run is
-        // untrusted.
-        let verdict = if self.rejected() {
-            let cycle_length = self.witness.as_ref().map(|w| w.len());
-            crate::Verdict::Reject {
-                witness: self.witness,
-                cycle_length,
-            }
-        } else if self.budget_exceeded {
-            crate::Verdict::BudgetExceeded {
-                rounds: cost.rounds,
-                messages: cost.messages,
-            }
-        } else {
-            crate::Verdict::Accept
-        };
-        crate::Detection {
-            algorithm,
-            verdict,
-            cost,
-        }
+        crate::Detection::of_run(algorithm, self.witness, self.budget_exceeded, cost)
     }
 }
 

@@ -10,9 +10,7 @@ mod common;
 
 use common::corpus;
 use congest_quantum::MonteCarloAlgorithm;
-use even_cycle::{
-    Backend, F2kDetector, LowProbDetector, OddCycleDetector, Params, Phase, RunOptions,
-};
+use even_cycle::{Budget, F2kDetector, LowProbDetector, OddCycleDetector, Params, Phase};
 
 /// Seeds asked of each evaluator, in order.
 const SEEDS: u64 = 200;
@@ -70,9 +68,11 @@ fn low_prob_verdicts_match_costed_runs() {
         let det = low_prob(k);
         let mut rejections = 0;
         for (label, g) in corpus() {
-            let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+            let mut mc = det.as_monte_carlo(&g, &Budget::classical());
             let at = format!("Lemma 12, k = {k}, on {label}");
-            rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+            rejections += same_verdicts(&at, &mut mc, |seed| {
+                det.run(&g, seed, &Budget::classical()).rejected()
+            });
         }
         assert!(
             rejections >= least,
@@ -89,10 +89,10 @@ fn scaled_low_prob_verdicts_match_costed_runs() {
     let (mut rejections, mut proper_s, mut nonempty_w, mut heavy) = (0, 0, 0, 0);
     for (label, g) in corpus() {
         let n = g.node_count();
-        let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+        let mut mc = det.as_monte_carlo(&g, &Budget::classical());
         let at = format!("scaled Lemma 12 on {label}");
         rejections += same_verdicts(&at, &mut mc, |seed| {
-            let outcome = det.run(&g, seed);
+            let outcome = det.run(&g, seed, &Budget::classical());
             // The walk stops at the first rejecting call, so the first
             // iteration's selected call is walked unless its light call
             // rejected, and its heavy call unless either did.
@@ -122,9 +122,11 @@ fn odd_verdicts_match_costed_runs() {
         let det = odd(k);
         let mut rejections = 0;
         for (label, g) in corpus() {
-            let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+            let mut mc = det.as_monte_carlo(&g, &Budget::classical());
             let at = format!("odd, k = {k}, on {label}");
-            rejections += same_verdicts(&at, &mut mc, |seed| det.run(&g, seed).rejected());
+            rejections += same_verdicts(&at, &mut mc, |seed| {
+                det.run(&g, seed, &Budget::classical()).rejected()
+            });
         }
         assert!(rejections >= least, "odd, k = {k}: {rejections} rejections");
     }
@@ -141,10 +143,10 @@ fn f2k_verdicts_match_costed_runs() {
         let det = f2k(k);
         let (mut rejections, mut hand_offs) = (0, 0);
         for (label, g) in corpus() {
-            let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+            let mut mc = det.as_monte_carlo(&g, &Budget::classical());
             let at = format!("F2k, k = {k}, on {label}");
             rejections += same_verdicts(&at, &mut mc, |seed| {
-                let outcome = det.run(&g, seed);
+                let outcome = det.run(&g, seed, &Budget::classical());
                 let hand_off = outcome.pair == Some(k) && outcome.cycle_length == Some(2 * k - 1);
                 hand_offs += usize::from(hand_off);
                 outcome.rejected
@@ -162,32 +164,25 @@ fn f2k_verdicts_match_costed_runs() {
 fn costed_runs_stay_within_the_charged_round_bound() {
     // The amplifier charges each Setup the wrapper's round_bound() and
     // simulates no run in full, so the bound must cover every costed
-    // run. The Lemma 12 detector runs every repetition.
+    // run, even one that spends its whole repetition budget.
     let (low, odd, f2k) = (low_prob(2), odd(2), f2k(2));
-    let seq = Backend::Sequential;
     for (label, g) in corpus() {
         for bandwidth in [1, 2, 4] {
-            let low_bound = low
-                .as_monte_carlo(&g, seq)
-                .with_bandwidth(bandwidth)
-                .round_bound();
-            let odd_bound = odd.as_monte_carlo(&g, seq).round_bound();
-            let f2k_bound = f2k.as_monte_carlo(&g, seq).round_bound();
-            let every_repetition = RunOptions {
-                bandwidth,
-                continue_after_reject: true,
-                ..Default::default()
-            };
+            let budget = Budget::classical().with_bandwidth(bandwidth);
+            let low_bound = low.as_monte_carlo(&g, &budget).round_bound();
+            let odd_bound = odd.as_monte_carlo(&g, &budget).round_bound();
+            let f2k_bound = f2k.as_monte_carlo(&g, &budget).round_bound();
+            let every_repetition = budget.exhaustive();
             for seed in 0..40 {
                 let at = format!("{label}, B = {bandwidth}, seed {seed}");
-                let rounds = low.run_with(&g, seed, &every_repetition).rounds();
+                let rounds = low.run(&g, seed, &every_repetition).rounds();
                 assert!(
                     rounds <= low_bound,
                     "Lemma 12 on {at}: {rounds} > {low_bound}"
                 );
-                let rounds = odd.run_with_bandwidth(&g, seed, bandwidth).rounds();
+                let rounds = odd.run(&g, seed, &every_repetition).rounds();
                 assert!(rounds <= odd_bound, "odd on {at}: {rounds} > {odd_bound}");
-                let rounds = f2k.run_with_bandwidth(&g, seed, bandwidth).report.rounds;
+                let rounds = f2k.run(&g, seed, &every_repetition).report.rounds;
                 assert!(rounds <= f2k_bound, "F2k on {at}: {rounds} > {f2k_bound}");
             }
         }

@@ -10,7 +10,7 @@
 
 use congest_graph::CycleWitness;
 use congest_sim::{derive_seed, Backend, Executor};
-use even_cycle::{random_coloring, run_color_bfs_backend, CycleDetector, Params};
+use even_cycle::{random_coloring, run_color_bfs_backend, Budget, CycleDetector, Params};
 
 use crate::gadgets::BuiltGadget;
 
@@ -65,7 +65,8 @@ pub fn measure_even_detection(
     // Set construction (as in CycleDetector, but the cut meter must see
     // the color-BFS traffic, so we run the calls directly).
     let detector = CycleDetector::new(params.clone());
-    let (_, memberships) = detector.build_memberships(g, seed, &Default::default());
+    let (_, memberships) =
+        detector.build_memberships(g, seed, &Budget::classical(), &Default::default());
     let all_mask = vec![true; n];
     let not_s: Vec<bool> = memberships.s_mask.iter().map(|&b| !b).collect();
 

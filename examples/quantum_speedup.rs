@@ -10,7 +10,7 @@
 //! cargo run --release --example quantum_speedup
 //! ```
 
-use even_cycle_congest::cycle::{Params, QuantumCycleDetector};
+use even_cycle_congest::cycle::{Budget, Params, QuantumCycleDetector};
 use even_cycle_congest::graph::generators;
 use even_cycle_congest::quantum::{FnAlgorithm, MonteCarloAmplifier};
 
@@ -55,7 +55,7 @@ fn main() {
     println!("input: n = {}, planted {planted}", graph.node_count());
     let detector = QuantumCycleDetector::new(Params::practical(2).with_repetitions(64), 0.1)
         .with_declared_success(1.0 / 400.0);
-    let outcome = detector.run(&graph, 5);
+    let outcome = detector.run(&graph, 5, &Budget::classical());
     println!(
         "decomposition: {} colors, {} components, {} rounds",
         outcome.colors, outcome.components, outcome.decomposition_rounds

@@ -2,9 +2,9 @@
 //! lower-bound gadgets compose with the simulator and the theory.
 
 use even_cycle_congest::baselines::censor_hillel::LocalThresholdDetector;
-use even_cycle_congest::baselines::deterministic::gather_and_decide;
+use even_cycle_congest::baselines::deterministic::GatherDetector;
 use even_cycle_congest::baselines::eden::EdenModel;
-use even_cycle_congest::cycle::{CycleDetector, Params};
+use even_cycle_congest::cycle::{Budget, CycleDetector, Params};
 use even_cycle_congest::graph::{analysis, generators};
 use even_cycle_congest::lowerbounds::disjointness::Disjointness;
 use even_cycle_congest::lowerbounds::gadgets::{C4Gadget, EvenCycleGadget, OddCycleGadget};
@@ -16,26 +16,33 @@ fn all_detectors_agree_on_planted_c4() {
     let host = generators::random_tree(48, 21);
     let (g, _) = generators::plant_cycle(&host, 4, 21);
     // Exact baseline:
-    let gather = gather_and_decide(&g, 4, 0).unwrap();
+    let gather = GatherDetector::new(4)
+        .run(&g, 0, &Budget::classical())
+        .unwrap();
     assert!(gather.rejected);
     // Local threshold [10] (higher attempt budget: each attempt needs a
     // cycle-adjacent source *and* a good coloring):
     let lt = LocalThresholdDetector::new(2).with_attempts(24.0, 4096);
-    assert!((0..20).any(|s| lt.run(&g, s).rejected));
+    assert!((0..20).any(|s| lt.run(&g, s, &Budget::classical()).rejected));
     // This paper:
     let ours = CycleDetector::new(Params::practical(2));
-    assert!(ours.run(&g, 3).rejected());
+    assert!(ours.run(&g, 3, &Budget::classical()).rejected());
 }
 
 #[test]
 fn all_detectors_agree_on_c4_free_input() {
     let g = generators::polarity_graph(5);
-    assert!(!gather_and_decide(&g, 4, 0).unwrap().rejected);
+    assert!(
+        !GatherDetector::new(4)
+            .run(&g, 0, &Budget::classical())
+            .unwrap()
+            .rejected
+    );
     let lt = LocalThresholdDetector::new(2);
     let ours = CycleDetector::new(Params::practical(2).with_repetitions(16));
     for seed in 0..3 {
-        assert!(!lt.run(&g, seed).rejected);
-        assert!(!ours.run(&g, seed).rejected());
+        assert!(!lt.run(&g, seed, &Budget::classical()).rejected);
+        assert!(!ours.run(&g, seed, &Budget::classical()).rejected());
     }
 }
 
@@ -49,9 +56,9 @@ fn eden_agrees_with_ours_on_c6() {
     }
     let g = generators::disjoint_union(&g, &generators::path(12));
     let eden = EdenModel::new(3).with_repetitions(800);
-    let found_eden = (0..10).any(|s| eden.run(&g, s).rejected);
+    let found_eden = (0..10).any(|s| eden.run(&g, s, &Budget::classical()).rejected);
     let ours = CycleDetector::new(Params::practical(3).with_repetitions(800));
-    let found_ours = (0..10).any(|s| ours.run(&g, s).rejected());
+    let found_ours = (0..10).any(|s| ours.run(&g, s, &Budget::classical()).rejected());
     assert!(found_eden, "[16]-style model missed the C6 entirely");
     assert!(found_ours, "Algorithm 1 missed the C6 entirely");
 }
@@ -64,8 +71,14 @@ fn gather_baseline_rounds_dominate_ours_asymptotically() {
     // at one size: per-iteration rounds of ours vs gather rounds.
     let host = generators::random_tree(220, 4);
     let (g, _) = generators::plant_cycle(&host, 4, 4);
-    let gather = gather_and_decide(&g, 4, 0).unwrap();
-    let ours = CycleDetector::new(Params::practical(2).with_repetitions(4)).run(&g, 2);
+    let gather = GatherDetector::new(4)
+        .run(&g, 0, &Budget::classical())
+        .unwrap();
+    let ours = CycleDetector::new(Params::practical(2).with_repetitions(4)).run(
+        &g,
+        2,
+        &Budget::classical(),
+    );
     let ours_per_iter = ours.report.rounds / ours.iterations.max(1) / 3;
     assert!(
         gather.report.rounds > 3 * ours_per_iter,

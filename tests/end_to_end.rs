@@ -2,7 +2,7 @@
 //! ground truth, across generators, parameters, and executors.
 
 use even_cycle_congest::cycle::{
-    random_coloring, CycleDetector, OddCycleDetector, Params, RunOptions,
+    random_coloring, Budget, CycleDetector, OddCycleDetector, Params, RunOptions,
 };
 use even_cycle_congest::graph::{analysis, generators, CycleWitness, Graph};
 use even_cycle_congest::sim::{strict::StrictExecutor, Backend, Executor};
@@ -31,7 +31,7 @@ fn detector_matches_ground_truth_on_planted_instances() {
                 ..Default::default()
             };
             let det = CycleDetector::new(Params::practical(k).with_repetitions(1));
-            let outcome = det.run_with(&g, seed, &opts);
+            let outcome = det.run_with(&g, seed, &Budget::classical(), &opts);
             assert!(outcome.rejected(), "k={k} seed={seed}");
             let w = outcome.witness().unwrap();
             assert_eq!(w.len(), l);
@@ -56,7 +56,7 @@ fn detector_sound_on_cycle_free_families() {
     for (i, g) in inputs.iter().enumerate() {
         for seed in 0..3 {
             assert!(
-                !det.run(g, seed).rejected(),
+                !det.run(g, seed, &Budget::classical()).rejected(),
                 "input {i} rejected with seed {seed}"
             );
         }
@@ -70,7 +70,7 @@ fn full_randomized_run_detects_with_paper_repetitions() {
     let host = generators::random_tree(96, 5);
     let (g, _) = generators::plant_cycle(&host, 4, 5);
     let det = CycleDetector::new(Params::paper(2, 1.0 / 3.0));
-    let outcome = det.run(&g, 1);
+    let outcome = det.run(&g, 1, &Budget::classical());
     assert!(outcome.rejected());
     assert!(outcome.witness().unwrap().is_valid(&g));
 }
@@ -80,7 +80,7 @@ fn rejection_certified_on_dense_random_graphs() {
     let det = CycleDetector::new(Params::practical(2).with_repetitions(32));
     for seed in 0..4 {
         let g = generators::erdos_renyi(60, 0.12, seed);
-        let outcome = det.run(&g, seed + 100);
+        let outcome = det.run(&g, seed + 100, &Budget::classical());
         if outcome.rejected() {
             let w = outcome.witness().unwrap();
             assert_eq!(w.len(), 4);
@@ -97,10 +97,10 @@ fn odd_detector_matches_bipartite_ground_truth() {
     let det = OddCycleDetector::new(2, 150);
     for seed in 0..3 {
         let g = generators::random_bipartite(24, 24, 0.15, seed);
-        assert!(!det.run(&g, seed).rejected());
+        assert!(!det.run(&g, seed, &Budget::classical()).rejected());
     }
     let g = generators::theta(2, 3); // C5
-    let found = (0..30).any(|seed| det.run(&g, seed).rejected());
+    let found = (0..30).any(|seed| det.run(&g, seed, &Budget::classical()).rejected());
     assert!(found);
 }
 
@@ -148,7 +148,7 @@ fn disconnected_graphs_are_handled() {
     let g = generators::disjoint_union(&generators::cycle(4), &generators::random_tree(20, 3));
     let det = CycleDetector::new(Params::practical(2).with_repetitions(64));
     let found = (0..6).any(|seed| {
-        let o = det.run(&g, seed);
+        let o = det.run(&g, seed, &Budget::classical());
         if o.rejected() {
             assert!(o.witness().unwrap().is_valid(&g));
         }
@@ -168,7 +168,7 @@ fn f2k_detects_shortest_length_first() {
     let det = F2kDetector::new(3).with_repetitions(400);
     let mut seen = None;
     for seed in 0..6 {
-        let o = det.run(&g, seed);
+        let o = det.run(&g, seed, &Budget::classical());
         if o.rejected {
             seen = o.cycle_length;
             break;

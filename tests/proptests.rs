@@ -16,7 +16,7 @@
 //!   bandwidth-consistent; serialization round-trips.
 
 use even_cycle_congest::cycle::sparsify::{DensityInput, DensityVerdict, Sparsification};
-use even_cycle_congest::cycle::{CycleDetector, OddCycleDetector, Params};
+use even_cycle_congest::cycle::{Budget, CycleDetector, OddCycleDetector, Params};
 use even_cycle_congest::graph::{analysis, generators, serialize, Graph};
 
 /// The mixed graph family of the original proptest strategy; indexing is
@@ -44,7 +44,7 @@ fn detector_never_rejects_c4_free_inputs() {
         if g.node_count() == 0 || analysis::has_cycle_exact(&g, 4, Some(100_000_000)) {
             continue;
         }
-        let outcome = det.run(&g, case ^ 0x5eed);
+        let outcome = det.run(&g, case ^ 0x5eed, &Budget::classical());
         assert!(!outcome.rejected(), "soundness violated on case {case}");
     }
 }
@@ -57,7 +57,7 @@ fn any_rejection_is_certified() {
         if g.node_count() == 0 {
             continue;
         }
-        let outcome = det.run(&g, case.wrapping_mul(31) + 1);
+        let outcome = det.run(&g, case.wrapping_mul(31) + 1, &Budget::classical());
         if outcome.rejected() {
             let w = outcome.witness().expect("witness must accompany rejection");
             assert_eq!(w.len(), 4, "case {case}");
@@ -75,7 +75,10 @@ fn odd_detector_never_rejects_bipartite() {
         let b = 5 + (case as usize * 3) % 15;
         let p = 0.05 + 0.01 * (case % 25) as f64;
         let g = generators::random_bipartite(a, b, p, case * 131 + 7);
-        assert!(!det.run(&g, case).rejected(), "case {case}");
+        assert!(
+            !det.run(&g, case, &Budget::classical()).rejected(),
+            "case {case}"
+        );
     }
 }
 

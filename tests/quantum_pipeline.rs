@@ -1,7 +1,7 @@
 //! Integration of the quantum stack: Grover simulation ↔ amplification ↔
 //! decomposition ↔ the full Lemma 13 pipeline.
 
-use even_cycle_congest::cycle::{Backend, LowProbDetector, Params, QuantumCycleDetector};
+use even_cycle_congest::cycle::{Budget, LowProbDetector, Params, QuantumCycleDetector};
 use even_cycle_congest::graph::{generators, NodeId};
 use even_cycle_congest::quantum::decomposition::{decompose, reduced_components};
 use even_cycle_congest::quantum::{
@@ -33,7 +33,7 @@ fn amplifier_finds_low_prob_detection_on_real_graph() {
     // analytic Grover over the true seed space.
     let g = generators::complete_bipartite(6, 6); // dense in C4s
     let det = LowProbDetector::new(Params::practical(2).with_repetitions(40));
-    let mut mc = det.as_monte_carlo(&g, Backend::Sequential);
+    let mut mc = det.as_monte_carlo(&g, &Budget::classical());
     // Empirical sanity: some seeds do reject.
     let marked = (0..200).filter(|&s| mc.rejects(s)).count();
     assert!(marked > 0, "no rejecting seeds at all");
@@ -41,7 +41,7 @@ fn amplifier_finds_low_prob_detection_on_real_graph() {
     let report = amp.amplify(&mut mc, 3);
     if report.rejected {
         let ws = report.witness_seed.unwrap();
-        let rerun = det.run(&g, ws);
+        let rerun = det.run(&g, ws, &Budget::classical());
         assert!(rerun.rejected(), "witness seed must reproduce");
         assert!(rerun.witness().unwrap().is_valid(&g));
     }
@@ -56,13 +56,13 @@ fn quantum_pipeline_agrees_with_classical_detector() {
         .with_declared_success(1.0 / 256.0);
     for seed in 0..2 {
         let g = generators::random_tree(48, seed);
-        let q = qdet.run(&g, seed);
+        let q = qdet.run(&g, seed, &Budget::classical());
         assert!(!q.rejected, "quantum pipeline broke one-sidedness");
     }
     let host = generators::random_tree(40, 9);
     let (g, _) = generators::plant_cycle(&host, 4, 9);
     let found = (0..4).any(|seed| {
-        let q = qdet.run(&g, seed);
+        let q = qdet.run(&g, seed, &Budget::classical());
         if q.rejected {
             assert!(q.witness.as_ref().unwrap().is_valid(&g));
         }
