@@ -392,7 +392,6 @@ struct SimMetrics {
     runs: Arc<telemetry::Counter>,
     supersteps: Arc<telemetry::Counter>,
     messages_delivered: Arc<telemetry::Counter>,
-    buffer_reuse_hits: Arc<telemetry::Counter>,
     superstep_messages: Arc<telemetry::Histogram>,
     superstep_max_edge_words: Arc<telemetry::Histogram>,
     run_supersteps_per_sec: Arc<telemetry::Histogram>,
@@ -408,7 +407,6 @@ fn sim_metrics() -> &'static SimMetrics {
             runs: registry.counter("sim.runs"),
             supersteps: registry.counter("sim.supersteps"),
             messages_delivered: registry.counter("sim.messages.delivered"),
-            buffer_reuse_hits: registry.counter("sim.buffer.reuse_hits"),
             superstep_messages: registry.histogram("sim.superstep.messages"),
             superstep_max_edge_words: registry.histogram("sim.superstep.max_edge_words"),
             run_supersteps_per_sec: registry.histogram("sim.run.supersteps_per_sec"),
@@ -518,9 +516,6 @@ struct DeliverOutcome {
     max_load: u64,
     /// Messages delivered this superstep.
     messages: u64,
-    /// Point-to-point outboxes drained from a buffer that did not grow
-    /// this superstep: sends that allocated nothing.
-    reused_buffers: u64,
 }
 
 /// A session's delivery state: re-sized for the graph at the start of
@@ -534,10 +529,6 @@ pub(crate) struct Delivery {
     /// CSR base of each node's directed-edge block: the edge to the
     /// `i`-th neighbor of `v` has dense index `edge_base[v] + i`.
     edge_base: Vec<usize>,
-    /// Capacity of each node's point-to-point outbox at its last drain
-    /// (or at the start of the run): a drain that finds the same
-    /// capacity reused the buffer without allocating.
-    capacity: Vec<usize>,
 }
 
 /// Appends `msg` to the inbox of `to`, keeping the recipient chunk's
@@ -566,16 +557,13 @@ impl Delivery {
             edge_words: Vec::new(),
             touched: Vec::new(),
             edge_base: Vec::new(),
-            capacity: Vec::new(),
         }
     }
 
-    /// Prepares the buffers for a run of `table` on `graph`: clears the
-    /// charges a failed run left behind (a finished one ends on a
-    /// superstep that charged nothing), rebuilds the CSR bases, and
-    /// seeds `capacity` from what each outbox really holds, so a buffer
-    /// kept from an earlier run counts as reused on its first drain.
-    fn reset<P: Program>(&mut self, graph: &Graph, table: &ChunkTable<'_, P>) {
+    /// Prepares the buffers for a run on `graph`: clears the charges a
+    /// failed run left behind (a finished one ends on a superstep that
+    /// charged nothing) and rebuilds the CSR bases.
+    fn reset(&mut self, graph: &Graph) {
         self.clear_charges();
         self.edge_words.resize(graph.directed_edge_count(), 0);
         self.edge_base.clear();
@@ -585,12 +573,6 @@ impl Delivery {
             acc += graph.degree(v);
         }
         debug_assert_eq!(acc, graph.directed_edge_count());
-        self.capacity.clear();
-        for chunk in &table.chunks {
-            let chunk = lock_chunk(chunk);
-            self.capacity
-                .extend(chunk.outboxes.iter().map(|o| o.messages.capacity()));
-        }
     }
 
     /// The address of every buffer delivery keeps between runs.
@@ -600,7 +582,6 @@ impl Delivery {
             self.edge_words.as_ptr() as usize,
             self.touched.as_ptr() as usize,
             self.edge_base.as_ptr() as usize,
-            self.capacity.as_ptr() as usize,
         ]
     }
 
@@ -632,7 +613,6 @@ impl Delivery {
         clock: &mut RunClock,
     ) -> Result<DeliverOutcome, SimError> {
         let messages_before = stats.total_messages;
-        let mut reused_buffers = 0u64;
         self.clear_charges();
 
         // Accounting pass: charge words per directed edge and validate
@@ -695,13 +675,9 @@ impl Delivery {
                         push_to(chunks, shift, mask, from, to, msg.clone());
                     }
                 }
-                if !msgs.is_empty() && msgs.capacity() == self.capacity[base + off] {
-                    reused_buffers += 1;
-                }
                 for (to, msg) in msgs.drain(..) {
                     push_to(chunks, shift, mask, from, to, msg);
                 }
-                self.capacity[base + off] = msgs.capacity();
                 chunks[ci].outboxes[off].messages = msgs;
             }
         }
@@ -718,7 +694,6 @@ impl Delivery {
             round_cost: max_load.div_ceil(bandwidth).max(1),
             max_load,
             messages: stats.total_messages - messages_before,
-            reused_buffers,
         })
     }
 
@@ -742,7 +717,6 @@ fn observe_delivery(
     clock: &mut RunClock,
 ) {
     metrics.messages_delivered.add(outcome.messages);
-    metrics.buffer_reuse_hits.add(outcome.reused_buffers);
     metrics.superstep_messages.record(outcome.messages);
     metrics.superstep_max_edge_words.record(outcome.max_load);
     telemetry::instant_event("sim.round", || {
@@ -778,7 +752,7 @@ where
 {
     let metrics = sim_metrics();
     metrics.runs.inc();
-    delivery.reset(graph, table);
+    delivery.reset(graph);
     let mut stats = CongestionStats::default();
     let mut cut_words: u64 = 0;
     let mut rounds: u64 = 0;
