@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use congest_graph::{generators, MutableGraph, NodeId};
 use congest_sim::{run_with_backend, Backend, Control, Ctx, Outbox, Program};
-use even_cycle_congest::engine::store::json_escape;
 use even_cycle_congest::registry::DetectorRegistry;
+use even_cycle_congest::telemetry::json_escape;
 use even_cycle_congest::{Budget, RunProfile, UpdateSchedule};
 use rand::Rng;
 

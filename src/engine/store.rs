@@ -35,26 +35,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use congest_graph::{serialize, Graph};
+use congest_telemetry::json_escape;
 
 /// The store's file name inside its directory (format v2).
 pub const STORE_FILE: &str = "units-v2.jsonl";
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` as a JSON value: Rust's shortest round-trip decimal
 /// for finite values, `null` otherwise (JSON has no NaN/∞).

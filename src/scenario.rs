@@ -38,9 +38,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use congest_graph::{FamilySpec, Graph};
+use congest_telemetry::json_escape;
 use even_cycle::{Backend, Budget, Descriptor, Detector};
 
-use crate::engine::store::{append_line, json_escape, json_f64};
+use crate::engine::store::{append_line, json_f64};
 use crate::engine::{Engine, Schedule};
 
 /// A sized, seeded family of instances: `build(n, seed)` produces a

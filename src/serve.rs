@@ -83,12 +83,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use congest_graph::{FamilySpec, Graph, MutableGraph, NodeId};
-use congest_telemetry as telemetry;
+use congest_telemetry::{self as telemetry, json_escape};
 use even_cycle::Budget;
 
 use crate::engine::store::{
-    canonical_unit, content_key, json_escape, json_f64, parse_flat, unit_key, Field, ResultStore,
-    UnitRecord, UnitStatus,
+    canonical_unit, content_key, json_f64, parse_flat, unit_key, Field, ResultStore, UnitRecord,
+    UnitStatus,
 };
 use crate::engine::{record_detection, RunProfile, Schedule};
 use crate::registry::DetectorRegistry;

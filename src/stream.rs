@@ -34,9 +34,10 @@
 use std::path::PathBuf;
 
 use congest_graph::UpdateSchedule;
+use congest_telemetry::json_escape;
 use even_cycle::{Budget, Descriptor, Detector};
 
-use crate::engine::store::{append_line, json_escape, json_f64};
+use crate::engine::store::{append_line, json_f64};
 use crate::engine::{Engine, Schedule, StreamOutcome};
 use crate::scenario::{IntoSeeds, Metric};
 
