@@ -1,4 +1,4 @@
-//! Flat-JSON rendering of an [`AuditOutcome`](crate::AuditOutcome),
+//! Flat-JSON rendering of an [`AuditOutcome`],
 //! matching the house style used by the sweep reports and the serve
 //! protocol: one object, scalar fields first, arrays of flat objects,
 //! keys in a fixed order, no pretty-printing — so two identical audits

@@ -1,13 +1,13 @@
-//! The van Apeldoorn–de Vos [33] quantum framework, as a cost model and a
+//! The van Apeldoorn–de Vos \[33\] quantum framework, as a cost model and a
 //! simulated comparator for the paper's §3.5 improvement.
 //!
-//! [33] decide `{C_ℓ | 3 ≤ ℓ ≤ 2k}`-freeness in `Õ(n^{1/2-1/(4k+2)})`
-//! quantum rounds by quantizing only the *heavy* search of [10] with a
+//! \[33\] decide `{C_ℓ | 3 ≤ ℓ ≤ 2k}`-freeness in `Õ(n^{1/2-1/(4k+2)})`
+//! quantum rounds by quantizing only the *heavy* search of \[10\] with a
 //! different degree split `d_max = n^{(k+1)/(2k+1)}`. The paper improves
 //! this to `Õ(n^{1/2-1/2k})` by keeping `d_max = n^{1/k}` and quantizing
 //! both searches (§3.5).
 //!
-//! **Substitution note** (DESIGN.md §2.6): we model [33] as quantum
+//! **Substitution note** (DESIGN.md §2.6): we model \[33\] as quantum
 //! amplification at their effective success probability
 //! `ε = 1/(3·n^{1-1/(2k+1)})` — the balance their exponent
 //! `1/2 - 1/(4k+2) = (1 - 1/(2k+1))/2` encodes — over the same low-cost
@@ -20,7 +20,7 @@ use even_cycle::{
     Budget, Descriptor, DetectResult, Detector, F2kDetector, Model, QuantumOutcome, Target,
 };
 
-/// The [33] cost model.
+/// The \[33\] cost model.
 #[derive(Debug, Clone)]
 pub struct ApeldoornDeVosModel {
     k: usize,
@@ -96,9 +96,9 @@ impl MonteCarloAlgorithm for SyntheticSubroutine {
     }
 }
 
-/// The [33] framework as a runnable [`Detector`]: quantum amplification
+/// The \[33\] framework as a runnable [`Detector`]: quantum amplification
 /// of the same constant-congestion classical `F_{2k}` subroutine the
-/// paper's §3.5 pipeline uses, but at [33]'s effective success
+/// paper's §3.5 pipeline uses, but at \[33\]'s effective success
 /// probability `ε = 1/(3·n^{1-1/(2k+1)})` — the balance their exponent
 /// encodes. Verdicts and witnesses are genuine (the base subroutine
 /// really runs and rejections are re-verified); the charged rounds
@@ -139,7 +139,7 @@ impl ApeldoornDeVosDetector {
         self
     }
 
-    /// Selects the Grover simulation mode (default sampled — the [33]
+    /// Selects the Grover simulation mode (default sampled — the \[33\]
     /// seed space is `Θ(n^{1-1/(2k+1)})`, too large for exhaustive
     /// analytic scans at experiment sizes).
     pub fn with_mode(mut self, mode: GroverMode) -> Self {

@@ -1,12 +1,12 @@
-//! The local-threshold algorithm of Censor-Hillel et al. [10]
+//! The local-threshold algorithm of Censor-Hillel et al. \[10\]
 //! (paper §1.1.1) for `C_{2k}`-freeness, `k ∈ {2, 3, 4, 5}`.
 //!
 //! Each attempt selects one source `s` uniformly at random; the neighbors
 //! of `s` colored 0 launch a colored BFS with a *constant* threshold
-//! `τ_k`. The key lemma of [10] — valid only for `k ≤ 5` — says a
+//! `τ_k`. The key lemma of \[10\] — valid only for `k ≤ 5` — says a
 //! constant fraction of sources either lie on a `2k`-cycle or never push
 //! any node past `τ_k`, so each attempt costs `O(k·τ_k)` rounds and
-//! `O(n^{1-1/k})` attempts suffice. Fraigniaud–Luce–Todinca [23] showed
+//! `O(n^{1-1/k})` attempts suffice. Fraigniaud–Luce–Todinca \[23\] showed
 //! the *local* threshold cannot work for `k ≥ 6`; the constructor
 //! enforces the `k ≤ 5` restriction accordingly.
 
@@ -32,7 +32,7 @@ pub struct LocalThresholdOutcome {
     pub report: RunReport,
 }
 
-/// The [10] local-threshold `C_{2k}` detector, `k ∈ {2,…,5}`.
+/// The \[10\] local-threshold `C_{2k}` detector, `k ∈ {2,…,5}`.
 ///
 /// ```
 /// use congest_graph::generators;
@@ -61,7 +61,7 @@ impl LocalThresholdDetector {
     /// # Panics
     ///
     /// Panics unless `k ∈ {2, 3, 4, 5}` — the local-threshold lemma of
-    /// [10] does not hold beyond `k = 5` [23].
+    /// \[10\] does not hold beyond `k = 5` \[23\].
     pub fn new(k: usize) -> Self {
         assert!(
             (2..=5).contains(&k),
@@ -92,7 +92,7 @@ impl LocalThresholdDetector {
 
     /// The attempt budget of a run on an `n`-vertex graph under
     /// `budget`: `factor · n^{1-1/k}` attempts, capped at the configured
-    /// maximum or, since the [10] outer loop counts attempts, at the
+    /// maximum or, since the \[10\] outer loop counts attempts, at the
     /// budget's repetition override.
     pub fn attempts_for(&self, n: usize, budget: &Budget) -> u64 {
         let max = budget

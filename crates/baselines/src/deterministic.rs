@@ -1,7 +1,7 @@
 //! The deterministic baseline (Table 1 rows [15, 30]): `C_ℓ` detection by
 //! full-graph gathering with honest `O(m + D)` round accounting.
 //!
-//! **Substitution note** (DESIGN.md §2.6). Korhonen–Rybicki [30] decide
+//! **Substitution note** (DESIGN.md §2.6). Korhonen–Rybicki \[30\] decide
 //! `C_ℓ`-freeness deterministically in `Õ(n)` rounds of broadcast
 //! CONGEST via derandomized color-coding. We substitute the simplest
 //! deterministic algorithm with the same upper-bound shape on the sparse

@@ -1,4 +1,4 @@
-//! An Eden-et-al.-style [16] detector for `C_{2k}`, `k ≥ 3`.
+//! An Eden-et-al.-style \[16\] detector for `C_{2k}`, `k ≥ 3`.
 //!
 //! Eden, Fiat, Fischer, Kuhn, Oshman decide `C_{2k}`-freeness in
 //! `Õ(n^{1-2/(k²-2k+4)})` rounds (even `k`; `Õ(n^{1-2/(k²-k+2)})` for odd
@@ -6,13 +6,13 @@
 //! `d_max = n^{2/(k²-2k+4)}` and searching light and heavy cycles with
 //! color-BFS whose congestion is balanced at `τ = n^{1-2/(k²-2k+4)}`.
 //!
-//! **Substitution note** (DESIGN.md §2.6). The full algorithm of [16] is
+//! **Substitution note** (DESIGN.md §2.6). The full algorithm of \[16\] is
 //! a paper of its own; this module implements a faithful *shape* model —
 //! the same degree split, the same threshold and repetition balance, on
 //! top of our `color-BFS` — plus their exact complexity formulas
 //! ([`EdenModel::round_bound`]). Table 1 rows derived from it are
 //! labelled "model" by the harness. The crossover experiment
-//! (ours beats [16] for every `k ≥ 6`) uses the exact formulas of both
+//! (ours beats \[16\] for every `k ≥ 6`) uses the exact formulas of both
 //! papers.
 
 use congest_graph::{CycleWitness, Graph};
@@ -35,7 +35,7 @@ pub struct EdenOutcome {
     pub report: RunReport,
 }
 
-/// The [16]-style two-level threshold detector.
+/// The \[16\]-style two-level threshold detector.
 #[derive(Debug, Clone)]
 pub struct EdenModel {
     k: usize,
@@ -47,7 +47,7 @@ impl EdenModel {
     ///
     /// # Panics
     ///
-    /// Panics if `k < 3` ([16] targets `k ≥ 3`; `k = 2` is [15]'s
+    /// Panics if `k < 3` (\[16\] targets `k ≥ 3`; `k = 2` is \[15\]'s
     /// `O(√n)`).
     pub fn new(k: usize) -> Self {
         assert!(k >= 3, "the Eden et al. algorithm targets k ≥ 3");
@@ -64,7 +64,7 @@ impl EdenModel {
         self
     }
 
-    /// The [16] complexity exponent for this `k`:
+    /// The \[16\] complexity exponent for this `k`:
     /// `1 - 2/(k²-2k+4)` for even `k`, `1 - 2/(k²-k+2)` for odd `k`.
     pub fn exponent(&self) -> f64 {
         let kf = self.k as f64;
@@ -76,12 +76,12 @@ impl EdenModel {
     }
 
     /// The degree threshold `d_max = n^{1 - exponent}` separating light
-    /// from heavy vertices in [16]'s balance.
+    /// from heavy vertices in \[16\]'s balance.
     pub fn degree_threshold(&self, n: usize) -> f64 {
         (n as f64).powf(1.0 - self.exponent())
     }
 
-    /// The [16] round bound `n^{exponent}` (polylog normalized to 1).
+    /// The \[16\] round bound `n^{exponent}` (polylog normalized to 1).
     pub fn round_bound(&self, n: usize) -> f64 {
         (n as f64).powf(self.exponent())
     }

@@ -1,7 +1,7 @@
 //! A deterministic simulator for the CONGEST model of distributed
 //! computing.
 //!
-//! In the CONGEST model (Peleg [32]), a network is a simple connected
+//! In the CONGEST model (Peleg \[32\]), a network is a simple connected
 //! `n`-vertex graph whose vertices are processors. Computation proceeds in
 //! synchronous rounds; in each round every node may send one message of
 //! `O(log n)` bits along each incident edge. This crate simulates that

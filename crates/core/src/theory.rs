@@ -10,34 +10,34 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Table1Row {
-    /// [11] Chang–Saranurak: `C3` in `Õ(n^{1/3})`, randomized.
+    /// \[11\] Chang–Saranurak: `C3` in `Õ(n^{1/3})`, randomized.
     ChangSaranurakC3,
-    /// [30] Korhonen–Rybicki: `C_{2k+1}`, `k ≥ 2`, deterministic `Õ(n)`
-    /// (tight: `Ω̃(n)` randomized [15]).
+    /// \[30\] Korhonen–Rybicki: `C_{2k+1}`, `k ≥ 2`, deterministic `Õ(n)`
+    /// (tight: `Ω̃(n)` randomized \[15\]).
     KorhonenRybickiOdd,
-    /// [15] Drucker et al.: `C4` in `O(√n)` (tight).
+    /// \[15\] Drucker et al.: `C4` in `O(√n)` (tight).
     DruckerC4,
-    /// [30] lower bound: `C_{2k}`, `k ≥ 2`, `Ω̃(√n)` randomized.
+    /// \[30\] lower bound: `C_{2k}`, `k ≥ 2`, `Ω̃(√n)` randomized.
     EvenLowerBound,
-    /// [10] Censor-Hillel et al.: `C_{2k}` for `k ∈ {2,…,5}` in
+    /// \[10\] Censor-Hillel et al.: `C_{2k}` for `k ∈ {2,…,5}` in
     /// `O(n^{1-1/k})`.
     CensorHillelEven,
-    /// [16] Eden et al.: `C_{2k}` for even `k ≥ 6` in
+    /// \[16\] Eden et al.: `C_{2k}` for even `k ≥ 6` in
     /// `Õ(n^{1-2/(k²-2k+4)})`.
     EdenEvenK,
-    /// [16] Eden et al.: `C_{2k}` for odd `k ≥ 7` in
+    /// \[16\] Eden et al.: `C_{2k}` for odd `k ≥ 7` in
     /// `Õ(n^{1-2/(k²-k+2)})`.
     EdenOddK,
-    /// [10] Censor-Hillel et al.: `{C_ℓ | 3 ≤ ℓ ≤ 2k}` in `Õ(n^{1-1/k})`.
+    /// \[10\] Censor-Hillel et al.: `{C_ℓ | 3 ≤ ℓ ≤ 2k}` in `Õ(n^{1-1/k})`.
     CensorHillelF2k,
     /// **This paper**: `C_{2k}` for every `k ≥ 2` in `O(n^{1-1/k})`
     /// (Theorem 1).
     ThisPaperClassical,
-    /// [8] Censor-Hillel et al.: quantum `C3` in `Õ(n^{1/5})`.
+    /// \[8\] Censor-Hillel et al.: quantum `C3` in `Õ(n^{1/5})`.
     QuantumC3,
-    /// [9] (unpublished): quantum `C4` in `Õ(n^{1/4})`.
+    /// \[9\] (unpublished): quantum `C4` in `Õ(n^{1/4})`.
     QuantumC4,
-    /// [33] van Apeldoorn–de Vos: quantum `{C_ℓ | ℓ ≤ 2k}` in
+    /// \[33\] van Apeldoorn–de Vos: quantum `{C_ℓ | ℓ ≤ 2k}` in
     /// `Õ(n^{1/2-1/(4k+2)})`.
     ApeldoornDeVosF2k,
     /// **This paper**: quantum `C_{2k}` in `Õ(n^{1/2-1/2k})` (Theorem 2).

@@ -3,7 +3,7 @@
 //! Each gadget maps a Set-Disjointness instance `(x, y)` over a universe
 //! of size `N` to a graph split between Alice and Bob by a small cut,
 //! such that the graph contains the target cycle **iff** `x ∩ y ≠ ∅`.
-//! The constructions are re-derivations in the spirit of [15] and [30]
+//! The constructions are re-derivations in the spirit of \[15\] and \[30\]
 //! (whose figures the paper does not reproduce); what the experiments
 //! rely on — universe scaling, cut scaling, and the iff-property — is
 //! stated in each builder's docs and enforced by tests (exhaustively for
@@ -33,7 +33,7 @@ impl BuiltGadget {
     }
 }
 
-/// The C4 gadget (Drucker et al. [15] style): the universe is the edge
+/// The C4 gadget (Drucker et al. \[15\] style): the universe is the edge
 /// set of a **C4-free** base graph (the polarity graph `ER_q`,
 /// `N = Θ(n^{3/2})` edges on `Θ(n)` vertices); Alice keeps base edge
 /// `e_i` iff `x_i = 1`, Bob keeps `e_i` iff `y_i = 1`, and a perfect
@@ -109,7 +109,7 @@ impl C4Gadget {
     }
 }
 
-/// The `C_{2k}` gadget (`k ≥ 3`, Korhonen–Rybicki [30] style):
+/// The `C_{2k}` gadget (`k ≥ 3`, Korhonen–Rybicki \[30\] style):
 /// `N = s²` elements, cut `2s = Θ(√N)`.
 ///
 /// Alice has row vertices `α_1..α_s` and column vertices `β_1..β_s`
@@ -203,7 +203,7 @@ impl EvenCycleGadget {
     }
 }
 
-/// The `C_{2k+1}` gadget (`k ≥ 2`, Drucker et al. [15] style):
+/// The `C_{2k+1}` gadget (`k ≥ 2`, Drucker et al. \[15\] style):
 /// `N = t²` elements, cut `Θ(t)`, vertices `Θ(t·k)` — so `N = Θ(n²)`
 /// for constant `k`.
 ///

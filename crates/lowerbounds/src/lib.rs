@@ -3,12 +3,12 @@
 //!
 //! The paper's quantum lower bounds (`Ω̃(n^{1/4})` for `C_{2k}`,
 //! `Ω̃(√n)` for `C_{2k+1}`) follow the classical recipe of Drucker et
-//! al. [15] and Korhonen–Rybicki [30]: build a *gadget graph* from a
+//! al. \[15\] and Korhonen–Rybicki \[30\]: build a *gadget graph* from a
 //! two-party Set-Disjointness instance `(x, y)` such that the graph
 //! contains the target cycle **iff** `x` and `y` intersect; then any
 //! `T`-round CONGEST algorithm yields a two-party protocol exchanging
 //! `O(T · cut · log n)` (qu)bits, which the communication lower bound of
-//! Braverman et al. [4] (`Ω(r + N/r)` qubits for `r`-round protocols)
+//! Braverman et al. \[4\] (`Ω(r + N/r)` qubits for `r`-round protocols)
 //! turns into a round lower bound.
 //!
 //! This crate provides:

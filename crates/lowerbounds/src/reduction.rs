@@ -4,7 +4,7 @@
 //! graph can be simulated by Alice and Bob exchanging only what crosses
 //! the cut — `O(T · cut · log n)` bits. Solving Set-Disjointness needs
 //! `Ω(N)` bits classically (`Ω(r + N/r)` qubits over `r` rounds,
-//! Braverman et al. [4]), so `T = Ω(N / (cut · log n))` classically and
+//! Braverman et al. \[4\]), so `T = Ω(N / (cut · log n))` classically and
 //! `T = Ω(√(N / (cut · log n)))` quantumly. This module measures the
 //! left-hand side empirically.
 

@@ -1,6 +1,6 @@
 //! Implied lower-bound formulas (§3.3).
 
-/// The Braverman–Garg–Ko–Mao–Touchette [4] bounded-round quantum
+/// The Braverman–Garg–Ko–Mao–Touchette \[4\] bounded-round quantum
 /// communication lower bound for Set-Disjointness over `[N]`:
 /// an `r`-round protocol needs `Ω(r + N/r)` qubits. Minimizing over `r`
 /// gives `Ω(√N)` overall, but the round-by-round form is what the

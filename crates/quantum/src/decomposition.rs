@@ -1,6 +1,6 @@
 //! Network decomposition and diameter reduction (Lemmas 9–10).
 //!
-//! Lemma 10 ([17, Thm 17], building on Elkin–Neiman [19]) supplies, for a
+//! Lemma 10 ([17, Thm 17], building on Elkin–Neiman \[19\]) supplies, for a
 //! parameter `k`, a set of clusters such that (1) every node is in at
 //! least one cluster, (2) clusters are colored with few colors, and
 //! (3) same-color clusters are at distance at least `k` from each other.

@@ -238,7 +238,7 @@ impl GroverSearch {
     ///
     /// Succeeds with probability `≥ 1 - m/M`; still one-sided (a failed
     /// verification returns `None` in `result`). Exposed separately from
-    /// the BBHT search because several baselines ([9]'s direct Grover in
+    /// the BBHT search because several baselines (\[9\]'s direct Grover in
     /// particular) assume the marked count is known.
     ///
     /// # Panics

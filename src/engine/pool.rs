@@ -10,7 +10,7 @@
 //!
 //! This pool parallelizes *across* work units; the simulator has its
 //! own persistent superstep pool (`congest_sim::pool`) parallelizing
-//! *inside* one run. [`super::split_thread_budget`] keeps the product
+//! *inside* one run. The engine's `split_thread_budget` keeps the product
 //! of the two within the machine's parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

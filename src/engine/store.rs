@@ -371,7 +371,8 @@ pub struct UnitRecord {
 }
 
 impl UnitRecord {
-    /// The record's cost fields as a unified [`RunCost`] — what metric
+    /// The record's cost fields as a unified
+    /// [`RunCost`](even_cycle::RunCost) — what metric
     /// extraction runs on, for replayed and fresh units alike.
     pub fn cost(&self) -> even_cycle::RunCost {
         even_cycle::RunCost {

@@ -16,8 +16,8 @@
 //! * [`quantum`] — Grover/amplitude-amplification simulation, distributed
 //!   quantum search (Lemma 8), Monte-Carlo amplification (Theorem 3),
 //!   network decomposition (Lemmas 9–10).
-//! * [`baselines`] — the Table 1 comparators ([10], [15], [16], [30],
-//!   [33]).
+//! * [`baselines`] — the Table 1 comparators (\[10\], \[15\], \[16\], \[30\],
+//!   \[33\]).
 //! * [`lowerbounds`] — the Set-Disjointness reductions of §3.3.
 //! * [`registry`] — every implemented algorithm behind the unified
 //!   [`Detector`] trait, enumerable by `(model, target, k)`.
@@ -36,7 +36,7 @@
 //!   shared engine pass (`sweep --suite`).
 //! * [`stream`] — the streaming subsystem: [`StreamScenario`] replays a
 //!   seeded, fingerprintable
-//!   [`UpdateSchedule`](congest_graph::UpdateSchedule) against
+//!   [`UpdateSchedule`] against
 //!   registered detectors, checkpoint verdicts are content-addressed
 //!   work units (re-running an unchanged stream invokes zero
 //!   detectors), and [`serve`] exposes the whole thing as a long-lived
@@ -55,7 +55,7 @@
 //!
 //! Every algorithm (the paper's and the baselines') answers through one
 //! interface: `detect(&graph, seed, &budget) → Result<Detection>`, where
-//! a [`Detection`](cycle::Detection) carries the verdict (with a
+//! a [`Detection`] carries the verdict (with a
 //! validated cycle witness on rejection), the unified run cost, and the
 //! algorithm's metadata.
 //!

@@ -66,7 +66,7 @@ impl DetectorRegistry {
     /// paper's three classical detectors (`C_{2k}`, `C_{2k+1}`,
     /// `F_{2k}`), their three quantum pipelines, and the Table 1
     /// comparators whose applicability constraints admit this `k`
-    /// ([10] needs `k ≤ 5`, [16] needs `k ≥ 3`; the deterministic
+    /// (\[10\] needs `k ≤ 5`, \[16\] needs `k ≥ 3`; the deterministic
     /// gather baseline registers for both parities).
     ///
     /// This is the [`RunProfile::Practical`] configuration — see

@@ -37,7 +37,7 @@
 //! A detect request is resolved to a work unit content-addressed by
 //! `(graph content fingerprint, n, seed, detector id, detector
 //! configuration, budget)` — the same
-//! [`canonical_unit`](crate::engine::store::canonical_unit) machinery
+//! [`canonical_unit`] machinery
 //! the experiment engine uses, with the graph's serialized edge set
 //! taking the place of a family fingerprint. With a store directory
 //! configured, the unit is appended on first execution and **replayed
