@@ -175,14 +175,7 @@ impl ApeldoornDeVosDetector {
         let report = amp.amplify(&mut wrapped, seed);
         let witness = report.rejected.then(|| {
             let ws = report.witness_seed.expect("rejected implies witness seed");
-            // The rejecting seed's own run, uncapped, stopping at its
-            // first rejection.
-            let rerun = Budget {
-                repetitions: budget.repetitions,
-                backend: budget.backend,
-                ..Budget::default()
-            };
-            let witness = base.run(g, ws, &rerun).witness;
+            let witness = base.run(g, ws, &budget.witness_rerun()).witness;
             let witness = witness.expect("witness seed reproduces the rejection");
             assert!(witness.is_valid(g), "witness must validate");
             witness

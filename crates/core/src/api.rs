@@ -218,6 +218,17 @@ impl Budget {
         self
     }
 
+    /// The budget that re-runs the seed an amplification found rejecting,
+    /// to recover its witness: this budget's repetition override and
+    /// backend, at `B = 1`, uncapped, stopping at the first rejection.
+    pub fn witness_rerun(&self) -> Budget {
+        Budget {
+            repetitions: self.repetitions,
+            backend: self.backend,
+            ..Budget::default()
+        }
+    }
+
     /// Whether any hard cap is configured.
     pub fn has_caps(&self) -> bool {
         self.max_rounds.is_some() || self.max_messages.is_some()

@@ -89,8 +89,8 @@ trait PipelineBase {
     /// probability.
     fn monte_carlo<'a>(&'a self, g: &'a Graph, budget: &Budget) -> Self::Mc<'a>;
 
-    /// Re-runs the witness seed under `budget` and extracts the
-    /// certified cycle.
+    /// Re-runs the witness seed under `budget` (a
+    /// [`Budget::witness_rerun`]) and extracts the certified cycle.
     fn witness_of(&self, g: &Graph, seed: u64, budget: &Budget) -> Option<CycleWitness>;
 }
 
@@ -156,7 +156,7 @@ struct PipelineSpec<'a> {
     /// and reaches the base evaluators, its round cap aborts the
     /// component loop once the charge so far passes it, and its
     /// repetition override and backend reach the base evaluators and
-    /// the witness re-run.
+    /// the [`Budget::witness_rerun`].
     budget: &'a Budget,
 }
 
@@ -177,13 +177,6 @@ fn run_pipeline<B: PipelineBase>(
     // (declared by the base's evaluator), where the base's bound
     // depends on it.
     let decomposition_rounds = decomposition.round_cost_at(budget.bandwidth);
-    // The witness re-run: the base's own run of the rejecting seed, at
-    // B = 1 and uncapped, stopping at its first rejection.
-    let witness_budget = Budget {
-        repetitions: budget.repetitions,
-        backend: budget.backend,
-        ..Budget::default()
-    };
 
     let mut per_color_quantum: std::collections::BTreeMap<u32, u64> =
         std::collections::BTreeMap::new();
@@ -233,7 +226,7 @@ fn run_pipeline<B: PipelineBase>(
             // witness back to the original ids.
             let ws = report.witness_seed.expect("rejected implies witness seed");
             let local_witness = base
-                .witness_of(&comp.graph, ws, &witness_budget)
+                .witness_of(&comp.graph, ws, &budget.witness_rerun())
                 .expect("witness seed reproduces the rejection");
             let mapped = CycleWitness::new(
                 local_witness
