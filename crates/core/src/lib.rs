@@ -33,7 +33,10 @@
 //! (`detect(&graph, seed, &budget) → Result<Detection>`), the one
 //! polymorphic entry point shared with the Table 1 baseline comparators;
 //! see [`api`](crate::Detection) for the outcome types and the facade
-//! crate for the registry and scenario runner built on top.
+//! crate for the registry and scenario runner built on top. Each
+//! detector's own `run(&graph, seed, &budget)` returns its full outcome
+//! type, and its `detect` is that run under [`Budget::enforce`]: the
+//! [`Budget`] is the whole configuration of a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
