@@ -335,23 +335,23 @@ impl F2kDetector {
 ///
 /// An evaluation of a seed walks the same calls as [`F2kDetector::run`]
 /// with that seed under the evaluator's budget, uncapped, and stops at
-/// the first rejecting call, as the run does. Only a node of `X ∩ H` on a cycle of length `3, …, 2k` of the
-/// graph is a launch candidate, and on a graph without one the
-/// evaluation answers `false` before it draws a pair's sets. Each call
-/// is simulated, with exactly the run's coins, only if some candidate
-/// is an active source that closes a well-colored `C_{2ℓ}` or
-/// `C_{2ℓ-1}` within `H`; a call without a candidate draws no coin,
-/// and a repetition's coloring is drawn only when some candidate has
-/// its coin up. Any other call cannot reject: only an active source
-/// sends an identifier, a node rejects only when one identifier
-/// reaches it twice — along both branches at color `ℓ` (a `C_{2ℓ}`),
-/// or back from color `ℓ+1` at color `ℓ-1` (a `C_{2ℓ-1}`), in either
-/// case a simple cycle through the source — and the threshold only
-/// keeps identifiers back. A source on no such cycle still fills
-/// thresholds, so a simulated call reads every node's coin. The
-/// evaluator keeps its simulation session, its coin and walk scratch
-/// and its sets from one seed to the next; its candidates and each
-/// pair's `U` are computed once. Its round bound holds at any
+/// the first rejecting call, as the run does. Only a node of `X ∩ H` on
+/// a cycle of length `3, …, 2k` of the graph is a launch candidate, and
+/// on a graph without one the evaluation answers `false` before it
+/// draws a pair's sets. Each call is simulated, with exactly the run's
+/// coins, only if some candidate is an active source that closes a
+/// well-colored `C_{2ℓ}` or `C_{2ℓ-1}` within `H`; a call without a
+/// candidate draws no coin, and a repetition's coloring is drawn only
+/// when some candidate has its coin up. Any other call cannot reject:
+/// only an active source sends an identifier, a node rejects only when
+/// one identifier reaches it twice — along both branches at color `ℓ`
+/// (a `C_{2ℓ}`), or back from color `ℓ+1` at color `ℓ-1` (a
+/// `C_{2ℓ-1}`), in either case a simple cycle through the source — and
+/// the threshold only keeps identifiers back. A source on no such cycle
+/// still fills thresholds, so a simulated call reads every node's coin.
+/// The evaluator keeps its simulation session, its coin and walk
+/// scratch and its sets from one seed to the next; its candidates and
+/// each pair's `U` are computed once. Its round bound holds at any
 /// bandwidth.
 #[derive(Debug)]
 pub struct F2kMc<'a> {

@@ -190,21 +190,21 @@ impl crate::Detector for OddCycleDetector {
 /// An evaluation of a seed walks the same calls as
 /// [`OddCycleDetector::run`] with that seed under the evaluator's
 /// budget, uncapped, and stops at the first rejecting call, as the run
-/// does. Only a node on a `C_{2k+1}` of the
-/// graph is a launch candidate, and on a graph without one the
-/// evaluation answers `false` without walking a call. Each call is
-/// simulated, with exactly the run's coins (probability `1/n` each),
-/// only if some candidate colored 0 drew an active coin and closes a
-/// well-colored `C_{2k+1}`; the repetition's coloring is drawn only
-/// when some candidate's coin is up. Any other call cannot reject: only
-/// a source sends an identifier, the node colored `k` rejects only when
-/// one identifier reaches it along both the length-`k` and the
-/// length-`(k+1)` branch, which close a simple `C_{2k+1}` through the
-/// source, and the threshold only keeps identifiers back. A source on
-/// no `C_{2k+1}` still fills thresholds, so a simulated call reads
-/// every node's coin. The evaluator computes its candidates once and
-/// keeps its simulation session and its coin and walk scratch from one
-/// seed to the next. Its round bound holds at any bandwidth.
+/// does. Only a node on a `C_{2k+1}` of the graph is a launch
+/// candidate, and on a graph without one the evaluation answers `false`
+/// without walking a call. Each call is simulated, with exactly the
+/// run's coins (probability `1/n` each), only if some candidate colored
+/// 0 drew an active coin and closes a well-colored `C_{2k+1}`; the
+/// repetition's coloring is drawn only when some candidate's coin is
+/// up. Any other call cannot reject: only a source sends an identifier,
+/// the node colored `k` rejects only when one identifier reaches it
+/// along both the length-`k` and the length-`(k+1)` branch, which close
+/// a simple `C_{2k+1}` through the source, and the threshold only keeps
+/// identifiers back. A source on no `C_{2k+1}` still fills thresholds,
+/// so a simulated call reads every node's coin. The evaluator computes
+/// its candidates once and keeps its simulation session and its coin
+/// and walk scratch from one seed to the next. Its round bound holds at
+/// any bandwidth.
 #[derive(Debug)]
 pub struct OddMc<'a> {
     det: &'a OddCycleDetector,
