@@ -340,4 +340,97 @@ mod tests {
         assert_eq!(c + q, r.len());
         assert!(c >= 5 && q >= 3);
     }
+
+    #[test]
+    fn every_entry_keeps_its_store_identity() {
+        // The store key of a unit folds in the detector's
+        // `config_fingerprint()`, which defaults to its `Debug`
+        // rendering: reshaping a detector type re-keys its units while
+        // every report stays byte-identical. Pinned here as each
+        // fingerprint's `unit_key`, for every profile at k = 2 and 3.
+        #[rustfmt::skip]
+        const PINNED: [(&str, usize, &str, &str); 63] = [
+        ("paper-exact", 2, "classical/C4/global-threshold-color-bfs",      "0781b57bdea5198fa4806b875363c1cd"),
+        ("paper-exact", 2, "classical/C5/constant-round-odd-color-bfs",    "78635945ce4cf66961a96ea3edc747db"),
+        ("paper-exact", 2, "classical/F4/pairwise-color-bfs-sweep",        "d4c20559eae092c4b8e4c3628375685e"),
+        ("paper-exact", 2, "quantum/C4/amplified-color-bfs-pipeline",      "ea8760fc8eb8df20aaae0d693d90e3b3"),
+        ("paper-exact", 2, "quantum/C5/amplified-odd-color-bfs-pipeline",  "faf6e21c228815a6d0b2d5d0a8df4fbd"),
+        ("paper-exact", 2, "quantum/F4/amplified-pairwise-sweep-pipeline", "5404d1989626265c62efc3bb65a3ef74"),
+        ("paper-exact", 2, "classical/C4/deterministic-gather",            "fad195cd380558792b3c0fc267bcb9b4"),
+        ("paper-exact", 2, "classical/C5/deterministic-gather",            "fad191429f0558792b3c0fc265e009f7"),
+        ("paper-exact", 2, "quantum/F4/quantized-heavy-search-framework",  "c4acf7570841be45396dd1e99427d12d"),
+        ("paper-exact", 2, "classical/C4/local-threshold-sampling",        "0aaf54967076c4f38fc665fc51d86662"),
+        ("paper-exact", 3, "classical/C6/global-threshold-color-bfs",      "5130d140039494e23d9285d6d9cd89a3"),
+        ("paper-exact", 3, "classical/C7/constant-round-odd-color-bfs",    "627a4ca75243ef932dcf239ae4b8d104"),
+        ("paper-exact", 3, "classical/F6/pairwise-color-bfs-sweep",        "c6a8abc22f0c2d14e27d95a02b80eabf"),
+        ("paper-exact", 3, "quantum/C6/amplified-color-bfs-pipeline",      "ea1cc10e8a475868a11c4eecb80d42b7"),
+        ("paper-exact", 3, "quantum/C7/amplified-odd-color-bfs-pipeline",  "0274f384c60442d83612766266a08a4e"),
+        ("paper-exact", 3, "quantum/F6/amplified-pairwise-sweep-pipeline", "6bcaaa25e78442f40fc02ff3eaf0206b"),
+        ("paper-exact", 3, "classical/C6/deterministic-gather",            "fad19ee26e0558792b3c0fc26b761e1a"),
+        ("paper-exact", 3, "classical/C7/deterministic-gather",            "fad19a57d50558792b3c0fc269996e5d"),
+        ("paper-exact", 3, "quantum/F6/quantized-heavy-search-framework",  "dbc75852ff222521a0a0bf0c3729819a"),
+        ("paper-exact", 3, "classical/C6/local-threshold-sampling",        "047de204038a027e54ab31bf4b81f421"),
+        ("paper-exact", 3, "classical/C6/two-level-threshold-model",       "6812deb0df0ff7f6c5be3348ac592387"),
+        ("practical",   2, "classical/C4/global-threshold-color-bfs",      "0781b57bdea5198fa4806b875363c1cd"),
+        ("practical",   2, "classical/C5/constant-round-odd-color-bfs",    "6176591b0c4cf66961a968ff831dc5fd"),
+        ("practical",   2, "classical/F4/pairwise-color-bfs-sweep",        "d4c20559eae092c4b8e4c3628375685e"),
+        ("practical",   2, "quantum/C4/amplified-color-bfs-pipeline",      "ae550a774fd144cd470fa33fd19beb19"),
+        ("practical",   2, "quantum/C5/amplified-odd-color-bfs-pipeline",  "256fb53e62c64ecdcf2df32a50fd874f"),
+        ("practical",   2, "quantum/F4/amplified-pairwise-sweep-pipeline", "37d63998a5df852819b8a8d980fd0ae7"),
+        ("practical",   2, "classical/C4/deterministic-gather",            "fad195cd380558792b3c0fc267bcb9b4"),
+        ("practical",   2, "classical/C5/deterministic-gather",            "fad191429f0558792b3c0fc265e009f7"),
+        ("practical",   2, "quantum/F4/quantized-heavy-search-framework",  "c4acf7570841be45396dd1e99427d12d"),
+        ("practical",   2, "classical/C4/local-threshold-sampling",        "0aaf54967076c4f38fc665fc51d86662"),
+        ("practical",   3, "classical/C6/global-threshold-color-bfs",      "99f7a90bd0e88501e63fa5012d44afe9"),
+        ("practical",   3, "classical/C7/constant-round-odd-color-bfs",    "a91bf779a843ef932dcf3519edbce58e"),
+        ("practical",   3, "classical/F6/pairwise-color-bfs-sweep",        "c6a8abc22f0c2d14e27d95a02b80eabf"),
+        ("practical",   3, "quantum/C6/amplified-color-bfs-pipeline",      "5275831e92cf74fcb2ad437ba742def1"),
+        ("practical",   3, "quantum/C7/amplified-odd-color-bfs-pipeline",  "86368998892022937f4cb787ad1c6875"),
+        ("practical",   3, "quantum/F6/amplified-pairwise-sweep-pipeline", "dfac02e9d29ce0a92e6e81ed4a0ff6f9"),
+        ("practical",   3, "classical/C6/deterministic-gather",            "fad19ee26e0558792b3c0fc26b761e1a"),
+        ("practical",   3, "classical/C7/deterministic-gather",            "fad19a57d50558792b3c0fc269996e5d"),
+        ("practical",   3, "quantum/F6/quantized-heavy-search-framework",  "dbc75852ff222521a0a0bf0c3729819a"),
+        ("practical",   3, "classical/C6/local-threshold-sampling",        "047de204038a027e54ab31bf4b81f421"),
+        ("practical",   3, "classical/C6/two-level-threshold-model",       "6812deb0df0ff7f6c5be3348ac592387"),
+        ("fast-ci",     2, "classical/C4/global-threshold-color-bfs",      "0e127172883358a4dbfebe738c51df0d"),
+        ("fast-ci",     2, "classical/C5/constant-round-odd-color-bfs",    "e8e666209c2740fc4563afe4e367e763"),
+        ("fast-ci",     2, "classical/F4/pairwise-color-bfs-sweep",        "c35c75b5dd51e55a0ddec08388913092"),
+        ("fast-ci",     2, "quantum/C4/amplified-color-bfs-pipeline",      "f0c22b7005deca58e7547cdfdf7cf191"),
+        ("fast-ci",     2, "quantum/C5/amplified-odd-color-bfs-pipeline",  "5d619c9d2f69463d5addf07ce55a66b5"),
+        ("fast-ci",     2, "quantum/F4/amplified-pairwise-sweep-pipeline", "149dcf1cecf2be040781ff136b05c45c"),
+        ("fast-ci",     2, "classical/C4/deterministic-gather",            "fad195cd380558792b3c0fc267bcb9b4"),
+        ("fast-ci",     2, "classical/C5/deterministic-gather",            "fad191429f0558792b3c0fc265e009f7"),
+        ("fast-ci",     2, "quantum/F4/quantized-heavy-search-framework",  "32664bb6525a46bedb49b7bf4829b24b"),
+        ("fast-ci",     2, "classical/C4/local-threshold-sampling",        "30b06249272165ba9e7bfd233c10c950"),
+        ("fast-ci",     3, "classical/C6/global-threshold-color-bfs",      "5eb891996948f1001cb8f69f0a381d30"),
+        ("fast-ci",     3, "classical/C7/constant-round-odd-color-bfs",    "296865d8c6b3d26fce92216f04b1943a"),
+        ("fast-ci",     3, "classical/F6/pairwise-color-bfs-sweep",        "d94429371c5912fff773fc06488f1e53"),
+        ("fast-ci",     3, "quantum/C6/amplified-color-bfs-pipeline",      "c7b36592738e9251c4ff28c2093d3db0"),
+        ("fast-ci",     3, "quantum/C7/amplified-odd-color-bfs-pipeline",  "4008f3ce22fc93bfefa96854820400e6"),
+        ("fast-ci",     3, "quantum/F6/amplified-pairwise-sweep-pipeline", "1bcad8de23f486aee0b04ee30f24be4d"),
+        ("fast-ci",     3, "classical/C6/deterministic-gather",            "fad19ee26e0558792b3c0fc26b761e1a"),
+        ("fast-ci",     3, "classical/C7/deterministic-gather",            "fad19a57d50558792b3c0fc269996e5d"),
+        ("fast-ci",     3, "quantum/F6/quantized-heavy-search-framework",  "a2bc8e248a385892b5d532cf5890605e"),
+        ("fast-ci",     3, "classical/C6/local-threshold-sampling",        "929178a44e4a8adc6a84dc182b1ee305"),
+        ("fast-ci",     3, "classical/C6/two-level-threshold-model",       "6812deb0df0ff7f6c5be3348ac592387"),
+        ];
+        let mut got = Vec::new();
+        for profile in [
+            RunProfile::PaperExact,
+            RunProfile::Practical,
+            RunProfile::FastCi,
+        ] {
+            for k in [2, 3] {
+                for e in profile.registry(k).iter() {
+                    let key = crate::engine::store::unit_key(&e.detector.config_fingerprint());
+                    got.push((profile.name(), k, e.id.clone(), key));
+                }
+            }
+        }
+        let want: Vec<_> = PINNED
+            .iter()
+            .map(|&(p, k, id, key)| (p, k, id.to_string(), key.to_string()))
+            .collect();
+        assert_eq!(got, want);
+    }
 }
