@@ -10,27 +10,14 @@
 //! the *local* threshold cannot work for `k ≥ 6`; the constructor
 //! enforces the `k ≤ 5` restriction accordingly.
 
-use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{derive_seed, Executor, RunReport};
+use congest_graph::{Graph, NodeId};
+use congest_sim::derive_seed;
 use even_cycle::{
-    extract_even_witness, random_coloring, run_color_bfs_backend, Budget, Descriptor, DetectResult,
-    Detection, Detector, Model, RunCost, Target,
+    random_coloring, Budget, Descriptor, DetectResult, Detector, EvenCall, EvenRun, EvenRunOutcome,
+    Model, Target,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// The outcome of a [`LocalThresholdDetector`] run.
-#[derive(Debug, Clone)]
-pub struct LocalThresholdOutcome {
-    /// Whether a `2k`-cycle was found.
-    pub rejected: bool,
-    /// The verified witness, when found.
-    pub witness: Option<CycleWitness>,
-    /// Attempts executed (≤ the configured budget; stops at first find).
-    pub attempts: u64,
-    /// Accumulated CONGEST costs.
-    pub report: RunReport,
-}
 
 /// The \[10\] local-threshold `C_{2k}` detector, `k ∈ {2,…,5}`.
 ///
@@ -41,7 +28,7 @@ pub struct LocalThresholdOutcome {
 /// let host = generators::random_tree(40, 3);
 /// let (g, _) = generators::plant_cycle(&host, 4, 3);
 /// let det = LocalThresholdDetector::new(2);
-/// let found = (0..6).any(|seed| det.run(&g, seed, &Budget::classical()).rejected);
+/// let found = (0..6).any(|seed| det.run(&g, seed, &Budget::classical()).rejected());
 /// assert!(found);
 /// ```
 #[derive(Debug, Clone)]
@@ -102,21 +89,20 @@ impl LocalThresholdDetector {
         want.clamp(1, max)
     }
 
-    /// Runs the detector on `g` with randomness from `seed`, simulated
-    /// on the budget's backend and charged at its bandwidth, for the
-    /// budget's attempts ([`LocalThresholdDetector::attempts_for`]). A
-    /// rejection stops it; caps apply only through [`Budget::enforce`].
-    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> LocalThresholdOutcome {
+    /// Runs the detector on `g` with randomness from `seed`, one
+    /// [`EvenRun`] call per attempt, for the budget's attempts
+    /// ([`LocalThresholdDetector::attempts_for`]): each call is
+    /// simulated on the budget's backend and charged at its bandwidth,
+    /// a binding cap stops the attempt loop (flagging the outcome) and a
+    /// rejection stops it unless [`Budget::run_to_budget`]. The
+    /// outcome's `iterations` counts attempts.
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> EvenRunOutcome {
         let n = g.node_count();
         let k = self.k;
-        let mut total = RunReport::empty();
-        let attempts = self.attempts_for(n, budget);
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, 0x10CA1));
         let all = vec![true; n];
-        let mut session = Executor::new(budget.backend);
-        session.set_bandwidth(budget.bandwidth);
-
-        for attempt in 0..attempts {
+        let mut run = EvenRun::new(g, k, budget);
+        for attempt in 0..self.attempts_for(n, budget) {
             // One uniformly random source; its neighbors form X.
             let s = NodeId::new(rng.gen_range(0..n as u32));
             let mut x_mask = vec![false; n];
@@ -124,35 +110,20 @@ impl LocalThresholdDetector {
                 x_mask[u.index()] = true;
             }
             let colors = random_coloring(n, 2 * k, derive_seed(seed, 0x5000 + attempt));
-            let result = run_color_bfs_backend(
-                &mut session,
-                g,
-                k,
-                &colors,
-                &all,
-                &x_mask,
-                None,
-                self.tau,
-                derive_seed(seed, 0x6000 + attempt),
-            );
-            total.absorb(&result.report);
-            if let Some((v, origin)) = result.rejection {
-                let witness = extract_even_witness(g, &all, &colors, k, origin, v)
-                    .expect("rejection must be certifiable");
-                return LocalThresholdOutcome {
-                    rejected: true,
-                    witness: Some(witness),
-                    attempts: attempt + 1,
-                    report: total,
-                };
+            let call = EvenCall {
+                iteration: attempt + 1,
+                colors: &colors,
+                h_mask: &all,
+                x_mask: &x_mask,
+                activation: None,
+                tau: self.tau,
+                seed: derive_seed(seed, 0x6000 + attempt),
+            };
+            if run.visit(&call).is_break() {
+                break;
             }
         }
-        LocalThresholdOutcome {
-            rejected: false,
-            witness: None,
-            attempts,
-            report: total,
-        }
+        run.finish()
     }
 }
 
@@ -169,9 +140,8 @@ impl Detector for LocalThresholdDetector {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let o = self.run(g, seed, budget);
-        let cost = RunCost::from_report(&o.report, o.attempts);
-        Ok(budget.enforce(Detection::of_run(self.descriptor(), o.witness, false, cost)))
+        let outcome = self.run(g, seed, budget);
+        Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
 
@@ -187,12 +157,11 @@ mod tests {
         let det = LocalThresholdDetector::new(2);
         let found = (0..6).any(|seed| {
             let o = det.run(&g, seed, &Budget::classical());
-            if o.rejected {
-                let w = o.witness.as_ref().unwrap();
+            if let Some(w) = &o.witness {
                 assert_eq!(w.len(), 4);
                 assert!(w.is_valid(&g));
             }
-            o.rejected
+            o.rejected()
         });
         assert!(found, "local threshold never found the planted C4");
     }
@@ -202,11 +171,11 @@ mod tests {
         let det = LocalThresholdDetector::new(2);
         let g = generators::polarity_graph(3);
         for seed in 0..4 {
-            assert!(!det.run(&g, seed, &Budget::classical()).rejected);
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected());
         }
         for seed in 0..4 {
             let t = generators::random_tree(50, seed);
-            assert!(!det.run(&t, seed, &Budget::classical()).rejected);
+            assert!(!det.run(&t, seed, &Budget::classical()).rejected());
         }
     }
 

@@ -15,25 +15,14 @@
 //! (ours beats \[16\] for every `k ≥ 6`) uses the exact formulas of both
 //! papers.
 
-use congest_graph::{CycleWitness, Graph};
-use congest_sim::{derive_seed, Executor, RunReport};
-use even_cycle::{
-    extract_even_witness, random_coloring, run_color_bfs_backend, Budget, Descriptor, DetectResult,
-    Detection, Detector, Model, RunCost, Target,
-};
+use std::ops::ControlFlow;
 
-/// The outcome of an [`EdenModel`] run.
-#[derive(Debug, Clone)]
-pub struct EdenOutcome {
-    /// Whether a `2k`-cycle was found.
-    pub rejected: bool,
-    /// The verified witness.
-    pub witness: Option<CycleWitness>,
-    /// Coloring repetitions executed (stops at the first rejection).
-    pub iterations: u64,
-    /// Accumulated CONGEST costs.
-    pub report: RunReport,
-}
+use congest_graph::Graph;
+use congest_sim::derive_seed;
+use even_cycle::{
+    random_coloring, Budget, Descriptor, DetectResult, Detector, EvenCall, EvenRun, EvenRunOutcome,
+    Model, Target,
+};
 
 /// The \[16\]-style two-level threshold detector.
 #[derive(Debug, Clone)]
@@ -86,57 +75,39 @@ impl EdenModel {
         (n as f64).powf(self.exponent())
     }
 
-    /// Runs the model detector: light-cycle color-BFS below `d_max`,
-    /// plus a full-graph color-BFS thresholded at `τ = n^{exponent}`,
-    /// simulated on the budget's backend and charged at its bandwidth,
-    /// for the budget's repetitions. A rejection stops it; caps apply
-    /// only through [`Budget::enforce`].
-    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> EdenOutcome {
+    /// Runs the model detector: per repetition, a light-cycle
+    /// color-BFS below `d_max` and a full-graph color-BFS thresholded at
+    /// `τ = n^{exponent}`, as two [`EvenRun`] calls, for the budget's
+    /// repetitions: each call is simulated on the budget's backend and
+    /// charged at its bandwidth, a binding cap stops the repetition loop
+    /// (flagging the outcome) and a rejection stops it unless
+    /// [`Budget::run_to_budget`].
+    pub fn run(&self, g: &Graph, seed: u64, budget: &Budget) -> EvenRunOutcome {
         let n = g.node_count();
         let k = self.k;
         let d_max = self.degree_threshold(n);
         let tau = self.round_bound(n).ceil() as u64;
         let light: Vec<bool> = g.nodes().map(|v| (g.degree(v) as f64) <= d_max).collect();
         let all = vec![true; n];
-        let mut total = RunReport::empty();
-        let mut iterations = 0u64;
-        let mut session = Executor::new(budget.backend);
-        session.set_bandwidth(budget.bandwidth);
-        for r in 0..budget.repetitions.unwrap_or(self.repetitions) as u64 {
-            iterations = r + 1;
+        let mut run = EvenRun::new(g, k, budget);
+        let repetitions = budget.repetitions.unwrap_or(self.repetitions) as u64;
+        let _ = (0..repetitions).try_for_each(|r| {
             let colors = random_coloring(n, 2 * k, derive_seed(seed, 0xED0 + r));
-            let calls: [(&[bool], &[bool]); 2] = [(&light, &light), (&all, &all)];
-            for (ci, (h_mask, x_mask)) in calls.into_iter().enumerate() {
-                let result = run_color_bfs_backend(
-                    &mut session,
-                    g,
-                    k,
-                    &colors,
-                    h_mask,
-                    x_mask,
-                    None,
+            let hosts: [&[bool]; 2] = [&light, &all];
+            for (ci, mask) in hosts.into_iter().enumerate() {
+                run.visit(&EvenCall {
+                    iteration: r + 1,
+                    colors: &colors,
+                    h_mask: mask,
+                    x_mask: mask,
+                    activation: None,
                     tau,
-                    derive_seed(seed, 0xED00 + r * 2 + ci as u64),
-                );
-                total.absorb(&result.report);
-                if let Some((v, origin)) = result.rejection {
-                    let witness = extract_even_witness(g, h_mask, &colors, k, origin, v)
-                        .expect("rejection must be certifiable");
-                    return EdenOutcome {
-                        rejected: true,
-                        witness: Some(witness),
-                        iterations,
-                        report: total,
-                    };
-                }
+                    seed: derive_seed(seed, 0xED00 + r * 2 + ci as u64),
+                })?;
             }
-        }
-        EdenOutcome {
-            rejected: false,
-            witness: None,
-            iterations,
-            report: total,
-        }
+            ControlFlow::Continue(())
+        });
+        run.finish()
     }
 }
 
@@ -158,9 +129,8 @@ impl Detector for EdenModel {
     }
 
     fn detect(&self, g: &Graph, seed: u64, budget: &Budget) -> DetectResult {
-        let o = self.run(g, seed, budget);
-        let cost = RunCost::from_report(&o.report, o.iterations);
-        Ok(budget.enforce(Detection::of_run(self.descriptor(), o.witness, false, cost)))
+        let outcome = self.run(g, seed, budget);
+        Ok(budget.enforce(outcome.into_detection(self.descriptor())))
     }
 }
 
@@ -198,10 +168,10 @@ mod tests {
         let det = EdenModel::new(3).with_repetitions(512);
         let found = (0..6).any(|seed| {
             let o = det.run(&g, seed, &Budget::classical());
-            if o.rejected {
-                assert!(o.witness.as_ref().unwrap().is_valid(&g));
+            if let Some(w) = &o.witness {
+                assert!(w.is_valid(&g));
             }
-            o.rejected
+            o.rejected()
         });
         assert!(found, "model never found the planted C6");
     }
@@ -211,7 +181,7 @@ mod tests {
         let det = EdenModel::new(3).with_repetitions(32);
         for seed in 0..4 {
             let g = generators::random_tree(40, seed);
-            assert!(!det.run(&g, seed, &Budget::classical()).rejected);
+            assert!(!det.run(&g, seed, &Budget::classical()).rejected());
         }
     }
 }

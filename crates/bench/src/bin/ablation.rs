@@ -18,11 +18,14 @@
 //!   (one-sidedness never depends on it) — the constant buys the
 //!   completeness argument (Lemma 3 / Fact 3), not safety.
 
+use std::ops::ControlFlow;
+
 use congest_graph::{generators, FamilySpec};
-use even_cycle::{random_coloring, run_color_bfs, Budget, CycleDetector, Params, RunOptions};
+use even_cycle::{random_coloring, Budget, CycleDetector, EvenCall, EvenRun, Params, RunOptions};
 use even_cycle_bench::render_table;
 
 fn main() {
+    let budget = Budget::classical();
     // ---------- A1: threshold sensitivity ----------
     // planted-polarity:4 at n = 133 is the ER_11 host with a planted C4
     // (the shared catalog family; no ad-hoc construction).
@@ -38,30 +41,31 @@ fn main() {
         let mut detected = 0;
         for seed in 0..trials {
             let det = CycleDetector::new(base.clone().with_repetitions(1));
-            let (_, m) =
-                det.build_memberships(&g, seed, &Budget::classical(), &RunOptions::default());
+            let (_, m) = det.build_memberships(&g, seed, &budget, &RunOptions::default());
             let all = vec![true; n];
             let not_s: Vec<bool> = m.s_mask.iter().map(|&b| !b).collect();
-            let mut hit = false;
-            for r in 0..120u64 {
+            let phases: [(&[bool], &[bool]); 3] = [
+                (&m.u_mask, &m.u_mask),
+                (&all, &m.s_mask),
+                (&not_s, &m.w_mask),
+            ];
+            let mut run = EvenRun::new(&g, 2, &budget);
+            let _ = (0..120u64).try_for_each(|r| {
                 let colors = random_coloring(n, 4, seed ^ (r << 8));
-                let phases: [(&[bool], &[bool]); 3] = [
-                    (&m.u_mask, &m.u_mask),
-                    (&all, &m.s_mask),
-                    (&not_s, &m.w_mask),
-                ];
-                for (ci, (h, x)) in phases.into_iter().enumerate() {
-                    let res =
-                        run_color_bfs(&g, 2, &colors, h, x, None, tau, seed ^ (r << 4) ^ ci as u64);
-                    if res.rejection.is_some() {
-                        hit = true;
-                    }
+                for (ci, (h_mask, x_mask)) in phases.into_iter().enumerate() {
+                    run.visit(&EvenCall {
+                        iteration: r + 1,
+                        colors: &colors,
+                        h_mask,
+                        x_mask,
+                        activation: None,
+                        tau,
+                        seed: seed ^ (r << 4) ^ ci as u64,
+                    })?;
                 }
-                if hit {
-                    break;
-                }
-            }
-            if hit {
+                ControlFlow::Continue(())
+            });
+            if run.finish().rejected() {
                 detected += 1;
             }
         }
@@ -97,18 +101,19 @@ fn main() {
         let trials = 400u64;
         for seed in 0..trials {
             let colors = random_coloring(n, 4, seed * 31 + 7);
-            let res = run_color_bfs(
-                &g,
-                2,
-                &colors,
-                &all,
-                &all,
-                Some(activation),
-                4,
-                seed * 17 + 3,
-            );
+            let mut run = EvenRun::new(&g, 2, &budget);
+            let _ = run.visit(&EvenCall {
+                iteration: 1,
+                colors: &colors,
+                h_mask: &all,
+                x_mask: &all,
+                activation: Some(activation),
+                tau: 4,
+                seed: seed * 17 + 3,
+            });
+            let res = run.finish();
             max_congestion = max_congestion.max(res.report.congestion.max_words_per_edge_step);
-            if res.rejection.is_some() {
+            if res.rejected() {
                 successes += 1;
             }
         }
@@ -156,25 +161,23 @@ fn main() {
                 .collect();
             let not_s: Vec<bool> = s_mask.iter().map(|&b| !b).collect();
             let inst = Params::practical(2).instantiate(n);
-            let mut hit = false;
+            let mut run = EvenRun::new(&g, 2, &budget);
             for r in 0..200u64 {
                 let colors = random_coloring(n, 4, seed ^ (r << 9));
-                let res = run_color_bfs(
-                    &g,
-                    2,
-                    &colors,
-                    &not_s,
-                    &w_mask,
-                    None,
-                    inst.tau,
-                    seed ^ (r << 3),
-                );
-                if res.rejection.is_some() {
-                    hit = true;
+                let call = EvenCall {
+                    iteration: r + 1,
+                    colors: &colors,
+                    h_mask: &not_s,
+                    x_mask: &w_mask,
+                    activation: None,
+                    tau: inst.tau,
+                    seed: seed ^ (r << 3),
+                };
+                if run.visit(&call).is_break() {
                     break;
                 }
             }
-            if hit {
+            if run.finish().rejected() {
                 detected += 1;
             }
         }

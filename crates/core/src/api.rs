@@ -117,16 +117,20 @@ pub struct Budget {
     /// Keep iterating after the first rejection, spending the whole
     /// repetition budget (cost-scaling studies want every iteration's
     /// cost, not a run truncated at the first lucky coloring).
-    /// Honored by the paper's classical detectors: Algorithm 1
-    /// (`CycleDetector`), the Lemma 12 detector (`LowProbDetector`),
-    /// §3.4's `OddCycleDetector` and §3.5's `F2kDetector`. The quantum
-    /// pipelines and the Table 1 baselines ignore it.
+    /// Honored by every detector whose run is a loop of `color-BFS`
+    /// calls, all of which share one costed loop: the paper's classical
+    /// detectors (`CycleDetector`, `LowProbDetector`, `OddCycleDetector`
+    /// and `F2kDetector`) and the \[10\] and \[16\] baselines (through
+    /// [`EvenRun`](crate::EvenRun)). The quantum pipelines, the
+    /// deterministic gather and the \[33\] framework ignore it.
     pub run_to_budget: bool,
-    /// Hard cap on charged rounds. A detector whose outer loop notices
-    /// the cap aborts between iterations and reports
-    /// [`Verdict::BudgetExceeded`]; single-shot detectors and cost-model
-    /// comparators are marked post hoc through [`Budget::enforce`]. The
-    /// charged total may overshoot the cap by at most one iteration.
+    /// Hard cap on charged rounds. Every loop of `color-BFS` calls (the
+    /// detectors [`Budget::run_to_budget`] names) checks it after each
+    /// call and stops once the charged total has passed it, reporting
+    /// [`Verdict::BudgetExceeded`], so the total overshoots the cap by
+    /// at most one call; the quantum pipelines check it between
+    /// components. Single-shot detectors and cost-model comparators are
+    /// marked post hoc through [`Budget::enforce`].
     pub max_rounds: Option<u64>,
     /// Hard cap on total point-to-point messages; same abort semantics
     /// as [`Budget::max_rounds`]. Only meaningful for detectors whose

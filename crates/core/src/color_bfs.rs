@@ -1,6 +1,7 @@
 //! Procedure `color-BFS` with threshold (Algorithm 1, lines 14–29): the
 //! one CONGEST node program every detector of this crate runs, and the
-//! call, verdict-only evaluation and costed loop built around it.
+//! call, verdict-only evaluation and costed loop built around it. The
+//! costed loop is public as [`EvenRun`] for Algorithm 1's palette.
 //!
 //! A call looks for a cycle `(u_0, u_1, …)` with `c(u_i) = i` under a
 //! coloring with `P` colors. Each source (a node of `X ∩ H` colored 0)
@@ -60,7 +61,8 @@ use std::ops::{ControlFlow, RangeInclusive};
 use congest_graph::analysis::nodes_on_cycles;
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
-    derive_seed, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
+    derive_seed, Control, Ctx, CutMeter, Decision, Executor, MessageSize, Outbox, Program,
+    RunReport,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -68,7 +70,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::detector::random_coloring;
 use crate::randomized::RANDOMIZED_THRESHOLD;
 use crate::witness::{extract_witness, DetectionOutcome, Phase, SetsSummary};
-use crate::{Budget, RunCost};
+use crate::{Budget, Descriptor, Detection, RunCost};
 
 /// Messages of the color-BFS protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -569,11 +571,12 @@ pub(crate) struct Rejection {
     pub(crate) meet: u8,
 }
 
-/// The costed loop every detector drives with its own walk: each call
-/// is simulated with its own coins and charged what it measured; the
-/// first rejecting node's cycle is certified; the walk stops at a
-/// rejection (unless [`Budget::run_to_budget`]) or once the accumulated
-/// cost passes a cap of the budget.
+/// The costed loop every detector drives with its own walk, directly or
+/// through [`EvenRun`]: each call is simulated with its own coins and
+/// charged what it measured; the first rejecting node's cycle is
+/// certified; the walk stops at a rejection (unless
+/// [`Budget::run_to_budget`]) or once the accumulated cost passes a cap
+/// of the budget.
 pub(crate) struct CostedRun<'a> {
     g: &'a Graph,
     budget: &'a Budget,
@@ -651,6 +654,145 @@ impl<'a> CostedRun<'a> {
             sets,
             budget_exceeded: self.budget_exceeded,
         }
+    }
+}
+
+/// One `color-BFS(k, H, c, X, τ)` call of an [`EvenRun`] (or, with an
+/// activation probability, `randomized-color-BFS`): Algorithm 1's
+/// palette `(2k, k)` under the caller's coloring, sets, threshold and
+/// seed.
+#[derive(Debug, Clone, Copy)]
+pub struct EvenCall<'a> {
+    /// Colorings drawn so far in the run, this call's included: what
+    /// [`EvenRunOutcome::iterations`] reports if the run stops here.
+    pub iteration: u64,
+    /// The coloring `c`, one color below `2k` per node.
+    pub colors: &'a [u8],
+    /// The host subgraph `H`.
+    pub h_mask: &'a [bool],
+    /// The launch set `X`.
+    pub x_mask: &'a [bool],
+    /// Each source's activation probability; `None` launches every
+    /// source (Algorithm 1).
+    pub activation: Option<f64>,
+    /// The forwarding threshold `τ`.
+    pub tau: u64,
+    /// The call's simulation seed; its activation coins derive from it.
+    pub seed: u64,
+}
+
+/// A costed run of Algorithm-1-palette `color-BFS` calls that the
+/// caller walks itself: the loop of the \[10\] and \[16\] baselines, of
+/// the §3.3 reduction and of the ablations. It is the loop the paper's
+/// detectors run: each call is simulated on the budget's backend and
+/// charged at its bandwidth, the first rejecting node's cycle is
+/// certified, and [`EvenRun::visit`] breaks at a rejection (unless
+/// [`Budget::run_to_budget`]) or once the accumulated cost passes a cap
+/// of the budget.
+///
+/// ```
+/// use congest_graph::generators;
+/// use even_cycle::{Budget, EvenCall, EvenRun};
+///
+/// let g = generators::cycle(4);
+/// let every_node = [true; 4];
+/// let budget = Budget::classical();
+/// let mut run = EvenRun::new(&g, 2, &budget);
+/// let _ = run.visit(&EvenCall {
+///     iteration: 1,
+///     colors: &[0, 1, 2, 3],
+///     h_mask: &every_node,
+///     x_mask: &every_node,
+///     activation: None,
+///     tau: 4,
+///     seed: 7,
+/// });
+/// let outcome = run.finish();
+/// assert!(outcome.rejected());
+/// assert_eq!(outcome.witness.map(|w| w.len()), Some(4));
+/// ```
+pub struct EvenRun<'a> {
+    palette: Palette,
+    run: CostedRun<'a>,
+}
+
+impl<'a> EvenRun<'a> {
+    /// A run of `C_{2k}` calls on `g` under `budget`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < 2`.
+    pub fn new(g: &'a Graph, k: usize, budget: &'a Budget) -> Self {
+        EvenRun {
+            palette: Palette::even(k),
+            run: CostedRun::new(g, budget, RunReport::empty()),
+        }
+    }
+
+    /// Meters the words that cross `cut` in every call; the
+    /// [`RunReport::cut_words`] of the outcome sums them.
+    pub fn with_cut(mut self, cut: CutMeter) -> Self {
+        self.run.session.set_cut(cut);
+        self
+    }
+
+    /// Simulates and charges one call; breaks when the run stops.
+    pub fn visit(&mut self, call: &EvenCall<'_>) -> ControlFlow<()> {
+        let coloring = Coloring::forced(call.colors);
+        self.run.visit(&ColorBfsCall {
+            palette: self.palette,
+            launch: Launch {
+                activation: call.activation,
+                tau: call.tau,
+            },
+            iteration: call.iteration,
+            phase: None,
+            coloring: &coloring,
+            h_mask: call.h_mask,
+            x_mask: call.x_mask,
+            seed: call.seed,
+        })
+    }
+
+    /// What the calls visited so far certified and cost.
+    pub fn finish(self) -> EvenRunOutcome {
+        let run = self.run;
+        EvenRunOutcome {
+            witness: run.rejection.map(|r| r.witness),
+            iterations: run.iterations,
+            report: run.report,
+            budget_exceeded: run.budget_exceeded,
+        }
+    }
+}
+
+/// The outcome of an [`EvenRun`]: the run of the \[10\] and \[16\]
+/// baselines, among others.
+#[derive(Debug, Clone)]
+pub struct EvenRunOutcome {
+    /// The cycle the last rejecting call certified, validated against
+    /// the graph.
+    pub witness: Option<CycleWitness>,
+    /// The [`EvenCall::iteration`] of the last call simulated.
+    pub iterations: u64,
+    /// The accumulated CONGEST costs.
+    pub report: RunReport,
+    /// Whether a cap of the budget stopped the run (the decision is then
+    /// untrusted).
+    pub budget_exceeded: bool,
+}
+
+impl EvenRunOutcome {
+    /// Whether some call rejected.
+    pub fn rejected(&self) -> bool {
+        self.witness.is_some()
+    }
+
+    /// Converts into the unified [`Detection`] surface under the given
+    /// algorithm metadata.
+    pub fn into_detection(self, algorithm: Descriptor) -> Detection {
+        let cost = RunCost::from_report(&self.report, self.iterations);
+        Detection::of_run(algorithm, self.witness, self.budget_exceeded, cost)
     }
 }
 
@@ -823,11 +965,6 @@ impl ColorBfs {
     /// The rejection evidence, if this node rejected.
     pub fn evidence(&self) -> Option<RejectEvidence> {
         self.reject
-    }
-
-    /// Whether this node discarded its set because `|I_v| > τ`.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
     }
 
     /// The set `I_v` this node collected at its action step.
@@ -1081,7 +1218,7 @@ mod tests {
         let colors = vec![0u8, 1, 2, 3];
         let (report, nodes) = run_plain(&g, &colors, 2, 0);
         assert!(!report.rejected());
-        assert!(nodes[1].overflowed(), "I_{{v1}} = {{0}} exceeds τ = 0");
+        assert!(nodes[1].overflowed, "I_{{v1}} = {{0}} exceeds τ = 0");
     }
 
     #[test]
@@ -1209,7 +1346,7 @@ mod tests {
         assert_rejects_at(&g, Palette::pair(2), &colors, 2, 1, 3);
         let (report, nodes) = run_call(&g, Palette::pair(2), &colors, 1);
         assert!(!report.rejected());
-        assert!(nodes[1].overflowed());
+        assert!(nodes[1].overflowed);
         assert_eq!(nodes[1].collected(), [0, 3]);
     }
 
@@ -1419,7 +1556,7 @@ mod tests {
             let states: Vec<_> = session
                 .nodes()
                 .iter()
-                .map(|p| (p.evidence(), p.overflowed(), p.collected().to_vec()))
+                .map(|p| (p.evidence(), p.overflowed, p.collected().to_vec()))
                 .collect();
             (report, states)
         };

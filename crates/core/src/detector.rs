@@ -5,13 +5,12 @@ use std::ops::ControlFlow;
 
 use congest_graph::{Graph, NodeId};
 use congest_sim::{
-    derive_seed, node_rng, run_with_backend, Backend, Control, Ctx, Executor, Outbox, Program,
-    RunReport,
+    derive_seed, node_rng, run_with_backend, Control, Ctx, Outbox, Program, RunReport,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::color_bfs::{ColorBfs, ColorBfsCall, Coloring, CostedRun, Launch, Palette};
+use crate::color_bfs::{ColorBfsCall, Coloring, CostedRun, Launch, Palette};
 use crate::params::{Instance, Params};
 use crate::witness::{DetectionOutcome, Phase, SetsSummary};
 use crate::Budget;
@@ -365,96 +364,6 @@ impl crate::Detector for CycleDetector {
 pub fn random_coloring(n: usize, colors: usize, seed: u64) -> Vec<u8> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(0..colors as u8)).collect()
-}
-
-/// The outcome of one `color-BFS` call.
-#[derive(Debug, Clone)]
-pub struct ColorBfsResult {
-    /// CONGEST costs of the call.
-    pub report: RunReport,
-    /// `(rejecting node, origin x)` for the first rejecting node, if any.
-    pub rejection: Option<(NodeId, NodeId)>,
-    /// Whether any node discarded its set (`|I_v| > τ`).
-    pub any_overflow: bool,
-    /// The largest `|I_v|` any node collected.
-    pub max_collected: usize,
-}
-
-/// Runs a single `color-BFS(k, H, c, X, τ)` (or, with
-/// `activation = Some(q)`, `randomized-color-BFS`) and gathers the
-/// result, at classical CONGEST bandwidth (`B = 1`), in a one-call
-/// sequential session.
-#[allow(clippy::too_many_arguments)]
-pub fn run_color_bfs(
-    g: &Graph,
-    k: usize,
-    colors: &[u8],
-    h_mask: &[bool],
-    x_mask: &[bool],
-    activation: Option<f64>,
-    tau: u64,
-    seed: u64,
-) -> ColorBfsResult {
-    let mut session = Executor::new(Backend::Sequential);
-    run_color_bfs_backend(
-        &mut session,
-        g,
-        k,
-        colors,
-        h_mask,
-        x_mask,
-        activation,
-        tau,
-        seed,
-    )
-}
-
-/// [`run_color_bfs`] in a caller-held simulation session, on the
-/// session's backend and bandwidth (the `B` of CONGEST(B·log n);
-/// supersteps are charged `⌈load/B⌉` rounds) — the form repetition
-/// loops call, so one session's buffers serve every call of a loop.
-/// The result is byte-identical whatever the backend.
-#[allow(clippy::too_many_arguments)]
-pub fn run_color_bfs_backend(
-    session: &mut Executor<ColorBfs>,
-    g: &Graph,
-    k: usize,
-    colors: &[u8],
-    h_mask: &[bool],
-    x_mask: &[bool],
-    activation: Option<f64>,
-    tau: u64,
-    seed: u64,
-) -> ColorBfsResult {
-    let coloring = Coloring::forced(colors);
-    let call = ColorBfsCall {
-        palette: Palette::even(k),
-        launch: Launch { activation, tau },
-        iteration: 1,
-        phase: None,
-        coloring: &coloring,
-        h_mask,
-        x_mask,
-        seed,
-    };
-    let report = call.simulate(session, g);
-    let nodes = session.nodes();
-    let rejection = report.rejecting_nodes.first().map(|&v| {
-        let node = NodeId::new(v);
-        let origin = nodes[v as usize]
-            .evidence()
-            .expect("rejecting node has evidence")
-            .origin;
-        (node, NodeId::new(origin))
-    });
-    let any_overflow = nodes.iter().any(ColorBfs::overflowed);
-    let max_collected = nodes.iter().map(|p| p.collected().len()).max().unwrap_or(0);
-    ColorBfsResult {
-        report,
-        rejection,
-        any_overflow,
-        max_collected,
-    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,10 @@
 //! `color-BFS` with threshold, whose palette (size, meeting color and
 //! the §3.5 hand-off) is the only thing that differs between them. The
 //! [`color_bfs`] module docs give the role of each color for every
-//! palette.
+//! palette. One costed loop simulates, charges and certifies every
+//! detector's calls; [`EvenRun`] opens it to callers that walk their
+//! own Algorithm-1-palette calls: the \[10\] and \[16\] baselines, the
+//! §3.3 reduction and the ablations.
 //!
 //! Every rejection is *certified*: the library extracts an explicit cycle
 //! witness and validates it against the input graph before reporting.
@@ -60,11 +63,9 @@ mod test_corpus;
 pub use api::{
     Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target, Verdict,
 };
+pub use color_bfs::{EvenCall, EvenRun, EvenRunOutcome};
 pub use congest_sim::Backend;
-pub use detector::{
-    random_coloring, run_color_bfs, run_color_bfs_backend, ColorBfsResult, CycleDetector,
-    Memberships, RunOptions,
-};
+pub use detector::{random_coloring, CycleDetector, Memberships, RunOptions};
 pub use f2k::{F2kDetector, F2kMc, F2kOutcome};
 pub use odd::{OddCycleDetector, OddMc};
 pub use params::{Instance, Params};
@@ -72,6 +73,4 @@ pub use quantum_detector::{
     QuantumCycleDetector, QuantumF2kDetector, QuantumOddCycleDetector, QuantumOutcome,
 };
 pub use randomized::{LowProbDetector, LowProbMc, RANDOMIZED_THRESHOLD};
-pub use witness::{
-    certify, extract_even_witness, find_colored_path, DetectionOutcome, Phase, SetsSummary,
-};
+pub use witness::{certify, find_colored_path, DetectionOutcome, Phase, SetsSummary};

@@ -142,29 +142,6 @@ pub fn find_colored_path(
     Some(path)
 }
 
-/// Reconstructs the `2k`-cycle certified by a `color-BFS` rejection: the
-/// origin `x` (colored 0) reached the rejecting node `v` (colored `k`)
-/// along an up-branch colored `1, …, k-1` and a down-branch colored
-/// `2k-1, …, k+1`, all within the host mask.
-///
-/// The internal color sets of the two branches are disjoint and exclude
-/// the endpoint colors, so the union is automatically a simple `2k`-cycle;
-/// the result is verified against `g` before being returned.
-///
-/// # Panics
-///
-/// Panics if `k < 2`.
-pub fn extract_even_witness(
-    g: &Graph,
-    h_mask: &[bool],
-    colors: &[u8],
-    k: usize,
-    x: NodeId,
-    v: NodeId,
-) -> Option<CycleWitness> {
-    extract_witness(g, h_mask, colors, Palette::even(k), x, v)
-}
-
 /// Reconstructs the cycle certified by a rejection at `v` in a
 /// `color-BFS` call with `palette` (see [`crate::color_bfs`]): the
 /// origin `x` reached `v` along an up branch colored `1, …, c(v)-1` and
@@ -252,8 +229,15 @@ mod tests {
         let g = generators::cycle(4);
         let colors = vec![0u8, 1, 2, 3];
         let mask = vec![true; 4];
-        let w = extract_even_witness(&g, &mask, &colors, 2, NodeId::new(0), NodeId::new(2))
-            .expect("witness");
+        let w = extract_witness(
+            &g,
+            &mask,
+            &colors,
+            Palette::even(2),
+            NodeId::new(0),
+            NodeId::new(2),
+        )
+        .expect("witness");
         assert_eq!(w.len(), 4);
         assert!(w.is_valid(&g));
         assert!(certify(&g, &w, 4));
@@ -271,7 +255,7 @@ mod tests {
         let mask = vec![true; g.node_count()];
         let x = planted.nodes()[0];
         let v = planted.nodes()[4];
-        let w = extract_even_witness(&g, &mask, &colors, 4, x, v).expect("witness");
+        let w = extract_witness(&g, &mask, &colors, Palette::even(4), x, v).expect("witness");
         assert_eq!(w.len(), 8);
         assert!(w.is_valid(&g));
     }
@@ -294,8 +278,14 @@ mod tests {
         let g = generators::path(4);
         let colors = vec![0u8, 1, 2, 3];
         let mask = vec![true; 4];
-        assert!(
-            extract_even_witness(&g, &mask, &colors, 2, NodeId::new(0), NodeId::new(2)).is_none()
-        );
+        assert!(extract_witness(
+            &g,
+            &mask,
+            &colors,
+            Palette::even(2),
+            NodeId::new(0),
+            NodeId::new(2)
+        )
+        .is_none());
     }
 }

@@ -8,9 +8,11 @@
 //! `T = Ω(√(N / (cut · log n)))` quantumly. This module measures the
 //! left-hand side empirically.
 
+use std::ops::ControlFlow;
+
 use congest_graph::CycleWitness;
-use congest_sim::{derive_seed, Backend, Executor};
-use even_cycle::{random_coloring, run_color_bfs_backend, Budget, CycleDetector, Params};
+use congest_sim::derive_seed;
+use even_cycle::{random_coloring, Budget, CycleDetector, EvenCall, EvenRun, Params};
 
 use crate::gadgets::BuiltGadget;
 
@@ -47,9 +49,11 @@ impl ReductionMeasurement {
 /// Runs Algorithm 1 (with the given parameters) on a built gadget with a
 /// cut meter installed and reports the measured communication.
 ///
-/// Algorithm 1 is run one coloring iteration at a time so the cut meter
-/// captures exactly the rounds executed (the driver's own orchestration
-/// is free in the two-party simulation).
+/// The sets `U`, `S`, `W` are built as [`CycleDetector`] builds them,
+/// and the run's `color-BFS` calls go through one metered [`EvenRun`],
+/// so the rounds and the cut words are those of the calls executed (the
+/// set-up round and the driver's own orchestration are free in the
+/// two-party simulation).
 pub fn measure_even_detection(
     gadget: &BuiltGadget,
     params: &Params,
@@ -62,55 +66,40 @@ pub fn measure_even_detection(
     let inst = params.instantiate(n);
     let bits_per_word = (n as f64).log2().ceil() as u32;
 
-    // Set construction (as in CycleDetector, but the cut meter must see
-    // the color-BFS traffic, so we run the calls directly).
+    let budget = Budget::classical();
     let detector = CycleDetector::new(params.clone());
-    let (_, memberships) =
-        detector.build_memberships(g, seed, &Budget::classical(), &Default::default());
+    let (_, memberships) = detector.build_memberships(g, seed, &budget, &Default::default());
     let all_mask = vec![true; n];
     let not_s: Vec<bool> = memberships.s_mask.iter().map(|&b| !b).collect();
+    let phases: [(&[bool], &[bool]); 3] = [
+        (&memberships.u_mask, &memberships.u_mask),
+        (&all_mask, &memberships.s_mask),
+        (&not_s, &memberships.w_mask),
+    ];
 
-    let mut rounds = 0u64;
-    let mut cut_words = 0u64;
-    let mut rejected = false;
-    let mut witness = None;
-    let mut session = Executor::new(Backend::Sequential);
-    session.set_cut(gadget.cut_meter());
-
-    'outer: for r in 0..iterations as u64 {
+    let mut run = EvenRun::new(g, k, &budget).with_cut(gadget.cut_meter());
+    let _ = (0..iterations as u64).try_for_each(|r| {
         let colors = random_coloring(n, 2 * k, derive_seed(seed, 0xC0 + r));
-        let phases: [(&[bool], &[bool]); 3] = [
-            (&memberships.u_mask, &memberships.u_mask),
-            (&all_mask, &memberships.s_mask),
-            (&not_s, &memberships.w_mask),
-        ];
         for (idx, (h_mask, x_mask)) in phases.into_iter().enumerate() {
-            let result = run_color_bfs_backend(
-                &mut session,
-                g,
-                k,
-                &colors,
+            run.visit(&EvenCall {
+                iteration: r + 1,
+                colors: &colors,
                 h_mask,
                 x_mask,
-                None,
-                inst.tau,
-                derive_seed(seed, 0xF000 + r * 3 + idx as u64),
-            );
-            rounds += result.report.rounds;
-            cut_words += result.report.cut_words.unwrap_or(0);
-            if let Some((v, origin)) = result.rejection {
-                rejected = true;
-                witness = even_cycle::extract_even_witness(g, h_mask, &colors, k, origin, v);
-                break 'outer;
-            }
+                activation: None,
+                tau: inst.tau,
+                seed: derive_seed(seed, 0xF000 + r * 3 + idx as u64),
+            })?;
         }
-    }
+        ControlFlow::Continue(())
+    });
+    let outcome = run.finish();
 
     ReductionMeasurement {
-        rejected,
-        witness,
-        rounds,
-        cut_words,
+        rejected: outcome.rejected(),
+        rounds: outcome.report.rounds,
+        cut_words: outcome.report.cut_words.unwrap_or(0),
+        witness: outcome.witness,
         bits_per_word,
         cut_size: gadget.cut_size,
     }
@@ -135,6 +124,30 @@ mod tests {
         assert!(m.cut_words <= m.rounds * m.cut_size as u64);
         assert!(m.cut_words > 0, "color-BFS must cross the matching");
         assert!(m.protocol_bound() > 0);
+    }
+
+    #[test]
+    fn the_e8c_measurements_are_pinned() {
+        // The three C4 gadgets of the `lower_bounds` E8c table, recorded
+        // while the reduction drove its own color-BFS loop: rejected,
+        // rounds and cut words (the table prints 24,563, 48,438 and
+        // 199,296 cut bits at 7, 9 and 9 bits per word).
+        let pinned = [
+            (7, (true, 114, 3_509)),
+            (11, (true, 93, 5_382)),
+            (13, (false, 312, 22_144)),
+        ];
+        for (q, want) in pinned {
+            let gadget = C4Gadget::new(q);
+            let (inst, _) = Disjointness::random_with_planted_intersection(gadget.universe(), 3);
+            let built = gadget.build(&inst);
+            let params = Params::practical(2).with_repetitions(16);
+            let m = measure_even_detection(&built, &params, 16, 2);
+            assert_eq!((m.rejected, m.rounds, m.cut_words), want, "ER_{q}");
+            if let Some(w) = &m.witness {
+                assert!(w.len() == 4 && w.is_valid(&built.graph), "ER_{q}");
+            }
+        }
     }
 
     #[test]

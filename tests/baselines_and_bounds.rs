@@ -23,7 +23,7 @@ fn all_detectors_agree_on_planted_c4() {
     // Local threshold [10] (higher attempt budget: each attempt needs a
     // cycle-adjacent source *and* a good coloring):
     let lt = LocalThresholdDetector::new(2).with_attempts(24.0, 4096);
-    assert!((0..20).any(|s| lt.run(&g, s, &Budget::classical()).rejected));
+    assert!((0..20).any(|s| lt.run(&g, s, &Budget::classical()).rejected()));
     // This paper:
     let ours = CycleDetector::new(Params::practical(2));
     assert!(ours.run(&g, 3, &Budget::classical()).rejected());
@@ -41,7 +41,7 @@ fn all_detectors_agree_on_c4_free_input() {
     let lt = LocalThresholdDetector::new(2);
     let ours = CycleDetector::new(Params::practical(2).with_repetitions(16));
     for seed in 0..3 {
-        assert!(!lt.run(&g, seed, &Budget::classical()).rejected);
+        assert!(!lt.run(&g, seed, &Budget::classical()).rejected());
         assert!(!ours.run(&g, seed, &Budget::classical()).rejected());
     }
 }
@@ -56,7 +56,7 @@ fn eden_agrees_with_ours_on_c6() {
     }
     let g = generators::disjoint_union(&g, &generators::path(12));
     let eden = EdenModel::new(3).with_repetitions(800);
-    let found_eden = (0..10).any(|s| eden.run(&g, s, &Budget::classical()).rejected);
+    let found_eden = (0..10).any(|s| eden.run(&g, s, &Budget::classical()).rejected());
     let ours = CycleDetector::new(Params::practical(3).with_repetitions(800));
     let found_ours = (0..10).any(|s| ours.run(&g, s, &Budget::classical()).rejected());
     assert!(found_eden, "[16]-style model missed the C6 entirely");

@@ -584,3 +584,75 @@ fn fast_ci_budget_matrix_is_pinned() {
         );
     }
 }
+
+#[test]
+fn a_binding_cap_stops_every_color_bfs_loop_at_its_first_call() {
+    // Every fast-ci entry whose run is a loop of color-BFS calls
+    // (Algorithm 1, §3.4, §3.5, [10] and [16]) under a one-round cap on
+    // a tree: the first call passes the cap, so the loop stops there and
+    // reports over budget after one iteration. The [10] and [16] loops
+    // used to spend every attempt and repetition before `Budget::enforce`
+    // relabeled the run.
+    use even_cycle_congest::{FamilySpec, RunProfile};
+    let budget = Budget::classical().with_round_cap(1);
+    let g = FamilySpec::parse("trees").unwrap().build(24, 0);
+    for k in [2, 3] {
+        let registry = RunProfile::FastCi.registry(k);
+        let mut loops = vec![
+            format!("classical/C{}/global-threshold-color-bfs", 2 * k),
+            format!("classical/C{}/constant-round-odd-color-bfs", 2 * k + 1),
+            format!("classical/F{}/pairwise-color-bfs-sweep", 2 * k),
+            format!("classical/C{}/local-threshold-sampling", 2 * k),
+        ];
+        if k >= 3 {
+            loops.push(format!("classical/C{}/two-level-threshold-model", 2 * k));
+        }
+        for id in loops {
+            let entry = registry.get(&id).expect(&id);
+            let d = entry.detector.detect(&g, 0, &budget).unwrap();
+            assert!(d.budget_exceeded(), "{id}: {:?}", d.verdict);
+            assert_eq!(d.cost.iterations, 1, "{id}");
+        }
+    }
+}
+
+#[test]
+fn exhaustive_budgets_walk_every_baseline_attempt_and_repetition() {
+    // [10] on a C4 farm and [16] on a C6 farm, each at the first seed on
+    // which it rejects before its last attempt or repetition: under
+    // `Budget::exhaustive()` the run goes on to the end of its budget
+    // and still reports a certified cycle.
+    use even_cycle_congest::baselines::censor_hillel::LocalThresholdDetector;
+    use even_cycle_congest::baselines::eden::EdenModel;
+    use even_cycle_congest::cycle::Detector;
+    let first = Budget::classical();
+    let exhaustive = Budget::classical().exhaustive();
+    let local = LocalThresholdDetector::new(2);
+    let c4_farm = cycle_farm(4, 8);
+    let attempts = local.attempts_for(c4_farm.node_count(), &exhaustive);
+    let cases: [(&dyn Detector, Graph, u64); 2] = [
+        (&local, c4_farm, attempts),
+        (
+            &EdenModel::new(3).with_repetitions(64),
+            cycle_farm(6, 8),
+            64,
+        ),
+    ];
+    for (detector, g, budget_iterations) in cases {
+        let id = detector.descriptor().id();
+        let seed = (0..20)
+            .find(|&s| {
+                let d = detector.detect(&g, s, &first).unwrap();
+                d.rejected() && d.cost.iterations < budget_iterations
+            })
+            .unwrap_or_else(|| panic!("{id} rejects before its budget's end on some seed"));
+        let d = detector.detect(&g, seed, &exhaustive).unwrap();
+        assert_eq!(d.cost.iterations, budget_iterations, "{id} at seed {seed}");
+        let w = d.witness().expect("an exhaustive run keeps its witness");
+        let target = detector.descriptor().target;
+        assert!(
+            target.matches_length(w.len()) && w.is_valid(&g),
+            "{id} at seed {seed}"
+        );
+    }
+}

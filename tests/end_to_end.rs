@@ -2,7 +2,7 @@
 //! ground truth, across generators, parameters, and executors.
 
 use even_cycle_congest::cycle::{
-    random_coloring, Budget, CycleDetector, OddCycleDetector, Params, RunOptions,
+    random_coloring, Budget, CycleDetector, EvenCall, EvenRun, OddCycleDetector, Params, RunOptions,
 };
 use even_cycle_congest::graph::{analysis, generators, CycleWitness, Graph};
 use even_cycle_congest::sim::{strict::StrictExecutor, Backend, Executor};
@@ -129,15 +129,34 @@ fn strict_and_logical_executors_agree_on_color_bfs() {
 fn rounds_grow_with_threshold_load() {
     // The same input under τ = big vs τ = tiny: with a tiny threshold
     // everything is discarded and rounds stay at the superstep floor;
-    // the real threshold lets sets flow and rounds grow with congestion.
+    // the real threshold lets sets flow, so more words share an edge
+    // and rounds grow with congestion.
     let g = generators::complete_bipartite(12, 12);
     let n = g.node_count();
     let colors = random_coloring(n, 4, 3);
     let all = vec![true; n];
-    let big = even_cycle_congest::cycle::run_color_bfs(&g, 2, &colors, &all, &all, None, 1000, 9);
-    let tiny = even_cycle_congest::cycle::run_color_bfs(&g, 2, &colors, &all, &all, None, 0, 9);
-    assert!(big.report.rounds >= tiny.report.rounds);
-    assert!(big.max_collected > 0);
+    let budget = Budget::classical();
+    let call = |tau| {
+        let mut run = EvenRun::new(&g, 2, &budget);
+        let _ = run.visit(&EvenCall {
+            iteration: 1,
+            colors: &colors,
+            h_mask: &all,
+            x_mask: &all,
+            activation: None,
+            tau,
+            seed: 9,
+        });
+        run.finish().report
+    };
+    let (big, tiny) = (call(1000), call(0));
+    assert!(big.rounds >= tiny.rounds);
+    assert!(
+        big.congestion.max_words_per_edge_step > tiny.congestion.max_words_per_edge_step,
+        "τ = 1000 carries {} words on an edge, τ = 0 carries {}",
+        big.congestion.max_words_per_edge_step,
+        tiny.congestion.max_words_per_edge_step
+    );
 }
 
 #[test]
