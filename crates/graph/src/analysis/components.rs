@@ -22,11 +22,6 @@ impl Components {
         self.labels[v.index()]
     }
 
-    /// Whether `u` and `v` lie in the same component.
-    pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
-        self.labels[u.index()] == self.labels[v.index()]
-    }
-
     /// The vertex sets of all components.
     pub fn members(&self) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.count];
@@ -88,7 +83,7 @@ mod tests {
         let g = generators::empty(4);
         let c = connected_components(&g);
         assert_eq!(c.component_count(), 4);
-        assert!(!c.same_component(NodeId::new(0), NodeId::new(1)));
+        assert_ne!(c.label(NodeId::new(0)), c.label(NodeId::new(1)));
     }
 
     #[test]
@@ -98,8 +93,8 @@ mod tests {
         assert_eq!(c.component_count(), 2);
         let members = c.members();
         assert_eq!(members[0].len() + members[1].len(), 7);
-        assert!(c.same_component(NodeId::new(0), NodeId::new(2)));
-        assert!(!c.same_component(NodeId::new(0), NodeId::new(5)));
+        assert_eq!(c.label(NodeId::new(0)), c.label(NodeId::new(2)));
+        assert_ne!(c.label(NodeId::new(0)), c.label(NodeId::new(5)));
     }
 
     #[test]

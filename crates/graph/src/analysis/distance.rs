@@ -1,4 +1,4 @@
-//! BFS distances, eccentricity, diameter.
+//! BFS distances and diameter.
 
 use std::collections::VecDeque;
 
@@ -36,16 +36,8 @@ pub fn bfs_distances_bounded(g: &Graph, source: NodeId, bound: u32) -> Vec<Optio
         .collect()
 }
 
-/// Eccentricity of `v`: the maximum distance from `v` to any reachable
-/// vertex. Returns `None` for a graph with unreachable vertices only if
-/// `v` itself is isolated in a larger graph — the eccentricity is taken
-/// over the reachable set.
-pub fn eccentricity(g: &Graph, v: NodeId) -> u32 {
-    bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)
-}
-
-/// Exact diameter: the maximum eccentricity over all vertices, or `None`
-/// if the graph is disconnected (or empty).
+/// Exact diameter: the largest BFS distance between two vertices, or
+/// `None` if the graph is disconnected (or empty).
 ///
 /// `O(n·m)`; intended for the simulation scales of this workspace.
 pub fn diameter(g: &Graph) -> Option<u32> {
@@ -99,13 +91,6 @@ mod tests {
     fn diameter_single_vertex() {
         assert_eq!(diameter(&generators::empty(1)), Some(0));
         assert_eq!(diameter(&generators::empty(0)), None);
-    }
-
-    #[test]
-    fn eccentricity_path_ends() {
-        let g = generators::path(6);
-        assert_eq!(eccentricity(&g, NodeId::new(0)), 5);
-        assert_eq!(eccentricity(&g, NodeId::new(2)), 3);
     }
 
     #[test]

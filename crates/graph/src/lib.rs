@@ -10,7 +10,7 @@
 //!   Erdős–Rényi graphs, planted-cycle instances, and the dense
 //!   `C4`-free polarity graphs used by the lower-bound gadgets;
 //! * exact combinatorial [`analysis`]: BFS, diameter, connectivity, girth,
-//!   degeneracy, bipartiteness, and — crucially — exact ground truth for
+//!   bipartiteness, and — crucially — exact ground truth for
 //!   "does `G` contain the cycle `C_ℓ` as a subgraph?", against which all
 //!   distributed detectors are validated;
 //! * [`CycleWitness`], the certified-cycle type every rejection produces;
