@@ -651,6 +651,102 @@ mod tests {
         }
     }
 
+    /// Logs every `(sender, payload)` it hears. Node `v` halts at
+    /// superstep `v % 4`. Until then, each step it broadcasts, sends to
+    /// every neighbor in reverse neighbor order, and sends twice more to
+    /// its first neighbor, so one edge carries a broadcast and three
+    /// sends, and neighbors that have already halted are still messaged.
+    #[derive(Debug)]
+    struct Contract {
+        log: Vec<(u32, u32)>,
+    }
+
+    fn contract(_: NodeId, _: usize) -> Contract {
+        Contract { log: Vec::new() }
+    }
+
+    /// Queues one step's messages, each payload naming its sender, the
+    /// step and its place in the queue.
+    fn queue_contract(ctx: &Ctx, step: usize, out: &mut Outbox<u32>) {
+        let tag = |i: usize| ctx.node.raw() * 100_000 + step as u32 * 1_000 + i as u32;
+        out.broadcast(tag(0));
+        for (i, &to) in ctx.neighbors.iter().rev().enumerate() {
+            out.send(to, tag(1 + i));
+        }
+        if let Some(&first) = ctx.neighbors.first() {
+            out.send(first, tag(998));
+            out.send(first, tag(999));
+        }
+    }
+
+    impl Program for Contract {
+        type Msg = u32;
+        fn init(&mut self, ctx: &mut Ctx, out: &mut Outbox<u32>) {
+            queue_contract(ctx, 0, out);
+        }
+        fn step(
+            &mut self,
+            ctx: &mut Ctx,
+            s: usize,
+            inbox: &[(NodeId, u32)],
+            out: &mut Outbox<u32>,
+        ) -> Control {
+            self.log
+                .extend(inbox.iter().map(|&(from, m)| (from.raw(), m)));
+            if s >= ctx.node.index() % 4 {
+                return Control::Halt;
+            }
+            queue_contract(ctx, s + 1, out);
+            Control::Continue
+        }
+    }
+
+    fn contract_logs(nodes: &[Contract]) -> Vec<Vec<(u32, u32)>> {
+        nodes.iter().map(|p| p.log.clone()).collect()
+    }
+
+    #[test]
+    fn inboxes_and_reports_match_the_strict_executor() {
+        // The strict executor keeps one inbox per node and fills it in
+        // sender order, so it is an independent reference for the inbox
+        // order `Program::step` promises and for the charged rounds.
+        let graphs = [
+            generators::erdos_renyi(300, 0.02, 7),
+            generators::erdos_renyi(40, 0.15, 8),
+        ];
+        let mut reused = Executor::new(Backend::Parallel { threads: 2 });
+        reused.run(&generators::cycle(70), 1, contract, 8).unwrap();
+        for (g, seed) in graphs.iter().zip([3u64, 4]) {
+            for bandwidth in [1u64, 3] {
+                let mut strict = StrictExecutor::new(g, seed);
+                strict.set_bandwidth(bandwidth);
+                let report = strict.run(contract, 8).unwrap();
+                let want = (report, contract_logs(strict.nodes()));
+                assert!(want.1.iter().any(|log| !log.is_empty()));
+                for backend in [
+                    Backend::Sequential,
+                    Backend::Parallel { threads: 2 },
+                    Backend::Parallel { threads: 4 },
+                ] {
+                    let mut exec = Executor::new(backend);
+                    exec.set_bandwidth(bandwidth);
+                    let report = exec.run(g, seed, contract, 8).unwrap();
+                    let got = (report, contract_logs(exec.nodes()));
+                    assert_eq!(
+                        got,
+                        want,
+                        "{backend}, n = {}, B = {bandwidth}",
+                        g.node_count()
+                    );
+                }
+                reused.set_bandwidth(bandwidth);
+                let report = reused.run(g, seed, contract, 8).unwrap();
+                let got = (report, contract_logs(reused.nodes()));
+                assert_eq!(got, want, "reused, n = {}, B = {bandwidth}", g.node_count());
+            }
+        }
+    }
+
     #[test]
     fn cut_meter_matches_across_backends() {
         // Delivery is sequential on every backend, so the words that
