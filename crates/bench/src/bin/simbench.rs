@@ -1,11 +1,11 @@
 //! `simbench` — the simulator measurements perfbench does not take,
 //! machine-readable.
 //!
-//! Three sections. A deliver-scaling microbenchmark pins the
+//! Three sections. A deliver-scaling microbenchmark measures the
 //! touched-edge accounting of the superstep core: at fixed `n`, the
-//! per-superstep cost of a quiet protocol must stay flat as the total
-//! edge count grows (an `O(m)`-per-superstep deliver shows up here
-//! immediately). A streaming section replays one fixed seeded
+//! per-superstep cost of a quiet protocol should stay flat as the total
+//! edge count grows (nothing asserts it, but an `O(m)`-per-superstep
+//! deliver shows up in the rows immediately). A streaming section replays one fixed seeded
 //! [`UpdateSchedule`] and reports edge-update throughput (updates/sec
 //! through `MutableGraph`) and per-checkpoint verdict latency
 //! (snapshot + detect at every checkpoint). A `crossover` section
@@ -149,7 +149,7 @@ fn time_run<P, F>(
 ) -> (u128, u64)
 where
     P: Program + Send,
-    P::Msg: Send,
+    P::Msg: Send + Sync,
     F: Fn(NodeId, usize) -> P + Copy,
 {
     let _ = run_with_backend(g, SEED, backend, 1, None, build, max_supersteps);

@@ -13,47 +13,60 @@
 //! order, and the halted-word skip below are all invisible to
 //! transcripts: per-node effects within a phase are independent by
 //! definition of the synchronous model, and a skipped chunk is one
-//! with no live node to step and no delivered message to drop.
+//! with no live node to step.
 //!
 //! Hot-path choices:
 //!
 //! * **Chunked struct-of-arrays node state** — per-node state lives in
 //!   parallel flat arrays ([`NodeState`]: programs, RNG stream slots,
-//!   inboxes, outboxes, and the halt flags and the streams' "seeded"
-//!   bits packed into `u64` bitset words), which each run splits into
-//!   [`NodeChunk`] windows of a fixed power-of-two span. A phase sweep
-//!   walks contiguous memory, a fully-halted 64-node word is skipped in
-//!   one compare, and a chunk whose nodes are all halted with nothing in
-//!   any inbox is skipped outright (`live`/`pending` counters).
+//!   outboxes, and the halt flags, the streams' "seeded" bits and the
+//!   "sent" bits packed into `u64` bitset words), which each run splits
+//!   into [`NodeChunk`] windows of a fixed power-of-two span. A phase
+//!   sweep walks contiguous memory, a fully-halted 64-node word is
+//!   skipped in one compare, and a chunk whose nodes are all halted is
+//!   skipped outright (its `live` counter): messages sent to halted
+//!   nodes are never read, and the next delivery drops them with the
+//!   rest of the superstep's messages.
+//! * **One flat inbox** — a superstep's messages sit in one array in
+//!   recipient order, with `n + 1` offsets ([`Inbox`]), and each node
+//!   steps on its own slice of it. Delivery visits only the senders
+//!   whose "sent" bit the node phase set, in ascending order: it
+//!   validates each recipient, charges the edge and stages the message.
+//!   A stable counting sort by recipient then puts every message in
+//!   place, so each inbox holds the order [`Program::step`] promises.
+//!   The pool's workers read the inbox shared during the node phase.
 //! * **Touched-edge accounting** — only the `edge_words` entries
 //!   actually written in a superstep are reset, so a quiet superstep
 //!   costs `O(touched)`, not `O(m)`.
 //! * **Buffer reuse** — a session owns its [`NodeState`] and
 //!   [`Delivery`] buffers and resets them in place at the start of
-//!   every run: programs, RNG stream slots, inboxes, outboxes, halt and
-//!   "seeded" words, edge counters, the touched list, CSR bases, and
-//!   outbox capacities all keep their allocations from one run to the
-//!   next, and within a run delivery drains outboxes in place. The
+//!   every run: programs, RNG stream slots, outboxes, the inbox, the
+//!   halt, "seeded" and "sent" words, edge counters and the touched list
+//!   all keep their allocations from one run to the next, and within a
+//!   run delivery drains outboxes in place and refills the inbox. The
 //!   factory still builds every node's program, in ascending node
 //!   order, and the session recycles it into the program it already
 //!   holds ([`Program::recycle`]), so a program that owns buffers (the
 //!   color-BFS neighbor table and identifier set) keeps them too. A
 //!   node's stream is seeded on its first draw ([`NodeRng`]), so
 //!   resetting the streams clears one bit per node, and a run whose
-//!   nodes never draw runs no key schedule. Every inbox and outbox
-//!   starts a run with room for one message per incident edge,
-//!   reserved on the session's thread. Whoever holds the session owns
-//!   the buffers: each detector repetition loop holds one session per
-//!   program type for one call, a one-shot wrapper
-//!   ([`crate::run_with_backend`]) holds one for one run, and the
-//!   buffers are freed when the session is dropped. No buffer outlives
-//!   its session; there is no per-thread or global cache.
-//! * **CSR edge bases** — the dense directed-edge index of
-//!   `(v, i-th neighbor)` is `edge_base[v] + i`; broadcasts charge
-//!   edges without any per-neighbor binary search, and point-to-point
-//!   sends do a single neighbor-list search.
+//!   nodes never draw runs no key schedule. Every outbox starts a run
+//!   with room for one message per incident edge, reserved on the
+//!   session's thread, and the inbox only grows in delivery, which runs
+//!   on that thread too. Whoever holds the session owns the buffers:
+//!   each detector repetition loop holds one session per program type
+//!   for one call, a one-shot wrapper ([`crate::run_with_backend`])
+//!   holds one for one run, and the buffers are freed when the session
+//!   is dropped. No buffer outlives its session; there is no per-thread
+//!   or global cache.
+//! * **CSR edge indices** — the dense directed-edge index of
+//!   `(v, i-th neighbor)` is [`Graph::first_edge_index`]`(v) + i`;
+//!   broadcasts charge edges without any per-neighbor binary search,
+//!   and point-to-point sends do a single neighbor-list search.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::Instant;
 
 use congest_graph::{Graph, NodeId};
@@ -68,13 +81,13 @@ use crate::program::{Control, Ctx, Decision, NodeRng, Outbox, Program};
 
 /// One contiguous block of per-node state in struct-of-arrays layout:
 /// for one run, a window into each of the session's [`NodeState`]
-/// arrays. `nodes[off]`, `rngs[off]`, `inboxes[off]`, and
-/// `outboxes[off]` all belong to global node `base + off`; `halted`
-/// and `seeded` pack the halt flags and the streams' "seeded" bits 64
-/// per word. The chunk is the unit of work claiming: a phase steps
-/// whole chunks, so a `Mutex` per chunk (uncontended — the claim
-/// cursor hands each chunk to exactly one worker) is the entire
-/// synchronization story, with no `unsafe` anywhere.
+/// arrays. `nodes[off]`, `rngs[off]` and `outboxes[off]` all belong to
+/// global node `base + off`; `halted`, `seeded` and `sent` pack the
+/// halt flags, the streams' "seeded" bits and the "sent" bits 64 per
+/// word. The chunk is the unit of work claiming: a phase steps whole
+/// chunks, so a `Mutex` per chunk (uncontended — the claim cursor hands
+/// each chunk to exactly one worker) and the inbox's `RwLock` are the
+/// entire synchronization story, with no `unsafe` anywhere.
 pub(crate) struct NodeChunk<'s, P: Program> {
     /// Global id of the chunk's first node.
     base: usize,
@@ -89,15 +102,12 @@ pub(crate) struct NodeChunk<'s, P: Program> {
     /// Whether a node's stream slot is seeded for this run, bit
     /// `off - 64*w` of word `w`.
     seeded: &'s mut [u64],
-    /// Nodes in this chunk that have not halted.
+    /// Whether a node queued a message in the last node phase, bit
+    /// `off - 64*w` of word `w`; delivery clears each bit it visits.
+    sent: &'s mut [u64],
+    /// Nodes in this chunk that have not halted; a chunk with none is
+    /// skipped.
     live: usize,
-    /// Inboxes in this chunk currently holding messages. Maintained by
-    /// delivery (push into an empty inbox) and reset by the phase
-    /// sweep (every inbox is drained or dropped); together with `live`
-    /// it makes both the chunk-skip test and the global termination
-    /// test O(1) per chunk.
-    pending: usize,
-    inboxes: &'s mut [Vec<(NodeId, P::Msg)>],
     outboxes: &'s mut [Outbox<P::Msg>],
 }
 
@@ -111,11 +121,17 @@ fn word_mask(width: usize) -> u64 {
 }
 
 impl<P: Program> NodeChunk<'_, P> {
-    /// Runs one phase (init at `None`, else one step) over every node
-    /// of the chunk. Returns `false` when the chunk was skipped — all
-    /// nodes halted and no inbox held messages to drop, so nothing
-    /// observable could have happened.
-    pub(crate) fn run_phase(&mut self, graph: &Graph, n: usize, superstep: Option<usize>) -> bool {
+    /// Runs one phase (init at `None`, else one step on the messages of
+    /// `inbox`) over every live node of the chunk, marking each node
+    /// that queued a message. Returns `false` when the chunk was
+    /// skipped because all its nodes had halted.
+    pub(crate) fn run_phase(
+        &mut self,
+        graph: &Graph,
+        n: usize,
+        superstep: Option<usize>,
+        inbox: &Inbox<P::Msg>,
+    ) -> bool {
         let len = self.nodes.len();
         let Some(s) = superstep else {
             for off in 0..len {
@@ -133,32 +149,31 @@ impl<P: Program> NodeChunk<'_, P> {
                     neighbors: graph.neighbors(id),
                     rng,
                 };
-                self.nodes[off].init(&mut ctx, &mut self.outboxes[off]);
+                let out = &mut self.outboxes[off];
+                self.nodes[off].init(&mut ctx, out);
+                if !out.is_empty() {
+                    self.sent[off / 64] |= 1 << (off % 64);
+                }
             }
             return true;
         };
-        if self.live == 0 && self.pending == 0 {
+        if self.live == 0 {
             return false;
         }
         for w in 0..self.halted.len() {
             let word = self.halted[w];
             let lo = w * 64;
             let hi = (lo + 64).min(len);
-            if word == word_mask(hi - lo) && self.pending == 0 {
-                // Every node of this word is halted and no inbox in
-                // the chunk holds messages to drop: skip 64 nodes.
+            if word == word_mask(hi - lo) {
+                // Every node of this word is halted: skip 64 nodes.
                 continue;
             }
             for off in lo..hi {
-                if word >> (off - lo) & 1 == 1 {
-                    // Messages to halted nodes are dropped (capacity kept).
-                    self.inboxes[off].clear();
+                let bit = 1 << (off - lo);
+                if word & bit != 0 {
                     continue;
                 }
                 let id = NodeId::new((self.base + off) as u32);
-                // Take the inbox for the step, then hand its
-                // allocation back so the capacity survives.
-                let staged = std::mem::take(&mut self.inboxes[off]);
                 let rng = NodeRng::new(
                     &mut self.rngs[off],
                     &mut self.seeded[w],
@@ -172,17 +187,17 @@ impl<P: Program> NodeChunk<'_, P> {
                     neighbors: graph.neighbors(id),
                     rng,
                 };
-                if self.nodes[off].step(&mut ctx, s, &staged, &mut self.outboxes[off])
-                    == Control::Halt
-                {
-                    self.halted[w] |= 1 << (off - lo);
+                let out = &mut self.outboxes[off];
+                let control = self.nodes[off].step(&mut ctx, s, inbox.of(id), out);
+                if !out.is_empty() {
+                    self.sent[w] |= bit;
+                }
+                if control == Control::Halt {
+                    self.halted[w] |= bit;
                     self.live -= 1;
                 }
-                self.inboxes[off] = staged;
-                self.inboxes[off].clear();
             }
         }
-        self.pending = 0;
         true
     }
 }
@@ -199,13 +214,118 @@ pub(crate) fn lock_chunk<'c, 's, P: Program>(
 /// Nodes per chunk, as a power-of-two shift: large enough to amortize
 /// the per-chunk claim (one atomic increment + one uncontended lock),
 /// small enough that the claim cursor load-balances ragged supersteps
-/// (BFS frontiers) across workers and the `live`/`pending` skip stays
-/// fine-grained. A span is a multiple of 64, so chunks split the halt
+/// (BFS frontiers) across workers and the `live` skip stays
+/// fine-grained. A span is a multiple of 64, so chunks split the bitset
 /// words too. Chunk geometry is invisible to transcripts.
 fn chunk_shift_for(n: usize, threads: usize) -> u32 {
     let workers = threads.max(1);
     let target = (n / (workers * 8)).clamp(64, 4096);
     usize::BITS - 1 - target.leading_zeros()
+}
+
+/// One superstep's messages, grouped by recipient: node `v`'s inbox
+/// is `msgs[start[v]..start[v + 1]]`. Delivery refills it every
+/// superstep and the next node phase reads it.
+pub(crate) struct Inbox<M> {
+    msgs: Vec<(NodeId, M)>,
+    /// `n + 1` offsets into `msgs`. While delivery stages messages,
+    /// `start[v]` counts those to `v`.
+    start: Vec<u32>,
+    /// Per staged message, its recipient; then, while the messages are
+    /// placed, its index in `msgs`.
+    slot: Vec<u32>,
+}
+
+impl<M> Inbox<M> {
+    fn new() -> Self {
+        Inbox {
+            msgs: Vec::new(),
+            start: Vec::new(),
+            slot: Vec::new(),
+        }
+    }
+
+    /// Empties the inbox of every node of a run on `n` nodes.
+    fn reset(&mut self, n: usize) {
+        self.msgs.clear();
+        self.slot.clear();
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+    }
+
+    /// The messages node `v` received, in the order
+    /// [`Program::step`] promises.
+    #[inline]
+    fn of(&self, v: NodeId) -> &[(NodeId, M)] {
+        let v = v.index();
+        &self.msgs[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// Whether no node received anything.
+    fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
+    }
+
+    /// Starts staging a superstep's messages over the last superstep's,
+    /// which stay in `msgs` until staging overwrites them or placing
+    /// truncates them: dropping them takes no pass of its own.
+    fn begin(&mut self) {
+        self.slot.clear();
+        self.start.fill(0);
+    }
+
+    /// Stages `msg` from `from` to `to`; [`Inbox::place`] moves it into
+    /// `to`'s inbox, behind every message staged to `to` before it.
+    #[inline]
+    fn stage(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let k = self.slot.len();
+        if k < self.msgs.len() {
+            self.msgs[k] = (from, msg);
+        } else {
+            self.msgs.push((from, msg));
+        }
+        self.slot.push(to.raw());
+        self.start[to.index()] += 1;
+    }
+
+    /// Sorts the staged messages by recipient, keeping the staging order
+    /// among the messages to one node (a stable counting sort), and
+    /// sets the offsets.
+    fn place(&mut self) {
+        self.msgs.truncate(self.slot.len());
+        // No count or offset below overflows if the total does not.
+        let total = u32::try_from(self.msgs.len()).expect("under 2^32 messages per superstep");
+        let (last, counts) = self
+            .start
+            .split_last_mut()
+            .expect("an inbox has n + 1 offsets");
+        // Each count becomes the end of its node's range...
+        let mut end = 0;
+        for c in counts {
+            end += *c;
+            *c = end;
+        }
+        *last = total;
+        // ...and, walking the staged messages backwards, each takes the
+        // last free index of its recipient, so that `start[v]` ends at
+        // the first one.
+        for slot in self.slot.iter_mut().rev() {
+            let v = *slot as usize;
+            self.start[v] -= 1;
+            *slot = self.start[v];
+        }
+        // Each swap moves one message to its index for good.
+        for i in 0..self.msgs.len() {
+            loop {
+                let j = self.slot[i] as usize;
+                if j == i {
+                    break;
+                }
+                self.msgs.swap(i, j);
+                self.slot.swap(i, j);
+            }
+        }
+    }
 }
 
 /// A session's per-node state, one flat array per field, kept from one
@@ -218,8 +338,9 @@ pub(crate) struct NodeState<P: Program> {
     seed: u64,
     halted: Vec<u64>,
     seeded: Vec<u64>,
-    inboxes: Vec<Vec<(NodeId, P::Msg)>>,
+    sent: Vec<u64>,
     outboxes: Vec<Outbox<P::Msg>>,
+    inbox: Inbox<P::Msg>,
 }
 
 impl<P: Program> NodeState<P> {
@@ -230,8 +351,9 @@ impl<P: Program> NodeState<P> {
             seed: 0,
             halted: Vec::new(),
             seeded: Vec::new(),
-            inboxes: Vec::new(),
+            sent: Vec::new(),
             outboxes: Vec::new(),
+            inbox: Inbox::new(),
         }
     }
 
@@ -240,9 +362,9 @@ impl<P: Program> NodeState<P> {
     /// caller's thread), recycled into the programs already held
     /// ([`Program::recycle`]) and built new only past their number;
     /// every node stream unseeded, to be seeded from `seed` on its
-    /// node's first draw ([`NodeRng`]); every halt flag cleared; and
-    /// every inbox and outbox emptied of whatever a failed run left
-    /// behind — while each vector keeps its allocation.
+    /// node's first draw ([`NodeRng`]); every halt and "sent" bit
+    /// cleared; and every outbox and the inbox emptied of whatever a
+    /// failed run left behind — while each vector keeps its allocation.
     pub(crate) fn reset<F>(&mut self, graph: &Graph, seed: u64, mut factory: F)
     where
         F: FnMut(NodeId, usize) -> P,
@@ -257,25 +379,22 @@ impl<P: Program> NodeState<P> {
             .extend((kept..n).map(|v| factory(NodeId::new(v as u32), n)));
         self.rngs.resize(n, NodeRng::empty_slot());
         self.seed = seed;
-        for words in [&mut self.halted, &mut self.seeded] {
+        for words in [&mut self.halted, &mut self.seeded, &mut self.sent] {
             words.clear();
             words.resize(n.div_ceil(64), 0);
         }
-        self.inboxes.resize_with(n, Vec::new);
         self.outboxes.resize_with(n, Outbox::new);
         // Room for one message per incident edge — a superstep's CONGEST
         // budget — allocated here, on the session's thread. Buffers kept
         // for the whole session then never come from a pool worker's
         // malloc arena, where, mixed with each run's short-lived
         // allocations, they fragmented the heap and raised peak memory.
-        let queues = self.inboxes.iter_mut().zip(&mut self.outboxes);
-        for ((inbox, out), v) in queues.zip(graph.nodes()) {
-            inbox.clear();
-            inbox.reserve_exact(graph.degree(v));
+        for (out, v) in self.outboxes.iter_mut().zip(graph.nodes()) {
             out.broadcast = None;
             out.messages.clear();
             out.messages.reserve_exact(graph.degree(v));
         }
+        self.inbox.reset(n);
     }
 
     /// Splits the freshly reset state into the chunks of one run on
@@ -291,27 +410,30 @@ impl<P: Program> NodeState<P> {
             .zip(self.rngs.chunks_mut(span))
             .zip(self.halted.chunks_mut(span / 64))
             .zip(self.seeded.chunks_mut(span / 64))
-            .zip(self.inboxes.chunks_mut(span))
+            .zip(self.sent.chunks_mut(span / 64))
             .zip(self.outboxes.chunks_mut(span))
             .enumerate()
             .map(
-                |(i, (((((nodes, rngs), halted), seeded), inboxes), outboxes))| {
+                |(i, (((((nodes, rngs), halted), seeded), sent), outboxes))| {
                     Mutex::new(NodeChunk {
                         base: i << shift,
                         live: nodes.len(),
-                        pending: 0,
                         nodes,
                         rngs,
                         seed,
                         halted,
                         seeded,
-                        inboxes,
+                        sent,
                         outboxes,
                     })
                 },
             )
             .collect();
-        ChunkTable { chunks, shift, n }
+        ChunkTable {
+            chunks,
+            inbox: RwLock::new(&mut self.inbox),
+            n,
+        }
     }
 
     /// The address of every buffer the state keeps between runs.
@@ -322,21 +444,24 @@ impl<P: Program> NodeState<P> {
             self.rngs.as_ptr() as usize,
             self.halted.as_ptr() as usize,
             self.seeded.as_ptr() as usize,
-            self.inboxes.as_ptr() as usize,
+            self.sent.as_ptr() as usize,
             self.outboxes.as_ptr() as usize,
+            self.inbox.msgs.as_ptr() as usize,
+            self.inbox.start.as_ptr() as usize,
+            self.inbox.slot.as_ptr() as usize,
         ];
-        addrs.extend(self.inboxes.iter().map(|i| i.as_ptr() as usize));
         addrs.extend(self.outboxes.iter().map(|o| o.messages.as_ptr() as usize));
         addrs
     }
 }
 
-/// One run's node state: every [`NodeChunk`], plus the power-of-two
-/// geometry that maps a global node id to `(chunk, offset)` with a
-/// shift and a mask.
+/// One run's node state: every [`NodeChunk`], and the inbox the node
+/// phases read and delivery refills.
 pub(crate) struct ChunkTable<'s, P: Program> {
     chunks: Vec<Mutex<NodeChunk<'s, P>>>,
-    shift: u32,
+    /// Read-locked by each thread of a node phase, write-locked by
+    /// delivery; the phases never overlap, so no lock ever waits.
+    inbox: RwLock<&'s mut Inbox<P::Msg>>,
     n: usize,
 }
 
@@ -351,6 +476,18 @@ impl<'s, P: Program> ChunkTable<'s, P> {
 
     pub(crate) fn chunk(&self, i: usize) -> &Mutex<NodeChunk<'s, P>> {
         &self.chunks[i]
+    }
+
+    /// The inbox, for one thread of a node phase. Poison is ignored as
+    /// in [`lock_chunk`]: only delivery writes it, and a panic there
+    /// ends the run, whose table dies with it.
+    pub(crate) fn read_inbox(&self) -> RwLockReadGuard<'_, &'s mut Inbox<P::Msg>> {
+        self.inbox.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The inbox, for delivery.
+    fn write_inbox(&self) -> RwLockWriteGuard<'_, &'s mut Inbox<P::Msg>> {
+        self.inbox.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks every chunk in ascending order into `guards` (emptied
@@ -378,8 +515,9 @@ pub(crate) struct SeqDriver;
 impl<P: Program> PhaseDriver<P> for SeqDriver {
     fn run_phase(&self, table: &ChunkTable<'_, P>, graph: &Graph, superstep: Option<usize>) {
         let n = table.n();
+        let inbox = table.read_inbox();
         for i in 0..table.chunk_count() {
-            lock_chunk(table.chunk(i)).run_phase(graph, n, superstep);
+            lock_chunk(table.chunk(i)).run_phase(graph, n, superstep, &inbox);
         }
     }
 }
@@ -426,9 +564,13 @@ enum Phase {
     Reset,
     /// Stepping the nodes (init included).
     Step,
-    /// Charging words to directed edges and validating recipients.
+    /// One pass over the nodes that queued a message, in ascending
+    /// order: validating each recipient, charging its edge and staging
+    /// the message over one of the last superstep's, which drops that
+    /// one.
     Account,
-    /// Moving messages into the recipients' inboxes.
+    /// Dropping the rest of the last superstep's messages and sorting
+    /// the staged ones into the recipients' inboxes.
     Deliver,
     /// The termination test, and the decisions collected at the end.
     Scan,
@@ -526,29 +668,6 @@ pub(crate) struct Delivery {
     edge_words: Vec<u64>,
     /// Directed-edge indices written this superstep.
     touched: Vec<usize>,
-    /// CSR base of each node's directed-edge block: the edge to the
-    /// `i`-th neighbor of `v` has dense index `edge_base[v] + i`.
-    edge_base: Vec<usize>,
-}
-
-/// Appends `msg` to the inbox of `to`, keeping the recipient chunk's
-/// `pending` count exact (the first push into an empty inbox marks it).
-#[inline]
-fn push_to<P: Program>(
-    chunks: &mut [MutexGuard<'_, NodeChunk<'_, P>>],
-    shift: u32,
-    mask: usize,
-    from: NodeId,
-    to: NodeId,
-    msg: P::Msg,
-) {
-    let t = to.index();
-    let chunk = &mut *chunks[t >> shift];
-    let inbox = &mut chunk.inboxes[t & mask];
-    if inbox.is_empty() {
-        chunk.pending += 1;
-    }
-    inbox.push((from, msg));
 }
 
 impl Delivery {
@@ -556,23 +675,15 @@ impl Delivery {
         Delivery {
             edge_words: Vec::new(),
             touched: Vec::new(),
-            edge_base: Vec::new(),
         }
     }
 
     /// Prepares the buffers for a run on `graph`: clears the charges a
     /// failed run left behind (a finished one ends on a superstep that
-    /// charged nothing) and rebuilds the CSR bases.
+    /// charged nothing).
     fn reset(&mut self, graph: &Graph) {
         self.clear_charges();
         self.edge_words.resize(graph.directed_edge_count(), 0);
-        self.edge_base.clear();
-        let mut acc = 0usize;
-        for v in graph.nodes() {
-            self.edge_base.push(acc);
-            acc += graph.degree(v);
-        }
-        debug_assert_eq!(acc, graph.directed_edge_count());
     }
 
     /// The address of every buffer delivery keeps between runs.
@@ -581,7 +692,6 @@ impl Delivery {
         vec![
             self.edge_words.as_ptr() as usize,
             self.touched.as_ptr() as usize,
-            self.edge_base.as_ptr() as usize,
         ]
     }
 
@@ -593,13 +703,14 @@ impl Delivery {
         self.touched.clear();
     }
 
-    /// Delivers all pending outboxes in sender order (the determinism
-    /// anchor), returning the round cost `max(1, ⌈max_load/B⌉)` of the
-    /// superstep along with its congestion profile. The caller holds
-    /// every chunk guard: delivery is a single-threaded phase, and
-    /// holding all chunks lets a sender's taken-out outbox feed
-    /// recipient inboxes anywhere in the table. Laps `clock` after the
-    /// accounting pass and after delivery.
+    /// Delivers the messages the last node phase queued into `inbox`,
+    /// returning the round cost `max(1, ⌈max_load/B⌉)` of the superstep
+    /// along with its congestion profile. The caller holds every chunk
+    /// guard and the inbox: delivery is a single-threaded phase. Senders
+    /// go in ascending order (the determinism anchor), and each one's
+    /// broadcast before its sends, so a recipient's messages are staged
+    /// in the order its inbox keeps. Laps `clock` after the pass over
+    /// the senders and after placing the messages.
     #[allow(clippy::too_many_arguments)]
     fn deliver<P: Program>(
         &mut self,
@@ -607,29 +718,46 @@ impl Delivery {
         bandwidth: u64,
         cut: Option<&CutMeter>,
         cut_words: &mut u64,
-        shift: u32,
         chunks: &mut [MutexGuard<'_, NodeChunk<'_, P>>],
+        inbox: &mut Inbox<P::Msg>,
         stats: &mut CongestionStats,
         clock: &mut RunClock,
     ) -> Result<DeliverOutcome, SimError> {
         let messages_before = stats.total_messages;
+        inbox.begin();
         self.clear_charges();
 
-        // Accounting pass: charge words per directed edge and validate
-        // that every recipient is a neighbor.
-        for chunk in chunks.iter() {
-            for (off, out) in chunk.outboxes.iter().enumerate() {
-                if out.is_empty() {
-                    continue;
-                }
-                let v = chunk.base + off;
-                let from = NodeId::new(v as u32);
-                let base = self.edge_base[v];
-                let neighbors = graph.neighbors(from);
-                if let Some(msg) = &out.broadcast {
-                    let words = msg.words() as u64;
-                    for (pos, &to) in neighbors.iter().enumerate() {
-                        self.charge(base + pos, words);
+        for chunk in chunks.iter_mut() {
+            let chunk = &mut **chunk;
+            for (w, sent) in chunk.sent.iter_mut().enumerate() {
+                let mut word = std::mem::take(sent);
+                while word != 0 {
+                    let off = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let from = NodeId::new((chunk.base + off) as u32);
+                    let first_edge = graph.first_edge_index(from);
+                    let neighbors = graph.neighbors(from);
+                    let out = &mut chunk.outboxes[off];
+                    if let Some(msg) = out.broadcast.take() {
+                        let words = msg.words() as u64;
+                        for (pos, &to) in neighbors.iter().enumerate() {
+                            self.charge(first_edge + pos, words);
+                            stats.total_words += words;
+                            stats.total_messages += 1;
+                            if let Some(cut) = cut {
+                                if cut.crosses(from, to) {
+                                    *cut_words += words;
+                                }
+                            }
+                            inbox.stage(from, to, msg.clone());
+                        }
+                    }
+                    for (to, msg) in out.messages.drain(..) {
+                        let pos = neighbors
+                            .binary_search(&to)
+                            .map_err(|_| SimError::NotANeighbor { from, to })?;
+                        let words = msg.words() as u64;
+                        self.charge(first_edge + pos, words);
                         stats.total_words += words;
                         stats.total_messages += 1;
                         if let Some(cut) = cut {
@@ -637,51 +765,14 @@ impl Delivery {
                                 *cut_words += words;
                             }
                         }
-                    }
-                }
-                for (to, msg) in &out.messages {
-                    let pos = neighbors
-                        .binary_search(to)
-                        .map_err(|_| SimError::NotANeighbor { from, to: *to })?;
-                    let words = msg.words() as u64;
-                    self.charge(base + pos, words);
-                    stats.total_words += words;
-                    stats.total_messages += 1;
-                    if let Some(cut) = cut {
-                        if cut.crosses(from, *to) {
-                            *cut_words += words;
-                        }
+                        inbox.stage(from, to, msg);
                     }
                 }
             }
         }
-
         clock.lap(Phase::Account);
 
-        // Delivery pass (sender order => deterministic inbox order),
-        // draining outboxes in place so their capacity survives. The
-        // sender's outbox is taken out of its chunk first, so pushing
-        // into a recipient inbox of the *same* chunk aliases nothing.
-        let mask = (1usize << shift) - 1;
-        for ci in 0..chunks.len() {
-            let base = chunks[ci].base;
-            let len = chunks[ci].outboxes.len();
-            for off in 0..len {
-                let from = NodeId::new((base + off) as u32);
-                let broadcast = chunks[ci].outboxes[off].broadcast.take();
-                let mut msgs = std::mem::take(&mut chunks[ci].outboxes[off].messages);
-                if let Some(msg) = broadcast {
-                    for &to in graph.neighbors(from) {
-                        push_to(chunks, shift, mask, from, to, msg.clone());
-                    }
-                }
-                for (to, msg) in msgs.drain(..) {
-                    push_to(chunks, shift, mask, from, to, msg);
-                }
-                chunks[ci].outboxes[off].messages = msgs;
-            }
-        }
-
+        inbox.place();
         let max_load = self
             .touched
             .iter()
@@ -766,24 +857,25 @@ where
     driver.run_phase(table, graph, None);
     clock.lap(Phase::Step);
     table.lock_all(&mut guards);
-    if guards
-        .iter()
-        .any(|c| c.outboxes.iter().any(|o| !o.is_empty()))
-    {
+    let mut inbox = table.write_inbox();
+    if guards.iter().any(|c| c.sent.iter().any(|&w| w != 0)) {
         let outcome = delivery.deliver(
             graph,
             bandwidth,
             cut,
             &mut cut_words,
-            table.shift,
             &mut guards,
+            &mut inbox,
             &mut stats,
             &mut clock,
         )?;
         rounds += outcome.round_cost;
         observe_delivery(metrics, &outcome, 0, &mut clock);
     }
-    let mut finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
+    // The run ends once every node has halted and the last delivery
+    // was empty; messages to halted nodes still cost one superstep.
+    let mut finished = inbox.is_empty() && guards.iter().all(|c| c.live == 0);
+    drop(inbox);
     guards.clear();
     clock.lap(Phase::Scan);
 
@@ -798,19 +890,21 @@ where
         supersteps += 1;
         metrics.supersteps.inc();
         table.lock_all(&mut guards);
+        let mut inbox = table.write_inbox();
         let outcome = delivery.deliver(
             graph,
             bandwidth,
             cut,
             &mut cut_words,
-            table.shift,
             &mut guards,
+            &mut inbox,
             &mut stats,
             &mut clock,
         )?;
         rounds += outcome.round_cost;
         observe_delivery(metrics, &outcome, supersteps, &mut clock);
-        finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
+        finished = inbox.is_empty() && guards.iter().all(|c| c.live == 0);
+        drop(inbox);
         guards.clear();
         clock.lap(Phase::Scan);
     }

@@ -29,11 +29,10 @@ use crate::program::Program;
 ///   run's transcript depends on nothing an earlier run of the session
 ///   did.
 /// * **Buffer lifetime.** The session keeps its node state (programs,
-///   RNG stream slots, inboxes, outboxes, halt and "seeded" words) and
-///   its delivery buffers (edge counters, touched list, CSR bases,
-///   outbox capacities) from one run to the next and resets them in
-///   place, so a loop that runs one program type many times allocates
-///   them once. Each run's programs are recycled into the previous
+///   RNG stream slots, outboxes, one flat inbox, halt, "seeded" and
+///   "sent" words) and its delivery buffers (edge counters, touched
+///   list) from one run to the next and resets them in place, so a loop
+///   that runs one program type many times allocates them once. Each run's programs are recycled into the previous
 ///   run's ([`Program::recycle`]), and each node's stream is seeded on
 ///   its first draw ([`crate::NodeRng`]). They are freed when the
 ///   session is dropped: hold a session for as long as one loop needs
@@ -105,7 +104,7 @@ impl<P: Program> Executor<P> {
 impl<P> Executor<P>
 where
     P: Program + Send,
-    P::Msg: Send,
+    P::Msg: Send + Sync,
 {
     /// Runs the program on `graph` to completion (all nodes halted),
     /// with all node randomness derived from `seed`.

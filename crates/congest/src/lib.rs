@@ -117,7 +117,7 @@ pub fn run_with_backend<P, F>(
 ) -> Result<(RunReport, Vec<P>), SimError>
 where
     P: Program + Send,
-    P::Msg: Send,
+    P::Msg: Send + Sync,
     F: FnMut(NodeId, usize) -> P,
 {
     let mut session = Executor::new(backend);

@@ -17,8 +17,10 @@
 //! Determinism: the pool changes *where* a node steps, never *what* it
 //! observes. Per-node effects within a superstep are independent by
 //! definition of the synchronous model — each node owns its program
-//! state, RNG stream, inbox, and outbox slot — and message delivery
-//! (in `core.rs`) stays single-threaded in ascending sender order.
+//! state, RNG stream and outbox slot, and reads only its own slice of
+//! the superstep's inbox, which the workers share for reading — and
+//! message delivery (in `core.rs`) stays single-threaded in ascending
+//! sender order.
 //! Transcripts are therefore byte-identical to the sequential backend
 //! at every thread count, which the conformance suites assert
 //! registry-wide.
@@ -42,8 +44,8 @@ use crate::program::Program;
 
 /// Pool telemetry, resolved once per process. `busy_ns`/`idle_ns` are
 /// worker-side (the caller's share of the work is visible in the
-/// `sim.run` span instead); `chunks.skipped` counts chunks whose
-/// `live`/`pending` counters proved no node had anything to do.
+/// `sim.run` span instead); `chunks.skipped` counts chunks whose `live`
+/// counter showed every node halted.
 struct PoolMetrics {
     spawns: Arc<telemetry::Counter>,
     wakes: Arc<telemetry::Counter>,
@@ -149,8 +151,8 @@ impl Drop for ShutdownOnDrop<'_> {
 }
 
 /// Claims chunks off the shared cursor until the table is exhausted,
-/// running the phase on each. Used identically by workers and by the
-/// participating caller.
+/// running the phase on each, with the inbox read-locked throughout.
+/// Used identically by workers and by the participating caller.
 fn claim_chunks<P: Program>(
     ctrl: &PhaseCtrl,
     table: &ChunkTable<'_, P>,
@@ -162,13 +164,14 @@ fn claim_chunks<P: Program>(
     let count = table.chunk_count();
     let mut claimed = 0u64;
     let mut skipped = 0u64;
+    let inbox = table.read_inbox();
     loop {
         let ci = ctrl.cursor.fetch_add(1, Ordering::Relaxed);
         if ci >= count {
             break;
         }
         claimed += 1;
-        if !lock_chunk(table.chunk(ci)).run_phase(graph, n, superstep) {
+        if !lock_chunk(table.chunk(ci)).run_phase(graph, n, superstep, &inbox) {
             skipped += 1;
         }
     }
@@ -182,7 +185,7 @@ fn claim_chunks<P: Program>(
 fn worker_loop<P>(ctrl: &PhaseCtrl, table: &ChunkTable<'_, P>, graph: &Graph)
 where
     P: Program + Send,
-    P::Msg: Send,
+    P::Msg: Send + Sync,
 {
     let metrics = pool_metrics();
     let mut seen_epoch = 0u64;
@@ -269,7 +272,7 @@ pub(crate) fn run_pooled<P>(
 ) -> Result<RunReport, SimError>
 where
     P: Program + Send,
-    P::Msg: Send,
+    P::Msg: Send + Sync,
 {
     // More workers than chunks would only park and wake for nothing.
     let spawned = threads.saturating_sub(1).min(table.chunk_count());

@@ -174,7 +174,7 @@ pub fn run_traced<P, F>(
 ) -> Result<(RunReport, Trace), SimError>
 where
     P: Program + Send,
-    P::Msg: Send,
+    P::Msg: Send + Sync,
     F: FnMut(NodeId, usize) -> P,
 {
     let log = Arc::new(Mutex::new(Vec::new()));

@@ -217,9 +217,21 @@ impl Graph {
     /// `None` if the edge is absent. Used by simulators to account
     /// per-edge traffic without hashing.
     pub fn directed_edge_index(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let base = self.offsets[from.index()] as usize;
         let nbrs = self.neighbors(from);
-        nbrs.binary_search(&to).ok().map(|pos| base + pos)
+        nbrs.binary_search(&to)
+            .ok()
+            .map(|pos| self.first_edge_index(from) + pos)
+    }
+
+    /// The [`Graph::directed_edge_index`] of the edge from `v` to its
+    /// first neighbor: the edge to the `i`-th entry of
+    /// [`Graph::neighbors`]`(v)` has index `first_edge_index(v) + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn first_edge_index(&self, v: NodeId) -> usize {
+        self.offsets[v.index()] as usize
     }
 
     /// Returns the list of all edges as `(u, v)` pairs with `u < v`.
@@ -361,5 +373,20 @@ mod tests {
         assert!(g.has_edge(NodeId::new(0), NodeId::new(2)));
         assert!(g.has_edge(NodeId::new(2), NodeId::new(0)));
         assert!(!g.has_edge(NodeId::new(0), NodeId::new(1)));
+    }
+
+    #[test]
+    fn directed_edges_are_numbered_in_neighbor_order() {
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 1)]).unwrap();
+        let mut seen = Vec::new();
+        for v in g.nodes() {
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                let e = g.directed_edge_index(v, u);
+                assert_eq!(e, Some(g.first_edge_index(v) + i), "{v:?} -> {u:?}");
+                seen.extend(e);
+            }
+        }
+        assert_eq!(seen, (0..g.directed_edge_count()).collect::<Vec<_>>());
+        assert_eq!(g.directed_edge_index(NodeId::new(4), NodeId::new(0)), None);
     }
 }
