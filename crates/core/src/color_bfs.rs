@@ -401,10 +401,10 @@ pub(crate) fn has_active_source(
 /// with no threshold rejects on `x`'s identifier.
 ///
 /// The walk stays apart from
-/// [`find_colored_path`](crate::find_colored_path): that search recovers
-/// one path to a known endpoint, keeping a parent per layer, while this
-/// one only asks whether a source's two branches meet, at every meeting
-/// node at once.
+/// [`find_colored_path`](crate::witness::find_colored_path): that
+/// search recovers one path to a known endpoint, keeping a parent per
+/// layer, while this one only asks whether a source's two branches
+/// meet, at every meeting node at once.
 #[derive(Debug, Default)]
 struct CycleWalk {
     /// Per node, the stamp of the last source whose walk reached it.

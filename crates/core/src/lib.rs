@@ -73,4 +73,4 @@ pub use quantum_detector::{
     QuantumCycleDetector, QuantumF2kDetector, QuantumOddCycleDetector, QuantumOutcome,
 };
 pub use randomized::{LowProbDetector, LowProbMc, RANDOMIZED_THRESHOLD};
-pub use witness::{certify, find_colored_path, DetectionOutcome, Phase, SetsSummary};
+pub use witness::{DetectionOutcome, Phase, SetsSummary};

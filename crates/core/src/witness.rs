@@ -1,6 +1,6 @@
 //! Detection outcomes and certified witness extraction.
 
-use congest_graph::{analysis, CycleWitness, Graph, NodeId};
+use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{Decision, RunReport};
 
 use crate::color_bfs::Palette;
@@ -88,7 +88,7 @@ impl DetectionOutcome {
 /// branches of a detected cycle: when a node rejects in `color-BFS`, the
 /// origin's id provably traveled along two such paths, so the searches
 /// must succeed — the caller treats `None` as an internal error.
-pub fn find_colored_path(
+pub(crate) fn find_colored_path(
     g: &Graph,
     h_mask: &[bool],
     colors: &[u8],
@@ -166,16 +166,6 @@ pub(crate) fn extract_witness(
     witness.is_valid(g).then_some(witness)
 }
 
-/// Double-checks a claimed witness against the exact ground truth
-/// (used in tests and by the certified-output contract): the witness must
-/// be a valid cycle of the stated length, and the graph must indeed
-/// contain a cycle of that length.
-pub fn certify(g: &Graph, witness: &CycleWitness, expected_len: usize) -> bool {
-    witness.len() == expected_len
-        && witness.is_valid(g)
-        && analysis::has_cycle_exact(g, expected_len, Some(200_000_000)) // witness exists, so this is fast
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +230,6 @@ mod tests {
         .expect("witness");
         assert_eq!(w.len(), 4);
         assert!(w.is_valid(&g));
-        assert!(certify(&g, &w, 4));
     }
 
     #[test]
