@@ -32,9 +32,10 @@ use crate::program::Program;
 ///   RNG stream slots, outboxes, one flat inbox, halt, "seeded" and
 ///   "sent" words) and its delivery buffers (edge counters, touched
 ///   list) from one run to the next and resets them in place, so a loop
-///   that runs one program type many times allocates them once. Each run's programs are recycled into the previous
-///   run's ([`Program::recycle`]), and each node's stream is seeded on
-///   its first draw ([`crate::NodeRng`]). They are freed when the
+///   that runs one program type many times allocates them once. Each
+///   run's programs are recycled into the previous run's
+///   ([`Program::recycle`]), and each node's stream is seeded on its
+///   first draw ([`crate::NodeRng`]). They are freed when the
 ///   session is dropped: hold a session for as long as one loop needs
 ///   it, not longer.
 ///
